@@ -6,7 +6,7 @@ GO ?= go
 # out of go.mod so the simulator itself stays dependency-free.
 STATICCHECK = $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: build test short race bench bench-baseline bench-compare serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke
+.PHONY: build test short race bench serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke
 
 build:
 	$(GO) build ./...
@@ -42,18 +42,19 @@ staticcheck:
 # the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
-# TestEngineScheduleIsAllocationFree — and the serving daemon) plus the
-# channel-parallel determinism gate in internal/core, and finally the
-# daemon smoke drill: the real binary on an ephemeral port, /healthz, a
-# figure round-trip through the cache, and a SIGTERM drain to exit 0.
+# TestEngineScheduleIsAllocationFree — and the serving daemon), the
+# daemon smoke drill (the real binary on an ephemeral port, /healthz, a
+# figure round-trip through the cache, and a SIGTERM drain to exit 0),
+# and finally the refbench module's own tests (~20 s; it is a separate
+# module, so ./... above does not reach it).
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
-	$(GO) test -race -timeout 10m -run 'TestChannelParallel' ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
+	cd cmd/refbench && $(GO) test -count=1 .
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload
 # drives thousands of mixed multi-tenant requests at a small-queue
@@ -133,24 +134,6 @@ timeline-demo:
 # microbenchmarks (allocs/op for the event-engine hot path).
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$'
-
-# Record the perf baseline consumed by future revisions: per-figure
-# wall-clock and event-engine microbench numbers at the quick preset.
-# BENCH_baseline.json is committed; refresh it (on the same idle machine
-# it was recorded on) whenever a deliberate perf change lands, and cite
-# the before/after in the commit message.
-bench-baseline:
-	$(GO) run ./cmd/experiments -quick -bench-json BENCH_baseline.json all
-
-# The perf gate: rerun the baseline workload into a scratch file and
-# diff it against the committed baseline. Exits non-zero when engine
-# events/sec drops >10%, allocs/event grows, or a figure's wall-clock
-# grows >35% (the looser bound absorbs machine noise). Only meaningful
-# on the machine the baseline was recorded on; CI instead benches base
-# and head back-to-back on one runner.
-bench-compare:
-	$(GO) run ./cmd/experiments -quick -bench-json BENCH_candidate.json all
-	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_candidate.json
 
 # Regenerate the raw experiment output EXPERIMENTS.md cites (the quick
 # preset's full grid, then the per-mix figures over all ten mixes).

@@ -15,9 +15,7 @@
 // and energy/OS-counter breakdowns (fig5, tables) are zero in
 // analytical reports. -j bounds the worker pool that runs a sweep's
 // independent simulation cells; results are identical at any -j, only
-// wall-clock time changes. -bench-json additionally records per-figure
-// wall-clock and event-engine microbenchmark numbers to a JSON file so
-// performance can be tracked across revisions.
+// wall-clock time changes.
 //
 // Failure semantics are those of a real job scheduler. A failing or
 // panicking cell is quarantined into the figure's failure-summary table
@@ -33,13 +31,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -47,22 +43,19 @@ import (
 	"refsched/internal/buildinfo"
 	"refsched/internal/chaos"
 	"refsched/internal/harness"
-	"refsched/internal/runner"
-	"refsched/internal/sim"
 )
 
 func main() {
 	var (
-		version   = flag.Bool("version", false, "print version and exit")
-		quick     = flag.Bool("quick", false, "fast preset: larger time scale, fewer mixes, scaled footprints")
-		mode      = flag.String("mode", "exact", "simulation tier for sweep cells: exact (event-driven) or approx (analytical model)")
-		scale     = flag.Uint64("scale", 0, "override time-scale factor (0 = preset)")
-		mixes     = flag.String("mixes", "", "comma-separated mix subset, e.g. WL-1,WL-6 (empty = preset)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		windows   = flag.Int("windows", 0, "override measurement windows (0 = preset)")
-		verbose   = flag.Bool("v", false, "print each run as it completes")
-		jobs      = flag.Int("j", 0, "parallel simulation cells (0 = all CPUs; results identical at any -j)")
-		benchJSON = flag.String("bench-json", "", "write per-figure wall-clock + engine microbench JSON to this file")
+		version = flag.Bool("version", false, "print version and exit")
+		quick   = flag.Bool("quick", false, "fast preset: larger time scale, fewer mixes, scaled footprints")
+		mode    = flag.String("mode", "exact", "simulation tier for sweep cells: exact (event-driven) or approx (analytical model)")
+		scale   = flag.Uint64("scale", 0, "override time-scale factor (0 = preset)")
+		mixes   = flag.String("mixes", "", "comma-separated mix subset, e.g. WL-1,WL-6 (empty = preset)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		windows = flag.Int("windows", 0, "override measurement windows (0 = preset)")
+		verbose = flag.Bool("v", false, "print each run as it completes")
+		jobs    = flag.Int("j", 0, "parallel simulation cells (0 = all CPUs; results identical at any -j)")
 
 		failfast   = flag.Bool("failfast", false, "abort a sweep on its first failed cell instead of quarantining it")
 		retries    = flag.Int("retries", 0, "max identical-seed retries for transient cell errors (0 = default, <0 = off)")
@@ -153,11 +146,9 @@ func main() {
 		targets = []string{"all"}
 	}
 
-	bench := newBenchRecorder(*benchJSON, p)
 	start := time.Now()
 	quarantined := 0
 	for _, t := range targets {
-		t0 := time.Now()
 		n, err := runTarget(t, p)
 		quarantined += n
 		if err != nil {
@@ -172,14 +163,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		bench.record(t, time.Since(t0))
 	}
 	stopProfile()
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Second))
-	if err := bench.write(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
 	if quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d cell(s) quarantined; see the failure-summary tables above\n", quarantined)
 		os.Exit(3)
@@ -199,134 +185,4 @@ func runTarget(target string, p harness.Params) (int, error) {
 		fmt.Println(r)
 	}
 	return quarantined, err
-}
-
-// benchRecorder accumulates the -bench-json perf baseline: wall-clock
-// per figure target plus event-engine microbenchmark numbers, so future
-// revisions have a trajectory to compare against.
-type benchRecorder struct {
-	path    string
-	entries []benchEntry
-	params  harness.Params
-}
-
-type benchEntry struct {
-	Target string  `json:"target"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-type benchFile struct {
-	Parallelism int          `json:"parallelism"`
-	GOMAXPROCS  int          `json:"gomaxprocs"`
-	Scale       uint64       `json:"scale"`
-	Engine      engineBench  `json:"engine"`
-	Targets     []benchEntry `json:"targets"`
-}
-
-type engineBench struct {
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	// RefOpsPerSec is a fixed pure-integer reference loop measured
-	// interleaved with the engine passes. Its speed depends only on the
-	// machine (and its current clock), never on this repo's code, so
-	// benchdiff compares EventsPerSec/RefOpsPerSec ratios — frequency
-	// scaling and host drift between two recordings cancel out.
-	RefOpsPerSec float64 `json:"ref_ops_per_sec"`
-}
-
-func newBenchRecorder(path string, p harness.Params) *benchRecorder {
-	return &benchRecorder{path: path, params: p}
-}
-
-func (b *benchRecorder) record(target string, d time.Duration) {
-	if b.path == "" {
-		return
-	}
-	b.entries = append(b.entries, benchEntry{Target: target, WallMS: float64(d.Microseconds()) / 1000})
-}
-
-func (b *benchRecorder) write() error {
-	if b.path == "" {
-		return nil
-	}
-	out := benchFile{
-		Parallelism: runner.Parallelism(b.params.Parallelism),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Scale:       b.params.Scale,
-		Targets:     b.entries,
-	}
-	out.Engine = measureEngine()
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(b.path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", b.path)
-	return nil
-}
-
-// measureEngine hand-rolls the BenchmarkEngineScheduleStep measurement
-// (allocations and throughput of the event-heap hot path) without the
-// testing package, so the CLI can embed it in the baseline file.
-//
-// Two defenses against a noisy host, because this number gates merges:
-// each quantity is the best of several passes (interference only ever
-// slows a loop down, so max-of-N estimates the machine's true rate),
-// and a code-independent reference loop is measured interleaved with
-// the engine passes so both see the same clock-frequency environment —
-// benchdiff compares the engine/reference ratio, in which host drift
-// between recordings cancels.
-func measureEngine() engineBench {
-	const warm, n, passes = 128, 2_000_000, 5
-	e := sim.NewEngine()
-	e.Reserve(warm * 2)
-	fn := func() {}
-	for i := 0; i < warm; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-	}
-	var best engineBench
-	for p := 0; p < passes; p++ {
-		if ref := measureRef(); ref > best.RefOpsPerSec {
-			best.RefOpsPerSec = ref
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			e.Schedule(sim.Time(i%31)+1, fn)
-			e.Step()
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		if evPerSec := float64(n) / wall.Seconds(); evPerSec > best.EventsPerSec {
-			best.EventsPerSec = evPerSec
-			best.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(n)
-		}
-	}
-	return best
-}
-
-// refSink keeps the reference loop's result observable so the compiler
-// cannot delete the loop.
-var refSink uint64
-
-// measureRef times a fixed xorshift loop: pure integer work, no memory
-// traffic, identical in every revision of this repo. It is the
-// denominator that makes engine throughput comparable across
-// recordings taken at different host clock speeds.
-func measureRef() float64 {
-	const n = 20_000_000
-	x := uint64(0x9e3779b97f4a7c15)
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	wall := time.Since(t0)
-	refSink = x
-	return float64(n) / wall.Seconds()
 }

@@ -47,38 +47,19 @@ type SystemState struct {
 // Cycle returns the simulated time the snapshot was taken at.
 func (st *SystemState) Cycle() uint64 { return uint64(st.Engine.Now) }
 
-// CheckpointFn receives each periodic snapshot during a checkpointed
-// run. Returning an error aborts the run with that error.
-type CheckpointFn func(st *SystemState) error
-
-// BoundaryFn is the lazy variant of CheckpointFn: it is invoked at
-// every checkpoint boundary but the (expensive) state capture only
-// happens if the callback asks for it by calling capture. This is what
+// BoundaryFn is called at every checkpoint boundary of a run. State
+// capture is lazy: the (expensive) flattening of the machine happens
+// only if the callback asks for it by calling capture. This is what
 // preemption wants — polling "should I stop?" at each boundary costs
 // nothing until the answer is yes, at which point capture() flattens
 // the machine and the callback can return an error to abort the run
 // with the snapshot in hand. Returning a non-nil error aborts the run.
 type BoundaryFn func(capture func() (*SystemState, error)) error
 
-// eager adapts an eager CheckpointFn to the lazy boundary protocol:
-// capture at every boundary, then hand the state over.
-func eager(fn CheckpointFn) BoundaryFn {
-	if fn == nil {
-		return nil
-	}
-	return func(capture func() (*SystemState, error)) error {
-		st, err := capture()
-		if err != nil {
-			return err
-		}
-		return fn(st)
-	}
-}
-
 // captureState flattens the whole machine into a SystemState. It fails
 // when any pending engine event is a closure (a layer that forgot to
-// reify an event type), when parallel execution is enabled, or when a
-// task's workload generator is not checkpointable.
+// reify an event type) or when a task's workload generator is not
+// checkpointable.
 func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap metrics.Snapshot) (*SystemState, error) {
 	if s.observed {
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
@@ -119,12 +100,8 @@ func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap 
 // Restore rebuilds a System from a checkpoint. The machine is
 // reconstructed from the snapshot's own config and mix (opt may supply
 // a cancellation context; its FootprintScale and Seed are overridden by
-// the snapshot's, and ChannelParallel is rejected — a restored event
-// population is serial). Call Resume on the result to continue the run.
+// the snapshot's). Call Resume on the result to continue the run.
 func Restore(st *SystemState, opt Options) (*System, error) {
-	if opt.ChannelParallel {
-		return nil, sim.ErrParallelSnapshot
-	}
 	opt.FootprintScale = st.FootprintScale
 	opt.Seed = 0 // st.Cfg already carries the effective seed
 	s, err := Build(st.Cfg, st.Mix, opt)
@@ -167,108 +144,88 @@ func Restore(st *SystemState, opt Options) (*System, error) {
 	return s, nil
 }
 
-// RunCheckpointed is Run with periodic checkpoints: every `every`
-// cycles of simulated time the machine is flattened into a SystemState
-// and handed to fn. every == 0 or fn == nil degrades to plain Run.
-// Checkpoint boundaries split the engine's run into legs, which does
-// not perturb execution: the report is byte-identical to an
-// uncheckpointed run of the same cell.
-func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
-	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not RunCheckpointed")
-	}
-	if every > 0 && fn != nil && s.observed {
-		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
-	}
-	s.started = true
-	defer s.Eng.Close()
-	defer s.recoverFault(&rep, &err)
-	s.Kernel.Start()
-	return s.drive(warmup, measure, every, eager(fn))
-}
-
-// RunPreemptible is RunCheckpointed with the lazy boundary protocol:
-// fn is called at every checkpoint boundary but state capture is
-// deferred until the callback asks for it. Use this when boundaries
-// are frequent and snapshots rare (preemption polling).
-func (s *System) RunPreemptible(warmup, measure, every uint64, fn BoundaryFn) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
-	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not RunPreemptible")
-	}
-	if every > 0 && fn != nil && s.observed {
-		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
-	}
-	s.started = true
-	defer s.Eng.Close()
-	defer s.recoverFault(&rep, &err)
-	s.Kernel.Start()
-	return s.drive(warmup, measure, every, fn)
+// RunCheckpointed is Run with checkpoint boundaries: every `every`
+// cycles of simulated time fn is called (see BoundaryFn). every == 0 or
+// fn == nil degrades to plain Run. Boundaries split the engine's run
+// into legs, which does not perturb execution: the report is
+// byte-identical to an uncheckpointed run of the same cell.
+//
+// This is the error boundary of the simulation: typed sim.Fault values
+// unwinding out of the event loop (out-of-memory demand paging, invalid
+// buddy frees, past-scheduled events) and a cancelled Options.Ctx are
+// converted into returned errors tagged with the cell's identity, so a
+// faulting cell degrades into a failed run the sweep pipeline can
+// quarantine. Panics with non-Fault values are genuine programmer
+// invariants and propagate.
+func (s *System) RunCheckpointed(warmup, measure, every uint64, fn BoundaryFn) (*Report, error) {
+	return s.run(false, warmup, measure, every, fn)
 }
 
 // Resume continues a restored system to the end of its original run,
-// optionally emitting further checkpoints (every/fn as in
-// RunCheckpointed). The returned report is byte-identical to the one
-// the uninterrupted original run would have produced.
-func (s *System) Resume(every uint64, fn CheckpointFn) (rep *Report, err error) {
-	return s.ResumePreemptible(every, eager(fn))
+// with checkpoint boundaries as in RunCheckpointed (pass 0, nil for
+// none). The returned report is byte-identical to the one the
+// uninterrupted original run would have produced.
+func (s *System) Resume(every uint64, fn BoundaryFn) (*Report, error) {
+	return s.run(true, s.resWarmup, s.resMeasure, every, fn)
 }
 
-// ResumePreemptible is Resume with the lazy boundary protocol of
-// RunPreemptible.
-func (s *System) ResumePreemptible(every uint64, fn BoundaryFn) (rep *Report, err error) {
-	if !s.restored {
-		return nil, fmt.Errorf("core: Resume requires a system built by Restore")
-	}
-	if s.started {
+// run is the one run entry behind RunCheckpointed and Resume.
+func (s *System) run(resume bool, warmup, measure, every uint64, fn BoundaryFn) (rep *Report, err error) {
+	switch {
+	case s.started:
 		return nil, fmt.Errorf("core: system already run")
+	case s.restored && !resume:
+		return nil, fmt.Errorf("core: restored system must Resume, not Run")
+	case resume && !s.restored:
+		return nil, fmt.Errorf("core: Resume requires a system built by Restore")
+	case every > 0 && fn != nil && s.observed:
+		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
 	}
 	s.started = true
-	defer s.Eng.Close()
-	defer s.recoverFault(&rep, &err)
-	// No Kernel.Start: the restored event population already contains
-	// the in-flight dispatch chain.
-	return s.drive(s.resWarmup, s.resMeasure, every, fn)
+	defer func() {
+		if p := recover(); p != nil {
+			f, ok := p.(sim.Fault)
+			if !ok {
+				panic(p)
+			}
+			rep, err = nil, s.cellErr(f)
+		}
+	}()
+	if !resume {
+		// A restored event population already contains the in-flight
+		// dispatch chain.
+		s.Kernel.Start()
+	}
+	return s.drive(warmup, measure, every, fn)
 }
 
-// recoverFault converts typed sim.Fault panics into returned errors,
-// mirroring Run's error boundary.
-func (s *System) recoverFault(rep **Report, err *error) {
-	if p := recover(); p != nil {
-		f, ok := p.(sim.Fault)
-		if !ok {
-			panic(p)
-		}
-		*rep = nil
-		*err = fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
-			s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), f)
-	}
+// cellErr tags err with the cell's identity and the current cycle.
+func (s *System) cellErr(err error) error {
+	return fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
+		s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), err)
 }
 
 // drive advances the engine from its current time to warmup+measure in
-// legs, pausing at the warmup boundary (registry snapshot) and at every
-// checkpoint boundary (captureState + fn). The leg structure is
+// legs, pausing at the warmup boundary (registry snapshot), at every
+// checkpoint boundary (fn), and — when Options.Ctx is set — at least
+// every cancelCheckCycles to poll the context. The leg structure is
 // invisible to the simulation: RunUntil(a); RunUntil(b) executes the
 // identical event sequence as RunUntil(b).
 func (s *System) drive(warmup, measure, every uint64, fn BoundaryFn) (*Report, error) {
+	eng := s.Eng
 	total := warmup + measure
 	snap := s.warmSnap
 	havePast := s.pastWarmup
-	if !havePast && uint64(s.Eng.Now()) >= warmup {
+	if !havePast && uint64(eng.Now()) >= warmup {
 		// Already at (or past) the warmup boundary with no snapshot —
-		// the warmup == 0 case. Drain due events exactly as Run's
+		// the warmup == 0 case. Drain due events exactly as a single
 		// RunUntil(warmup) would, then snapshot.
-		s.Eng.RunUntil(sim.Time(warmup))
+		eng.RunUntil(sim.Time(warmup))
 		snap = s.snapshot()
 		havePast = true
 	}
 	for {
-		now := uint64(s.Eng.Now())
+		now := uint64(eng.Now())
 		if now >= total {
 			break
 		}
@@ -281,17 +238,30 @@ func (s *System) drive(warmup, measure, every uint64, fn BoundaryFn) (*Report, e
 				next = nc
 			}
 		}
-		s.Eng.RunUntil(sim.Time(next))
+		if s.ctx != nil {
+			if nc := (now/cancelCheckCycles + 1) * cancelCheckCycles; nc < next {
+				next = nc
+			}
+		}
+		eng.RunUntil(sim.Time(next))
 		if !havePast && next >= warmup {
 			snap = s.snapshot()
 			havePast = true
 		}
-		if every > 0 && fn != nil && next%every == 0 && next < total {
+		if next == total {
+			break
+		}
+		if every > 0 && fn != nil && next%every == 0 {
 			capture := func() (*SystemState, error) {
 				return s.captureState(warmup, measure, havePast, snap)
 			}
 			if err := fn(capture); err != nil {
 				return nil, err
+			}
+		}
+		if s.ctx != nil {
+			if err := s.ctx.Err(); err != nil {
+				return nil, s.cellErr(err)
 			}
 		}
 	}

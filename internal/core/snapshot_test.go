@@ -36,6 +36,18 @@ func referenceRun(t *testing.T, cfg config.System, warmup, measure uint64) []byt
 	return reportBytes(t, rep)
 }
 
+// eager adapts a callback that wants every snapshot to the lazy
+// BoundaryFn protocol: capture at every boundary, then hand it over.
+func eager(fn func(st *SystemState) error) BoundaryFn {
+	return func(capture func() (*SystemState, error)) error {
+		st, err := capture()
+		if err != nil {
+			return err
+		}
+		return fn(st)
+	}
+}
+
 // codecRoundTrip pushes st through the file format and back.
 func codecRoundTrip(t *testing.T, st *SystemState) *SystemState {
 	t.Helper()
@@ -87,10 +99,10 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			// enough samples, mid-refresh).
 			every := cfg.Timeslice() + cfg.Timeslice()/3 + 7
 			var snaps []*SystemState
-			rep, err := sys.RunCheckpointed(warmup, measure, every, func(st *SystemState) error {
+			rep, err := sys.RunCheckpointed(warmup, measure, every, eager(func(st *SystemState) error {
 				snaps = append(snaps, st)
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,12 +176,12 @@ func TestResumeWithFurtherCheckpoints(t *testing.T) {
 	}
 	every := cfg.Timeslice()*2 + 13
 	var first *SystemState
-	_, err = sys.RunCheckpointed(warmup, measure, every, func(st *SystemState) error {
+	_, err = sys.RunCheckpointed(warmup, measure, every, eager(func(st *SystemState) error {
 		if first == nil {
 			first = st
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +191,10 @@ func TestResumeWithFurtherCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var later *SystemState
-	_, err = rsys.Resume(every, func(st *SystemState) error {
+	_, err = rsys.Resume(every, eager(func(st *SystemState) error {
 		later = st
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +214,9 @@ func TestResumeWithFurtherCheckpoints(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusals covers the typed refusal paths: parallel
-// execution and attached observers cannot checkpoint.
+// TestSnapshotRefusals covers the typed refusal path: attached
+// observers cannot checkpoint.
 func TestSnapshotRefusals(t *testing.T) {
-	cfg := testConfig(config.Density8Gb, config.RefreshAllBank)
-	cfg.Mem.Channels = 2
-
-	st := &SystemState{Cfg: cfg, Mix: testMix(), FootprintScale: 0.01}
-	if _, err := Restore(st, Options{ChannelParallel: true}); !errors.Is(err, sim.ErrParallelSnapshot) {
-		t.Fatalf("parallel restore err = %v", err)
-	}
-
 	sys, err := Build(testConfig(config.Density8Gb, config.RefreshAllBank), testMix(), Options{FootprintScale: 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +224,7 @@ func TestSnapshotRefusals(t *testing.T) {
 	if _, err := sys.AttachTimeline(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunCheckpointed(0, 1000, 100, func(*SystemState) error { return nil }); err == nil {
+	if _, err := sys.RunCheckpointed(0, 1000, 100, eager(func(*SystemState) error { return nil })); err == nil {
 		t.Fatal("checkpointing with a timeline attached must fail")
 	}
 }
@@ -234,12 +238,12 @@ func writeTestSnapshot(t *testing.T) (string, []byte) {
 	}
 	var snap *SystemState
 	every := cfg.Timeslice()
-	_, err = sys.RunCheckpointed(0, 4*every, every, func(st *SystemState) error {
+	_, err = sys.RunCheckpointed(0, 4*every, every, eager(func(st *SystemState) error {
 		if snap == nil {
 			snap = st
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +322,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	var snap *SystemState
 	every := cfg.Timeslice()
-	if _, err := sys.RunCheckpointed(0, 2*every, every, func(st *SystemState) error {
+	if _, err := sys.RunCheckpointed(0, 2*every, every, eager(func(st *SystemState) error {
 		if snap == nil {
 			snap = st
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer

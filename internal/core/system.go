@@ -33,29 +33,21 @@ type Options struct {
 	FootprintScale float64
 	// Seed overrides cfg.Seed when non-zero.
 	Seed uint64
-	// ChannelParallel opts into executing same-cycle memory-controller
-	// events of different channels on worker goroutines. Output is
-	// byte-identical to serial execution (see internal/sim's parallel
-	// determinism notes); only wall-clock changes. A no-op for
-	// single-channel configs, and disabled automatically when a trace
-	// or timeline recorder is attached (those observers are shared
-	// mutable state on the controller's accept path).
-	ChannelParallel bool
-	// Ctx, when non-nil, hard-cancels a running simulation: the engine
-	// checks it at cooperative checkpoints (every cancelCheckCycles of
-	// simulated time) and a cancelled or expired context aborts the run
-	// with an error wrapping the context error. This is distinct from
-	// the sweep-level context in the runner, whose cancellation lets
-	// in-flight cells finish: Ctx is for deadlines and watchdogs that
-	// must abort even a wedged or oversized cell mid-run.
+	// Ctx, when non-nil, hard-cancels a running simulation: the run
+	// loop polls it at leg boundaries (at least every cancelCheckCycles
+	// of simulated time) and a cancelled or expired context aborts the
+	// run with a cell-tagged error wrapping the context error. This is
+	// distinct from the sweep-level context in the runner, whose
+	// cancellation lets in-flight cells finish: Ctx is for deadlines and
+	// watchdogs that must abort even a wedged or oversized cell mid-run.
 	Ctx context.Context
 }
 
-// cancelCheckCycles is how often (in simulated cycles) a running
-// engine consults Options.Ctx — small enough that even heavily scaled
+// cancelCheckCycles bounds (in simulated cycles) the run legs between
+// polls of Options.Ctx — small enough that even heavily scaled
 // quick-preset cells (whose whole run is a few hundred thousand
-// cycles) hit checkpoints, while the check itself (one atomic load in
-// ctx.Err) stays far off the per-event hot path.
+// cycles) are polled, while the poll itself (one ctx.Err call per leg)
+// stays far off the per-event hot path.
 const cancelCheckCycles = 1 << 16
 
 // System is one fully wired simulated machine executing a workload mix.
@@ -76,6 +68,7 @@ type System struct {
 
 	timing  dram.Timing
 	started bool
+	ctx     context.Context // Options.Ctx; nil = never cancelled
 
 	// footprintScale is the effective Options.FootprintScale, recorded
 	// so a checkpoint can rebuild an identical system.
@@ -105,13 +98,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 		cfg.Seed = opt.Seed
 	}
 
-	s := &System{Cfg: cfg, Eng: sim.NewEngine(), Mix: mix, footprintScale: opt.FootprintScale}
-	if opt.ChannelParallel {
-		s.Eng.EnableParallel(cfg.Mem.Channels) // no-op unless Channels >= 2
-	}
-	if ctx := opt.Ctx; ctx != nil {
-		s.Eng.SetCheckpoint(cancelCheckCycles, ctx.Err)
-	}
+	s := &System{Cfg: cfg, Eng: sim.NewEngine(), Mix: mix, ctx: opt.Ctx, footprintScale: opt.FootprintScale}
 	// Pre-size the event queues for the steady-state population: each
 	// core keeps up to MLP misses in flight, each controller schedules
 	// per-queue-entry work, plus refresh/scheduler housekeeping.
@@ -142,9 +129,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 			planner = p
 		}
 		s.Chans = append(s.Chans, channel)
-		// Domain ch+1 tags the controller's internal events with its
-		// channel affinity (inert unless ChannelParallel is set).
-		s.MCs = append(s.MCs, mc.New(s.Eng.Domain(ch+1), channel, cfg.Mem, pol))
+		s.MCs = append(s.MCs, mc.New(s.Eng, channel, cfg.Mem, pol))
 	}
 
 	// Cores with private cache stacks.
@@ -278,9 +263,6 @@ func (s *System) AttachTrace(w io.Writer) (*trace.Recorder, error) {
 	if s.started {
 		return nil, fmt.Errorf("core: cannot attach a trace after Run")
 	}
-	// The tracer is shared mutable state on every controller's accept
-	// path; fall back to serial execution.
-	s.Eng.Close()
 	s.observed = true
 	rec := trace.NewRecorder(w)
 	for _, c := range s.MCs {
@@ -302,9 +284,6 @@ func (s *System) AttachTimeline(w io.Writer) (*timeline.Recorder, error) {
 	if s.started {
 		return nil, fmt.Errorf("core: cannot attach a timeline after Run")
 	}
-	// The recorder is shared mutable state on the controllers' refresh
-	// and stall paths; fall back to serial execution.
-	s.Eng.Close()
 	s.observed = true
 	rec := timeline.NewRecorder(w, 0)
 	rec.SetProcessName(timeline.PidCPU, "cpu")
@@ -343,39 +322,10 @@ func (s *System) SetTaskMasks(masks []buddy.BankMask) error {
 
 // Run executes the workload with warmup cycles of cache/queue warmup
 // followed by measure cycles of measured execution, and returns the
-// report. It may be called once per System.
-//
-// Run is the error boundary of the simulation: typed sim.Fault values
-// unwinding out of the event loop (out-of-memory demand paging, invalid
-// buddy frees, past-scheduled events) are converted into returned
-// errors tagged with the cell's identity, so a faulting cell degrades
-// into a failed run the sweep pipeline can quarantine. Panics with
-// non-Fault values are genuine programmer invariants and propagate.
-func (s *System) Run(warmup, measure uint64) (rep *Report, err error) {
-	if s.started {
-		return nil, fmt.Errorf("core: system already run")
-	}
-	if s.restored {
-		return nil, fmt.Errorf("core: restored system must Resume, not Run")
-	}
-	s.started = true
-	defer s.Eng.Close() // release parallel workers, if any
-	defer func() {
-		if p := recover(); p != nil {
-			f, ok := p.(sim.Fault)
-			if !ok {
-				panic(p)
-			}
-			rep = nil
-			err = fmt.Errorf("core: %s/%s/%s at cycle %d: %w",
-				s.Mix.Name, s.Cfg.Mem.Density, s.Cfg.Refresh.Policy, s.Eng.Now(), f)
-		}
-	}()
-	s.Kernel.Start()
-	s.Eng.RunUntil(sim.Time(warmup))
-	snap := s.snapshot()
-	s.Eng.RunUntil(sim.Time(warmup + measure))
-	return s.report(snap, measure), nil
+// report. It may be called once per System; see RunCheckpointed for
+// the error boundary.
+func (s *System) Run(warmup, measure uint64) (*Report, error) {
+	return s.RunCheckpointed(warmup, measure, 0, nil)
 }
 
 // RunWindows runs warmupW retention windows of warmup and measureW

@@ -34,16 +34,6 @@ type SnapshotStore interface {
 	SaveReport(key string, rep *core.Report)
 }
 
-// checkpointed reports whether the exact-engine cells of this sweep run
-// under the checkpoint driver. Approx cells never checkpoint (there is
-// no event loop to snapshot — and nothing worth resuming).
-func (p Params) checkpointed() bool {
-	if p.mode() != ModeExact {
-		return false
-	}
-	return p.Snapshots != nil || p.CheckpointDir != "" || p.Preempt != nil
-}
-
 // checkpointEvery resolves the boundary cadence for cfg: the knob when
 // set, else four timeslices — frequent enough that a preemption request
 // lands quickly, cheap because boundaries without a snapshot cost only
@@ -91,107 +81,86 @@ func (p Params) snapshotMatches(st *core.SystemState, cfg config.System, warmup,
 	return nil
 }
 
-// runWithCheckpoints executes one exact-engine cell under the
-// checkpoint driver: restore from a prior snapshot when one exists (the
-// in-memory store first, then the CheckpointDir file), otherwise build
-// fresh; run with a lazy boundary callback that polls Preempt and
-// persists snapshots; and on clean completion retire the cell's
-// snapshots so a stale one never satisfies a later run. The leg
-// structure and every snapshot/restore cycle are invisible to the
-// simulation — the report is byte-identical to Params.run's.
-func (p Params) runWithCheckpoints(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
-	if p.Snapshots != nil {
-		if rep := p.Snapshots.LoadReport(ckey); rep != nil {
-			return rep, nil
-		}
-	}
-
+// runExact executes one exact-engine cell. A bundle cell (ckey != "")
+// first consults the store for a finished report, then restores from a
+// prior snapshot when one exists (the in-memory store first, then the
+// CheckpointDir file), otherwise builds fresh; it runs with a lazy
+// boundary callback that polls Preempt and persists snapshots, and on
+// clean completion retires the cell's snapshots so a stale one never
+// satisfies a later run. The leg structure and every snapshot/restore
+// cycle are invisible to the simulation: the report is byte-identical
+// to an uncheckpointed run.
+func (p Params) runExact(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
 	var path string
-	if p.CheckpointDir != "" {
-		path = filepath.Join(p.CheckpointDir, ckey+".snap")
+	if ckey != "" {
+		if p.Snapshots != nil {
+			if rep := p.Snapshots.LoadReport(ckey); rep != nil {
+				return rep, nil
+			}
+		}
+		if p.CheckpointDir != "" {
+			path = filepath.Join(p.CheckpointDir, ckey+".snap")
+		}
 	}
 	w := cfg.TREFW()
 	warmup, measure := uint64(p.WarmupWindows)*w, uint64(p.MeasureWindows)*w
-
-	// Locate a resumable snapshot.
+	st, err := p.loadSnapshot(ckey, path, cfg, warmup, measure)
+	if err != nil {
+		return nil, err
+	}
 	var sys *core.System
-	if p.Snapshots != nil {
-		if st := p.Snapshots.LoadSnapshot(ckey); st != nil {
-			s, err := core.Restore(st, core.Options{Ctx: p.HardCtx})
-			if err != nil {
-				return nil, err
-			}
-			sys = s
-		}
-	}
-	if sys == nil && path != "" {
-		st, err := core.ReadSnapshotFile(path)
-		switch {
-		case err == nil:
-			if err := p.snapshotMatches(st, cfg, warmup, measure, path); err != nil {
-				return nil, err
-			}
-			s, err := core.Restore(st, core.Options{Ctx: p.HardCtx})
-			if err != nil {
-				return nil, err
-			}
-			sys = s
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh run.
-		default:
-			// Corrupt or version-skewed files propagate their typed
-			// refusal rather than being silently recomputed over.
-			return nil, err
-		}
-	}
-
-	resumed := sys != nil
-	if sys == nil {
-		s, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
+	if st != nil {
+		sys, err = core.Restore(st, core.Options{Ctx: p.HardCtx})
+	} else {
+		sys, err = core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
+			err = fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 		}
-		sys = s
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// The lazy boundary: polling Preempt costs nothing; state capture
 	// happens only when a preemption was requested (snapshot handed to
 	// the store, cell aborted with the preemption error) or when a
 	// CheckpointDir wants crash durability at every boundary.
-	boundary := func(capture func() (*core.SystemState, error)) error {
-		var perr error
-		if p.Preempt != nil {
-			perr = p.Preempt()
-		}
-		if perr == nil && path == "" {
-			return nil
-		}
-		st, err := capture()
-		if err != nil {
-			return err
-		}
-		if perr != nil && p.Snapshots != nil {
-			p.Snapshots.SaveSnapshot(ckey, st)
-		}
-		if path != "" {
-			if err := core.WriteSnapshotFile(path, st); err != nil {
+	var boundary core.BoundaryFn
+	if ckey != "" && (p.Preempt != nil || path != "") {
+		boundary = func(capture func() (*core.SystemState, error)) error {
+			var perr error
+			if p.Preempt != nil {
+				perr = p.Preempt()
+			}
+			if perr == nil && path == "" {
+				return nil
+			}
+			st, err := capture()
+			if err != nil {
 				return err
 			}
+			if perr != nil && p.Snapshots != nil {
+				p.Snapshots.SaveSnapshot(ckey, st)
+			}
+			if path != "" {
+				if err := core.WriteSnapshotFile(path, st); err != nil {
+					return err
+				}
+			}
+			return perr
 		}
-		return perr
 	}
 
 	var rep *core.Report
-	var err error
-	if resumed {
-		rep, err = sys.ResumePreemptible(p.checkpointEvery(cfg), boundary)
+	if st != nil {
+		rep, err = sys.Resume(p.checkpointEvery(cfg), boundary)
 	} else {
-		rep, err = sys.RunPreemptible(warmup, measure, p.checkpointEvery(cfg), boundary)
+		rep, err = sys.RunCheckpointed(warmup, measure, p.checkpointEvery(cfg), boundary)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if p.Snapshots != nil {
+	if ckey != "" && p.Snapshots != nil {
 		p.Snapshots.SaveReport(ckey, rep)
 		p.Snapshots.DropSnapshot(ckey)
 	}
@@ -201,4 +170,32 @@ func (p Params) runWithCheckpoints(cfg config.System, mix workload.Mix, ckey str
 		}
 	}
 	return rep, nil
+}
+
+// loadSnapshot locates a resumable snapshot for a bundle cell: the
+// in-memory store first, then the CheckpointDir file at path. It
+// returns nil when there is none.
+func (p Params) loadSnapshot(ckey, path string, cfg config.System, warmup, measure uint64) (*core.SystemState, error) {
+	if ckey != "" && p.Snapshots != nil {
+		if st := p.Snapshots.LoadSnapshot(ckey); st != nil {
+			return st, nil
+		}
+	}
+	if path == "" {
+		return nil, nil
+	}
+	st, err := core.ReadSnapshotFile(path)
+	switch {
+	case err == nil:
+		if err := p.snapshotMatches(st, cfg, warmup, measure, path); err != nil {
+			return nil, err
+		}
+		return st, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil // fresh run
+	default:
+		// Corrupt or version-skewed files propagate their typed
+		// refusal rather than being silently recomputed over.
+		return nil, err
+	}
 }

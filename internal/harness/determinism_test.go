@@ -70,7 +70,7 @@ func TestFig10ParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFig5ParallelDeterminism covers the runner.Map path (allocator
+// TestFig5ParallelDeterminism covers fig5's fail-fast batch (allocator
 // sweep, no sim engine): parallel and serial output must match exactly.
 func TestFig5ParallelDeterminism(t *testing.T) {
 	if testing.Short() {

@@ -51,7 +51,7 @@ func Extensions(p Params) (*Result, error) {
 				run: func() (*core.Report, error) {
 					cfg := p.configFor(d, e.bundle, false)
 					cfg.Mem.SubarraysPerBank = e.subarrays
-					return p.run(cfg, mix)
+					return p.run(cfg, mix, "")
 				},
 			})
 		}

@@ -98,5 +98,5 @@ func (p Params) runScenario(d config.Density, b bundle, sc scenario, mix workloa
 	cfg.Mem.DIMMsPerChannel = sc.dimms
 	cfg.OS.BanksPerTask = sc.banksPerTask
 	cfg.Name = fmt.Sprintf("fig15-%s", sc.name)
-	return p.run(cfg, mix)
+	return p.run(cfg, mix, "")
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"refsched/internal/config"
@@ -28,9 +29,9 @@ func Fig5(p Params) (*Result, error) {
 
 	// One cell per benchmark footprint, fanned out across the worker
 	// pool; each cell sweeps the densities for its footprint.
-	fracs, err := runner.Map(p.Parallelism, len(workload.SPECFootprints),
-		func(i int) ([]float64, error) {
-			fe := workload.SPECFootprints[i]
+	jobs := make([]runner.Job[[]float64], len(workload.SPECFootprints))
+	for i, fe := range workload.SPECFootprints {
+		jobs[i].Run = func() ([]float64, error) {
 			out := make([]float64, len(config.Densities))
 			for di, d := range config.Densities {
 				frac, err := singleBankFraction(d, fe.Footprint)
@@ -40,10 +41,14 @@ func Fig5(p Params) (*Result, error) {
 				out[di] = frac
 			}
 			return out, nil
-		})
+		}
+	}
+	b, err := runner.RunBatch(context.Background(), jobs,
+		runner.Options[[]float64]{Parallelism: p.Parallelism, FailFast: true})
 	if err != nil {
 		return nil, err
 	}
+	fracs := b.Results
 
 	sums := make([]float64, len(config.Densities))
 	for i, fe := range workload.SPECFootprints {

@@ -63,7 +63,7 @@ type Params struct {
 	// cells are skipped, and the sweep returns the context error.
 	Ctx context.Context
 	// HardCtx, when non-nil, aborts in-flight cells mid-run: the exact
-	// engine checks it at cooperative checkpoints (and chaos stalls
+	// run loop polls it at leg boundaries (and chaos stalls
 	// select on it), so cancellation or deadline expiry fails the cell
 	// with a typed error wrapping the context error instead of letting
 	// it run to completion. Contrast Ctx, whose cancellation is
@@ -286,10 +286,13 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 	return cfg
 }
 
-// run executes one configuration over one mix. Verbose progress lines
+// run executes one configuration over one mix. ckey names a bundle
+// cell for snapshot addressing (see checkpointKey); custom-closure cells
+// (fig4's bank masks, ext1's subarray overrides) pass "" and never
+// checkpoint, mirroring their non-remotability. Verbose progress lines
 // are emitted by the sweep collector (see sweep.go), not here, so that
 // parallel workers never interleave output.
-func (p Params) run(cfg config.System, mix workload.Mix) (*core.Report, error) {
+func (p Params) run(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
 	switch p.Mode {
 	case "", ModeExact:
 	case ModeApprox:
@@ -301,29 +304,13 @@ func (p Params) run(cfg config.System, mix workload.Mix) (*core.Report, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
 	}
-	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
-	}
-	rep, err := sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return p.runExact(cfg, mix, ckey)
 }
 
 // runBundle is run with a bundle shorthand. Bundle cells are the
-// checkpointable population: when a snapshot store, checkpoint
-// directory, or preemption hook is configured, they route through the
-// checkpoint driver (byte-identical results either way). Custom-closure
-// cells (fig4's bank masks, ext1's subarray overrides) call run
-// directly and never checkpoint, mirroring their non-remotability.
+// checkpointable population (byte-identical results either way).
 func (p Params) runBundle(d config.Density, b bundle, highTemp bool, mix workload.Mix) (*core.Report, error) {
-	cfg := p.configFor(d, b, highTemp)
-	if p.checkpointed() {
-		return p.runWithCheckpoints(cfg, mix, p.checkpointKey(d, b, highTemp, mix))
-	}
-	return p.run(cfg, mix)
+	return p.run(p.configFor(d, b, highTemp), mix, p.checkpointKey(d, b, highTemp, mix))
 }
 
 // pct formats a ratio as a percentage string.

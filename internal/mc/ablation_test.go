@@ -21,7 +21,7 @@ func newRigWith(t *testing.T, mutate func(*config.MemConfig)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng.Domain(1), ch, cfg.Mem, p), tm: tm, cfg: cfg})
+	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p), tm: tm, cfg: cfg})
 }
 
 // TestClosedPageLosesRowHits: under the closed-page ablation, two

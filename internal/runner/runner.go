@@ -5,7 +5,7 @@
 // Every figure in the paper's evaluation is a grid of fully independent,
 // deterministically-seeded simulation cells (mix × density × policy
 // bundle). The harness enumerates a sweep's cells up front, hands them
-// to Run, and receives results in an index-addressed slice — so tables
+// to RunBatch, and receives results in an index-addressed slice — so tables
 // built from the results are byte-identical to serial output regardless
 // of worker completion order. Progress callbacks are routed through a
 // single collector goroutine so verbose output never interleaves.
@@ -399,44 +399,4 @@ func backoff(ctx context.Context, base time.Duration, attempt int) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// Run executes jobs across at most parallelism workers (<= 0 meaning
-// GOMAXPROCS) and returns their results indexed identically to jobs.
-// onDone, if non-nil, is invoked once per successful job from a single
-// collector goroutine — in completion order, never concurrently — for
-// progress reporting.
-//
-// Run is the fail-fast convenience form of RunBatch: on failure the
-// error of the lowest-indexed failed job is returned (matching what a
-// serial in-order run would report first) and remaining unstarted jobs
-// are skipped. A panicking job fails the whole batch by re-panicking
-// with a *CellError that preserves the original panic value and stack.
-func Run[T any](jobs []Job[T], parallelism int, onDone func(Cell, T)) ([]T, error) {
-	opts := Options[T]{Parallelism: parallelism, FailFast: true}
-	if onDone != nil {
-		opts.OnDone = func(_ int, c Cell, v T) { onDone(c, v) }
-	}
-	b, err := RunBatch(context.Background(), jobs, opts)
-	if err != nil {
-		var ce *CellError
-		if errors.As(err, &ce) && ce.Err != nil {
-			// Historical contract: return the job's own error value.
-			return nil, ce.Err
-		}
-		return nil, err
-	}
-	return b.Results, nil
-}
-
-// Map runs fn(i) for every i in [0, n) across at most parallelism
-// workers and returns the results in index order — the plain-function
-// form of Run for sweeps without per-cell metadata.
-func Map[T any](parallelism, n int, fn func(i int) (T, error)) ([]T, error) {
-	jobs := make([]Job[T], n)
-	for i := range jobs {
-		i := i
-		jobs[i].Run = func() (T, error) { return fn(i) }
-	}
-	return Run(jobs, parallelism, nil)
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -21,11 +22,11 @@ func TestRunIndexAddressedResults(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = job(i)
 		}
-		got, err := Run(jobs, par, nil)
+		b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par, FailFast: true})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
-		for i, v := range got {
+		for i, v := range b.Results {
 			if v != i*i {
 				t.Fatalf("par=%d: result[%d] = %d, want %d", par, i, v, i*i)
 			}
@@ -34,9 +35,9 @@ func TestRunIndexAddressedResults(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := Run[int](nil, 4, nil)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty run = %v, %v", got, err)
+	b, err := RunBatch[int](context.Background(), nil, Options[int]{Parallelism: 4, FailFast: true})
+	if err != nil || len(b.Results) != 0 {
+		t.Fatalf("empty run = %v, %v", b.Results, err)
 	}
 }
 
@@ -57,7 +58,7 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 				}
 			}
 		}
-		_, err := Run(jobs, par, nil)
+		_, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par, FailFast: true})
 		// Job 11 may be skipped after job 3 fails, but whenever both
 		// fail the lower index must win — matching serial order.
 		if !errors.Is(err, errLow) {
@@ -79,7 +80,7 @@ func TestRunSkipsAfterFailure(t *testing.T) {
 			return i, nil
 		}
 	}
-	if _, err := Run(jobs, 2, nil); err == nil {
+	if _, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: 2, FailFast: true}); err == nil {
 		t.Fatal("expected error")
 	}
 	if n := started.Load(); n == 1000 {
@@ -88,7 +89,7 @@ func TestRunSkipsAfterFailure(t *testing.T) {
 }
 
 func TestRunOnDoneSerializedAndComplete(t *testing.T) {
-	// onDone must fire exactly once per job from a single goroutine;
+	// OnDone must fire exactly once per job from a single goroutine;
 	// the callback deliberately touches shared state without locking —
 	// the race detector verifies the serialization.
 	jobs := make([]Job[int], 64)
@@ -97,22 +98,22 @@ func TestRunOnDoneSerializedAndComplete(t *testing.T) {
 	}
 	seen := map[string]int{}
 	sum := 0
-	_, err := Run(jobs, 8, func(c Cell, v int) {
+	_, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: 8, OnDone: func(_ int, c Cell, v int) {
 		seen[c.Mix]++
 		sum += v
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 64 {
-		t.Fatalf("onDone saw %d distinct cells, want 64", len(seen))
+		t.Fatalf("OnDone saw %d distinct cells, want 64", len(seen))
 	}
 	want := 0
 	for i := 0; i < 64; i++ {
 		want += i * i
 	}
 	if sum != want {
-		t.Fatalf("onDone value sum = %d, want %d", sum, want)
+		t.Fatalf("OnDone value sum = %d, want %d", sum, want)
 	}
 }
 
@@ -134,21 +135,7 @@ func TestRunPanicIdentifiesCell(t *testing.T) {
 			}
 		}
 	}()
-	Run(jobs, 2, nil)
-}
-
-func TestMapOrdering(t *testing.T) {
-	got, err := Map(4, 50, func(i int) (string, error) {
-		return fmt.Sprintf("#%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != fmt.Sprintf("#%d", i) {
-			t.Fatalf("result[%d] = %q", i, v)
-		}
-	}
+	RunBatch(context.Background(), jobs, Options[int]{Parallelism: 2, FailFast: true})
 }
 
 func TestParallelismNormalization(t *testing.T) {

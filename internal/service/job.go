@@ -261,7 +261,7 @@ type job struct {
 	finished   time.Time
 	// softCancel/hardCancel abort the in-flight run (armed by execute
 	// for the duration of the run). Soft lets in-flight cells finish;
-	// hard aborts them at the next engine checkpoint and interrupts
+	// hard aborts them at the next run-leg boundary and interrupts
 	// injected chaos stalls. killErr records why the watchdog (or any
 	// future killer) fired; it wins the post-run state classification.
 	softCancel func()

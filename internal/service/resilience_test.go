@@ -134,7 +134,7 @@ func TestDeadlineShedsQueuedJob(t *testing.T) {
 }
 
 // TestDeadlineExpiresMidRun: a deadline that fires mid-run must
-// hard-cancel the engine promptly (through the cooperative checkpoint
+// hard-cancel the engine promptly (through the run loop's leg-boundary poll
 // and the interruptible chaos stall), not wait out the work.
 func TestDeadlineExpiresMidRun(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {

@@ -784,7 +784,7 @@ func (s *Server) execute(j *job) {
 
 	// Per-job cancellation: the soft context (a child of the daemon's
 	// drain context) lets in-flight cells finish; the hard context
-	// aborts them at the next engine checkpoint and interrupts chaos
+	// aborts them at the next run-leg boundary and interrupts chaos
 	// stalls. The job's deadline bounds both; the watchdog fires both
 	// through j.kill.
 	var softCtx, hardCtx context.Context

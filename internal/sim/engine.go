@@ -54,7 +54,6 @@ const (
 type event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events at the same cycle
-	dom  int32  // affinity domain (0 = shared state, run serially)
 	fn   func()
 	p    Payload
 }
@@ -129,20 +128,9 @@ type Engine struct {
 
 	heap []event // 4-ary min-heap by (when, seq); every when > now
 
-	par *parallel // non-nil once EnableParallel has been called
-
 	// exec dispatches payload events (events scheduled without a
 	// closure); installed once by the system owner via SetExec.
 	exec func(Payload)
-
-	// Cooperative cancellation checkpoint (see SetCheckpoint): check is
-	// consulted at most once per checkInterval cycles of clock advance,
-	// so a cancelled context aborts a long simulation within a bounded
-	// amount of simulated (and therefore wall) time without adding any
-	// per-event cost.
-	check         func() error
-	checkInterval Time
-	nextCheck     Time
 
 	// Executed counts events processed since construction; useful for
 	// progress reporting and runaway detection in tests.
@@ -200,7 +188,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // *PastEventError fault, which the core run API converts into a
 // returned error at its boundary (see Fault).
 func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.schedule(t, 0, fn)
+	e.schedule(t, fn, Payload{})
 }
 
 // SetExec installs the dispatcher for payload events. Scheduling a
@@ -221,20 +209,16 @@ func (e *Engine) ScheduleP(delay Time, p Payload) {
 
 // SchedulePAt schedules a payload event at absolute time t.
 func (e *Engine) SchedulePAt(t Time, p Payload) {
-	e.scheduleEv(t, 0, nil, p)
+	e.schedule(t, nil, p)
 }
 
 // schedule routes an event to the right store by its distance from now.
-func (e *Engine) schedule(t Time, dom int32, fn func()) {
-	e.scheduleEv(t, dom, fn, Payload{})
-}
-
-func (e *Engine) scheduleEv(t Time, dom int32, fn func(), p Payload) {
+func (e *Engine) schedule(t Time, fn func(), p Payload) {
 	if t < e.now {
 		panic(&PastEventError{T: t, Now: e.now})
 	}
 	e.seq++
-	ev := event{when: t, seq: e.seq, dom: dom, fn: fn, p: p}
+	ev := event{when: t, seq: e.seq, fn: fn, p: p}
 	switch {
 	case t == e.now:
 		e.fifo = append(e.fifo, ev)
@@ -439,28 +423,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// SetCheckpoint installs a cooperative cancellation hook: RunUntil
-// calls fn at most once per interval cycles of clock advance, and a
-// non-nil return unwinds the event loop as a *CancelFault (a typed
-// sim.Fault, so the core run boundary converts it into an ordinary
-// cell-tagged error instead of crashing the sweep). It is how an
-// external deadline or watchdog aborts a long simulation mid-run: the
-// hot path pays one nil-check per clock advance when no checkpoint is
-// installed, and nothing per event either way. A nil fn removes the
-// checkpoint.
-func (e *Engine) SetCheckpoint(interval Time, fn func() error) {
-	if fn == nil {
-		e.check = nil
-		return
-	}
-	if interval == 0 {
-		interval = 1
-	}
-	e.check = fn
-	e.checkInterval = interval
-	e.nextCheck = e.now + interval
-}
-
 // RunUntil executes events until the clock would pass t, then sets the
 // clock to exactly t. Events scheduled at exactly t are executed.
 //
@@ -477,9 +439,6 @@ func (e *Engine) RunUntil(t Time) {
 	if e.now <= t {
 		for {
 			for e.fifoHead < len(e.fifo) {
-				if e.par != nil && e.fifo[e.fifoHead].dom != 0 && e.runParallel() {
-					continue // a domain batch ran; resume the FIFO scan
-				}
 				ev := e.fifo[e.fifoHead]
 				e.fifo[e.fifoHead] = event{} // release the closure for GC
 				e.fifoHead++
@@ -498,12 +457,6 @@ func (e *Engine) RunUntil(t Time) {
 				break
 			}
 			e.now = w
-			if e.check != nil && e.now >= e.nextCheck {
-				e.nextCheck = e.now + e.checkInterval
-				if err := e.check(); err != nil {
-					panic(&CancelFault{Now: e.now, Err: err})
-				}
-			}
 			e.drainTo(w)
 		}
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -264,117 +263,4 @@ func TestEngineCalendarWraparound(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wraparound execution times diverged\n got=%v\nwant=%v", got, want)
 	}
-}
-
-func TestEngineDomainTagInertWithoutEnable(t *testing.T) {
-	e := NewEngine()
-	d1, d2 := e.Domain(1), e.Domain(2)
-	var order []int
-	d1.Schedule(5, func() { order = append(order, 1) })
-	d2.Schedule(5, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 0) })
-	e.RunUntil(10)
-	if !reflect.DeepEqual(order, []int{1, 2, 0}) {
-		t.Fatalf("order = %v, want [1 2 0]", order)
-	}
-}
-
-// parallelScript runs a deterministic multi-domain workload and returns
-// a full execution trace. Domain events touch only their own domain's
-// state and report observations through staged domain-0 logger events
-// (which run serially), so the script is race-free under parallel
-// execution; the trace must be byte-identical in serial and parallel
-// modes.
-func parallelScript(par bool) []string {
-	e := NewEngine()
-	const doms = 4
-	if par {
-		e.EnableParallel(doms)
-	}
-	defer e.Close()
-
-	var log []string
-	state := make([]uint64, doms+1) // state[d] touched only by domain d
-	rngs := make([]lcg, doms+1)
-	handles := make([]*Domain, doms+1)
-	for d := 1; d <= doms; d++ {
-		handles[d] = e.Domain(d)
-		rngs[d] = lcg(d * 977)
-	}
-
-	var tick func(d int, round int)
-	tick = func(d int, round int) {
-		h := handles[d]
-		state[d] += rngs[d].next() % 1000
-		snap := state[d]
-		now := h.Now()
-		// Cross-visible observation: a tagged event that hands off to a
-		// shared (domain-0) logger via the handle's staged path — the
-		// shared trace may only be touched by serial events.
-		h.Schedule(Time(rngs[d].next()%3), func() {
-			h.ScheduleShared(0, func() {
-				log = append(log, fmt.Sprintf("d%d r%d t%d s%d", d, round, now, snap))
-			})
-		})
-		if round < 200 {
-			// Small delays force frequent same-cycle collisions across
-			// domains, which is what triggers parallel batches.
-			h.Schedule(Time(rngs[d].next()%4)+1, func() { tick(d, round+1) })
-		}
-	}
-	for d := 1; d <= doms; d++ {
-		dd := d
-		handles[d].Schedule(Time(d), func() { tick(dd, 0) })
-	}
-	e.RunUntil(5000)
-	log = append(log, fmt.Sprintf("end now=%d pending=%d executed=%d", e.Now(), e.Pending(), e.Executed))
-	return log
-}
-
-// TestEngineParallelMatchesSerial is the determinism guarantee for
-// opt-in per-channel parallelism: the same script, run serially and
-// with parallel domains enabled, must produce an identical trace —
-// including event counts and final clock. Run under -race this also
-// proves the batch execution is properly synchronized.
-func TestEngineParallelMatchesSerial(t *testing.T) {
-	serial := parallelScript(false)
-	parallel := parallelScript(true)
-	if len(serial) == 0 {
-		t.Fatal("script produced no trace")
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		max := len(serial)
-		if len(parallel) < max {
-			max = len(parallel)
-		}
-		for i := 0; i < max; i++ {
-			if serial[i] != parallel[i] {
-				t.Fatalf("trace diverged at %d: serial %q, parallel %q", i, serial[i], parallel[i])
-			}
-		}
-		t.Fatalf("trace length diverged: serial %d, parallel %d", len(serial), len(parallel))
-	}
-}
-
-// TestEngineParallelPanicPropagates verifies that a panic inside a
-// worker batch is re-raised on the main goroutine (so the sim.Fault
-// recovery at the core run boundary keeps working) and that the
-// positionally first panic wins.
-func TestEngineParallelPanicPropagates(t *testing.T) {
-	e := NewEngine()
-	e.EnableParallel(2)
-	defer e.Close()
-	d1, d2 := e.Domain(1), e.Domain(2)
-	// Two same-cycle domain events: both panic; the one earlier in
-	// schedule order must be the one observed.
-	d1.Schedule(5, func() { panic("first") })
-	d2.Schedule(5, func() { panic("second") })
-	defer func() {
-		r := recover()
-		if r != "first" {
-			t.Fatalf("recovered %v, want %q", r, "first")
-		}
-	}()
-	e.RunUntil(10)
-	t.Fatal("RunUntil returned; want panic")
 }

@@ -35,27 +35,3 @@ func (e *PastEventError) Error() string {
 
 // SimulationFault implements Fault.
 func (*PastEventError) SimulationFault() {}
-
-// CancelFault is the Fault raised when an engine checkpoint (see
-// Engine.SetCheckpoint) reports that the run should stop — a deadline
-// expired, a watchdog killed the job, or the owning context was
-// cancelled. It unwinds the event loop like any other fault, so the
-// core run boundary turns a cancelled simulation into a returned error
-// rather than a crashed process, and Unwrap exposes the causing error
-// so errors.Is(err, context.DeadlineExceeded) works across the
-// panic/recover hop.
-type CancelFault struct {
-	Now Time  // engine clock when the checkpoint fired
-	Err error // what the checkpoint returned (e.g. a context error)
-}
-
-// Error implements error.
-func (c *CancelFault) Error() string {
-	return fmt.Sprintf("sim: run cancelled at cycle %d: %v", c.Now, c.Err)
-}
-
-// Unwrap exposes the checkpoint's error for errors.Is/As chains.
-func (c *CancelFault) Unwrap() error { return c.Err }
-
-// SimulationFault implements Fault.
-func (*CancelFault) SimulationFault() {}

@@ -21,7 +21,6 @@ import (
 type EventState struct {
 	When Time
 	Seq  uint64
-	Dom  int32
 	P    Payload
 }
 
@@ -44,23 +43,15 @@ func (e *ClosureEventError) Error() string {
 	return fmt.Sprintf("sim: pending closure event at t=%d seq=%d cannot be snapshotted (not payload-reified)", e.When, e.Seq)
 }
 
-// ErrParallelSnapshot is returned when snapshotting an engine with
-// parallel execution enabled; callers must Close the engine (forcing
-// serial execution) before checkpointing.
-var ErrParallelSnapshot = fmt.Errorf("sim: snapshot unsupported while parallel execution is enabled")
-
 // SnapshotState captures the engine's complete pending-event state.
-// It fails if parallelism is enabled or any pending event is a closure.
+// It fails if any pending event is a closure.
 func (e *Engine) SnapshotState() (*EngineState, error) {
-	if e.par != nil {
-		return nil, ErrParallelSnapshot
-	}
 	st := &EngineState{Now: e.now, Seq: e.seq, Executed: e.Executed}
 	add := func(ev event) error {
 		if ev.fn != nil {
 			return &ClosureEventError{When: ev.when, Seq: ev.seq}
 		}
-		st.Events = append(st.Events, EventState{When: ev.when, Seq: ev.seq, Dom: ev.dom, P: ev.p})
+		st.Events = append(st.Events, EventState{When: ev.when, Seq: ev.seq, P: ev.p})
 		return nil
 	}
 	for _, ev := range e.fifo[e.fifoHead:] {
@@ -109,7 +100,7 @@ func (e *Engine) RestoreState(st *EngineState) {
 
 	e.now = st.Now
 	for _, es := range st.Events {
-		ev := event{when: es.When, seq: es.Seq, dom: es.Dom, p: es.P}
+		ev := event{when: es.When, seq: es.Seq, p: es.P}
 		switch {
 		case es.When == e.now:
 			e.fifo = append(e.fifo, ev)
@@ -123,7 +114,4 @@ func (e *Engine) RestoreState(st *EngineState) {
 	}
 	e.seq = st.Seq
 	e.Executed = st.Executed
-	if e.check != nil {
-		e.nextCheck = e.now + e.checkInterval
-	}
 }

@@ -201,7 +201,22 @@ type SystemState = core.SystemState
 
 // CheckpointFn receives each periodic snapshot during a checkpointed
 // run. Returning an error aborts the run with that error.
-type CheckpointFn = core.CheckpointFn
+type CheckpointFn func(st *SystemState) error
+
+// boundary adapts fn to core's lazy boundary protocol: capture the
+// machine at every boundary, then hand the state over.
+func (fn CheckpointFn) boundary() core.BoundaryFn {
+	if fn == nil {
+		return nil
+	}
+	return func(capture func() (*SystemState, error)) error {
+		st, err := capture()
+		if err != nil {
+			return err
+		}
+		return fn(st)
+	}
+}
 
 // CorruptSnapshotError reports a snapshot file that failed structural
 // validation: bad magic, truncated body, checksum mismatch, or
@@ -232,8 +247,7 @@ func ReadSnapshot(path string) (*SystemState, error) {
 // RestoreSystem rebuilds a system from a checkpoint. The machine is
 // reconstructed from the snapshot's own config and mix; opt may supply
 // a cancellation context (its FootprintScale and Seed are overridden by
-// the snapshot's, and ChannelParallel is rejected). Resume the result
-// to continue the interrupted run.
+// the snapshot's). Resume the result to continue the interrupted run.
 func RestoreSystem(st *SystemState, opt Options) (*System, error) {
 	inner, err := core.Restore(st, opt)
 	if err != nil {
@@ -296,17 +310,16 @@ func (s *System) RunWindows(warmupWindows, measureWindows int) (*Report, error) 
 // and handed to fn (persist it with WriteSnapshot). Checkpoint
 // boundaries split the engine's run into legs, which does not perturb
 // execution — the report is byte-identical to an uncheckpointed run.
-// Checkpointing is incompatible with an attached trace or timeline and
-// with parallel execution.
+// Checkpointing is incompatible with an attached trace or timeline.
 func (s *System) RunCheckpointed(warmup, measure, every uint64, fn CheckpointFn) (*Report, error) {
-	return s.inner.RunCheckpointed(warmup, measure, every, fn)
+	return s.inner.RunCheckpointed(warmup, measure, every, fn.boundary())
 }
 
 // RunWindowsCheckpointed is RunCheckpointed with durations in retention
 // windows.
 func (s *System) RunWindowsCheckpointed(warmupWindows, measureWindows int, every uint64, fn CheckpointFn) (*Report, error) {
 	w := s.inner.Window()
-	return s.inner.RunCheckpointed(uint64(warmupWindows)*w, uint64(measureWindows)*w, every, fn)
+	return s.inner.RunCheckpointed(uint64(warmupWindows)*w, uint64(measureWindows)*w, every, fn.boundary())
 }
 
 // Resume continues a system built by RestoreSystem to the end of its
@@ -315,7 +328,7 @@ func (s *System) RunWindowsCheckpointed(warmupWindows, measureWindows int, every
 // byte-identical to the one the uninterrupted original run would have
 // produced.
 func (s *System) Resume(every uint64, fn CheckpointFn) (*Report, error) {
-	return s.inner.Resume(every, fn)
+	return s.inner.Resume(every, fn.boundary())
 }
 
 // MetricsSnapshot reads every registered metric in the system,
