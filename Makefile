@@ -42,8 +42,10 @@ staticcheck:
 # the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
-# TestEngineScheduleIsAllocationFree — and the serving daemon), the
-# daemon smoke drill (the real binary on an ephemeral port, /healthz, a
+# TestEngineScheduleIsAllocationFree — and the serving daemon) and over
+# the harness's CellStore tests (the store a sweep's workers share; the
+# whole harness suite is too slow for the race list), the daemon smoke
+# drill (the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0),
 # and finally the refbench module's own tests (~20 s; it is a separate
 # module, so ./... above does not reach it).
@@ -53,6 +55,7 @@ ci:
 	$(MAKE) staticcheck
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
+	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
 	cd cmd/refbench && $(GO) test -count=1 .
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"refsched/internal/harness"
 )
 
 // TestRingDeterministicAndComplete: every node given the same member
@@ -244,5 +247,43 @@ func TestSlotAccounting(t *testing.T) {
 	c.ObservePeer("b", false)
 	if p5, _ := c.acquireSlot(); p5 != nil {
 		t.Fatal("acquired a slot on a down peer")
+	}
+}
+
+// TestCellRequestWireForm pins the POST /v1/cells body byte for byte:
+// nodes of different builds must keep understanding each other's
+// fanned-out cells.
+func TestCellRequestWireForm(t *testing.T) {
+	for _, c := range []struct {
+		cr   CellRequest
+		want string
+	}{
+		{
+			CellRequest{CellSpec: harness.CellSpec{Mix: "WL-6", Density: "32Gb", Bundle: "codesign", Hot: true,
+				Scale: 4096, FootprintScale: 0.01, WarmupWindows: 1, MeasureWindows: 2, Seed: 7},
+				Fig: "fig10", Origin: "n0", ReqID: "req-1", Priority: 3},
+			`{"mix":"WL-6","density":"32Gb","bundle":"codesign","hot":true,"scale":4096,"footprint_scale":0.01,"warmup_windows":1,"measure_windows":2,"seed":7,"fig":"fig10","origin":"n0","req_id":"req-1","priority":3}`,
+		},
+		{
+			CellRequest{CellSpec: harness.CellSpec{Mix: "WL-1", Density: "8Gb", Bundle: "allbank",
+				Scale: 256, FootprintScale: 0.05, WarmupWindows: 1, MeasureWindows: 1, Seed: 1, Mode: harness.ModeApprox},
+				Fig: "fig3", Origin: "a"},
+			`{"mix":"WL-1","density":"8Gb","bundle":"allbank","hot":false,"scale":256,"footprint_scale":0.05,"warmup_windows":1,"measure_windows":1,"seed":1,"mode":"approx","fig":"fig3","origin":"a","priority":0}`,
+		},
+	} {
+		got, err := json.Marshal(c.cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("wire form\n got %s\nwant %s", got, c.want)
+		}
+		var back CellRequest
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != c.cr {
+			t.Errorf("round trip = %+v, want %+v", back, c.cr)
+		}
 	}
 }

@@ -15,44 +15,19 @@ import (
 	"refsched/internal/runner"
 )
 
-// CellRequest is the wire form of one fan-out cell: the cell's sweep
-// coordinates plus every Params knob that changes its simulated result
-// (exactly the fields harness.Fingerprint covers). The executing node
-// rebuilds the cell from coordinates alone, which is why only cells
-// marked runner.Cell.Remotable — built by the standard bundle
-// pipeline — may be dispatched.
+// CellRequest is the wire form of one fan-out cell: the cell's
+// harness.CellSpec — its coordinates plus every Params knob that
+// changes its simulated result — and the coordinating sweep's context.
+// The executing node rebuilds the cell from its spec alone, which is
+// why only cells marked runner.Cell.Remotable — built by the standard
+// bundle pipeline — may be dispatched.
 type CellRequest struct {
-	Mix     string `json:"mix"`
-	Density string `json:"density"`
-	Bundle  string `json:"bundle"`
-	Hot     bool   `json:"hot"`
-
-	Scale          uint64  `json:"scale"`
-	FootprintScale float64 `json:"footprint_scale"`
-	WarmupWindows  int     `json:"warmup_windows"`
-	MeasureWindows int     `json:"measure_windows"`
-	Seed           uint64  `json:"seed"`
-	Mode           string  `json:"mode,omitempty"`
+	harness.CellSpec
 
 	Fig      string `json:"fig"`              // coordinating sweep, for logs/timeline
 	Origin   string `json:"origin"`           // coordinating node id
 	ReqID    string `json:"req_id,omitempty"` // coordinating request id, for trace joins
 	Priority int    `json:"priority"`         // coordinating job priority, honoured by the remote gate
-}
-
-// Params rebuilds the harness parameters the cell must run under. The
-// executor owns scheduling-side knobs (contexts, gate, parallelism);
-// only result-determining fields travel.
-func (cr CellRequest) Params() harness.Params {
-	return harness.Params{
-		Scale:          cr.Scale,
-		FootprintScale: cr.FootprintScale,
-		WarmupWindows:  cr.WarmupWindows,
-		MeasureWindows: cr.MeasureWindows,
-		Seed:           cr.Seed,
-		Mode:           cr.Mode,
-		Parallelism:    1,
-	}
 }
 
 // CellSnapshotHeader marks a /v1/cells failure response whose body is
@@ -135,46 +110,43 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 	wrapped := make([]runner.Job[*core.Report], len(jobs))
 	for i, j := range jobs {
 		local := j.Run
-		wj := j
-		if j.Cell.Remotable {
-			cell := j.Cell
-			cr := CellRequest{
-				Mix: cell.Mix, Density: cell.Density, Bundle: cell.Bundle, Hot: cell.Hot,
-				Scale: p.Scale, FootprintScale: p.FootprintScale,
-				WarmupWindows: p.WarmupWindows, MeasureWindows: p.MeasureWindows,
-				Seed: p.Seed, Mode: p.Mode,
-				Fig: figID, Origin: c.self.ID, ReqID: reqID, Priority: priority,
-			}
-			wj.Run = func() (*core.Report, error) {
-				if pr, lane := c.acquireSlot(); pr != nil {
-					rep, err := c.runRemoteCell(ctx, pr, cr, cell, lane, obs)
-					c.releaseSlot(pr, lane)
-					if err == nil {
+		wrapped[i] = j
+		wrapped[i].Run = func() (*core.Report, error) { return runLocal(local) }
+		if !j.Cell.Remotable {
+			continue
+		}
+		cell := j.Cell
+		spec, err := p.Cell(cell.Mix, cell.Density, cell.Bundle, cell.Hot)
+		if err != nil {
+			continue // not addressable by its coordinates: run it here
+		}
+		cr := CellRequest{CellSpec: spec, Fig: figID, Origin: c.self.ID, ReqID: reqID, Priority: priority}
+		wrapped[i].Run = func() (*core.Report, error) {
+			if pr, lane := c.acquireSlot(); pr != nil {
+				rep, err := c.runRemoteCell(ctx, pr, cr, cell, lane, obs)
+				c.releaseSlot(pr, lane)
+				if err == nil {
+					return rep, nil
+				}
+				c.CellsReclaimed.Add(1)
+				// A peer that checkpointed before failing ships its
+				// partial progress; continue the simulation locally
+				// from the snapshot instead of from cycle zero. The
+				// resumed result is byte-identical either way, so a
+				// restore failure just falls through to the full
+				// local re-run.
+				var se *cellSnapshotError
+				if errors.As(err, &se) {
+					if rep, rerr := runLocal(func() (*core.Report, error) {
+						return resumeCell(ctx, se.st)
+					}); rerr == nil {
+						c.CellsResumed.Add(1)
 						return rep, nil
 					}
-					c.CellsReclaimed.Add(1)
-					// A peer that checkpointed before failing ships its
-					// partial progress; continue the simulation locally
-					// from the snapshot instead of from cycle zero. The
-					// resumed result is byte-identical either way, so a
-					// restore failure just falls through to the full
-					// local re-run.
-					var se *cellSnapshotError
-					if errors.As(err, &se) {
-						if rep, rerr := runLocal(func() (*core.Report, error) {
-							return resumeCell(ctx, se.st)
-						}); rerr == nil {
-							c.CellsResumed.Add(1)
-							return rep, nil
-						}
-					}
 				}
-				return runLocal(local)
 			}
-		} else {
-			wj.Run = func() (*core.Report, error) { return runLocal(local) }
+			return runLocal(local)
 		}
-		wrapped[i] = wj
 	}
 
 	opts.Parallelism = runner.Parallelism(opts.Parallelism) + len(c.order)*c.cfg.FanoutPerPeer

@@ -212,20 +212,19 @@ func (s *System) cellErr(err error) error {
 // invisible to the simulation: RunUntil(a); RunUntil(b) executes the
 // identical event sequence as RunUntil(b).
 func (s *System) drive(warmup, measure, every uint64, fn BoundaryFn) (*Report, error) {
-	eng := s.Eng
 	total := warmup + measure
 	snap := s.warmSnap
 	havePast := s.pastWarmup
-	if !havePast && uint64(eng.Now()) >= warmup {
+	if !havePast && uint64(s.Eng.Now()) >= warmup {
 		// Already at (or past) the warmup boundary with no snapshot —
 		// the warmup == 0 case. Drain due events exactly as a single
 		// RunUntil(warmup) would, then snapshot.
-		eng.RunUntil(sim.Time(warmup))
+		s.Eng.RunUntil(sim.Time(warmup))
 		snap = s.snapshot()
 		havePast = true
 	}
 	for {
-		now := uint64(eng.Now())
+		now := uint64(s.Eng.Now())
 		if now >= total {
 			break
 		}
@@ -243,7 +242,7 @@ func (s *System) drive(warmup, measure, every uint64, fn BoundaryFn) (*Report, e
 				next = nc
 			}
 		}
-		eng.RunUntil(sim.Time(next))
+		s.Eng.RunUntil(sim.Time(next))
 		if !havePast && next >= warmup {
 			snap = s.snapshot()
 			havePast = true

@@ -8,6 +8,7 @@ import (
 
 	"refsched/internal/config"
 	"refsched/internal/core"
+	"refsched/internal/workload"
 )
 
 // FigureNames lists the CLI targets RunFigure accepts, in the order
@@ -114,26 +115,100 @@ func ParseDensity(s string) (config.Density, error) {
 	return 0, fmt.Errorf("unsupported density %q (want one of %v)", s, config.Densities)
 }
 
+// CellSpec is one bundle cell's identity: its coordinates in the
+// evaluation grid (Table 2 mix × density × policy bundle × retention
+// regime) and every Params knob that changes its simulated result.
+// Key names the cell for the serving daemon's result cache and
+// single-flight index and for a CellStore; the JSON form travels as a
+// fanned-out cluster cell. Params.Cell builds one.
+type CellSpec struct {
+	Mix     string `json:"mix"`
+	Density string `json:"density"`
+	Bundle  string `json:"bundle"`
+	Hot     bool   `json:"hot"`
+
+	Scale          uint64  `json:"scale"`
+	FootprintScale float64 `json:"footprint_scale"`
+	WarmupWindows  int     `json:"warmup_windows"`
+	MeasureWindows int     `json:"measure_windows"`
+	Seed           uint64  `json:"seed"`
+	Mode           string  `json:"mode,omitempty"`
+}
+
+// Cell validates a cell's coordinates and p's Mode, and returns the
+// cell's spec under p. The density is canonicalized ("32" and "32gb"
+// both become "32Gb"), so every spelling of one cell has one Key.
+func (p Params) Cell(mixName, density, bundleName string, highTemp bool) (CellSpec, error) {
+	mix, d, b, err := p.resolveCell(mixName, density, bundleName)
+	if err != nil {
+		return CellSpec{}, err
+	}
+	return p.cell(mix, d, b, highTemp), nil
+}
+
+// resolveCell is Cell's validation: it checks p's Mode and looks a
+// cell's coordinates up.
+func (p Params) resolveCell(mixName, density, bundleName string) (workload.Mix, config.Density, bundle, error) {
+	if err := p.checkMode(); err != nil {
+		return workload.Mix{}, 0, bundle{}, err
+	}
+	ms := selectMixes([]string{mixName})
+	if len(ms) != 1 {
+		return workload.Mix{}, 0, bundle{}, fmt.Errorf("unknown mix %q (want WL-1..WL-10)", mixName)
+	}
+	d, err := ParseDensity(density)
+	if err != nil {
+		return workload.Mix{}, 0, bundle{}, err
+	}
+	b, ok := bundles[bundleName]
+	if !ok {
+		return workload.Mix{}, 0, bundle{}, fmt.Errorf("unknown bundle %q (want one of %v)", bundleName, BundleNames())
+	}
+	return ms[0], d, b, nil
+}
+
+// cell is the spec of a bundle cell from resolved coordinates.
+func (p Params) cell(mix workload.Mix, d config.Density, b bundle, highTemp bool) CellSpec {
+	return CellSpec{
+		Mix: mix.Name, Density: d.String(), Bundle: b.name, Hot: highTemp,
+		Scale: p.Scale, FootprintScale: p.FootprintScale,
+		WarmupWindows: p.WarmupWindows, MeasureWindows: p.MeasureWindows,
+		Seed: p.Seed, Mode: p.Mode,
+	}
+}
+
+// Params returns the result-affecting parameters the cell runs under;
+// the caller adds the scheduling-side knobs (contexts, store, runner).
+func (c CellSpec) Params() Params {
+	return Params{
+		Scale:          c.Scale,
+		FootprintScale: c.FootprintScale,
+		WarmupWindows:  c.WarmupWindows,
+		MeasureWindows: c.MeasureWindows,
+		Seed:           c.Seed,
+		Mode:           c.Mode,
+	}
+}
+
+// Key is the cell's identity string: its coordinates followed by the
+// Fingerprint of its parameters.
+func (c CellSpec) Key() string {
+	return fmt.Sprintf("cell|%s|%s|%s|hot=%t|%s",
+		c.Mix, c.Density, c.Bundle, c.Hot, c.Params().Fingerprint())
+}
+
 // RunCell simulates one fully addressed cell — mix × density × policy
 // bundle, optionally at >85C retention — through the same fault
 // boundary as the figure sweeps (quarantine, retry, chaos, and the
 // injected CellRunner all apply), so a daemon serving single-cell jobs
 // gets identical semantics to whole-figure jobs. The sweep is the
-// one-cell figure "cell".
+// one-cell figure "cell"; the coordinates are validated as by Cell.
 func RunCell(p Params, mixName, density, bundleName string, highTemp bool) (*core.Report, error) {
-	ms := selectMixes([]string{mixName})
-	if len(ms) != 1 {
-		return nil, fmt.Errorf("unknown mix %q (want WL-1..WL-10)", mixName)
-	}
-	d, err := ParseDensity(density)
+	mix, d, b, err := p.resolveCell(mixName, density, bundleName)
 	if err != nil {
 		return nil, err
 	}
-	b, ok := bundles[bundleName]
-	if !ok {
-		return nil, fmt.Errorf("unknown bundle %q (want one of %v)", bundleName, BundleNames())
-	}
-	job := p.bundleJob(cellKey(ms[0].Name, d.String(), b.name), d, b, highTemp, ms[0])
+	job := p.bundleJob(cellKey(mix.Name, d.String(), b.name), d, b, highTemp, mix)
 	out, failed, err := p.runCells("cell", []cellJob{job})
 	if err != nil {
 		return nil, err

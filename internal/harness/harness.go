@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"refsched/internal/approx"
 	"refsched/internal/chaos"
@@ -77,9 +76,6 @@ type Params struct {
 	// Retries bounds identical-seed re-runs of a cell whose error is
 	// marked transient; < 0 disables retry, 0 selects DefaultRetries.
 	Retries int
-	// RetryBackoff is the base backoff before a retry, doubling per
-	// attempt (0 = no sleep).
-	RetryBackoff time.Duration
 	// JournalDir, when non-empty, persists each completed cell to
 	// <JournalDir>/<figure>.journal.json atomically as it finishes.
 	JournalDir string
@@ -89,32 +85,13 @@ type Params struct {
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// CheckpointEvery is the checkpoint-boundary cadence in simulated
-	// cycles for exact-engine cells (0 = four timeslices). Boundaries
-	// alone are free — they only split the engine's run into legs,
-	// which is invisible to the simulation — so this is also the
-	// preemption polling cadence. Only meaningful when checkpointing is
-	// enabled by one of the three knobs below; none of the four
-	// participate in Fingerprint, because checkpointing never changes a
-	// cell's result.
-	CheckpointEvery uint64
-	// CheckpointDir, when non-empty, persists each exact bundle cell's
-	// snapshot to <CheckpointDir>/<cell-key>.snap at every boundary and
-	// resumes from it when present (validated against the cell's
-	// parameters; corrupt or version-skewed files are refused with
-	// typed errors). A cell's snapshot is removed when it completes, so
-	// after a clean sweep the directory is empty.
-	CheckpointDir string
-	// Snapshots, when non-nil, receives mid-run snapshots (on
-	// preemption) and finished reports for exact bundle cells, and is
-	// consulted before running one. The serving daemon's preempt-and-
-	// resume path lives here.
-	Snapshots SnapshotStore
-	// Preempt, when non-nil, is polled at every checkpoint boundary of
-	// every exact bundle cell. A non-nil return captures a snapshot
-	// into Snapshots (and CheckpointDir, when set) and aborts the cell
-	// with that error — the cooperative preemption point.
-	Preempt func() error
+	// Store, when non-nil, checkpoints every exact bundle cell: it
+	// answers cells it holds a report for, resumes cells it holds a
+	// snapshot for, and polls its Preempt at each checkpoint boundary
+	// (see CellStore). It is absent from Fingerprint, because a resumed
+	// cell's report is byte-identical to an uninterrupted one. The
+	// serving daemon's preempt-and-resume path lives here.
+	Store *CellStore
 
 	// CellRunner, when non-nil, replaces the direct runner.RunBatch
 	// call that executes a sweep's enumerated cells. It is the hook the
@@ -150,6 +127,15 @@ func (p Params) mode() string {
 		return ModeExact
 	}
 	return p.Mode
+}
+
+// checkMode rejects a Mode that names no simulation tier.
+func (p Params) checkMode() error {
+	switch p.Mode {
+	case "", ModeExact, ModeApprox:
+		return nil
+	}
+	return fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
 }
 
 // retries resolves the Retries knob (0 = default, negative = off).
@@ -286,31 +272,35 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 	return cfg
 }
 
-// run executes one configuration over one mix. ckey names a bundle
-// cell for snapshot addressing (see checkpointKey); custom-closure cells
-// (fig4's bank masks, ext1's subarray overrides) pass "" and never
-// checkpoint, mirroring their non-remotability. Verbose progress lines
-// are emitted by the sweep collector (see sweep.go), not here, so that
-// parallel workers never interleave output.
-func (p Params) run(cfg config.System, mix workload.Mix, ckey string) (*core.Report, error) {
-	switch p.Mode {
-	case "", ModeExact:
-	case ModeApprox:
+// run executes one configuration over one mix. key is a bundle cell's
+// CellSpec.Key, under which p.Store files its snapshots and report;
+// custom-closure cells (fig4's bank masks, ext1's subarray overrides)
+// have no spec, pass "" and never checkpoint, mirroring their
+// non-remotability. Verbose progress lines are emitted by the sweep
+// collector (see sweep.go), not here, so that parallel workers never
+// interleave output.
+func (p Params) run(cfg config.System, mix workload.Mix, key string) (*core.Report, error) {
+	if err := p.checkMode(); err != nil {
+		return nil, err
+	}
+	if p.Mode == ModeApprox {
 		rep, err := approx.Predict(cfg, mix)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 		}
 		return rep, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
 	}
-	return p.runExact(cfg, mix, ckey)
+	return p.runExact(cfg, mix, key)
 }
 
 // runBundle is run with a bundle shorthand. Bundle cells are the
 // checkpointable population (byte-identical results either way).
 func (p Params) runBundle(d config.Density, b bundle, highTemp bool, mix workload.Mix) (*core.Report, error) {
-	return p.run(p.configFor(d, b, highTemp), mix, p.checkpointKey(d, b, highTemp, mix))
+	var key string
+	if p.Store != nil {
+		key = p.cell(mix, d, b, highTemp).Key()
+	}
+	return p.run(p.configFor(d, b, highTemp), mix, key)
 }
 
 // pct formats a ratio as a percentage string.

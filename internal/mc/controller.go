@@ -48,6 +48,13 @@ type Controller struct {
 	// earliestRetry exactly when re-evaluating becomes useful (without
 	// it, a saturated bus degenerates into per-cycle queue rescans).
 	minRejectedStart sim.Time
+	// cand is the plan promptPlan last computed and chosen the plan pick
+	// accepted. Both are written and read within one tryIssue call, so
+	// they are scratch, not checkpointed state; keeping them here rather
+	// than returning them by value keeps the 48-byte plan copies off the
+	// stack of the planning loop, whose speed otherwise depends on where
+	// the run loop's frames happen to land.
+	cand, chosen dram.AccessPlan
 
 	// Read-queue back-pressure waiters, FIFO: rejected requests
 	// resubmitted (in arrival order) as slots free. Holding the requests
@@ -300,14 +307,13 @@ func (c *Controller) tryIssue() {
 		if q == nil {
 			return
 		}
-		idx, plan := c.pick(*q, now)
+		idx := c.pick(*q, now)
 		if idx < 0 {
 			// Nothing can start promptly; retry when resources free.
 			c.scheduleIssue(c.earliestRetry(now))
 			return
 		}
-		req := (*q)[idx]
-		c.issue(req, plan, q, idx, now)
+		c.issue((*q)[idx], &c.chosen, q, idx, now)
 	}
 }
 
@@ -332,13 +338,15 @@ func (c *Controller) pickQueue() *[]*Request {
 // pick runs FR-FCFS over q at time now: prefer the oldest row-hit
 // request, else the oldest request, subject to anti-starvation; a pick is
 // accepted only if it can start promptly. Under the FCFS ablation only
-// the oldest request is considered.
-func (c *Controller) pick(q []*Request, now sim.Time) (int, dram.AccessPlan) {
+// the oldest request is considered. It returns the picked index, with
+// its plan in c.chosen, or -1.
+func (c *Controller) pick(q []*Request, now sim.Time) int {
 	if c.cfg.FCFS {
-		if plan, ok := c.promptPlan(q[0], now); ok {
-			return 0, plan
+		if c.promptPlan(q[0], now) {
+			c.chosen = c.cand
+			return 0
 		}
-		return -1, dram.AccessPlan{}
+		return -1
 	}
 	best := -1
 	bestHit := false
@@ -346,22 +354,22 @@ func (c *Controller) pick(q []*Request, now sim.Time) (int, dram.AccessPlan) {
 	// outright.
 	old := q[0]
 	if old.bypasses >= maxBypasses || uint64(now-old.Arrive) > starvationAge {
-		if plan, ok := c.promptPlan(old, now); ok {
-			return 0, plan
+		if c.promptPlan(old, now) {
+			c.chosen = c.cand
+			return 0
 		}
 	}
-	var bestPlan dram.AccessPlan
 	for i, r := range q {
 		bank := c.ch.BankAt(r.Coord.Rank, r.Coord.Bank)
 		hit := bank.OpenRow() == int64(r.Coord.Row) && !bank.RefreshingRow(r.Coord.Row, now)
 		if best >= 0 && (!hit || bestHit) {
 			continue // only a row hit can beat an older pick
 		}
-		plan, ok := c.promptPlan(r, now)
-		if !ok {
+		if !c.promptPlan(r, now) {
 			continue
 		}
-		best, bestPlan, bestHit = i, plan, hit
+		best, bestHit = i, hit
+		c.chosen = c.cand
 		if bestHit && i == 0 {
 			break
 		}
@@ -369,12 +377,13 @@ func (c *Controller) pick(q []*Request, now sim.Time) (int, dram.AccessPlan) {
 	if best > 0 {
 		q[0].bypasses++
 	}
-	return best, bestPlan
+	return best
 }
 
-// promptPlan plans r and accepts it only if the command sequence starts
-// within the prompt window; it also accounts refresh-induced stalling.
-func (c *Controller) promptPlan(r *Request, now sim.Time) (dram.AccessPlan, bool) {
+// promptPlan plans r into c.cand and accepts it only if the command
+// sequence starts within the prompt window; it also accounts
+// refresh-induced stalling.
+func (c *Controller) promptPlan(r *Request, now sim.Time) bool {
 	bank := c.ch.BankAt(r.Coord.Rank, r.Coord.Bank)
 	if bank.RefreshingRow(r.Coord.Row, now) {
 		// Refresh pausing: abort the in-progress refresh in favour of
@@ -402,17 +411,17 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) (dram.AccessPlan, bool
 						Arg2Name: "row", Arg2: int64(r.Coord.Row)})
 				}
 			}
-			return dram.AccessPlan{}, false
+			return false
 		}
 	}
-	plan := c.ch.Plan(now, r.Coord, r.Write)
-	if plan.Start > now+promptWindow {
-		if c.minRejectedStart == 0 || plan.Start < c.minRejectedStart {
-			c.minRejectedStart = plan.Start
+	c.cand = c.ch.Plan(now, r.Coord, r.Write)
+	if start := c.cand.Start; start > now+promptWindow {
+		if c.minRejectedStart == 0 || start < c.minRejectedStart {
+			c.minRejectedStart = start
 		}
-		return dram.AccessPlan{}, false
+		return false
 	}
-	return plan, true
+	return true
 }
 
 // earliestRetry computes when issuing could next succeed: the moment
@@ -455,8 +464,8 @@ func (c *Controller) earliestRetry(now sim.Time) sim.Time {
 }
 
 // issue commits the plan and schedules completion.
-func (c *Controller) issue(r *Request, plan dram.AccessPlan, q *[]*Request, idx int, now sim.Time) {
-	c.ch.Commit(r.Coord, plan)
+func (c *Controller) issue(r *Request, plan *dram.AccessPlan, q *[]*Request, idx int, now sim.Time) {
+	c.ch.Commit(r.Coord, *plan)
 	r.IssueAt = plan.Start
 	r.FinishAt = plan.DataEnd
 	if !r.Write {

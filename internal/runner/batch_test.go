@@ -234,25 +234,6 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-func TestRunBatchCancelDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	jobs := []Job[int]{{Run: func() (int, error) {
-		return 0, MarkTransient(errors.New("flaky"))
-	}}}
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	b, _ := RunBatch(ctx, jobs, Options[int]{Retries: 10, Backoff: time.Hour})
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("cancellation did not interrupt the backoff sleep")
-	}
-	if len(b.Failed) != 1 {
-		t.Fatalf("Failed = %v, want the flaky cell quarantined on cancellation", b.Failed)
-	}
-}
-
 func TestRunBatchFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int64

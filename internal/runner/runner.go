@@ -15,8 +15,8 @@
 // seed, original panic value, goroutine stack) and — unless FailFast is
 // set — quarantined so the rest of the batch still completes. Errors
 // marked transient (see MarkTransient) are retried a bounded number of
-// times with exponential backoff, re-running the identical closure with
-// the identical seed so determinism holds. Cancelling the batch context
+// times, re-running the identical closure with the identical seed so
+// determinism holds. Cancelling the batch context
 // lets in-flight cells finish and skips the rest, so completed work is
 // preserved for journaled resumption.
 package runner
@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Cell identifies one independent simulation cell of a sweep grid: the
@@ -151,10 +150,6 @@ type Options[T any] struct {
 	// Retries is the maximum number of re-executions for a cell whose
 	// error is marked transient (0 = never retry).
 	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// (capped at 32x). Zero means no sleep, which tests use to keep
-	// retry loops fast. Backoff waits are cancellable.
-	Backoff time.Duration
 	// OnDone, if non-nil, is invoked once per successful cell from a
 	// single collector goroutine — in completion order, never
 	// concurrently — for progress reporting and journaling. The first
@@ -353,11 +348,8 @@ func runCell[T any](ctx context.Context, jobs []Job[T], results []T, i int, opts
 			return nil
 		}
 		if pv == nil && IsTransient(err) && attempts <= opts.Retries && ctx.Err() == nil {
-			if backoff(ctx, opts.Backoff, attempts-1) {
-				retried.Add(1)
-				continue
-			}
-			// Cancelled mid-backoff: report the underlying failure.
+			retried.Add(1)
+			continue
 		}
 		return &CellError{Cell: jobs[i].Cell, Attempts: attempts, Err: err, PanicValue: pv, Stack: stack}
 	}
@@ -379,24 +371,4 @@ func attemptCell[T any](jobs []Job[T], results []T, i int) (err error, panicValu
 	}
 	results[i] = v
 	return nil, nil, nil
-}
-
-// backoff sleeps for base << attempt (capped at 32x base), honouring
-// cancellation; it reports whether the wait completed.
-func backoff(ctx context.Context, base time.Duration, attempt int) bool {
-	if base <= 0 {
-		return true
-	}
-	shift := attempt
-	if shift > 5 {
-		shift = 5
-	}
-	t := time.NewTimer(base << uint(shift))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

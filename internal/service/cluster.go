@@ -113,7 +113,7 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, ri reqInfo
 		if !validFigure(name) {
 			return false
 		}
-		m, self := s.cluster.RouteOwner(requestKey(name, nil, s.cfg.Params))
+		m, self := s.cluster.RouteOwner(figureKey(name, s.cfg.Params))
 		if self {
 			return false
 		}
@@ -143,7 +143,8 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, ri reqInfo
 
 // jobPlacementKey computes the request key a POST /v1/jobs body will
 // resolve to, mirroring enqueue's canonicalization. ok is false when
-// the body does not decode (the handler will reject it anyway).
+// the body does not decode or addresses no valid cell (the handler
+// will reject it anyway).
 func (s *Server) jobPlacementKey(body []byte) (string, bool) {
 	var req Request
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -156,7 +157,8 @@ func (s *Server) jobPlacementKey(body []byte) (string, bool) {
 	if req.Cell == nil {
 		figure = canonicalFigure(req.Figure)
 	}
-	return requestKey(figure, req.Cell, req.Params.apply(s.cfg.Params)), true
+	key, err := requestKey(figure, req.Cell, req.Params.apply(s.cfg.Params))
+	return key, err == nil
 }
 
 // forward proxies r to m and copies the response back verbatim —
@@ -239,7 +241,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, ri reqInfo, m c
 	s.clusterTL.Emit(timeline.Event{Ph: timeline.PhaseSpan,
 		Ts: ts, Dur: s.clusterSinceUS(time.Now()) - ts,
 		Pid: tlPidService, Tid: tlTidRequests,
-		Name: "forward " + r.Method + " " + r.URL.Path,
+		Name:     "forward " + r.Method + " " + r.URL.Path,
 		Arg1Name: "status", Arg1: int64(resp.StatusCode),
 		StrName: "peer", Str: m.ID})
 	return true
@@ -340,18 +342,13 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad cell request: " + err.Error()})
 		return
 	}
-	if err := validateCell(&CellSpec{Mix: cr.Mix, Density: cr.Density, Bundle: cr.Bundle, Hot: cr.Hot}); err != nil {
+	p := cr.Params()
+	spec, err := p.Cell(cr.Mix, cr.Density, cr.Bundle, cr.Hot)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	switch cr.Mode {
-	case "", harness.ModeExact, harness.ModeApprox:
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("unknown mode %q", cr.Mode)})
-		return
-	}
 	t0 := time.Now()
-	p := cr.Params()
 	// The request context is both cancellation tiers: if the
 	// coordinator gives up (or reclaims the cell after a timeout), the
 	// engine aborts at its next checkpoint instead of simulating for a
@@ -363,20 +360,16 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 	// draining mid-cell yields at its next boundary and ships the
 	// partial progress back (see the snapshot response below) instead
 	// of discarding it.
-	var store *cellStore
-	if cr.Mode != harness.ModeApprox {
-		store = newCellStore(nil)
-		p.Snapshots = store
-		p.CheckpointEvery = s.cfg.CheckpointEvery
-		p.Preempt = func() error {
+	if p.Mode != harness.ModeApprox {
+		p.Store = &harness.CellStore{Preempt: func() error {
 			if s.draining.Load() || r.Context().Err() != nil {
 				return errPreempted
 			}
 			return nil
-		}
+		}}
 	}
 
-	rep, err := harness.RunCell(p, cr.Mix, cr.Density, cr.Bundle, cr.Hot)
+	rep, err := harness.RunCell(p, spec.Mix, spec.Density, spec.Bundle, spec.Hot)
 
 	ts := s.clusterSinceUS(t0)
 	name := fmt.Sprintf("remote-cell %s/%s/%s", cr.Mix, cr.Density, cr.Bundle)
@@ -400,8 +393,8 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 		// instead of recomputing it. An encode failure mid-body is
 		// unrecoverable over HTTP; the coordinator's decode rejects the
 		// torn snapshot (CRC) and falls back to the full re-run.
-		if store != nil {
-			if st := store.takeAny(); st != nil {
+		if p.Store != nil {
+			if st := p.Store.TakeSnapshot(spec.Key()); st != nil {
 				w.Header().Set(cluster.CellSnapshotHeader, "1")
 				w.Header().Set("Content-Type", "application/octet-stream")
 				w.WriteHeader(http.StatusServiceUnavailable)

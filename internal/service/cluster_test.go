@@ -484,19 +484,17 @@ func TestClusterFanoutSnapshotResume(t *testing.T) {
 			return
 		}
 		p := cr.Params()
-		store := newCellStore(nil)
-		p.Snapshots = store
 		boundaries := 0
-		p.Preempt = func() error {
+		p.Store = &harness.CellStore{Preempt: func() error {
 			if boundaries++; boundaries >= 2 {
 				return errPreempted
 			}
 			return nil
-		}
+		}}
 		if _, err := harness.RunCell(p, cr.Mix, cr.Density, cr.Bundle, cr.Hot); err == nil {
 			t.Error("interceptor cell ran to completion instead of preempting")
 		}
-		st := store.takeAny()
+		st := p.Store.TakeSnapshot(cr.Key())
 		if st == nil {
 			t.Error("preempted cell left no snapshot")
 			w.WriteHeader(http.StatusInternalServerError)

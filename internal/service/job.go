@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -60,7 +61,9 @@ type Request struct {
 
 // CellSpec addresses one simulation cell the way the figures name
 // them: Table 2 mix, device density, policy bundle, and retention
-// temperature regime.
+// temperature regime. Under the request's parameters it resolves to a
+// harness.CellSpec (harness.Params.Cell), whose Key the job is cached
+// and deduplicated under.
 type CellSpec struct {
 	Mix     string `json:"mix"`
 	Density string `json:"density"`
@@ -119,16 +122,25 @@ func (o *ParamOverrides) apply(base harness.Params) harness.Params {
 	return base
 }
 
-// requestKey is the cache/dedup fingerprint of a request: the harness
-// parameter fingerprint (every knob that changes a cell's simulated
-// result) extended with what the request addresses — which figure and
-// which mix selection (they change which cells a figure renders), or
-// which single cell.
-func requestKey(figure string, cell *CellSpec, p harness.Params) string {
-	if cell != nil {
-		return fmt.Sprintf("cell|%s|%s|%s|hot=%t|%s",
-			cell.Mix, cell.Density, cell.Bundle, cell.Hot, p.Fingerprint())
+// requestKey is the cache, dedup and placement key of a request: a
+// cell's harness.CellSpec.Key, or for a figure (canonical name) see
+// figureKey. An invalid cell address is an error.
+func requestKey(figure string, cell *CellSpec, p harness.Params) (string, error) {
+	if cell == nil {
+		return figureKey(figure, p), nil
 	}
+	spec, err := p.Cell(cell.Mix, cell.Density, cell.Bundle, cell.Hot)
+	if err != nil {
+		return "", err
+	}
+	return spec.Key(), nil
+}
+
+// figureKey is a figure request's key: the harness parameter
+// fingerprint (every knob that changes a cell's simulated result)
+// extended with the figure and the mix selection, which changes which
+// cells the figure renders.
+func figureKey(figure string, p harness.Params) string {
 	return fmt.Sprintf("fig|%s|mixes=%s|sweep=%s|%s",
 		figure, strings.Join(p.Mixes, ","), strings.Join(p.SweepMixes, ","), p.Fingerprint())
 }
@@ -214,10 +226,15 @@ type JobStatus struct {
 // requests (same requestKey) coalesce onto one job — the single-flight
 // guarantee — so a job may be answering many waiters.
 type job struct {
-	id       string
-	key      string
-	figure   string // canonical figure name, or "cell"
-	req      Request
+	id     string
+	key    string
+	figure string // canonical figure name, or "cell"
+	req    Request
+	// params are the job's simulation parameters. An exact job's
+	// params.Store holds its mid-cell snapshots and finished-cell
+	// reports; it is made once at enqueue and kept through requeues, so
+	// a job preempted twice still resumes from its furthest checkpoint.
+	// Approx jobs have no event loop to snapshot and no store.
 	params   harness.Params
 	priority int
 	seq      uint64 // queue tiebreak: FIFO within a priority
@@ -249,16 +266,10 @@ type job struct {
 	// Exposed so tests and the watchdog can see a job is preemptible.
 	boundaries atomic.Uint64
 
-	// snaps holds the job's mid-cell snapshots and finished-cell
-	// reports across preemptions. Allocated once at job creation and
-	// kept through requeues, so a job preempted twice still resumes
-	// from its furthest checkpoint. Nil for approx-mode jobs.
-	snaps *cellStore
-
-	mu         sync.Mutex
-	state      JobState
-	started    time.Time
-	finished   time.Time
+	mu       sync.Mutex
+	state    JobState
+	started  time.Time
+	finished time.Time
 	// softCancel/hardCancel abort the in-flight run (armed by execute
 	// for the duration of the run). Soft lets in-flight cells finish;
 	// hard aborts them at the next run-leg boundary and interrupts
@@ -280,12 +291,12 @@ type job struct {
 	// the job WAL, so finishing must append the matching done record.
 	walAccepted bool
 	err         error
-	failures   []*runner.CellError
-	body       []byte
-	cacheHit   bool
-	deduped    int
-	cellsDone  int
-	cellsTotal int
+	failures    []*runner.CellError
+	body        []byte
+	cacheHit    bool
+	deduped     int
+	cellsDone   int
+	cellsTotal  int
 	// lanes allocates cell-span tracks: a cell holds one lane for its
 	// whole run, so per-lane timestamps are naturally monotone.
 	lanes []bool
@@ -463,6 +474,22 @@ func (j *job) requestPreempt() bool {
 		soft()
 	}
 	return true
+}
+
+// errPreempted is the error a preempted run aborts with: the job's
+// boundary poll returns it once a preemption is requested, after which
+// the cell's snapshot is in the job's store; execute classifies the
+// unwound run as JobPreempted and requeues the job instead of failing
+// it.
+var errPreempted = errors.New("service: job preempted at checkpoint boundary")
+
+// pollPreempt is the checkpoint-boundary poll of the job's CellStore.
+func (j *job) pollPreempt() error {
+	j.boundaries.Add(1)
+	if j.preemptRequested() {
+		return errPreempted
+	}
+	return nil
 }
 
 // preemptRequested reports whether a preemption request is pending.

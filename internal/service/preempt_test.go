@@ -52,7 +52,7 @@ func TestPreemptAndResume(t *testing.T) {
 	if victim == nil {
 		t.Fatal("victim job not found")
 	}
-	if victim.snaps == nil {
+	if victim.params.Store == nil {
 		t.Fatal("exact job has no snapshot store")
 	}
 

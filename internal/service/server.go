@@ -47,7 +47,6 @@ import (
 	"refsched/internal/runner"
 	"refsched/internal/stats"
 	"refsched/internal/timeline"
-	"refsched/internal/workload"
 )
 
 // cacheJournalFingerprint binds the persisted cache snapshot format.
@@ -95,14 +94,6 @@ type Config struct {
 	// Watchdog tunes the stalled-job watchdog and the resilience
 	// loop's tick.
 	Watchdog WatchdogConfig
-	// CheckpointEvery is the engine-cycle cadence of checkpoint
-	// boundaries inside exact-mode cells (default: four timeslices; see
-	// harness.Params.CheckpointEvery). Boundaries are where a
-	// preemption request lands: a higher-priority arrival with no free
-	// worker displaces the lowest-priority running exact job at its
-	// next boundary, snapshotting every in-flight cell so the requeued
-	// job resumes mid-cell instead of recomputing.
-	CheckpointEvery uint64
 	// DrainTimeout bounds how long Shutdown waits for in-flight jobs
 	// before cancelling them gracefully (default 30s).
 	DrainTimeout time.Duration
@@ -807,22 +798,6 @@ func (s *Server) execute(j *job) {
 	p.Ctx = softCtx
 	p.HardCtx = hardCtx
 	p.CellRunner = s.cellRunner(j)
-	if j.snaps != nil {
-		// Exact-mode jobs run under the checkpoint driver: the store
-		// keeps mid-cell snapshots and finished-cell reports across
-		// preemptions, and the boundary poll is where a preemption
-		// request takes effect. The leg structure is invisible — a
-		// checkpointed cell's report is byte-identical to a plain run's.
-		p.Snapshots = j.snaps
-		p.CheckpointEvery = s.cfg.CheckpointEvery
-		p.Preempt = func() error {
-			j.boundaries.Add(1)
-			if j.preemptRequested() {
-				return errPreempted
-			}
-			return nil
-		}
-	}
 
 	var body []byte
 	var failures []*runner.CellError
@@ -1006,33 +981,6 @@ func validFigure(name string) bool {
 	return false
 }
 
-// validateCell front-loads the addressing errors RunCell would hit at
-// execution time, so bad requests get a 400 instead of a failed job.
-func validateCell(c *CellSpec) error {
-	if c.Mix == "" || c.Density == "" || c.Bundle == "" {
-		return errors.New("cell needs mix, density, and bundle")
-	}
-	found := false
-	for _, m := range workload.Table2() {
-		if m.Name == c.Mix {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown mix %q (want WL-1..WL-10)", c.Mix)
-	}
-	if _, err := harness.ParseDensity(c.Density); err != nil {
-		return err
-	}
-	for _, b := range harness.BundleNames() {
-		if b == c.Bundle {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown bundle %q (want one of %v)", c.Bundle, harness.BundleNames())
-}
-
 // admitContext carries enqueue's admission inputs: who is asking
 // (tenant), any absolute deadline already computed, and — for WAL
 // replay only — the original job id to preserve (which also bypasses
@@ -1059,11 +1007,7 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		return nil, false, errors.New("deadline_ms must be positive")
 	}
 	figure := "cell"
-	if req.Cell != nil {
-		if err := validateCell(req.Cell); err != nil {
-			return nil, false, err
-		}
-	} else {
+	if req.Cell == nil {
 		if !validFigure(req.Figure) {
 			return nil, false, fmt.Errorf("unknown figure %q (want one of %v or all)", req.Figure, harness.FigureNames())
 		}
@@ -1076,7 +1020,10 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		return nil, false, fmt.Errorf("unknown mode %q (want %q or %q)",
 			params.Mode, harness.ModeExact, harness.ModeApprox)
 	}
-	key := requestKey(figure, req.Cell, params)
+	key, err := requestKey(figure, req.Cell, params)
+	if err != nil {
+		return nil, false, err
+	}
 
 	// Every enqueue feeds the brownout controller, so the mode engages
 	// the moment pressure crosses the threshold, not a tick later.
@@ -1122,10 +1069,11 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	}
 	j.hub.drops = &s.eventDrops
 	if params.Mode != harness.ModeApprox {
-		// Exact jobs carry a snapshot store for their whole life, so a
-		// job preempted more than once still resumes from its furthest
-		// checkpoint. Approx jobs have no event loop to snapshot.
-		j.snaps = newCellStore(&s.preemptResumes)
+		// Exact jobs run under the checkpoint driver; the store's poll is
+		// where a preemption request takes effect. The leg structure is
+		// invisible — a checkpointed cell's report is byte-identical to a
+		// plain run's.
+		j.params.Store = &harness.CellStore{Preempt: j.pollPreempt, Resumes: &s.preemptResumes}
 	}
 	s.enqueued.Add(1)
 
@@ -1220,7 +1168,7 @@ func (s *Server) maybePreempt(incoming *job) {
 	}
 	var victim *job
 	for _, j := range s.active {
-		if j == incoming || j.snaps == nil || j.priority >= incoming.priority {
+		if j == incoming || j.params.Store == nil || j.priority >= incoming.priority {
 			continue
 		}
 		j.mu.Lock()

@@ -280,11 +280,12 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 }
 
 // TestCellJob: a single-cell request runs through the same pipeline
-// and returns the report as JSON.
+// and returns the report as JSON, and is cached under the cell's
+// identity, not its spelling.
 func TestCellJob(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	s, ts := newTestServer(t, nil)
 	resp, out := postJob(t, ts, Request{
-		Cell: &CellSpec{Mix: "WL-6", Density: "32Gb", Bundle: "codesign"},
+		Cell: &CellSpec{Mix: "WL-6", Density: "32", Bundle: "codesign"},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("enqueue status = %d (%v)", resp.StatusCode, out)
@@ -295,7 +296,8 @@ func TestCellJob(t *testing.T) {
 		t.Fatalf("status cell = %+v", st.Cell)
 	}
 
-	// The same cell again is a cache hit answered without queueing.
+	// The same cell again, spelled canonically, is a cache hit answered
+	// without queueing.
 	resp2, out2 := postJob(t, ts, Request{
 		Cell: &CellSpec{Mix: "WL-6", Density: "32Gb", Bundle: "codesign"},
 	})
@@ -308,6 +310,9 @@ func TestCellJob(t *testing.T) {
 	}
 	if st2.ResultBytes == 0 {
 		t.Fatal("cell job has no result bytes")
+	}
+	if sims := s.StatsSnapshot().Simulations; sims != 1 {
+		t.Fatalf("simulations = %d, want 1 for two spellings of one cell", sims)
 	}
 }
 
