@@ -44,7 +44,10 @@ staticcheck:
 # guards the hot path's 0 allocs/op via
 # TestEngineScheduleIsAllocationFree — and the serving daemon) and over
 # the harness's CellStore tests (the store a sweep's workers share; the
-# whole harness suite is too slow for the race list), the daemon smoke
+# whole harness suite is too slow for the race list) and over core's
+# checkpoint/resume contract tests (a 32 Gb cell; its snapshots stay
+# small because the page allocator stores only the memory a cell
+# touched), the daemon smoke
 # drill (the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0),
 # and finally the refbench module's own tests (~20 s; it is a separate
@@ -56,6 +59,7 @@ ci:
 	$(GO) test -short ./...
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
 	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
+	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
 	cd cmd/refbench && $(GO) test -count=1 .
 

@@ -250,6 +250,12 @@ func main() {
 		root = mux
 	}
 
+	// Catch SIGTERM/SIGINT before the port becomes visible: a
+	// supervisor may signal as soon as the port file appears or
+	// /healthz answers, and a signal that arrived before the handler
+	// would kill the process undrained with no -journal write.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("listen failed", "addr", *addr, "error", err)
@@ -272,8 +278,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:

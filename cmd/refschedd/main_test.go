@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -61,6 +63,51 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestSIGTERMAtStartupDrains signals the daemon the moment its port
+// file is complete, the earliest point a supervisor can know it is up.
+// Every start must still drain cleanly to exit 0: the signal handler
+// has to be installed before the port is published.
+func TestSIGTERMAtStartupDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "refschedd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for run := 0; run < 25; run++ {
+		portFile := filepath.Join(dir, fmt.Sprintf("port%d", run))
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-port-file", portFile, "-quick")
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if raw, _ := os.ReadFile(portFile); bytes.HasSuffix(raw, []byte("\n")) {
+				break
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				cmd.Wait()
+				t.Fatalf("run %d: port file never appeared\n%s", run, stderr.String())
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		err := cmd.Wait()
+		if err != nil || !strings.Contains(stderr.String(), "drained cleanly") {
+			t.Fatalf("run %d: SIGTERM right after the port file: exit %v, want a clean drain\n%s",
+				run, err, stderr.String())
+		}
 	}
 }
 

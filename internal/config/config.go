@@ -301,6 +301,9 @@ func (s *System) Validate() error {
 		return fmt.Errorf("config: MLP must be positive")
 	case s.Mem.Channels <= 0 || s.Mem.BanksPerRank <= 0 || s.Mem.RanksPerDIMM <= 0 || s.Mem.DIMMsPerChannel <= 0:
 		return fmt.Errorf("config: memory geometry must be positive")
+	case s.Mem.BanksPerChannel() > 64:
+		// A task's possible-banks vector is a 64-bit mask.
+		return fmt.Errorf("config: %d banks per channel exceed the 64 a bank mask holds", s.Mem.BanksPerChannel())
 	case s.Mem.RowBytes == 0 || s.Mem.RowBytes&(s.Mem.RowBytes-1) != 0:
 		return fmt.Errorf("config: RowBytes must be a power of two, got %d", s.Mem.RowBytes)
 	case s.L1.LineBytes != s.L2.LineBytes:

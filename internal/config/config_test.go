@@ -121,6 +121,7 @@ func TestValidateRejects(t *testing.T) {
 		"bad watermarks": break_(func(c *System) { c.Mem.WriteLowWater = 60 }),
 		"bad bpt":        break_(func(c *System) { c.OS.BanksPerTask = 99 }),
 		"zero banks":     break_(func(c *System) { c.Mem.BanksPerRank = 0 }),
+		"128 banks":      break_(func(c *System) { c.Mem.DIMMsPerChannel = 8 }),
 	}
 	for name, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

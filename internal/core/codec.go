@@ -28,7 +28,11 @@ import (
 // changed event semantics) must bump it: a snapshot is only meaningful
 // against the exact simulator revision that wrote it, and the version
 // gate turns silent divergence into a typed refusal.
-const SnapshotVersion = 1
+//
+// Version 2 stores the buddy allocator sparsely: the count of
+// never-split max-order blocks plus the metadata of the blocks a run
+// touched, instead of four arrays over every page frame.
+const SnapshotVersion = 2
 
 var snapshotMagic = [4]byte{'R', 'S', 'N', 'P'}
 

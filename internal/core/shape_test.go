@@ -32,7 +32,8 @@ func runPolicy(t *testing.T, d config.Density, scale uint64, pol config.RefreshP
 // TestRefreshDegradationShape verifies the paper's core ordering at
 // 32 Gb: no-refresh >= co-design > per-bank > all-bank for a
 // memory-intensive workload, and that the co-design eliminates
-// refresh-stalled reads.
+// refresh-stalled reads. The four runs are independent parallel
+// subtests; the assertions compare them once all four have finished.
 func TestRefreshDegradationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape runs are slow")
@@ -41,10 +42,30 @@ func TestRefreshDegradationShape(t *testing.T) {
 		Entries: []workload.MixEntry{{Bench: "mcf", Count: 4}, {Bench: "bwaves", Count: 4}}}
 	const scale, fp = 64, 0.05
 
-	none := runPolicy(t, config.Density32Gb, scale, config.RefreshNone, false, mix, fp)
-	ab := runPolicy(t, config.Density32Gb, scale, config.RefreshAllBank, false, mix, fp)
-	pb := runPolicy(t, config.Density32Gb, scale, config.RefreshPerBankRR, false, mix, fp)
-	cd := runPolicy(t, config.Density32Gb, scale, config.RefreshPerBankSeq, true, mix, fp)
+	runs := []struct {
+		name     string
+		pol      config.RefreshPolicy
+		codesign bool
+	}{
+		{"none", config.RefreshNone, false},
+		{"allbank", config.RefreshAllBank, false},
+		{"perbank", config.RefreshPerBankRR, false},
+		{"codesign", config.RefreshPerBankSeq, true},
+	}
+	reps := make([]*Report, len(runs))
+	// A group of parallel subtests returns once every member has.
+	t.Run("runs", func(t *testing.T) {
+		for i, r := range runs {
+			t.Run(r.name, func(t *testing.T) {
+				t.Parallel()
+				reps[i] = runPolicy(t, config.Density32Gb, scale, r.pol, r.codesign, mix, fp)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	none, ab, pb, cd := reps[0], reps[1], reps[2], reps[3]
 
 	t.Logf("none: hIPC=%.4f lat=%.1f", none.HarmonicIPC, none.AvgMemLatency)
 	t.Logf("allbank: hIPC=%.4f lat=%.1f stalled=%.4f", ab.HarmonicIPC, ab.AvgMemLatency, ab.RefreshStalledFrac)

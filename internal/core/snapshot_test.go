@@ -161,6 +161,33 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFirstSnapshotIsSparse: the allocator snapshots only the memory a
+// cell touched, so the first checkpoint of the 32 Gb cell of
+// TestCheckpointResumeByteIdentical (8M page frames) stays small.
+func TestFirstSnapshotIsSparse(t *testing.T) {
+	cfg := testConfig(config.Density32Gb, config.RefreshAllBank)
+	w := cfg.TREFW()
+	sys, err := Build(cfg, testMix(), Options{FootprintScale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFirst := errors.New("first snapshot taken")
+	var buf bytes.Buffer
+	_, err = sys.RunCheckpointed(w, 2*w, cfg.Timeslice()+cfg.Timeslice()/3+7, eager(func(st *SystemState) error {
+		if err := EncodeSnapshot(&buf, st); err != nil {
+			return err
+		}
+		return errFirst
+	}))
+	if !errors.Is(err, errFirst) {
+		t.Fatalf("run ended with %v, want it stopped at the first checkpoint", err)
+	}
+	if buf.Len() >= 1<<20 {
+		t.Fatalf("first snapshot is %d bytes, want < 1 MB", buf.Len())
+	}
+	t.Logf("first snapshot: %d bytes", buf.Len())
+}
+
 // TestResumeWithFurtherCheckpoints resumes from an early snapshot while
 // emitting new checkpoints, then resumes from one of those — the
 // preemption pattern refschedd uses (a job may be preempted repeatedly).
@@ -295,12 +322,15 @@ func TestSnapshotCorruptionRefused(t *testing.T) {
 	if _, err := ReadSnapshotFile(path); !errors.As(err, &corrupt) {
 		t.Fatalf("bit flip: err = %v, want CorruptSnapshotError", err)
 	}
-	// Version skew.
-	skewed := append([]byte(nil), data...)
-	skewed[4]++
-	rewrite(skewed)
-	if _, err := ReadSnapshotFile(path); !errors.As(err, &skew) {
-		t.Fatalf("version skew: err = %v, want SnapshotVersionError", err)
+	// Version skew, forward and back to version 1 (dense allocator
+	// state).
+	for _, v := range []byte{SnapshotVersion + 1, 1} {
+		skewed := append([]byte(nil), data...)
+		skewed[4] = v
+		rewrite(skewed)
+		if _, err := ReadSnapshotFile(path); !errors.As(err, &skew) || skew.Got != uint32(v) {
+			t.Fatalf("version %d: err = %v, want SnapshotVersionError", v, err)
+		}
 	}
 	// Wrong magic.
 	bad := append([]byte(nil), data...)

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,36 @@ func TestMapperPageInterleaving(t *testing.T) {
 	// Same page offset, different rows, same bank.
 	if m.PageGlobalBank(0) != m.PageGlobalBank(16) {
 		t.Fatal("pages 0 and 16 should map to the same bank")
+	}
+}
+
+// TestPageGlobalBankMatchesCoord: the one-shift bank lookup agrees with
+// decoding the full coordinate, over every power-of-two geometry the
+// allocator can see.
+func TestPageGlobalBankMatchesCoord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, channels := range []int{1, 2, 4} {
+		for _, ranks := range []int{1, 2, 4} {
+			for _, banks := range []int{4, 8, 16} {
+				cfg := config.Default(config.Density8Gb, 1)
+				cfg.Mem.Channels = channels
+				cfg.Mem.DIMMsPerChannel = 1
+				cfg.Mem.RanksPerDIMM = ranks
+				cfg.Mem.BanksPerRank = banks
+				m, err := NewMapper(cfg.Mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2000; i++ {
+					pfn := rng.Uint64() % m.TotalPages()
+					got := m.PageGlobalBank(pfn)
+					if want := m.PageCoord(pfn).GlobalBank(m.BanksPerRank()); got != want {
+						t.Fatalf("%dch/%drk/%dbk pfn %d: PageGlobalBank = %d, want %d",
+							channels, ranks, banks, pfn, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -42,6 +42,9 @@ type Mapper struct {
 	banksPerRank int
 	ranks        int
 	rowsPerBank  uint64
+	// globalBankMask selects a frame's rank and bank bits once shifted
+	// past the channel bits: ranks*banksPerRank - 1.
+	globalBankMask uint64
 }
 
 // NewMapper builds a mapper for the configured geometry. All geometry
@@ -69,6 +72,8 @@ func NewMapper(mem config.MemConfig) (*Mapper, error) {
 		banksPerRank: mem.BanksPerRank,
 		ranks:        mem.Ranks(),
 		rowsPerBank:  mem.RowsPerBank(),
+
+		globalBankMask: uint64(mem.Ranks()*mem.BanksPerRank - 1),
 	}, nil
 }
 
@@ -103,9 +108,11 @@ func (m *Mapper) PageCoord(pfn uint64) Coord {
 
 // PageGlobalBank returns the flat (rank, bank) index of a page frame
 // within its channel — the value the OS allocator files pages under.
+// The rank bits sit directly above the bank bits, which sit directly
+// above the channel bits, so rank*banksPerRank + bank is one shift and
+// one mask (small enough for the compiler to inline into callers).
 func (m *Mapper) PageGlobalBank(pfn uint64) int {
-	c := m.PageCoord(pfn)
-	return c.GlobalBank(m.banksPerRank)
+	return int((pfn >> m.channelBits) & m.globalBankMask)
 }
 
 // PageChannel returns the channel of a page frame.

@@ -10,28 +10,55 @@ import "fmt"
 // Linux's MAX_ORDER-1 = 10 → 4 MB blocks with 4 KB pages.
 const MaxOrder = 10
 
-// Page states.
+// chunkPages is the frame count of one max-order block, the unit in
+// which the allocator builds per-frame metadata.
+const chunkPages = 1 << MaxOrder
+
+// Page states. The zero value is stateTail, so a freshly allocated
+// chunk already reads as "every frame is interior to some block" and
+// needs no initialisation pass.
 const (
-	stateFree  uint8 = iota // head of a free block on a free list
+	stateTail  uint8 = iota // interior page of some block
+	stateFree               // head of a free block on a free list
 	stateAlloc              // head of an allocated block
-	stateTail               // interior page of some block
 )
 
 const nilIdx = int32(-1)
 
+// chunk is the per-frame metadata of one max-order block. next/prev are
+// the intrusive free-list links (global pfns) and are only meaningful
+// for free block heads.
+type chunk struct {
+	order [chunkPages]uint8
+	state [chunkPages]uint8
+	next  [chunkPages]int32
+	prev  [chunkPages]int32
+}
+
 // Allocator is a buddy allocator over page frames [0, totalPages).
-// Frames beyond the largest power-of-two prefix are seeded as smaller
+// Frames beyond the largest multiple of 2^MaxOrder are seeded as smaller
 // blocks, so arbitrary totals are supported.
+//
+// Metadata is built lazily, one max-order block (chunk) at a time: a
+// block that has never left the max-order free list is represented only
+// by the pristine count, so construction costs O(totalPages/2^MaxOrder)
+// however large memory is. Allocation order is exactly that of seeding
+// every block eagerly in ascending pfn order: the never-taken blocks
+// [0, pristine) form the bottom of the max-order free list in descending
+// pfn order, below every explicitly linked block that coalesced back to
+// max order. Coalescing only unlinks buddies below max order, so the
+// max-order list is a stack and a count reproduces its tail exactly.
 type Allocator struct {
 	totalPages uint64
 	nrFree     uint64
 
-	order []uint8
-	state []uint8
-	// Intrusive doubly-linked free lists, one per order; next/prev are
-	// indexed by pfn and only meaningful for free block heads.
-	next  []int32
-	prev  []int32
+	// chunks[c] holds the metadata of frames [c<<MaxOrder, (c+1)<<MaxOrder),
+	// nil until block c is first taken off the max-order free list.
+	chunks []*chunk
+	// pristine counts the never-taken max-order blocks [0, pristine).
+	pristine uint64
+	// Free-list heads, one per order; heads[MaxOrder] lists only the
+	// explicitly linked max-order blocks above the pristine ones.
 	heads [MaxOrder + 1]int32
 
 	// Allocs and Frees count operations (for invariant tests).
@@ -47,23 +74,24 @@ func New(totalPages uint64) (*Allocator, error) {
 	if totalPages > 1<<31-1 {
 		return nil, fmt.Errorf("buddy: totalPages %d exceeds index space", totalPages)
 	}
+	full := totalPages >> MaxOrder
 	a := &Allocator{
 		totalPages: totalPages,
-		order:      make([]uint8, totalPages),
-		state:      make([]uint8, totalPages),
-		next:       make([]int32, totalPages),
-		prev:       make([]int32, totalPages),
+		chunks:     make([]*chunk, (totalPages+chunkPages-1)>>MaxOrder),
+		pristine:   full,
+		nrFree:     full << MaxOrder,
 	}
 	for i := range a.heads {
 		a.heads[i] = nilIdx
 	}
-	for i := range a.state {
-		a.state[i] = stateTail
+	// Seed the tail short of a whole max-order block greedily with the
+	// largest aligned blocks that fit.
+	pfn := full << MaxOrder
+	if pfn < totalPages {
+		a.chunks[full] = new(chunk)
 	}
-	// Seed free lists greedily with the largest aligned blocks.
-	var pfn uint64
 	for pfn < totalPages {
-		o := MaxOrder
+		o := MaxOrder - 1
 		for o > 0 && (pfn&(1<<uint(o)-1) != 0 || pfn+1<<uint(o) > totalPages) {
 			o--
 		}
@@ -79,32 +107,44 @@ func (a *Allocator) TotalPages() uint64 { return a.totalPages }
 // NrFree returns the number of free page frames.
 func (a *Allocator) NrFree() uint64 { return a.nrFree }
 
+// meta returns the chunk holding pfn (nil if never built) and pfn's
+// index within it.
+func (a *Allocator) meta(pfn uint64) (*chunk, uint64) {
+	return a.chunks[pfn>>MaxOrder], pfn & (chunkPages - 1)
+}
+
 func (a *Allocator) seedFree(pfn uint64, order int) {
-	a.state[pfn] = stateFree
-	a.order[pfn] = uint8(order)
+	c, i := a.meta(pfn)
+	c.state[i] = stateFree
+	c.order[i] = uint8(order)
 	a.pushFree(pfn, order)
 	a.nrFree += 1 << uint(order)
 }
 
 func (a *Allocator) pushFree(pfn uint64, order int) {
+	c, i := a.meta(pfn)
 	h := a.heads[order]
-	a.next[pfn] = h
-	a.prev[pfn] = nilIdx
+	c.next[i] = h
+	c.prev[i] = nilIdx
 	if h != nilIdx {
-		a.prev[h] = int32(pfn)
+		hc, hi := a.meta(uint64(h))
+		hc.prev[hi] = int32(pfn)
 	}
 	a.heads[order] = int32(pfn)
 }
 
 func (a *Allocator) unlinkFree(pfn uint64, order int) {
-	n, p := a.next[pfn], a.prev[pfn]
+	c, i := a.meta(pfn)
+	n, p := c.next[i], c.prev[i]
 	if p != nilIdx {
-		a.next[p] = n
+		pc, pi := a.meta(uint64(p))
+		pc.next[pi] = n
 	} else {
 		a.heads[order] = n
 	}
 	if n != nilIdx {
-		a.prev[n] = p
+		nc, ni := a.meta(uint64(n))
+		nc.prev[ni] = p
 	}
 }
 
@@ -116,24 +156,33 @@ func (a *Allocator) AllocBlock(order int) (uint64, bool) {
 		return 0, false
 	}
 	o := order
-	for o <= MaxOrder && a.heads[o] == nilIdx {
+	for o < MaxOrder && a.heads[o] == nilIdx {
 		o++
 	}
-	if o > MaxOrder {
+	var pfn uint64
+	switch {
+	case a.heads[o] != nilIdx:
+		pfn = uint64(a.heads[o])
+		a.unlinkFree(pfn, o)
+	case o == MaxOrder && a.pristine > 0:
+		// The top of the pristine stack: build its metadata now.
+		a.pristine--
+		pfn = a.pristine << MaxOrder
+		a.chunks[a.pristine] = new(chunk)
+	default:
 		return 0, false
 	}
-	pfn := uint64(a.heads[o])
-	a.unlinkFree(pfn, o)
+	c, i := a.meta(pfn)
 	// Split down, returning upper halves to the free lists.
 	for o > order {
 		o--
-		buddy := pfn + 1<<uint(o)
-		a.state[buddy] = stateFree
-		a.order[buddy] = uint8(o)
-		a.pushFree(buddy, o)
+		buddy := i + 1<<uint(o)
+		c.state[buddy] = stateFree
+		c.order[buddy] = uint8(o)
+		a.pushFree(pfn+1<<uint(o), o)
 	}
-	a.state[pfn] = stateAlloc
-	a.order[pfn] = uint8(order)
+	c.state[i] = stateAlloc
+	c.order[i] = uint8(order)
 	a.nrFree -= 1 << uint(order)
 	a.Allocs++
 	return pfn, true
@@ -165,71 +214,103 @@ func (*InvalidFreeError) SimulationFault() {}
 // FreeBlock frees a block previously returned by AllocBlock with the
 // same order, coalescing with free buddies.
 func (a *Allocator) FreeBlock(pfn uint64, order int) {
-	if pfn >= a.totalPages || a.state[pfn] != stateAlloc || int(a.order[pfn]) != order {
+	var c *chunk
+	var i uint64
+	if pfn < a.totalPages {
+		c, i = a.meta(pfn)
+	}
+	if c == nil || c.state[i] != stateAlloc || int(c.order[i]) != order {
 		panic(&InvalidFreeError{PFN: pfn, Order: order, TotalPages: a.totalPages})
 	}
 	a.Frees++
 	a.nrFree += 1 << uint(order)
+	// Below max order a buddy lies in the same chunk. Frames of the
+	// last chunk past totalPages are never written, so they stay
+	// stateTail and never coalesce.
+	base := pfn - i
 	for order < MaxOrder {
-		buddy := pfn ^ 1<<uint(order)
-		if buddy >= a.totalPages || a.state[buddy] != stateFree || int(a.order[buddy]) != order {
+		buddy := i ^ 1<<uint(order)
+		if c.state[buddy] != stateFree || int(c.order[buddy]) != order {
 			break
 		}
-		a.unlinkFree(buddy, order)
-		a.state[buddy] = stateTail
-		if buddy < pfn {
-			a.state[pfn] = stateTail
-			pfn = buddy
+		a.unlinkFree(base+buddy, order)
+		c.state[buddy] = stateTail
+		if buddy < i {
+			c.state[i] = stateTail
+			i = buddy
 		}
 		order++
 	}
-	a.state[pfn] = stateFree
-	a.order[pfn] = uint8(order)
-	a.pushFree(pfn, order)
+	c.state[i] = stateFree
+	c.order[i] = uint8(order)
+	a.pushFree(base+i, order)
 }
 
 // FreePage frees a single frame.
 func (a *Allocator) FreePage(pfn uint64) { a.FreeBlock(pfn, 0) }
 
 // CheckInvariants validates allocator metadata: free-list membership
-// matches page state, block accounting matches nrFree, and no blocks
-// overlap. Exported for property tests; O(totalPages).
+// matches page state, block accounting matches nrFree, no blocks
+// overlap, and exactly the pristine blocks lack metadata. Exported for
+// property tests; O(built frames + totalPages/2^MaxOrder).
 func (a *Allocator) CheckInvariants() error {
 	var freeFromLists uint64
 	seen := make(map[uint64]bool)
 	for o := 0; o <= MaxOrder; o++ {
-		for i := a.heads[o]; i != nilIdx; i = a.next[i] {
+		for i := a.heads[o]; i != nilIdx; {
 			pfn := uint64(i)
-			if a.state[pfn] != stateFree || int(a.order[pfn]) != o {
-				return fmt.Errorf("buddy: list %d contains pfn %d with state %d order %d", o, pfn, a.state[pfn], a.order[pfn])
+			if pfn >= a.totalPages {
+				return fmt.Errorf("buddy: list %d links pfn %d past the end", o, pfn)
+			}
+			c, j := a.meta(pfn)
+			if c == nil {
+				return fmt.Errorf("buddy: list %d links pfn %d of a block with no metadata", o, pfn)
+			}
+			if c.state[j] != stateFree || int(c.order[j]) != o {
+				return fmt.Errorf("buddy: list %d contains pfn %d with state %d order %d", o, pfn, c.state[j], c.order[j])
 			}
 			if seen[pfn] {
 				return fmt.Errorf("buddy: pfn %d on two lists", pfn)
 			}
 			seen[pfn] = true
 			freeFromLists += 1 << uint(o)
+			i = c.next[j]
 		}
 	}
+	freeFromLists += a.pristine << MaxOrder
 	if freeFromLists != a.nrFree {
 		return fmt.Errorf("buddy: nrFree %d but lists hold %d", a.nrFree, freeFromLists)
 	}
 	// Walk coverage: every frame belongs to exactly one block.
-	var pfn uint64
-	for pfn < a.totalPages {
-		st := a.state[pfn]
-		if st == stateTail {
-			return fmt.Errorf("buddy: pfn %d is a tail with no head", pfn)
+	for ci, c := range a.chunks {
+		base := uint64(ci) << MaxOrder
+		if pristine := uint64(ci) < a.pristine; pristine != (c == nil) {
+			return fmt.Errorf("buddy: block at pfn %d: pristine %v but metadata built %v", base, pristine, c != nil)
 		}
-		size := uint64(1) << uint(a.order[pfn])
-		if st == stateFree && !seen[pfn] {
-			return fmt.Errorf("buddy: free head pfn %d missing from lists", pfn)
+		if c == nil {
+			continue
 		}
-		for t := pfn + 1; t < pfn+size && t < a.totalPages; t++ {
-			if a.state[t] != stateTail {
-				return fmt.Errorf("buddy: pfn %d inside block at %d has state %d", t, pfn, a.state[t])
+		end := min(base+chunkPages, a.totalPages)
+		for pfn := base; pfn < end; {
+			j := pfn - base
+			st := c.state[j]
+			if st == stateTail {
+				return fmt.Errorf("buddy: pfn %d is a tail with no head", pfn)
 			}
+			size := uint64(1) << uint(c.order[j])
+			if c.order[j] > MaxOrder || pfn&(size-1) != 0 {
+				return fmt.Errorf("buddy: pfn %d heads a misaligned order-%d block", pfn, c.order[j])
+			}
+			if st == stateFree && !seen[pfn] {
+				return fmt.Errorf("buddy: free head pfn %d missing from lists", pfn)
+			}
+			for t := pfn + 1; t < pfn+size && t < end; t++ {
+				if c.state[t-base] != stateTail {
+					return fmt.Errorf("buddy: pfn %d inside block at %d has state %d", t, pfn, c.state[t-base])
+				}
+			}
+			pfn += size
 		}
-		pfn += size
 	}
 	return nil
 }

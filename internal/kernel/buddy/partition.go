@@ -57,8 +57,9 @@ type PartitionAllocator struct {
 	// perBank free-list cache, indexed by global bank within a
 	// channel; pages from all channels share the bank index, matching
 	// the paper's single-channel formulation while staying correct for
-	// multi-channel systems (bank slots align across channels).
-	perBank [][]uint64
+	// multi-channel systems (bank slots align across channels). Frames
+	// fit in 32 bits because New caps the frame count below 2^31.
+	perBank [][]uint32
 
 	// stashBudget bounds how many mismatched pages one allocation may
 	// divert into the cache before giving up on a target bank.
@@ -67,13 +68,17 @@ type PartitionAllocator struct {
 	Stats PartitionStats
 }
 
-// NewPartitionAllocator wraps a buddy allocator with Algorithm 2.
+// NewPartitionAllocator wraps a buddy allocator with Algorithm 2. The
+// mapper's channels may hold at most 64 banks, the width of a BankMask.
 func NewPartitionAllocator(b *Allocator, mapper *dram.Mapper) *PartitionAllocator {
 	n := mapper.Ranks() * mapper.BanksPerRank()
+	if n > 64 {
+		panic("buddy: a BankMask covers at most 64 banks per channel")
+	}
 	return &PartitionAllocator{
 		buddy:       b,
 		mapper:      mapper,
-		perBank:     make([][]uint64, n),
+		perBank:     make([][]uint32, n),
 		stashBudget: 256,
 	}
 }
@@ -104,7 +109,7 @@ func (p *PartitionAllocator) popBank(g int) (uint64, bool) {
 	}
 	pfn := l[len(l)-1]
 	p.perBank[g] = l[:len(l)-1]
-	return pfn, true
+	return uint64(pfn), true
 }
 
 // fillBank pops pages from the buddy allocator, stashing mismatches into
@@ -122,25 +127,31 @@ func (p *PartitionAllocator) fillBank(g int) (uint64, bool) {
 			return pfn, true
 		}
 		p.Stats.Stashed++
-		p.perBank[bank] = append(p.perBank[bank], pfn)
+		p.perBank[bank] = append(p.perBank[bank], uint32(pfn))
 	}
 	return 0, false
 }
 
 // AllocPageFor allocates one page for a task whose possible-banks vector
-// is mask, rotating from *last (the task's lastAllocedBank, updated on
-// success). fellBack reports a page outside the mask (allowed-bank
-// exhaustion fall-back).
+// is mask, rotating from *last (the task's lastAllocedBank: -1 or a bank
+// index, updated on success). fellBack reports a page outside the mask
+// (allowed-bank exhaustion fall-back).
 func (p *PartitionAllocator) AllocPageFor(mask BankMask, last *int) (pfn uint64, fellBack, ok bool) {
 	n := len(p.perBank)
+	all := AllBanks(n)
 	if mask == 0 {
-		mask = AllBanks(n)
+		mask = all
 	}
-	allocBank := *last
-	for i := 0; i < n; i++ {
-		allocBank = (allocBank + 1) % n
-		if !mask.Has(allocBank) {
-			continue
+	// Visit the allowed banks round-robin from *last+1: rotate the mask
+	// so bit k stands for bank (start+k) mod n, then walk its set bits.
+	start := (*last + 1) % n
+	m := mask & all
+	rot := m>>uint(start) | (m<<uint(n-start))&all
+	for rot != 0 {
+		allocBank := start + bits.TrailingZeros64(uint64(rot))
+		rot &= rot - 1
+		if allocBank >= n {
+			allocBank -= n
 		}
 		if pfn, ok := p.popBank(allocBank); ok {
 			p.Stats.CacheHits++
@@ -176,7 +187,7 @@ func (p *PartitionAllocator) FreePage(pfn uint64) { p.buddy.FreePage(pfn) }
 func (p *PartitionAllocator) FreeCached() {
 	for g, l := range p.perBank {
 		for _, pfn := range l {
-			p.buddy.FreePage(pfn)
+			p.buddy.FreePage(uint64(pfn))
 		}
 		p.perBank[g] = nil
 	}
