@@ -49,7 +49,9 @@ staticcheck:
 # small because the page allocator stores only the memory a cell
 # touched), the daemon smoke
 # drill (the real binary on an ephemeral port, /healthz, a
-# figure round-trip through the cache, and a SIGTERM drain to exit 0),
+# figure round-trip through the cache, and a SIGTERM drain to exit 0)
+# with its durability twin (SIGKILL after a sweep, then a warm restart
+# on the same -journal answers it as a hit with zero simulations),
 # and finally the refbench module's own tests (~20 s; it is a separate
 # module, so ./... above does not reach it).
 ci:
@@ -60,7 +62,7 @@ ci:
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
 	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/
-	$(GO) test -count=1 -run 'TestDaemonSmoke' ./cmd/refschedd/
+	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart' ./cmd/refschedd/
 	cd cmd/refbench && $(GO) test -count=1 .
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload

@@ -1,7 +1,7 @@
 // Command refschedd serves the paper's experiments as a long-running
 // daemon: simulation-as-a-service over HTTP/JSON on top of the same
 // harness the batch CLIs use, with a bounded prioritized job queue,
-// single-flight dedup of identical in-flight requests, and a sharded
+// single-flight dedup of identical in-flight requests, and a
 // byte-budget LRU result cache keyed by the parameter fingerprint.
 //
 // API:
@@ -42,9 +42,10 @@
 // durable: a SIGKILLed daemon replays them on restart under their
 // original ids.
 //
-// SIGINT/SIGTERM drain gracefully: in-flight jobs get -drain to finish,
-// then the result cache is persisted to -journal (if set) so the next
-// start serves previously computed figures instantly.
+// -journal appends every result to a file as it is cached, so the next
+// start, after a drain or a SIGKILL, serves it instantly. SIGINT and
+// SIGTERM drain: in-flight jobs get -drain to finish before they are
+// aborted, then the journal is compacted to one JSON object.
 //
 // Logging is structured (log/slog) on stderr — one request-ID-tagged
 // access-log line per HTTP request — as text by default or JSON with
@@ -92,8 +93,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "jobs executing concurrently (0 = default 2)")
 		queueDepth = flag.Int("queue-depth", 0, "queued-job bound before 429 (0 = default 64)")
 		cacheMB    = flag.Int64("cache-mb", 0, "result cache budget in MiB (0 = default 64)")
-		shards     = flag.Int("cache-shards", 0, "result cache shard count (0 = default 8)")
-		journal    = flag.String("journal", "", "persist the result cache here on shutdown and warm from it on start")
+		journal    = flag.String("journal", "", "append every cached result here and warm from it on start; compacted on shutdown")
 		jobWAL     = flag.String("job-wal", "", "acknowledged-job write-ahead log; accepted jobs survive a crash and replay on restart")
 		drain      = flag.Duration("drain", 0, "how long shutdown waits for in-flight jobs (0 = default 30s)")
 
@@ -206,7 +206,6 @@ func main() {
 		Workers:      *workers,
 		CellSlots:    *jobs,
 		CacheBytes:   *cacheMB << 20,
-		CacheShards:  *shards,
 		JournalPath:  *journal,
 		WALPath:      *jobWAL,
 		DrainTimeout: *drain,
@@ -286,8 +285,8 @@ func main() {
 	}
 	stop()
 
-	// Drain: finish in-flight jobs (bounded by -drain), persist the
-	// cache, then let in-flight HTTP responses flush.
+	// Drain: finish in-flight jobs (bounded by -drain, then aborted),
+	// compact the cache journal, then let in-flight HTTP responses flush.
 	log.Info("draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), svcDrainBudget(*drain))
 	defer cancel()
@@ -304,8 +303,8 @@ func main() {
 }
 
 // svcDrainBudget gives the whole shutdown sequence a hard ceiling a
-// little past the service drain deadline, so a wedged job cannot hang
-// the process forever.
+// little past the service drain deadline, at which Shutdown aborts
+// every job still running.
 func svcDrainBudget(drain time.Duration) time.Duration {
 	if drain <= 0 {
 		drain = 30 * time.Second

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,8 +44,8 @@ func TestDaemonSmoke(t *testing.T) {
 	base := waitReady(t, portFile, exited)
 
 	// Figure round-trip: miss computes, hit serves the same bytes.
-	body1 := getFigure(t, base, "miss")
-	body2 := getFigure(t, base, "hit")
+	body1 := getFigure(t, base, "table1", "miss")
+	body2 := getFigure(t, base, "table1", "hit")
 	if body1 != body2 {
 		t.Fatal("cache hit served different bytes than the miss")
 	}
@@ -63,6 +64,94 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestDaemonKillWarmRestart is the cache-durability drill `make ci`
+// runs next to TestDaemonSmoke: serve a sweep figure, SIGKILL the
+// daemon, restart it on the same -journal, and get the figure back as
+// a hit with zero simulations. A SIGTERM then leaves the journal as the
+// one JSON object refbench's storedCells decodes.
+func TestDaemonKillWarmRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "refschedd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	journal := filepath.Join(dir, "cache.json")
+	start := func(name string) (*exec.Cmd, chan error, string) {
+		portFile := filepath.Join(dir, "port-"+name)
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-port-file", portFile,
+			"-quick", "-scale", "4096", "-footprint-scale", "0.01", "-mixes", "WL-6", "-windows", "1",
+			"-journal", journal)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() { exited <- cmd.Wait() }()
+		t.Cleanup(func() { cmd.Process.Kill() })
+		return cmd, exited, waitReady(t, portFile, exited)
+	}
+
+	a, aExited, baseA := start("a")
+	want := getFigure(t, baseA, "fig10", "miss")
+	if err := a.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-aExited
+
+	b, bExited, baseB := start("b")
+	if got := getFigure(t, baseB, "fig10", "hit"); got != want {
+		t.Fatal("warm restart after SIGKILL served different bytes")
+	}
+	resp, err := http.Get(baseB + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Simulations uint64 `json:"simulations"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Simulations != 0 {
+		t.Fatalf("warm restart after SIGKILL ran %d simulations, want 0", st.Simulations)
+	}
+
+	if err := b.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-bExited:
+		if err != nil {
+			t.Fatalf("daemon exited non-zero after SIGTERM: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Entries map[string]string `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatalf("drained journal is not one JSON value: %v", err)
+	}
+	found := false
+	for _, body := range stored.Entries {
+		found = found || body == want
+	}
+	if !found {
+		t.Fatalf("drained journal's %d entries lack the fig10 body", len(stored.Entries))
 	}
 }
 
@@ -139,9 +228,9 @@ func waitReady(t *testing.T, portFile string, exited <-chan error) string {
 	}
 }
 
-func getFigure(t *testing.T, base, wantCache string) string {
+func getFigure(t *testing.T, base, name, wantCache string) string {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/figures/table1")
+	resp, err := http.Get(base + "/v1/figures/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}

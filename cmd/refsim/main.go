@@ -217,7 +217,7 @@ func main() {
 	}
 	if jnl != nil {
 		opts.OnDone = func(i int, _ runner.Cell, rep *refsched.Report) {
-			if err := jnl.Record(key(i), rep); err != nil {
+			if err := jnl.Record(key(i), rep, true); err != nil {
 				fmt.Fprintf(os.Stderr, "refsim: journal: %v\n", err)
 			}
 		}

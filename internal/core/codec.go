@@ -8,7 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"refsched/internal/journal"
 )
 
 // Snapshot file format: a fixed header followed by a gob body and
@@ -119,28 +120,12 @@ func DecodeSnapshot(r io.Reader, path string) (*SystemState, error) {
 	return st, nil
 }
 
-// WriteSnapshotFile writes st to path atomically (tmp + fsync +
-// rename), so a crash mid-write leaves either the previous snapshot or
-// none — never a torn file.
+// WriteSnapshotFile writes st to path through journal.Replace (tmp +
+// fsync + rename + directory fsync), so a crash mid-write leaves either
+// the previous snapshot or none — never a torn file — and a crash right
+// after the rename still finds the new one.
 func WriteSnapshotFile(path string, st *SystemState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := EncodeSnapshot(tmp, st); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return journal.Replace(path, func(w io.Writer) error { return EncodeSnapshot(w, st) })
 }
 
 // ReadSnapshotFile reads a snapshot written by WriteSnapshotFile.

@@ -76,8 +76,8 @@ type Params struct {
 	// Retries bounds identical-seed re-runs of a cell whose error is
 	// marked transient; < 0 disables retry, 0 selects DefaultRetries.
 	Retries int
-	// JournalDir, when non-empty, persists each completed cell to
-	// <JournalDir>/<figure>.journal.json atomically as it finishes.
+	// JournalDir, when non-empty, appends each completed cell to
+	// <JournalDir>/<figure>.journal.json as it finishes.
 	JournalDir string
 	// Resume skips cells already recorded in the figure's journal,
 	// producing output byte-identical to an uninterrupted run.

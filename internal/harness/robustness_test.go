@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -183,6 +185,52 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	}
 	if res11.String() != clean11.String() {
 		t.Errorf("resumed fig11 not byte-identical:\nclean:\n%s\nresumed:\n%s", clean11, res11)
+	}
+}
+
+// TestFig10ResumesEarlierJournalFormat: a sweep journal in the single
+// indented object earlier releases rewrote after every cell resumes
+// unchanged. Every cell must come from it — chaos fails any cell that
+// runs — and the tables are byte-identical to a clean run.
+func TestFig10ResumesEarlierJournalFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweeps are slow")
+	}
+	p := tinyParams()
+	p.JournalDir = t.TempDir()
+	clean10, clean11, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(p.JournalDir, "fig10.journal.json")
+	jnl, err := journal.Open(path, p.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := struct {
+		Fingerprint string                     `json:"fingerprint"`
+		Entries     map[string]json.RawMessage `json:"entries"`
+	}{Fingerprint: p.Fingerprint(), Entries: map[string]json.RawMessage{}}
+	jnl.Each(func(k string, raw json.RawMessage) { old.Entries[k] = raw })
+	data, err := json.MarshalIndent(old, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p.Resume = true
+	p.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeError})
+	r10, r11, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r10.Failed) != 0 {
+		t.Fatalf("%d cells ran instead of resuming from the journal", len(r10.Failed))
+	}
+	if r10.String() != clean10.String() || r11.String() != clean11.String() {
+		t.Error("resumed tables differ from the clean run")
 	}
 }
 

@@ -68,15 +68,6 @@ func (p Params) ctx() context.Context {
 	return context.Background()
 }
 
-// openJournal opens the figure's completed-cell journal when journaling
-// is enabled (JournalDir non-empty), else returns nil.
-func (p Params) openJournal(figID string) (*journal.Journal, error) {
-	if p.JournalDir == "" {
-		return nil, nil
-	}
-	return journal.Open(filepath.Join(p.JournalDir, figID+".journal.json"), p.Fingerprint())
-}
-
 // runCells executes a sweep's cells across Params.Parallelism workers
 // and returns the reports keyed by each job's key, plus the quarantined
 // failures.
@@ -86,7 +77,7 @@ func (p Params) openJournal(figID string) (*journal.Journal, error) {
 // Params.FailFast restores abort-on-first-error semantics); errors
 // marked transient are retried with the identical seed up to
 // Params.Retries times. With journaling enabled every completed cell is
-// persisted atomically as it finishes, and with Resume set, cells
+// appended and fsynced as it finishes, and with Resume set, cells
 // already on record are decoded instead of re-run — JSON round-trips
 // float64 exactly, so a resumed sweep renders byte-identical tables.
 // Cells share no mutable state and results are collected by submission
@@ -100,9 +91,13 @@ func (p Params) openJournal(figID string) (*journal.Journal, error) {
 func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report, []*runner.CellError, error) {
 	out := make(map[string]*core.Report, len(jobs))
 
-	jnl, err := p.openJournal(figID)
-	if err != nil {
-		return nil, nil, err
+	var jnl *journal.Journal
+	if p.JournalDir != "" {
+		var err error
+		if jnl, err = journal.Open(filepath.Join(p.JournalDir, figID+".journal.json"), p.Fingerprint()); err != nil {
+			return nil, nil, err
+		}
+		defer jnl.Close() // every record is fsynced as it is appended
 	}
 
 	// Resume: satisfy cells from the journal and run only the rest.
@@ -135,7 +130,7 @@ func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report,
 	var journalErr error
 	onDone := func(i int, c runner.Cell, rep *core.Report) {
 		if jnl != nil && journalErr == nil {
-			journalErr = jnl.Record(toRun[i].key, rep)
+			journalErr = jnl.Record(toRun[i].key, rep, true)
 		}
 		if p.Verbose {
 			fmt.Printf("  ran %-6s %-5s %-10s hIPC=%.4f lat=%.0f stalled=%.4f\n",

@@ -1,15 +1,19 @@
-// Package journal persists the completed cells of an experiment sweep
-// so an interrupted run can resume without repeating finished work.
+// Package journal is the one code path that writes durable files:
+// Replay reads a file as a stream of JSON values, tolerating a torn
+// final value; Log.Append adds one value per line; and Replace is the
+// atomic tmp + fsync + rename + directory-fsync swap behind compaction
+// and checkpoint files (log.go).
 //
-// A sweep opens one journal per figure (<figure>.journal.json). As each
-// cell completes, its result is recorded under the cell's key and the
-// whole file is rewritten atomically (write to a temp file in the same
-// directory, fsync, rename), so a kill at any instant leaves either the
-// previous or the next consistent snapshot — never a torn file. On
-// -resume, cells found in the journal are decoded instead of re-run;
-// because results round-trip through encoding/json (whose float64
-// encoding is exact), a resumed sweep renders byte-identical tables to
-// an uninterrupted run.
+// A Journal is the keyed result store on top: the completed cells of
+// an experiment sweep (<figure>.journal.json) or a refsim run, or the
+// serving daemon's result cache. Its file is a header object,
+// {"fingerprint": ..., "entries": {key: value, ...}}, followed by one
+// {"key": ..., "value": ...} record per Record, so an N-cell sweep
+// writes O(N) bytes. Compacted, it is the header alone: the
+// single-object file earlier releases rewrote after every cell, which
+// therefore loads as it is. Results round-trip through encoding/json,
+// whose float64 encoding is exact, so a resumed sweep renders
+// byte-identical tables to an uninterrupted run.
 //
 // A journal is bound to the parameter fingerprint of the sweep that
 // created it. Opening with a different fingerprint discards the stale
@@ -20,180 +24,180 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
-	"syscall"
 )
 
-// file is the on-disk layout.
-type file struct {
+// header is a journal's first value and its whole compacted form.
+type header struct {
 	// Fingerprint identifies the sweep parameters the entries belong to.
 	Fingerprint string `json:"fingerprint"`
 	// Entries maps cell key -> the cell's JSON-encoded result.
 	Entries map[string]json.RawMessage `json:"entries"`
 }
 
-// Journal is one sweep's completed-cell store. Not safe for concurrent
-// use; the runner's single collector goroutine is the intended writer.
-type Journal struct {
-	path    string
-	f       file
-	dropped int // stale entries discarded on open
+// record is one result appended after the header; a later record for
+// a key replaces an earlier one.
+type record struct {
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value"`
 }
 
-// Open loads the journal at path, creating an empty one (in memory; the
-// file appears on first Record) if none exists. A journal whose
-// fingerprint differs from fingerprint is treated as stale: its entries
-// are dropped and Dropped reports how many. A corrupt file is an error
-// — deleting it is an explicit operator action, not something a resume
-// should do silently.
+// Journal is one keyed result store. Lookup, Each and Len read the
+// entries replayed at Open and may run concurrently with Record, which
+// only appends to the file; Record, Compact and Close must not run
+// concurrently with each other.
+type Journal struct {
+	path        string
+	fingerprint string
+	entries     map[string]json.RawMessage
+	log         *Log // nil until the first Record
+	// clean is set when the file is a header under fingerprint followed
+	// only by whole records, so new records may follow it directly.
+	clean   bool
+	dropped int // stale entries discarded on open
+	torn    int // torn final values dropped on open
+}
+
+// Open replays the journal at path. An absent file opens empty, and
+// opening writes nothing. A journal whose fingerprint differs from
+// fingerprint is treated as stale: its entries are dropped and Dropped
+// reports how many. A torn final record is dropped and counted in Torn.
+// A torn header, or damage before the final value, is an error naming
+// the recovery action: deleting the file is an explicit operator
+// decision, not something a resume should do silently.
 func Open(path, fingerprint string) (*Journal, error) {
-	j := &Journal{path: path, f: file{Fingerprint: fingerprint, Entries: map[string]json.RawMessage{}}}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return j, nil
-	}
+	j := &Journal{path: path, fingerprint: fingerprint, entries: map[string]json.RawMessage{}}
+	var h *header
+	torn, err := Replay(path, func(raw json.RawMessage) error {
+		if h == nil {
+			h = new(header)
+			if err := json.Unmarshal(raw, h); err != nil {
+				return err
+			}
+			if h.Entries != nil {
+				j.entries = h.Entries
+			}
+			return nil
+		}
+		var r record
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return err
+		}
+		if r.Key == "" || r.Value == nil {
+			return errors.New("not a journal record")
+		}
+		j.entries[r.Key] = r.Value
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, err
 	}
-	var old file
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, fmt.Errorf("journal: corrupt %s (delete it to start over): %w", path, err)
-	}
-	if old.Fingerprint != fingerprint {
-		j.dropped = len(old.Entries)
+	if h == nil {
+		if torn {
+			return nil, damaged(path, 0, errors.New("the header is cut short"))
+		}
 		return j, nil
 	}
-	if old.Entries != nil {
-		j.f.Entries = old.Entries
+	if h.Fingerprint != fingerprint {
+		j.dropped = len(j.entries)
+		j.entries = map[string]json.RawMessage{}
+		return j, nil
 	}
+	if torn {
+		j.torn = 1
+	}
+	j.clean = !torn
 	return j, nil
 }
 
-// Path returns the backing file path.
-func (j *Journal) Path() string { return j.path }
-
-// Len returns the number of completed cells on record.
-func (j *Journal) Len() int { return len(j.f.Entries) }
+// Len returns the number of entries replayed at Open.
+func (j *Journal) Len() int { return len(j.entries) }
 
 // Dropped returns how many entries were discarded at Open because the
 // journal belonged to a different parameter fingerprint.
 func (j *Journal) Dropped() int { return j.dropped }
 
+// Torn returns how many torn final records Open dropped (0 or 1).
+func (j *Journal) Torn() int { return j.torn }
+
 // Lookup decodes the recorded result for key into out and reports
 // whether the cell was on record. A recorded entry that no longer
 // decodes is reported as absent so the cell is simply re-run.
 func (j *Journal) Lookup(key string, out any) bool {
-	raw, ok := j.f.Entries[key]
+	raw, ok := j.entries[key]
 	if !ok {
 		return false
 	}
 	return json.Unmarshal(raw, out) == nil
 }
 
-// Has reports whether key is on record without decoding it.
-func (j *Journal) Has(key string) bool {
-	_, ok := j.f.Entries[key]
-	return ok
-}
-
-// Each calls fn for every recorded entry in sorted key order, handing
-// over the raw JSON so the caller decodes into its own type. It is how
-// a restarted daemon warms its result cache from the journal without
+// Each calls fn for every entry in sorted key order, handing over the
+// raw JSON so the caller decodes into its own type. It is how a
+// restarted daemon warms its result cache from the journal without
 // knowing up front which keys survived the previous run.
 func (j *Journal) Each(fn func(key string, raw json.RawMessage)) {
-	keys := make([]string, 0, len(j.f.Entries))
-	for k := range j.f.Entries {
+	keys := make([]string, 0, len(j.entries))
+	for k := range j.entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fn(k, j.f.Entries[k])
+		fn(k, j.entries[k])
 	}
 }
 
-// RecordBatch stores every entry of batch and rewrites the journal
-// file once — the shutdown path for persisting a whole result cache,
-// where per-key flushes would turn an N-entry snapshot into N full
-// rewrites. An encoding failure leaves the in-memory and on-disk state
-// untouched.
-func (j *Journal) RecordBatch(batch map[string]any) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	encoded := make(map[string]json.RawMessage, len(batch))
-	for k, v := range batch {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("journal: encoding %q: %w", k, err)
-		}
-		encoded[k] = raw
-	}
-	for k, raw := range encoded {
-		j.f.Entries[k] = raw
-	}
-	return j.flush()
-}
-
-// Record stores v as the completed result for key and atomically
-// rewrites the journal file.
-func (j *Journal) Record(key string, v any) error {
+// Record appends v as the result for key. With sync it returns only
+// once the record is on stable storage. The first Record writes the
+// header first when the file has none under this fingerprint, or when
+// it ends in a torn record that new records must not follow.
+func (j *Journal) Record(key string, v any, sync bool) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("journal: encoding %q: %w", key, err)
 	}
-	j.f.Entries[key] = raw
-	return j.flush()
+	if j.log == nil {
+		if !j.clean {
+			if err := j.Compact(j.entries); err != nil {
+				return err
+			}
+		}
+		if j.log, err = OpenLog(j.path); err != nil {
+			return err
+		}
+	}
+	return j.log.Append(record{Key: key, Value: raw}, sync)
 }
 
-// flush writes the whole journal via tmp+fsync+rename so the on-disk
-// file is always a consistent snapshot.
-func (j *Journal) flush() error {
+// Compact atomically replaces the file with a header alone, holding
+// entries and indented as earlier releases wrote it; Lookup keeps
+// answering from the entries replayed at Open. The daemon compacts its
+// result cache this way on shutdown, leaving one JSON object on disk.
+func (j *Journal) Compact(entries map[string]json.RawMessage) error {
+	if err := j.Close(); err != nil {
+		return err
+	}
 	// encoding/json sorts map keys, so the file is diffable across runs.
-	data, err := json.MarshalIndent(j.f, "", " ")
+	data, err := json.MarshalIndent(header{Fingerprint: j.fingerprint, Entries: entries}, "", " ")
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if err := Replace(j.path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// The rename is durable only once the directory entry itself is on
-	// disk: fsync the parent directory, or a crash right after the
-	// rename can resurface the old file (or none) on restart even
-	// though the data blocks were synced.
-	return syncDir(dir)
+	j.clean = true
+	return nil
 }
 
-// syncDir fsyncs a directory so a preceding rename within it survives
-// a crash. Filesystems that refuse to fsync directories (some network
-// or overlay mounts return EINVAL) degrade to the rename-only
-// guarantee rather than failing the write.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+// Close releases the file. A later Record reopens it.
+func (j *Journal) Close() error {
+	if j.log == nil {
+		return nil
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("journal: syncing %s: %w", dir, err)
-	}
-	return nil
+	err := j.log.Close()
+	j.log = nil
+	return err
 }

@@ -2,20 +2,39 @@ package service
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
+
+	"refsched/internal/journal"
 )
 
-// Cache is the daemon's sharded, byte-budget-bounded LRU over rendered
-// results. Keys are request fingerprints (see requestKey); values are
-// the exact response bodies served to clients, so a hit costs a map
-// lookup and zero rendering. Sharding keeps the lock a render-sized
-// value is inserted under from serializing unrelated lookups; each
-// shard owns budget/shards bytes and runs strict LRU within it.
+// Cache is the daemon's byte-budget-bounded LRU over rendered results,
+// guarded by one mutex. Keys are request fingerprints (see requestKey);
+// values are the exact response bodies served to clients, so a hit
+// costs a map lookup and zero rendering.
+//
+// With a journal (refschedd -journal) the cache is durable: it warms
+// from the journal's entries, Put appends each new result to the
+// journal under the same lock (unsynced — a crash loses at most the
+// last few results, never the file), and Close compacts the journal to
+// the live entries as one JSON object.
 //
 // Values are shared, not copied: callers must treat a returned slice
 // as immutable.
 type Cache struct {
-	shards []*cacheShard
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64
+	order   *list.List               // front = most recent
+	entries map[string]*list.Element // key -> element whose Value is *cacheEntry
+
+	hits, misses, evictions uint64
+
+	jnl *journal.Journal // nil without a journal
+	// jnlErr stops appending after the first failure, so a partial line
+	// stays the file's torn final value rather than damage before later
+	// records; Close's compaction rewrites the file whole.
+	jnlErr error
 }
 
 // CacheStats is the aggregate the /statsz endpoint reports.
@@ -29,54 +48,29 @@ type CacheStats struct {
 	HitRatio  float64 `json:"hit_ratio"`
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	budget  int64
-	bytes   int64
-	order   *list.List               // front = most recent
-	entries map[string]*list.Element // key -> element whose Value is *cacheEntry
-
-	hits, misses, evictions uint64
-}
-
 type cacheEntry struct {
 	key  string
 	body []byte
 }
 
-// NewCache builds a cache bounded to budget bytes spread over nshards
-// LRU shards (values <= 0 select the defaults: 64 MiB, 8 shards).
-// Tests that need strict global LRU ordering use nshards = 1.
-func NewCache(budget int64, nshards int) *Cache {
+// NewCache builds a cache bounded to budget bytes (<= 0 selects the
+// default, 64 MiB). A non-nil jnl warms the cache from its entries, in
+// key order, and receives every later Put.
+func NewCache(budget int64, jnl *journal.Journal) *Cache {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	if nshards <= 0 {
-		nshards = 8
-	}
-	c := &Cache{shards: make([]*cacheShard, nshards)}
-	per := budget / int64(nshards)
-	if per <= 0 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			budget:  per,
-			order:   list.New(),
-			entries: map[string]*list.Element{},
-		}
+	c := &Cache{budget: budget, order: list.New(), entries: map[string]*list.Element{}}
+	if jnl != nil {
+		jnl.Each(func(key string, raw json.RawMessage) {
+			var body string
+			if json.Unmarshal(raw, &body) == nil && body != "" {
+				c.insert(key, []byte(body))
+			}
+		})
+		c.jnl = jnl
 	}
 	return c
-}
-
-// shard picks the shard for key (FNV-1a).
-func (c *Cache) shard(key string) *cacheShard {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return c.shards[h%uint64(len(c.shards))]
 }
 
 func entrySize(key string, body []byte) int64 {
@@ -86,90 +80,100 @@ func entrySize(key string, body []byte) int64 {
 // Get returns the cached body for key and whether it was present,
 // promoting a hit to most-recently-used.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
-		s.misses++
+		c.misses++
 		return nil, false
 	}
-	s.hits++
-	s.order.MoveToFront(el)
+	c.hits++
+	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
 // Contains reports presence without perturbing LRU order or counters.
 func (c *Cache) Contains(key string) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
 	return ok
 }
 
-// Put stores body under key, evicting least-recently-used entries in
-// the key's shard until the shard is back under budget. A body larger
-// than the whole shard budget is not cached at all — evicting the
-// entire shard to hold one giant entry would trade many future hits
-// for one.
-func (c *Cache) Put(key string, body []byte) {
-	s := c.shard(key)
+// Put stores body under key and appends it to the journal, if any. The
+// error is the journal append's; the entry is cached either way.
+func (c *Cache) Put(key string, body []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.insert(key, body) || c.jnl == nil || c.jnlErr != nil {
+		return nil
+	}
+	c.jnlErr = c.jnl.Record(key, string(body), false)
+	return c.jnlErr
+}
+
+// insert stores body under key, evicting least-recently-used entries
+// until the cache is back under budget, and reports whether it stored
+// anything. A body larger than the whole budget is not cached at all —
+// evicting everything to hold one giant entry would trade many future
+// hits for one. c.mu must be held (or c not yet shared).
+func (c *Cache) insert(key string, body []byte) bool {
 	size := entrySize(key, body)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size > s.budget {
-		return
+	if size > c.budget {
+		return false
 	}
-	if el, ok := s.entries[key]; ok {
+	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
-		s.bytes += int64(len(body)) - int64(len(e.body))
+		c.bytes += int64(len(body)) - int64(len(e.body))
 		e.body = body
-		s.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 	} else {
-		s.entries[key] = s.order.PushFront(&cacheEntry{key: key, body: body})
-		s.bytes += size
+		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
+		c.bytes += size
 	}
-	for s.bytes > s.budget {
-		back := s.order.Back()
+	for c.bytes > c.budget {
+		back := c.order.Back()
 		if back == nil {
 			break
 		}
 		e := back.Value.(*cacheEntry)
-		s.order.Remove(back)
-		delete(s.entries, e.key)
-		s.bytes -= entrySize(e.key, e.body)
-		s.evictions++
+		c.order.Remove(back)
+		delete(c.entries, e.key)
+		c.bytes -= entrySize(e.key, e.body)
+		c.evictions++
 	}
+	return true
 }
 
-// Snapshot returns every live entry, the input to the shutdown path's
-// journal persistence. Bodies are shared (immutable by contract).
-func (c *Cache) Snapshot() map[string][]byte {
-	out := map[string][]byte{}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for k, el := range s.entries {
-			out[k] = el.Value.(*cacheEntry).body
-		}
-		s.mu.Unlock()
+// Close compacts the journal to exactly the live entries — one JSON
+// object, the file a warm restart loads — and detaches it.
+func (c *Cache) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.jnl == nil {
+		return nil
 	}
-	return out
+	jnl := c.jnl
+	c.jnl = nil
+	live := make(map[string]json.RawMessage, len(c.entries))
+	for k, el := range c.entries {
+		live[k], _ = json.Marshal(string(el.Value.(*cacheEntry).body)) // a string always encodes
+	}
+	return jnl.Compact(live)
 }
 
-// Stats aggregates counters across shards.
+// Stats returns the cache's counters.
 func (c *Cache) Stats() CacheStats {
-	var st CacheStats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evictions
-		st.Entries += len(s.entries)
-		st.Bytes += s.bytes
-		st.Budget += s.budget
-		s.mu.Unlock()
+	c.mu.Lock()
+	st := CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   len(c.entries),
+		Bytes:     c.bytes,
+		Budget:    c.budget,
 	}
+	c.mu.Unlock()
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRatio = float64(st.Hits) / float64(total)
 	}

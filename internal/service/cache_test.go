@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestCacheLRUEvictsOldestFirst fills a single-shard cache past its
-// byte budget and checks that the oldest (least recently used)
-// fingerprints fall out first while the newest stay resident.
+// TestCacheLRUEvictsOldestFirst fills the cache past its byte budget
+// and checks that the oldest (least recently used) fingerprints fall
+// out first while the newest stay resident.
 func TestCacheLRUEvictsOldestFirst(t *testing.T) {
 	// Each entry: 4-byte key + 96-byte body = 100 bytes; budget holds 5.
-	c := NewCache(500, 1)
+	c := NewCache(500, nil)
 	body := make([]byte, 96)
 	for i := 0; i < 8; i++ {
 		c.Put(fmt.Sprintf("k%03d", i), body)
@@ -37,7 +37,7 @@ func TestCacheLRUEvictsOldestFirst(t *testing.T) {
 // TestCacheGetPromotes: touching an old entry saves it from the next
 // eviction.
 func TestCacheGetPromotes(t *testing.T) {
-	c := NewCache(300, 1) // holds 3 x (4+96)-byte entries
+	c := NewCache(300, nil) // holds 3 x (4+96)-byte entries
 	body := make([]byte, 96)
 	c.Put("k000", body)
 	c.Put("k001", body)
@@ -52,7 +52,7 @@ func TestCacheGetPromotes(t *testing.T) {
 }
 
 func TestCacheHitRatio(t *testing.T) {
-	c := NewCache(1<<20, 4)
+	c := NewCache(1<<20, nil)
 	c.Put("a", []byte("body"))
 	c.Get("a")
 	c.Get("a")
@@ -66,10 +66,10 @@ func TestCacheHitRatio(t *testing.T) {
 	}
 }
 
-// TestCacheRejectsOversizedBody: a value bigger than a shard's whole
-// budget is not cached (and does not wipe the shard to make room).
+// TestCacheRejectsOversizedBody: a value bigger than the whole budget
+// is not cached (and does not wipe the cache to make room).
 func TestCacheRejectsOversizedBody(t *testing.T) {
-	c := NewCache(100, 1)
+	c := NewCache(100, nil)
 	c.Put("small", make([]byte, 10))
 	c.Put("huge", make([]byte, 1000))
 	if c.Contains("huge") {
@@ -82,31 +82,11 @@ func TestCacheRejectsOversizedBody(t *testing.T) {
 
 // TestCacheUpdateAdjustsBytes: replacing a body re-accounts its size.
 func TestCacheUpdateAdjustsBytes(t *testing.T) {
-	c := NewCache(1<<20, 1)
+	c := NewCache(1<<20, nil)
 	c.Put("k", make([]byte, 100))
 	c.Put("k", make([]byte, 10))
 	st := c.Stats()
 	if st.Entries != 1 || st.Bytes != int64(len("k")+10) {
 		t.Fatalf("entries=%d bytes=%d after shrink", st.Entries, st.Bytes)
-	}
-}
-
-// TestCacheShardedBudget: with many shards the total stays bounded by
-// the overall budget no matter how many entries are inserted.
-func TestCacheShardedBudget(t *testing.T) {
-	c := NewCache(4096, 8)
-	for i := 0; i < 500; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), make([]byte, 64))
-	}
-	st := c.Stats()
-	if st.Bytes > 4096 {
-		t.Fatalf("cache holds %d bytes, budget 4096", st.Bytes)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions after overfilling")
-	}
-	snap := c.Snapshot()
-	if len(snap) != st.Entries {
-		t.Fatalf("snapshot has %d entries, stats say %d", len(snap), st.Entries)
 	}
 }

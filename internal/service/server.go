@@ -11,13 +11,14 @@
 // (quarantine, retry, typed *runner.CellError) as the CLI and is
 // additionally subject to the daemon's global cell gate
 // (highest-priority job first) and per-cell progress streaming.
-// Rendered results land in a sharded byte-budget LRU cache keyed by
-// the harness parameter fingerprint; identical in-flight requests
-// coalesce onto one job (single-flight), so N concurrent requests for
-// an uncached figure cost exactly one simulation. Admission control
-// caps queue depth (HTTP 429 + Retry-After), and graceful shutdown
-// drains in-flight jobs under a deadline, then persists the cache
-// through internal/journal so a restarted daemon starts warm.
+// Rendered results land in a byte-budget LRU cache keyed by the
+// harness parameter fingerprint and, with a journal, are appended to it
+// as they are cached, so a restarted daemon starts warm even after a
+// SIGKILL. Identical in-flight requests coalesce onto one job
+// (single-flight), so N concurrent requests for an uncached figure
+// cost exactly one simulation. Admission control caps queue depth
+// (HTTP 429 + Retry-After), and graceful shutdown drains in-flight
+// jobs under a deadline, aborts what is left, and compacts the journal.
 package service
 
 import (
@@ -29,7 +30,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -74,12 +74,11 @@ type Config struct {
 	// (default GOMAXPROCS via runner.Parallelism; <0 disables the
 	// gate).
 	CellSlots int
-	// CacheBytes / CacheShards size the result cache (defaults 64 MiB,
-	// 8 shards).
-	CacheBytes  int64
-	CacheShards int
-	// JournalPath, when non-empty, is where shutdown persists the
-	// result cache and startup warms it from.
+	// CacheBytes bounds the result cache (default 64 MiB).
+	CacheBytes int64
+	// JournalPath, when non-empty, makes the result cache durable:
+	// startup warms it from this journal, every cached result is
+	// appended to it, and shutdown compacts it.
 	JournalPath string
 	// WALPath, when non-empty, enables the job WAL: every accepted job
 	// is fsynced to this ledger before it is acknowledged, and a
@@ -95,7 +94,7 @@ type Config struct {
 	// loop's tick.
 	Watchdog WatchdogConfig
 	// DrainTimeout bounds how long Shutdown waits for in-flight jobs
-	// before cancelling them gracefully (default 30s).
+	// before aborting them (default 30s).
 	DrainTimeout time.Duration
 	// Logger receives the structured access log (one request-ID-tagged
 	// line per HTTP request) and job lifecycle events. Nil discards.
@@ -121,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -156,8 +152,8 @@ type Server struct {
 	loopDone chan struct{}
 	stopOnce sync.Once
 
-	// runCtx cancels in-flight sweeps (graceful: in-flight cells
-	// finish) when the drain deadline expires.
+	// runCtx is the root of every job's contexts, soft and hard, so the
+	// drain deadline that cancels it aborts in-flight cells too.
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup
@@ -224,11 +220,18 @@ type figureMetrics struct {
 // configured), and starts its workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	var jnl *journal.Journal
+	if cfg.JournalPath != "" {
+		var err error
+		if jnl, err = journal.Open(cfg.JournalPath, cacheJournalFingerprint); err != nil {
+			return nil, fmt.Errorf("service: warming cache: %w", err)
+		}
+	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		queue:    newJobQueue(cfg.QueueDepth),
-		cache:    NewCache(cfg.CacheBytes, cfg.CacheShards),
+		cache:    NewCache(cfg.CacheBytes, jnl),
 		gate:     newPriorityGate(cfg.CellSlots),
 		tenants:  newTenantAdmission(cfg.Tenant),
 		brown:    newBrownout(cfg.Brownout),
@@ -260,12 +263,6 @@ func New(cfg Config) (*Server, error) {
 		s.wal, pending = wal, p
 	}
 	s.registerMetrics()
-
-	if cfg.JournalPath != "" {
-		if err := s.warmCache(); err != nil {
-			return nil, err
-		}
-	}
 	s.replayWAL(pending)
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleEnqueue)
@@ -554,50 +551,12 @@ func (s *Server) figMetrics(figure string) *figureMetrics {
 	return fm
 }
 
-// warmCache loads the previous run's persisted results.
-func (s *Server) warmCache() error {
-	jnl, err := journal.Open(s.cfg.JournalPath, cacheJournalFingerprint)
-	if err != nil {
-		return fmt.Errorf("service: warming cache: %w", err)
-	}
-	jnl.Each(func(key string, raw json.RawMessage) {
-		var body string
-		if json.Unmarshal(raw, &body) == nil && body != "" {
-			s.cache.Put(key, []byte(body))
-		}
-	})
-	return nil
-}
-
-// persistCache rewrites the journal as an exact snapshot of the live
-// cache (stale keys from earlier runs are dropped with the old file).
-func (s *Server) persistCache() error {
-	snap := s.cache.Snapshot()
-	if err := os.Remove(s.cfg.JournalPath); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("service: persisting cache: %w", err)
-	}
-	if len(snap) == 0 {
-		return nil
-	}
-	jnl, err := journal.Open(s.cfg.JournalPath, cacheJournalFingerprint)
-	if err != nil {
-		return fmt.Errorf("service: persisting cache: %w", err)
-	}
-	batch := make(map[string]any, len(snap))
-	for k, body := range snap {
-		batch[k] = string(body)
-	}
-	if err := jnl.RecordBatch(batch); err != nil {
-		return fmt.Errorf("service: persisting cache: %w", err)
-	}
-	return nil
-}
-
 // Shutdown drains the daemon: admission closes immediately, queued and
 // running jobs get until the drain deadline (or ctx) to finish, then
-// in-flight sweeps are cancelled gracefully (in-flight cells complete,
-// the rest are skipped). Finally the result cache is persisted to the
-// journal. It returns nil when everything drained and persisted.
+// every job still running is aborted — unstarted cells are skipped and
+// in-flight cells stop at their next run-leg boundary (chaos stalls at
+// once). Finally the result cache's journal is compacted to the live
+// entries. It returns nil when everything drained and persisted.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.stopOnce.Do(func() { close(s.loopStop) })
@@ -629,10 +588,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			errs = append(errs, err)
 		}
 	}
-	if s.cfg.JournalPath != "" {
-		if err := s.persistCache(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := s.cache.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("service: persisting cache: %w", err))
 	}
 	return errors.Join(errs...)
 }
@@ -761,7 +718,7 @@ func (s *Server) execute(j *job) {
 	// miss here is a plain hit.
 	if s.cluster.Enabled() {
 		if body, peer, ok := s.remoteCacheLookup(j.key); ok {
-			s.cache.Put(j.key, body)
+			s.cachePut(j.key, body)
 			s.completed.Add(1)
 			j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
 				Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidJob,
@@ -773,19 +730,19 @@ func (s *Server) execute(j *job) {
 	}
 	runStart := j.sinceUS()
 
-	// Per-job cancellation: the soft context (a child of the daemon's
-	// drain context) lets in-flight cells finish; the hard context
-	// aborts them at the next run-leg boundary and interrupts chaos
-	// stalls. The job's deadline bounds both; the watchdog fires both
-	// through j.kill.
+	// Per-job cancellation: the soft context lets in-flight cells
+	// finish; the hard context aborts them at the next run-leg boundary
+	// and interrupts chaos stalls. The job's deadline bounds both; the
+	// watchdog fires both through j.kill; the drain deadline fires both
+	// through their common parent, s.runCtx.
 	var softCtx, hardCtx context.Context
 	var softCancel, hardCancel context.CancelFunc
 	if j.deadline.IsZero() {
 		softCtx, softCancel = context.WithCancel(s.runCtx)
-		hardCtx, hardCancel = context.WithCancel(context.Background())
+		hardCtx, hardCancel = context.WithCancel(s.runCtx)
 	} else {
 		softCtx, softCancel = context.WithDeadline(s.runCtx, j.deadline)
-		hardCtx, hardCancel = context.WithDeadline(context.Background(), j.deadline)
+		hardCtx, hardCancel = context.WithDeadline(s.runCtx, j.deadline)
 	}
 	gen := j.arm(softCancel, hardCancel)
 	defer func() {
@@ -874,7 +831,7 @@ func (s *Server) execute(j *job) {
 		s.quarantined.Add(1)
 		s.finishJob(j, JobQuarantined, body, failures, nil, false)
 	default:
-		s.cache.Put(j.key, body)
+		s.cachePut(j.key, body)
 		s.completed.Add(1)
 		s.finishJob(j, JobDone, body, nil, nil, false)
 	}
@@ -883,6 +840,14 @@ func (s *Server) execute(j *job) {
 	s.log.Info("job finished",
 		"job", j.id, "figure", j.figure, "state", st.State,
 		"cells", st.CellsDone, "duration_ms", float64(time.Since(t0).Microseconds())/1000)
+}
+
+// cachePut caches a computed result. A failed journal append costs
+// durability, not service: it is logged and the result is served.
+func (s *Server) cachePut(key string, body []byte) {
+	if err := s.cache.Put(key, body); err != nil {
+		s.log.Error("cache journal append failed", "key", key, "err", err.Error())
+	}
 }
 
 // requeuePreempted returns a displaced job to the queue. The job stays

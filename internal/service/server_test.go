@@ -480,6 +480,111 @@ func TestDrainPersistsCacheAndWarmRestart(t *testing.T) {
 	}
 }
 
+// TestCacheJournalSurvivesKill: a computed result is appended to the
+// journal as it is cached, so a daemon that never drains (a SIGKILL)
+// still leaves it for the next start. The next start's drain compacts
+// the journal to one JSON object in exactly the indented form earlier
+// releases wrote — the file refbench's storedCells decodes — and that
+// form warms a third start.
+func TestCacheJournalSurvivesKill(t *testing.T) {
+	want := expectedFig10(t)
+	path := filepath.Join(t.TempDir(), "cache.journal.json")
+
+	// Daemon 1 computes fig10 and is abandoned without a drain.
+	_, ts1 := newTestServer(t, func(c *Config) { c.JournalPath = path })
+	if resp, _ := get(t, ts1, "/v1/figures/fig10"); resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first request X-Cache = %q, want miss", resp.Header.Get("X-Cache"))
+	}
+
+	// Daemon 2 warms from what daemon 1 appended.
+	s2, err := New(Config{Params: tinyParams(), JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2)
+	resp, body := get(t, ts2, "/v1/figures/fig10")
+	if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, want) || s2.simulations.Load() != 0 {
+		t.Fatalf("restart after a kill: X-Cache = %q, simulations = %d, body matches = %v",
+			resp.Header.Get("X-Cache"), s2.simulations.Load(), bytes.Equal(body, want))
+	}
+	ts2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The drained file is one JSON value, decoded as storedCells does.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Entries map[string]string `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &stored); err != nil {
+		t.Fatalf("drained journal is not one JSON value: %v", err)
+	}
+	if len(stored.Entries) != 1 {
+		t.Fatalf("drained journal holds %d entries, want fig10 alone", len(stored.Entries))
+	}
+	for _, b := range stored.Entries {
+		if b != string(want) {
+			t.Fatal("drained journal holds a different fig10 body")
+		}
+	}
+
+	// Byte for byte what earlier releases' shutdown wrote.
+	legacy := struct {
+		Fingerprint string                     `json:"fingerprint"`
+		Entries     map[string]json.RawMessage `json:"entries"`
+	}{Fingerprint: cacheJournalFingerprint, Entries: map[string]json.RawMessage{}}
+	for k, b := range stored.Entries {
+		legacy.Entries[k], _ = json.Marshal(b)
+	}
+	old, err := json.MarshalIndent(legacy, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, append(old, '\n')) {
+		t.Fatalf("drained journal differs from the earlier single-object form:\n%s", data)
+	}
+	if err := os.WriteFile(path, append(old, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, ts3 := newTestServer(t, func(c *Config) { c.JournalPath = path })
+	if resp, _ := get(t, ts3, "/v1/figures/fig10"); resp.Header.Get("X-Cache") != "hit" || s3.simulations.Load() != 0 {
+		t.Fatalf("earlier-format journal: X-Cache = %q, simulations = %d", resp.Header.Get("X-Cache"), s3.simulations.Load())
+	}
+}
+
+// TestDrainDeadlineAbortsInFlightCells: when the drain deadline
+// expires, Shutdown aborts the cells still running instead of waiting
+// them out — here a 30s chaos stall that only the job's hard context
+// can interrupt, with the watchdog off.
+func TestDrainDeadlineAbortsInFlightCells(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.DrainTimeout = 100 * time.Millisecond
+		c.Watchdog = WatchdogConfig{Disabled: true}
+		c.Params.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeStall, Stall: 30 * time.Second})
+	})
+	_, out := postJob(t, ts, cellReq(1))
+	id := out["id"].(string)
+	waitJobState(t, ts, id, JobRunning)
+
+	t0 := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+	if elapsed := time.Since(t0); elapsed > 5*time.Second {
+		t.Fatalf("Shutdown took %s past a 100ms drain deadline; the in-flight cell was not aborted", elapsed)
+	}
+	if st := s.getJob(id).snapshot(); st.State != JobFailed {
+		t.Fatalf("aborted job ended %s, want %s", st.State, JobFailed)
+	}
+}
+
 // TestLoadMixedConcurrent is the loopback load acceptance: >= 64
 // concurrent mixed requests complete without races (run under -race
 // in CI) and every response is well-formed.

@@ -1,35 +1,31 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
+	"io"
 	"sync/atomic"
-	"syscall"
 	"time"
+
+	"refsched/internal/journal"
 )
 
-// The job WAL is the acknowledged-work ledger: an append-only NDJSON
-// file recording every job the daemon accepted onto its queue and every
-// job that reached a terminal state. The accept record is fsynced
-// before the HTTP layer acknowledges the job (202), so a SIGKILL at any
-// instant leaves every acknowledged-but-unfinished job on durable
-// record; a restarted daemon replays those records back onto its queue
-// with their original ids, tenants, priorities, and absolute deadlines,
-// which is what makes the soak drill's "zero acknowledged-job loss"
-// assertion hold.
+// The job WAL is the acknowledged-work ledger, a journal.Log of one
+// record per accepted job and per job that reached a terminal state.
+// The accept record is fsynced before the HTTP layer acknowledges the
+// job (202), so a SIGKILL at any instant leaves every acknowledged but
+// unfinished job on durable record; a restarted daemon replays those
+// back onto its queue with their original ids, tenants, priorities and
+// absolute deadlines — the soak drill's "zero acknowledged-job loss".
 //
 // Done records are appended without fsync: losing one to a crash only
 // means the job is re-run once on restart (its result lands in the same
-// cache entry), never that an acknowledgement is broken. Replay
-// tolerates a torn tail — a partial final line from a mid-write kill is
-// dropped, not treated as corruption — and the file is compacted to the
-// still-pending set on every open and close, so it stays proportional
-// to in-flight work, not daemon lifetime.
+// cache entry), never that an acknowledgement is broken. Replay drops a
+// torn final record (its accept was never acknowledged) and refuses
+// damage before it, which would hide accepts. The file is compacted to
+// the pending set on every open and close, so it stays proportional to
+// in-flight work, not daemon lifetime.
 
 // walRecord is one WAL line.
 type walRecord struct {
@@ -40,17 +36,16 @@ type walRecord struct {
 	DeadlineAt *time.Time `json:"deadline_at,omitempty"`
 }
 
-// jobWAL is the open ledger. Appends serialize under mu.
+// jobWAL is the open ledger.
 type jobWAL struct {
-	mu   sync.Mutex
 	path string
-	f    *os.File
+	log  *journal.Log
 
 	accepts atomic.Uint64
 	dones   atomic.Uint64
 	ioErrs  atomic.Uint64
 	// recovered/torn describe what open found: pending accepts replayed
-	// and invalid (torn or foreign) lines dropped.
+	// and torn final records dropped.
 	recovered uint64
 	torn      uint64
 }
@@ -58,127 +53,66 @@ type jobWAL struct {
 // openWAL loads the ledger at path, compacts it to the pending set, and
 // returns the still-pending accepts for replay.
 func openWAL(path string) (*jobWAL, []walRecord, error) {
-	pending, torn, err := parseWALFile(path)
+	pending, torn, err := reduceWAL(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := compactWAL(path, pending); err != nil {
+	log, err := journal.OpenLog(path)
+	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: job wal: %w", err)
+	w := &jobWAL{path: path, log: log, recovered: uint64(len(pending))}
+	if torn {
+		w.torn = 1
 	}
-	w := &jobWAL{path: path, f: f, recovered: uint64(len(pending)), torn: uint64(torn)}
 	return w, pending, nil
 }
 
-// parseWALFile reads the ledger and reduces it to the accepts without a
-// matching done, in acceptance order. Lines that do not parse are
-// dropped and counted: the expected case is a single torn final line
-// from a kill mid-append, and dropping an accept line that never became
-// durable is correct — its request was never acknowledged.
-func parseWALFile(path string) (pending []walRecord, torn int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("service: job wal: %w", err)
-	}
-	defer f.Close()
-
+// reduceWAL replays the ledger, reduces it to the accepts without a
+// matching done (in acceptance order), and atomically rewrites it to
+// just those.
+func reduceWAL(path string) (pending []walRecord, torn bool, err error) {
 	var accepts []walRecord
 	done := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	torn, err = journal.Replay(path, func(raw json.RawMessage) error {
 		var rec walRecord
-		if json.Unmarshal(line, &rec) != nil {
-			torn++
-			continue
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return err
 		}
-		switch rec.Op {
-		case "accept":
-			if rec.ID != "" && rec.Req != nil {
-				accepts = append(accepts, rec)
-			} else {
-				torn++
-			}
-		case "done":
+		switch {
+		case rec.Op == "accept" && rec.ID != "" && rec.Req != nil:
+			accepts = append(accepts, rec)
+		case rec.Op == "done" && rec.ID != "":
 			done[rec.ID] = true
 		default:
-			torn++
+			return errors.New("not a job WAL record")
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: job wal: reading %s: %w", path, err)
+		return nil
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("service: job wal: %w", err)
 	}
 	for _, rec := range accepts {
 		if !done[rec.ID] {
 			pending = append(pending, rec)
 		}
 	}
-	return pending, torn, nil
-}
-
-// compactWAL atomically rewrites the ledger to just the pending accepts
-// (tmp + fsync + rename + parent-dir fsync, like internal/journal).
-func compactWAL(path string, pending []walRecord) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	for _, rec := range pending {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("service: job wal: %w", err)
+	return pending, torn, journal.Replace(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, rec := range pending {
+			if err := enc.Encode(rec); err != nil {
+				return err
+			}
 		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			tmp.Close()
-			return fmt.Errorf("service: job wal: %w", err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	return walSyncDir(dir)
-}
-
-// walSyncDir fsyncs the ledger's directory so the compaction rename
-// survives a crash; filesystems that cannot fsync directories degrade
-// to the rename-only guarantee.
-func walSyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("service: job wal: syncing %s: %w", dir, err)
-	}
-	return nil
+		return nil
+	})
 }
 
 // appendAccept makes a job acceptance durable. It must return before
 // the job is acknowledged to the client.
 func (w *jobWAL) appendAccept(rec walRecord) error {
 	rec.Op = "accept"
-	if err := w.append(rec, true); err != nil {
+	if err := w.log.Append(rec, true); err != nil {
 		w.ioErrs.Add(1)
 		return err
 	}
@@ -187,9 +121,9 @@ func (w *jobWAL) appendAccept(rec walRecord) error {
 }
 
 // appendDone records a terminal state. Unsynced by design: see the
-// package comment at the top of this file.
+// comment at the top of this file.
 func (w *jobWAL) appendDone(id string) error {
-	if err := w.append(walRecord{Op: "done", ID: id}, false); err != nil {
+	if err := w.log.Append(walRecord{Op: "done", ID: id}, false); err != nil {
 		w.ioErrs.Add(1)
 		return err
 	}
@@ -197,42 +131,12 @@ func (w *jobWAL) appendDone(id string) error {
 	return nil
 }
 
-func (w *jobWAL) append(rec walRecord, sync bool) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("service: job wal: closed")
-	}
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("service: job wal: %w", err)
-		}
-	}
-	return nil
-}
-
 // close compacts the ledger to whatever is still pending (empty after a
 // clean drain) and closes it.
 func (w *jobWAL) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("service: job wal: %w", err)
-	}
-	w.f = nil
-	pending, _, err := parseWALFile(w.path)
-	if err != nil {
+	if err := w.log.Close(); err != nil {
 		return err
 	}
-	return compactWAL(w.path, pending)
+	_, _, err := reduceWAL(w.path)
+	return err
 }

@@ -78,11 +78,11 @@ func TestJobWALRecovery(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	pending, torn, err := parseWALFile(path)
+	pending, torn, err := reduceWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 0 || torn != 0 {
-		t.Fatalf("after clean shutdown pending/torn = %d/%d, want 0/0", len(pending), torn)
+	if len(pending) != 0 || torn {
+		t.Fatalf("after clean shutdown pending/torn = %d/%v, want 0/false", len(pending), torn)
 	}
 }
