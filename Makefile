@@ -38,7 +38,8 @@ staticcheck:
 		echo "staticcheck unavailable (offline?); skipping"; \
 	fi
 
-# The merge gate: build, vet, staticcheck, the short test suite, then
+# The merge gate: gofmt (any file `gofmt -l` lists fails it), build,
+# vet, staticcheck, the short test suite, then
 # the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
@@ -55,6 +56,8 @@ staticcheck:
 # and finally the refbench module's own tests (~20 s; it is a separate
 # module, so ./... above does not reach it).
 ci:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) staticcheck

@@ -27,20 +27,23 @@
 // cache misses consult the owner's cache before simulating, and sweep
 // cells fan out to peers with spare -fanout slots — all of it absent
 // (and the daemon byte-identical to a standalone build) without -peers.
-// Clustered daemons additionally serve the cluster-internal endpoints
+// A clustered node's job ids name it (job-<node>-<n>), so any node
+// proxies a read of a job to the node that minted its id. Clustered
+// daemons additionally serve the cluster-internal endpoints
 // POST /v1/cells, GET /v1/cache/{key}, and GET /v1/cluster/timeline.
 //
 // Admission control returns 429 + Retry-After once the queue is full,
 // when a tenant (X-Tenant header) exceeds its -tenant-rate bucket or
-// -tenant-max-in-flight cap, or when brownout sheds low-priority exact
-// work under queue pressure; each rejection carries a structured body
-// naming the tenant, the reason, and a retry estimate. While browned
+// -tenant-max-in-flight cap, or when brownout sheds negative-priority
+// exact work under queue pressure; each rejection carries a structured
+// body naming the tenant, the reason, and a retry estimate. Brownout
+// engages at 3/4 of -queue-depth and releases at 1/4; while browned
 // out, default-fidelity figure GETs are served from the analytical
 // approx tier (marked "X-Fidelity: approx" + "Degraded: true"). A
-// watchdog kills jobs whose engine stops making progress, jobs accept
-// a deadline_ms budget, and -job-wal makes acknowledged jobs crash
-// durable: a SIGKILLed daemon replays them on restart under their
-// original ids.
+// watchdog kills jobs that finish no cell and cross no checkpoint
+// boundary for -watchdog-stall, jobs accept a deadline_ms budget, and
+// -job-wal makes acknowledged jobs crash durable: a SIGKILLed daemon
+// replays them on restart under their original ids.
 //
 // -journal appends every result to a file as it is cached, so the next
 // start, after a drain or a SIGKILL, serves it instantly. SIGINT and
@@ -87,7 +90,6 @@ func main() {
 		windows = flag.Int("windows", 0, "override measurement windows (0 = preset)")
 		fpScale = flag.Float64("footprint-scale", 0, "override footprint multiplier (0 = preset)")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		verbose = flag.Bool("v", false, "log each simulation cell as it completes")
 
 		jobs       = flag.Int("j", 0, "global budget of concurrently simulating cells (0 = all CPUs, <0 = unbounded)")
 		workers    = flag.Int("workers", 0, "jobs executing concurrently (0 = default 2)")
@@ -101,14 +103,7 @@ func main() {
 		tenantBurst    = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = max(1, ceil(rate)))")
 		tenantInFlight = flag.Int("tenant-max-in-flight", 0, "per-tenant queued+running job cap (0 = unlimited)")
 
-		brownoutHigh  = flag.Float64("brownout-high", 0, "queue fraction that engages brownout (0 = default 0.75)")
-		brownoutLow   = flag.Float64("brownout-low", 0, "queue fraction that disengages brownout (0 = default 0.25)")
-		brownoutHold  = flag.Duration("brownout-hold", 0, "minimum time brownout stays engaged (0 = default 1s)")
-		brownoutShed  = flag.Int("brownout-shed-below", 0, "while engaged, shed fresh exact jobs below this priority")
-		noBrownout    = flag.Bool("no-brownout", false, "disable brownout graceful degradation")
-		watchdogEvery = flag.Duration("watchdog-interval", 0, "stalled-job scan interval (0 = default 1s)")
-		watchdogStall = flag.Duration("watchdog-stall", 0, "kill a running job after this long without engine progress (0 = default 30s)")
-		noWatchdog    = flag.Bool("no-watchdog", false, "disable the stalled-job watchdog")
+		watchdogStall = flag.Duration("watchdog-stall", 0, "kill a running job after this long with no cell finished and no checkpoint boundary crossed (0 = default 30s)")
 
 		chaosFrac  = flag.Float64("chaos-frac", 0, "fraction of simulation cells to fault-inject, in [0,1] (0 = off)")
 		chaosMode  = flag.String("chaos-mode", "transient", "injected fault shape: transient|error|panic|stall|mixed")
@@ -163,7 +158,6 @@ func main() {
 		p.FootprintScale = *fpScale
 	}
 	p.Seed = *seed
-	p.Verbose = *verbose
 
 	if *chaosFrac > 0 {
 		mode, err := chaos.ParseMode(*chaosMode)
@@ -216,18 +210,7 @@ func main() {
 			Burst:       *tenantBurst,
 			MaxInFlight: *tenantInFlight,
 		},
-		Brownout: service.BrownoutConfig{
-			HighFrac:          *brownoutHigh,
-			LowFrac:           *brownoutLow,
-			MinHold:           *brownoutHold,
-			ShedBelowPriority: *brownoutShed,
-			Disabled:          *noBrownout,
-		},
-		Watchdog: service.WatchdogConfig{
-			Interval: *watchdogEvery,
-			Stall:    *watchdogStall,
-			Disabled: *noWatchdog,
-		},
+		Watchdog: service.WatchdogConfig{Stall: *watchdogStall},
 	})
 	if err != nil {
 		log.Error("startup failed", "error", err)

@@ -196,7 +196,7 @@ func TestSoak(t *testing.T) {
 		"-quick", "-scale", "4096", "-footprint-scale", "0.01",
 		"-mixes", "WL-6", "-windows", "1", "-workers", "1",
 		"-chaos-frac", "1", "-chaos-mode", "stall", "-chaos-stall", "120s",
-		"-watchdog-interval", "100ms", "-watchdog-stall", "2s")
+		"-watchdog-stall", "2s")
 	w.Stderr = io.Discard
 	if err := w.Start(); err != nil {
 		t.Fatal(err)

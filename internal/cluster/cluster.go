@@ -81,11 +81,12 @@ type Config struct {
 	FanoutPerPeer int
 	// ProbeInterval is the /healthz probing period (0 = 500ms).
 	ProbeInterval time.Duration
-	// DownAfter / UpAfter are the hysteresis thresholds: consecutive
-	// probe failures before a peer is marked down, and consecutive
-	// successes before a down peer is trusted again (0 = 2 each).
-	DownAfter, UpAfter int
 }
+
+// The health hysteresis: a peer is marked down after downAfter
+// consecutive failed probes or forwards, and a down peer is trusted
+// again after upAfter consecutive successes.
+const downAfter, upAfter = 2, 2
 
 // peer is the tracked state of one remote member.
 type peer struct {
@@ -115,7 +116,7 @@ func (p *peer) alive() bool {
 
 // observe feeds one probe or passive forwarding outcome into the
 // hysteresis state machine.
-func (p *peer) observe(ok bool, downAfter, upAfter int) {
+func (p *peer) observe(ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.probes++
@@ -174,12 +175,6 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 2
-	}
-	if cfg.UpAfter <= 0 {
-		cfg.UpAfter = 2
 	}
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: -node-id is required with -peers")
@@ -288,7 +283,7 @@ func (c *Cluster) Alive(id string) bool {
 // or transport failure) into id's hysteresis state.
 func (c *Cluster) ObservePeer(id string, ok bool) {
 	if p := c.peers[id]; p != nil {
-		p.observe(ok, c.cfg.DownAfter, c.cfg.UpAfter)
+		p.observe(ok)
 	}
 }
 
@@ -344,7 +339,7 @@ func (c *Cluster) probeAll() {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			p.observe(c.probeOne(p), c.cfg.DownAfter, c.cfg.UpAfter)
+			p.observe(c.probeOne(p))
 		}(p)
 	}
 	wg.Wait()

@@ -100,8 +100,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestHealthHysteresis: a peer flips down only after DownAfter
-// consecutive failures and back up only after UpAfter successes, via
+// TestHealthHysteresis: a peer flips down only after downAfter
+// consecutive failures and back up only after upAfter successes, via
 // the real prober against a flappable /healthz.
 func TestHealthHysteresis(t *testing.T) {
 	var healthy atomic.Bool
@@ -123,8 +123,6 @@ func TestHealthHysteresis(t *testing.T) {
 		NodeID:        "self",
 		Peers:         []Member{{ID: "self", Addr: "127.0.0.1:1"}, {ID: "p", Addr: addr}},
 		ProbeInterval: 10 * time.Millisecond,
-		DownAfter:     2,
-		UpAfter:       2,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -148,7 +146,7 @@ func TestHealthHysteresis(t *testing.T) {
 	healthy.Store(false)
 	waitAlive(false)
 
-	// One success must not resurrect it (UpAfter=2): feed exactly one
+	// One success must not resurrect it (upAfter=2): feed exactly one
 	// passive success while probes keep failing is racy, so instead
 	// check the state machine directly.
 	p := c.peers["p"]
@@ -171,7 +169,7 @@ func TestHealthHysteresis(t *testing.T) {
 // when every remote is down.
 func TestRouteOwnerSkipsDownNodes(t *testing.T) {
 	peers := []Member{{ID: "a", Addr: "1:1"}, {ID: "b", Addr: "1:2"}, {ID: "c", Addr: "1:3"}}
-	c, err := New(Config{NodeID: "a", Peers: peers, DownAfter: 1})
+	c, err := New(Config{NodeID: "a", Peers: peers})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -192,8 +190,11 @@ func TestRouteOwnerSkipsDownNodes(t *testing.T) {
 		t.Fatalf("RouteOwner(%q) = %v self=%t, want %s", key, m, self, remote)
 	}
 
-	// Kill the owner: the route moves to the key's next alive preference.
-	c.ObservePeer(remote, false)
+	// Kill the owner (downAfter failures): the route moves to the key's
+	// next alive preference.
+	for i := 0; i < downAfter; i++ {
+		c.ObservePeer(remote, false)
+	}
 	m, self := c.RouteOwner(key)
 	if m.ID == remote {
 		t.Fatalf("RouteOwner still targets down node %s", remote)
@@ -210,8 +211,10 @@ func TestRouteOwnerSkipsDownNodes(t *testing.T) {
 	}
 
 	// Kill everything: always handle locally rather than refuse.
-	c.ObservePeer("b", false)
-	c.ObservePeer("c", false)
+	for i := 0; i < downAfter; i++ {
+		c.ObservePeer("b", false)
+		c.ObservePeer("c", false)
+	}
 	if _, self := c.RouteOwner(key); !self {
 		t.Fatal("RouteOwner refused to fall back to self with all peers down")
 	}

@@ -158,9 +158,6 @@ func (c *Core) Run(task Task, quantumEnd sim.Time, onEnd func(c *Core, at sim.Ti
 	c.loop()
 }
 
-// CurrentTask returns the running task (nil when idle).
-func (c *Core) CurrentTask() Task { return c.task }
-
 // loop executes stream segments until the quantum expires or the core
 // blocks. It runs within a single engine event.
 func (c *Core) loop() {
@@ -427,11 +424,4 @@ func (c *Core) FireQuantumEnd(at sim.Time) {
 	if onEnd != nil {
 		onEnd(c, at)
 	}
-}
-
-// SetQuantumEndHandler re-installs the scheduler's quantum-end callback
-// after a snapshot restore (callbacks cannot be serialized; the kernel's
-// handler is identical for every core and every quantum).
-func (c *Core) SetQuantumEndHandler(fn func(c *Core, at sim.Time)) {
-	c.onQuantumEnd = fn
 }

@@ -137,10 +137,6 @@ func (b *Bank) ReadyAt() sim.Time {
 // Refreshing reports whether the bank is refresh-busy at time t.
 func (b *Bank) Refreshing(t sim.Time) bool { return t < b.refUntil }
 
-// RefreshUntil returns the end time of the current refresh (zero if none
-// has ever run).
-func (b *Bank) RefreshUntil() sim.Time { return b.refUntil }
-
 // AccessPlan describes the timing of one planned read or write.
 type AccessPlan struct {
 	Start     sim.Time // command issue time

@@ -115,11 +115,6 @@ func (m *Mapper) PageGlobalBank(pfn uint64) int {
 	return int((pfn >> m.channelBits) & m.globalBankMask)
 }
 
-// PageChannel returns the channel of a page frame.
-func (m *Mapper) PageChannel(pfn uint64) int {
-	return m.PageCoord(pfn).Channel
-}
-
 // TotalPages returns the number of page frames in the system.
 func (m *Mapper) TotalPages() uint64 {
 	return uint64(m.channels) * uint64(m.ranks) * uint64(m.banksPerRank) * m.rowsPerBank

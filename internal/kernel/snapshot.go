@@ -143,13 +143,6 @@ func (k *Kernel) SetState(st State) error {
 	return nil
 }
 
-// RunTask re-dispatches a restored in-flight quantum on core c: the
-// KindKernelRunTask event already fired before the checkpoint, so the
-// restore path calls the core directly with the same arguments.
-func (k *Kernel) RunTask(c *cpu.Core, taskID int, end sim.Time) {
-	c.Run(k.tasks[taskID], end, k.onQuantumEnd)
-}
-
 // QuantumEndHandler exposes the kernel's quantum-expiry callback so the
 // restore path can re-install it on cores whose quantum was in flight
 // at checkpoint time.

@@ -180,9 +180,6 @@ func (c *Controller) WhenReadSpace(r *Request) { c.readWaiters = append(c.readWa
 // frees.
 func (c *Controller) WhenWriteSpace(r *Request) { c.writeWaiters = append(c.writeWaiters, r) }
 
-// QueuedReads returns the current read-queue depth.
-func (c *Controller) QueuedReads() int { return len(c.readQ) }
-
 // QueuedWrites returns the current write-queue depth.
 func (c *Controller) QueuedWrites() int { return len(c.writeQ) }
 

@@ -15,9 +15,9 @@ func TestRetentionBinsValidate(t *testing.T) {
 		}
 	}
 	bad := []RetentionBins{
-		{OneWindow: -0.1, FourWindow: 1},    // negative fraction
-		{OneWindow: 0.8, TwoWindow: 0.8},    // sums past 1
-		{OneWindow: 0, TwoWindow: -1e-12},   // factor <= 0
+		{OneWindow: -0.1, FourWindow: 1},  // negative fraction
+		{OneWindow: 0.8, TwoWindow: 0.8},  // sums past 1
+		{OneWindow: 0, TwoWindow: -1e-12}, // factor <= 0
 	}
 	for _, b := range bad {
 		if err := b.Validate(); err == nil {

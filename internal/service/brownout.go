@@ -6,42 +6,18 @@ import (
 	"time"
 )
 
-// BrownoutConfig tunes graceful degradation under queue pressure. The
-// zero value selects the documented defaults; set Disabled to opt out.
-type BrownoutConfig struct {
-	// HighFrac engages brownout when queued jobs reach this fraction of
-	// QueueDepth (default 0.75); LowFrac disengages once depth falls
-	// back to this fraction (default 0.25). The gap is the hysteresis
-	// band that keeps the mode from flapping at the threshold.
-	HighFrac float64
-	LowFrac  float64
-	// MinHold is the minimum time brownout stays engaged once entered
-	// (default 1s), the other half of the anti-flap guarantee.
-	MinHold time.Duration
-	// ShedBelowPriority: while engaged, fresh exact jobs with priority
-	// strictly below this are rejected (429, reason "brownout") instead
-	// of queued (default 0 — negative-priority batch work sheds,
-	// default and interactive work does not).
-	ShedBelowPriority int
-	// Disabled turns the controller off entirely.
-	Disabled bool
-}
-
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.HighFrac <= 0 {
-		c.HighFrac = 0.75
-	}
-	if c.LowFrac <= 0 {
-		c.LowFrac = 0.25
-	}
-	if c.LowFrac > c.HighFrac {
-		c.LowFrac = c.HighFrac
-	}
-	if c.MinHold <= 0 {
-		c.MinHold = time.Second
-	}
-	return c
-}
+// Brownout thresholds. The mode engages when queued jobs reach
+// brownoutHigh of QueueDepth and disengages once depth falls back to
+// brownoutLow; the gap is the hysteresis band that keeps it from
+// flapping at the threshold, and brownoutHold is the minimum time it
+// stays engaged once entered. While engaged, fresh exact jobs with a
+// negative priority (batch work) are rejected instead of queued;
+// default and interactive work is not.
+const (
+	brownoutHigh = 0.75
+	brownoutLow  = 0.25
+	brownoutHold = time.Second
+)
 
 // brownout is the hysteresis controller behind graceful degradation.
 // While engaged, default-fidelity figure GETs are answered from the
@@ -54,7 +30,6 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 // also recovers when the overload ends and no further requests arrive
 // to trigger a re-evaluation).
 type brownout struct {
-	cfg BrownoutConfig
 	now func() time.Time // injectable clock for deterministic tests
 
 	mu      sync.Mutex
@@ -66,25 +41,22 @@ type brownout struct {
 	shed        atomic.Uint64 // low-priority exact jobs rejected
 }
 
-func newBrownout(cfg BrownoutConfig) *brownout {
-	return &brownout{cfg: cfg.withDefaults(), now: time.Now}
+func newBrownout() *brownout {
+	return &brownout{now: time.Now}
 }
 
 // evaluate feeds the controller the current queue shape and returns
 // whether brownout is (now) engaged.
 func (b *brownout) evaluate(depth, capacity int) bool {
-	if b.cfg.Disabled || capacity <= 0 {
-		return false
-	}
 	frac := float64(depth) / float64(capacity)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch {
-	case !b.engaged && frac >= b.cfg.HighFrac:
+	case !b.engaged && frac >= brownoutHigh:
 		b.engaged = true
 		b.since = b.now()
 		b.engagements.Add(1)
-	case b.engaged && frac <= b.cfg.LowFrac && b.now().Sub(b.since) >= b.cfg.MinHold:
+	case b.engaged && frac <= brownoutLow && b.now().Sub(b.since) >= brownoutHold:
 		b.engaged = false
 	}
 	return b.engaged
@@ -92,9 +64,6 @@ func (b *brownout) evaluate(depth, capacity int) bool {
 
 // isEngaged reads the current mode without re-evaluating it.
 func (b *brownout) isEngaged() bool {
-	if b.cfg.Disabled {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.engaged
@@ -104,8 +73,5 @@ func (b *brownout) isEngaged() bool {
 // rejected under the current mode. Approx jobs always pass — they are
 // the degraded mode's own currency and cost milliseconds, not cells.
 func (b *brownout) shouldShed(priority int, approxMode bool) bool {
-	if approxMode || !b.isEngaged() {
-		return false
-	}
-	return priority < b.cfg.ShedBelowPriority
+	return !approxMode && priority < 0 && b.isEngaged()
 }

@@ -119,20 +119,16 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, ri reqInfo
 		}
 		return s.forward(w, r, ri, m, nil)
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-		// A job created by a forwarded POST lives on the owner; proxy
-		// status, events, and timeline reads to it. Locally known ids
-		// (including WAL-recovered and dedup-aliased ones) stay local.
-		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-		id, _, _ = strings.Cut(id, "/")
-		if s.getJob(id) != nil {
-			return false
-		}
-		peerID, ok := s.remoteJobOwner(id)
-		if !ok || !s.cluster.Alive(peerID) {
+		// A clustered job id names the node that minted it, so status,
+		// events and timeline reads proxy there from any node. Ids of
+		// this node, single-node ids and ids of a down node stay local.
+		id, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
+		node, _, _ := splitJobID(id)
+		if node == s.cluster.Self().ID || !s.cluster.Alive(node) {
 			return false
 		}
 		for _, m := range s.cluster.Members() {
-			if m.ID == peerID {
+			if m.ID == node {
 				return s.forward(w, r, ri, m, nil)
 			}
 		}
@@ -141,23 +137,15 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, ri reqInfo
 	return false
 }
 
-// jobPlacementKey computes the request key a POST /v1/jobs body will
-// resolve to, mirroring enqueue's canonicalization. ok is false when
-// the body does not decode or addresses no valid cell (the handler
-// will reject it anyway).
+// jobPlacementKey computes the key a POST /v1/jobs body resolves to,
+// through the same resolve enqueue uses. ok is false when the body does
+// not decode or resolve (the local handler then rejects it).
 func (s *Server) jobPlacementKey(body []byte) (string, bool) {
 	var req Request
 	if err := json.Unmarshal(body, &req); err != nil {
 		return "", false
 	}
-	if (req.Figure == "") == (req.Cell == nil) {
-		return "", false
-	}
-	figure := "cell"
-	if req.Cell == nil {
-		figure = canonicalFigure(req.Figure)
-	}
-	key, err := requestKey(figure, req.Cell, req.Params.apply(s.cfg.Params))
+	_, _, key, err := s.resolve(req)
 	return key, err == nil
 }
 
@@ -204,36 +192,20 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, ri reqInfo, m c
 		hdr[k] = vs
 	}
 	w.WriteHeader(resp.StatusCode)
-
-	// POST /v1/jobs responses carry the created job's id; remember which
-	// node owns it so later GETs for the id proxy to the right place.
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && resp.StatusCode < 300 {
-		ack, err := io.ReadAll(io.LimitReader(resp.Body, maxRouteBody))
-		if err == nil {
-			var created struct {
-				ID string `json:"id"`
-			}
-			if json.Unmarshal(ack, &created) == nil && created.ID != "" {
-				s.rememberRemoteJob(created.ID, m.ID)
-			}
-			w.Write(ack)
-		}
-	} else {
-		flusher, _ := w.(http.Flusher)
-		buf := make([]byte, 32<<10)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					break
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			if rerr != nil {
+	flusher, _ := w.(http.Flusher)
+	buf := make([]byte, 32<<10)
+	for {
+		n, rerr := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
 				break
 			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if rerr != nil {
+			break
 		}
 	}
 
@@ -245,29 +217,6 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, ri reqInfo, m c
 		Arg1Name: "status", Arg1: int64(resp.StatusCode),
 		StrName: "peer", Str: m.ID})
 	return true
-}
-
-// rememberRemoteJob records that job id was created on peer, with the
-// same retention bound as locally finished jobs.
-func (s *Server) rememberRemoteJob(id, peer string) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	if _, known := s.remoteJobs[id]; !known {
-		s.remoteJobOrder = append(s.remoteJobOrder, id)
-		for len(s.remoteJobOrder) > finishedRetain {
-			delete(s.remoteJobs, s.remoteJobOrder[0])
-			s.remoteJobOrder = s.remoteJobOrder[1:]
-		}
-	}
-	s.remoteJobs[id] = peer
-}
-
-// remoteJobOwner looks up which peer created job id via this node.
-func (s *Server) remoteJobOwner(id string) (string, bool) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	peer, ok := s.remoteJobs[id]
-	return peer, ok
 }
 
 // remoteCacheLookup is the cross-shard fallback a local cache miss

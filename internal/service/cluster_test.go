@@ -361,6 +361,74 @@ func TestClusterJobProxyAndEvents(t *testing.T) {
 	}
 }
 
+// TestClusterJobReadsRouteByID: a clustered job id names the node that
+// minted it, so every node — not only the one that forwarded the POST —
+// proxies the job's status, events and timeline to its owner.
+func TestClusterJobReadsRouteByID(t *testing.T) {
+	cn := newClusterNodes(t, 3, 0, nil)
+
+	entry := cn.svcs["n0"]
+	var body []byte
+	for seed := uint64(1); seed <= 200 && body == nil; seed++ {
+		raw, _ := json.Marshal(map[string]any{
+			"cell":   map[string]any{"mix": "WL-6", "density": "8Gb", "bundle": "perbank"},
+			"params": map[string]any{"seed": seed},
+		})
+		if key, _ := entry.jobPlacementKey(raw); entry.cluster.Owner(key) == "n1" {
+			body = raw
+		}
+	}
+	if body == nil {
+		t.Fatal("no n1-owned cell in 200 seeds")
+	}
+	resp, err := http.Post(cn.urls["n0"]+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack struct {
+		ID string `json:"id"`
+	}
+	json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || !strings.HasPrefix(ack.ID, "job-n1-") {
+		t.Fatalf("POST via n0: %d id=%q, want an id minted by n1", resp.StatusCode, ack.ID)
+	}
+
+	// n2 never saw the POST: it routes each read by the id alone.
+	read := func(suffix string) []byte {
+		t.Helper()
+		path := "/v1/jobs/" + ack.ID + suffix
+		resp, b := cn.get(t, "n2", path, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s via n2: %d: %s", path, resp.StatusCode, b)
+		}
+		if node := resp.Header.Get("X-Refsched-Node"); node != "n1" {
+			t.Fatalf("GET %s via n2 answered by %q, want n1", path, node)
+		}
+		return b
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var st JobStatus
+		if err := json.Unmarshal(read(""), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == JobDone {
+			break
+		}
+		if st.State == JobFailed || time.Now().After(deadline) {
+			t.Fatalf("job state %s: %s", st.State, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if events := read("/events"); !bytes.Contains(events, []byte(`"state":"done"`)) {
+		t.Fatalf("event stream via n2 never reported done: %s", events)
+	}
+	if tl := read("/timeline"); !json.Valid(tl) {
+		t.Fatalf("timeline via n2 is not JSON: %s", tl)
+	}
+}
+
 // TestClusterRemoteCacheFallback: a node that must handle a figure it
 // does not own (forwarded marker set, as after a degraded hop) asks the
 // owner's cache before simulating, and serves the owner's bytes as a

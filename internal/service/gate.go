@@ -18,7 +18,7 @@ type priorityGate struct {
 	mu      sync.Mutex
 	free    int
 	seq     uint64
-	waiters gateHeap
+	waiters priorityHeap[*gateWaiter]
 }
 
 type gateWaiter struct {
@@ -29,8 +29,9 @@ type gateWaiter struct {
 	// slot, or the waiter abandons (ctx ended). The loser of the race
 	// must give the slot back.
 	claimed atomic.Bool
-	index   int
 }
+
+func (w *gateWaiter) rank() (int, uint64) { return w.priority, w.seq }
 
 func newPriorityGate(slots int) *priorityGate {
 	if slots <= 0 {
@@ -78,32 +79,4 @@ func (g *priorityGate) release() {
 		// Abandoned waiter (ctx ended); try the next one.
 	}
 	g.free++
-}
-
-// gateHeap orders waiters by priority (higher first), then FIFO.
-type gateHeap []*gateWaiter
-
-func (h gateHeap) Len() int { return len(h) }
-func (h gateHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h gateHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *gateHeap) Push(x any) {
-	w := x.(*gateWaiter)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-func (h *gateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
 }

@@ -122,20 +122,6 @@ func (o *ParamOverrides) apply(base harness.Params) harness.Params {
 	return base
 }
 
-// requestKey is the cache, dedup and placement key of a request: a
-// cell's harness.CellSpec.Key, or for a figure (canonical name) see
-// figureKey. An invalid cell address is an error.
-func requestKey(figure string, cell *CellSpec, p harness.Params) (string, error) {
-	if cell == nil {
-		return figureKey(figure, p), nil
-	}
-	spec, err := p.Cell(cell.Mix, cell.Density, cell.Bundle, cell.Hot)
-	if err != nil {
-		return "", err
-	}
-	return spec.Key(), nil
-}
-
 // figureKey is a figure request's key: the harness parameter
 // fingerprint (every knob that changes a cell's simulated result)
 // extended with the figure and the mix selection, which changes which
@@ -261,9 +247,10 @@ type job struct {
 	// contribute zero — the analytical model runs no events.
 	engineEvents atomic.Uint64
 
-	// boundaries counts checkpoint boundaries crossed by the job's
-	// cells (each one a point where a preemption request can land).
-	// Exposed so tests and the watchdog can see a job is preemptible.
+	// boundaries counts checkpoint boundaries crossed by the job's exact
+	// cells, one every four timeslices. Each is a point where a
+	// preemption request can land, and each counts as progress to the
+	// watchdog, so a long healthy cell is never mistaken for a stall.
 	boundaries atomic.Uint64
 
 	mu       sync.Mutex
@@ -512,18 +499,19 @@ func (j *job) pastDeadline() bool {
 	return !j.deadline.IsZero() && !time.Now().Before(j.deadline)
 }
 
-// progress returns the job's watchdog signature — a value that changes
-// whenever the engine-throughput gauge advances (events executed by
-// completed cells, plus the cell completion count) — and whether the
-// job is currently running. A signature frozen across the watchdog's
-// stall bound is the definition of a stalled job.
+// progress returns the job's watchdog signature and whether the job is
+// currently running. The signature is the sum of three counters that
+// only grow while the job runs — events executed by completed cells,
+// completed cells, and checkpoint boundaries crossed — so it changes
+// whenever any of them advances. A signature frozen across the
+// watchdog's stall bound is the definition of a stalled job.
 func (j *job) progress() (sig uint64, running bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobRunning {
 		return 0, false
 	}
-	return j.engineEvents.Load()*1_000_003 + uint64(j.cellsDone), true
+	return j.engineEvents.Load() + uint64(j.cellsDone) + j.boundaries.Load(), true
 }
 
 // addDeduped counts one more request coalesced onto this job.

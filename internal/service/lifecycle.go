@@ -97,7 +97,6 @@ func (s *Server) execute(j *job) {
 	// A job whose deadline lapsed while it sat queued is shed before it
 	// burns a worker: the typed expiry is its terminal answer.
 	if j.pastDeadline() {
-		s.expired.Add(1)
 		j.tl.Instant(tlPidService, tlTidJob, "deadline-expired", j.sinceUS())
 		s.finishJob(j, JobExpired, nil, nil,
 			fmt.Errorf("service: deadline expired after %s in queue: %w",
@@ -113,7 +112,6 @@ func (s *Server) execute(j *job) {
 	if s.cache.Contains(j.key) {
 		if body, ok := s.cache.Get(j.key); ok {
 			s.cacheHits.Add(1)
-			s.completed.Add(1)
 			j.tl.Instant(tlPidService, tlTidJob, "cache-hit", j.sinceUS())
 			s.finishJob(j, JobDone, body, nil, nil, true)
 			s.observeLatency(j.figure, time.Since(t0))
@@ -127,7 +125,6 @@ func (s *Server) execute(j *job) {
 	if s.cluster.Enabled() {
 		if body, peer, ok := s.remoteCacheLookup(j.key); ok {
 			s.cachePut(j.key, body)
-			s.completed.Add(1)
 			j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
 				Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidJob,
 				Name: "remote-cache-hit", StrName: "peer", Str: peer})
@@ -201,7 +198,6 @@ func (s *Server) execute(j *job) {
 	case j.killed() != nil:
 		// The watchdog's verdict wins the classification: whatever error
 		// the cancellation produced downstream, the story is the kill.
-		s.failed.Add(1)
 		s.finishJob(j, JobFailed, nil, failures, j.killed(), false)
 	case (err != nil || len(failures) > 0) && j.preemptRequested() && !j.pastDeadline():
 		// A preemption request landed and the run unwound (cells abort
@@ -223,7 +219,6 @@ func (s *Server) execute(j *job) {
 		// sweep — either as a batch-level error or as per-cell failures
 		// (a single-cell job surfaces its interrupted cell that way);
 		// classify as expired, not failed.
-		s.expired.Add(1)
 		j.tl.Instant(tlPidService, tlTidJob, "deadline-expired", j.sinceUS())
 		if err == nil {
 			err = context.DeadlineExceeded
@@ -231,16 +226,13 @@ func (s *Server) execute(j *job) {
 		s.finishJob(j, JobExpired, nil, failures,
 			fmt.Errorf("service: deadline expired mid-run: %w", err), false)
 	case err != nil:
-		s.failed.Add(1)
 		s.finishJob(j, JobFailed, nil, nil, err, false)
 	case len(failures) > 0:
 		// Partial results are served but never cached: the failed
 		// cells should be re-attempted by the next request.
-		s.quarantined.Add(1)
 		s.finishJob(j, JobQuarantined, body, failures, nil, false)
 	default:
 		s.cachePut(j.key, body)
-		s.completed.Add(1)
 		s.finishJob(j, JobDone, body, nil, nil, false)
 	}
 	s.observeLatency(j.figure, time.Since(t0))
@@ -275,17 +267,28 @@ func (s *Server) requeuePreempted(j *job) {
 	j.cellsDone, j.cellsTotal = 0, 0
 	j.mu.Unlock()
 	j.hub.publish(map[string]any{"event": "state", "job": j.id, "state": JobPreempted})
-	if err := s.queue.forcePush(j); err != nil {
-		s.failed.Add(1)
+	if err := s.queue.push(j, false); err != nil {
 		s.finishJob(j, JobFailed, nil, nil,
 			fmt.Errorf("service: preempted job could not requeue: %w", err), false)
 	}
 }
 
-// finishJob moves j to a terminal state, clears its single-flight
-// registration (enforcing the finished-job retention bound), returns
-// its tenant's in-flight slot, and retires its WAL record.
+// finishJob is every job's one terminal transition: it counts the
+// outcome, clears the job's single-flight registration (enforcing the
+// finished-job retention bound), moves it to its terminal state, returns
+// its tenant's in-flight slot, and retires its WAL record. The count
+// lands before the job's waiters wake, so a response never outruns it.
 func (s *Server) finishJob(j *job, state JobState, body []byte, failures []*runner.CellError, err error, cacheHit bool) {
+	switch state {
+	case JobDone:
+		s.completed.Add(1)
+	case JobFailed:
+		s.failed.Add(1)
+	case JobQuarantined:
+		s.quarantined.Add(1)
+	case JobExpired:
+		s.expired.Add(1)
+	}
 	s.jobsMu.Lock()
 	if s.active[j.key] == j {
 		delete(s.active, j.key)
@@ -355,6 +358,38 @@ type admitContext struct {
 	recoveredID string
 }
 
+// resolve validates a request and canonicalizes it into what its job is
+// built from: the figure name ("cell" for a cell job), the effective
+// parameters, and the key the job is cached, deduplicated and placed
+// under. enqueue and the cluster router both use it, so a request is
+// routed under the key it is cached under.
+func (s *Server) resolve(req Request) (figure string, p harness.Params, key string, err error) {
+	switch {
+	case (req.Figure == "") == (req.Cell == nil):
+		return "", p, "", errors.New("request needs exactly one of figure or cell")
+	case req.DeadlineMS < 0:
+		return "", p, "", errors.New("deadline_ms must be positive")
+	case req.Cell == nil && !validFigure(req.Figure):
+		return "", p, "", fmt.Errorf("unknown figure %q (want one of %v or all)", req.Figure, harness.FigureNames())
+	}
+	p = req.Params.apply(s.cfg.Params)
+	switch p.Mode {
+	case "", harness.ModeExact, harness.ModeApprox:
+	default:
+		return "", p, "", fmt.Errorf("unknown mode %q (want %q or %q)",
+			p.Mode, harness.ModeExact, harness.ModeApprox)
+	}
+	if req.Cell == nil {
+		figure = canonicalFigure(req.Figure)
+		return figure, p, figureKey(figure, p), nil
+	}
+	spec, err := p.Cell(req.Cell.Mix, req.Cell.Density, req.Cell.Bundle, req.Cell.Hot)
+	if err != nil {
+		return "", p, "", err
+	}
+	return "cell", p, spec.Key(), nil
+}
+
 // enqueue resolves a request to a job: a coalesced in-flight job
 // (single-flight), an instantly-done job on cache hit, or a freshly
 // queued one. deduped reports coalescing. rid is the id of the HTTP
@@ -364,27 +399,7 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	if s.draining.Load() && !recovered {
 		return nil, false, errDraining
 	}
-	if (req.Figure == "") == (req.Cell == nil) {
-		return nil, false, errors.New("request needs exactly one of figure or cell")
-	}
-	if req.DeadlineMS < 0 {
-		return nil, false, errors.New("deadline_ms must be positive")
-	}
-	figure := "cell"
-	if req.Cell == nil {
-		if !validFigure(req.Figure) {
-			return nil, false, fmt.Errorf("unknown figure %q (want one of %v or all)", req.Figure, harness.FigureNames())
-		}
-		figure = canonicalFigure(req.Figure)
-	}
-	params := req.Params.apply(s.cfg.Params)
-	switch params.Mode {
-	case "", harness.ModeExact, harness.ModeApprox:
-	default:
-		return nil, false, fmt.Errorf("unknown mode %q (want %q or %q)",
-			params.Mode, harness.ModeExact, harness.ModeApprox)
-	}
-	key, err := requestKey(figure, req.Cell, params)
+	figure, params, key, err := s.resolve(req)
 	if err != nil {
 		return nil, false, err
 	}
@@ -393,6 +408,16 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	// the moment pressure crosses the threshold, not a tick later.
 	s.brown.evaluate(s.queue.len(), s.cfg.QueueDepth)
 
+	// A cache hit finishes the new job before its id is returned. This
+	// deferred call runs after the deferred unlock below, because
+	// finishJob takes jobsMu itself.
+	var cached []byte
+	var hit bool
+	defer func() {
+		if hit {
+			s.finishJob(j, JobDone, cached, nil, nil, true)
+		}
+	}()
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	if existing := s.active[key]; existing != nil {
@@ -413,7 +438,7 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	}
 	id := adm.recoveredID
 	if id == "" {
-		id = fmt.Sprintf("job-%06d", s.jobSeq.Add(1))
+		id = fmt.Sprintf("%s%06d", s.idPrefix, s.jobSeq.Add(1))
 	}
 	j = &job{
 		id:       id,
@@ -430,6 +455,8 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		state:    JobQueued,
 		tl:       newJobTimeline(id),
 		reqID:    rid,
+		// A recovered job's accept record is already in the ledger.
+		walAccepted: recovered,
 	}
 	j.hub.drops = &s.eventDrops
 	if params.Mode != harness.ModeApprox {
@@ -444,33 +471,22 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	// Already computed: answer without a queue trip. No WAL record is
 	// needed — the result is handed back synchronously in the same
 	// exchange that acknowledges the job.
-	if body, ok := s.cache.Get(key); ok {
+	if cached, hit = s.cache.Get(key); hit {
 		s.cacheHits.Add(1)
 		j.tl.Instant(tlPidService, tlTidJob, "cache-hit", j.sinceUS())
 		s.jobs[j.id] = j
-		s.finished = append(s.finished, j.id)
-		for len(s.finished) > finishedRetain {
-			delete(s.jobs, s.finished[0])
-			s.finished = s.finished[1:]
-		}
-		j.finish(JobDone, body, nil, nil, true)
-		s.completed.Add(1)
-		if recovered {
-			s.wal.appendDone(j.id)
-		}
 		return j, false, nil
 	}
 
-	// Fresh simulation work from here on: brownout shedding and the
-	// per-tenant in-flight budget apply (coalescing and cache hits
-	// above cost nothing and always pass). Replay bypasses both.
-	// walAccepted is set before the push makes j visible to workers, so
-	// a fast finish cannot race past the done-record bookkeeping.
-	j.walAccepted = s.wal != nil
-	if !recovered {
+	// Fresh simulation work from here on: brownout shedding, the
+	// per-tenant in-flight budget and the queue depth apply (coalescing
+	// and cache hits above cost nothing and always pass). Replay bypasses
+	// all three: its jobs were admitted once already.
+	if recovered {
+		s.tenants.hold(adm.tenant)
+	} else {
 		if s.brown.shouldShed(req.Priority, params.Mode == harness.ModeApprox) {
 			s.brown.shed.Add(1)
-			s.shedBrownout.Add(1)
 			return nil, false, &admissionError{
 				tenant: adm.tenant, reason: "brownout", retryAfter: s.retryAfterSeconds(),
 			}
@@ -478,39 +494,35 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		if err := s.tenants.admitInFlight(adm.tenant); err != nil {
 			return nil, false, err
 		}
-		j.tenantHeld = true
+	}
+	j.tenantHeld = true
+	// walAccepted is set before the push makes j visible to workers, so
+	// a fast finish cannot race past the done-record bookkeeping.
+	j.walAccepted = s.wal != nil
+	if s.wal != nil && !recovered {
 		// Acknowledgement barrier: the accept record is fsynced before
 		// this job's id escapes to the client (enqueue returns only
 		// after appendAccept). A WAL write failure degrades durability,
 		// not service — it is logged and counted (wal.errors), and the
 		// job still runs.
-		if s.wal != nil {
-			rec := walRecord{ID: j.id, Tenant: j.tenant, Req: &j.req}
-			if !deadline.IsZero() {
-				rec.DeadlineAt = &deadline
-			}
-			if err := s.wal.appendAccept(rec); err != nil {
-				s.log.Error("wal append failed", "job", j.id, "err", err.Error())
-			}
+		rec := walRecord{ID: j.id, Tenant: j.tenant, Req: &j.req}
+		if !deadline.IsZero() {
+			rec.DeadlineAt = &deadline
 		}
-		if err := s.queue.push(j); err != nil {
-			s.releaseTenantHold(j)
-			if s.wal != nil {
-				// Never acknowledged (the caller gets the push error), so
-				// retire the accept record rather than replaying a ghost.
-				s.wal.appendDone(j.id)
-			}
-			return nil, false, err
-		}
-		s.maybePreempt(j)
-	} else {
-		s.tenants.hold(adm.tenant)
-		j.tenantHeld = true
-		if err := s.queue.forcePush(j); err != nil {
-			s.releaseTenantHold(j)
-			return nil, false, err
+		if err := s.wal.appendAccept(rec); err != nil {
+			s.log.Error("wal append failed", "job", j.id, "err", err.Error())
 		}
 	}
+	if err := s.queue.push(j, !recovered); err != nil {
+		s.releaseTenantHold(j)
+		if s.wal != nil && !recovered {
+			// Never acknowledged (the caller gets the push error), so
+			// retire the accept record rather than replaying a ghost.
+			s.wal.appendDone(j.id)
+		}
+		return nil, false, err
+	}
+	s.maybePreempt(j)
 
 	j.tl.Instant(tlPidService, tlTidJob, "cache-miss", j.sinceUS())
 	s.jobs[j.id] = j

@@ -20,7 +20,7 @@ func TestPreemptAndResume(t *testing.T) {
 	}
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
-		c.Watchdog = WatchdogConfig{Disabled: true}
+		c.Watchdog = WatchdogConfig{Stall: time.Hour}
 	})
 
 	// The victim runs at a lower time scale than the test preset so it

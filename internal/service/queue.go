@@ -23,7 +23,7 @@ type jobQueue struct {
 	cond   *sync.Cond
 	depth  int
 	seq    uint64
-	items  jobHeap
+	items  priorityHeap[*job]
 	closed bool
 }
 
@@ -33,34 +33,21 @@ func newJobQueue(depth int) *jobQueue {
 	return q
 }
 
-func (q *jobQueue) push(j *job) error {
+// push enqueues j. bounded applies the depth bound, failing with
+// errQueueFull beyond it. Jobs already admitted under the bound once
+// skip it: WAL recovery (dropping them on restart would turn a crash
+// into acknowledged-job loss) and preempted jobs returning to the queue
+// (shedding them would turn a preemption into a rejection the client
+// was never warned about). Every push takes a fresh seq, so a requeued
+// job waits behind same-priority work that arrived while it ran.
+func (q *jobQueue) push(j *job, bounded bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return errDraining
 	}
-	if q.items.Len() >= q.depth {
+	if bounded && q.items.Len() >= q.depth {
 		return fmt.Errorf("%w (depth %d)", errQueueFull, q.depth)
-	}
-	j.seq = q.seq
-	q.seq++
-	heap.Push(&q.items, j)
-	q.cond.Signal()
-	return nil
-}
-
-// forcePush enqueues j even beyond the depth bound, for jobs that were
-// already admitted under the bound once: WAL recovery (dropping them on
-// restart would turn a crash into acknowledged-job loss) and preempted
-// jobs returning to the queue (shedding them would turn a preemption
-// into a rejection the client was never warned about). The fresh seq
-// keeps FIFO-within-priority honest: a requeued job waits behind
-// same-priority work that arrived while it ran.
-func (q *jobQueue) forcePush(j *job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errDraining
 	}
 	j.seq = q.seq
 	q.seq++
@@ -97,22 +84,32 @@ func (q *jobQueue) close() {
 	q.cond.Broadcast()
 }
 
-type jobHeap []*job
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
+// ranked is an entry of a priorityHeap: its priority and its arrival
+// sequence number.
+type ranked interface {
+	rank() (priority int, seq uint64)
 }
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
-func (h *jobHeap) Pop() any {
+
+func (j *job) rank() (int, uint64) { return j.priority, j.seq }
+
+// priorityHeap is the container/heap order the job queue and the cell
+// gate share: higher priority first, FIFO within a priority.
+type priorityHeap[T ranked] []T
+
+func (h priorityHeap[T]) Len() int { return len(h) }
+func (h priorityHeap[T]) Less(i, j int) bool {
+	pi, si := h[i].rank()
+	pj, sj := h[j].rank()
+	return pi > pj || pi == pj && si < sj
+}
+func (h priorityHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *priorityHeap[T]) Push(x any)   { *h = append(*h, x.(T)) }
+func (h *priorityHeap[T]) Pop() any {
 	old := *h
 	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
+	x := old[n-1]
+	var zero T
+	old[n-1] = zero
 	*h = old[:n-1]
-	return j
+	return x
 }

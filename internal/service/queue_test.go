@@ -19,7 +19,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 	for _, j := range []*job{
 		testJob("low-1", 0), testJob("high-1", 5), testJob("low-2", 0), testJob("high-2", 5),
 	} {
-		if err := q.push(j); err != nil {
+		if err := q.push(j, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,17 +43,17 @@ func TestQueuePriorityOrder(t *testing.T) {
 // errQueueFull; pops reopen admission.
 func TestQueueAdmissionControl(t *testing.T) {
 	q := newJobQueue(2)
-	if err := q.push(testJob("a", 0)); err != nil {
+	if err := q.push(testJob("a", 0), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.push(testJob("b", 0)); err != nil {
+	if err := q.push(testJob("b", 0), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.push(testJob("c", 0)); !errors.Is(err, errQueueFull) {
+	if err := q.push(testJob("c", 0), true); !errors.Is(err, errQueueFull) {
 		t.Fatalf("third push = %v, want errQueueFull", err)
 	}
 	q.pop()
-	if err := q.push(testJob("c", 0)); err != nil {
+	if err := q.push(testJob("c", 0), true); err != nil {
 		t.Fatalf("push after pop = %v", err)
 	}
 }
@@ -62,10 +62,10 @@ func TestQueueAdmissionControl(t *testing.T) {
 // jobs still drain; pop reports exhaustion only after the backlog.
 func TestQueueCloseDrains(t *testing.T) {
 	q := newJobQueue(4)
-	q.push(testJob("a", 0))
-	q.push(testJob("b", 1))
+	q.push(testJob("a", 0), true)
+	q.push(testJob("b", 1), true)
 	q.close()
-	if err := q.push(testJob("c", 0)); !errors.Is(err, errDraining) {
+	if err := q.push(testJob("c", 0), true); !errors.Is(err, errDraining) {
 		t.Fatalf("push after close = %v, want errDraining", err)
 	}
 	if j, ok := q.pop(); !ok || j.id != "b" {
@@ -90,7 +90,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.push(testJob("late", 0))
+	q.push(testJob("late", 0), true)
 	select {
 	case id := <-got:
 		if id != "late" {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -52,7 +53,7 @@ func TestRetryAfterEstimator(t *testing.T) {
 		t.Fatalf("empty history, empty queue: retry = %d, want 1", got)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.queue.push(&job{done: make(chan struct{})}); err != nil {
+		if err := s.queue.push(&job{done: make(chan struct{})}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func TestRetryAfterEstimator(t *testing.T) {
 	s.figs["fig10"] = fm
 	s.cfg.Workers = 1
 	for i := 0; i < 96; i++ {
-		if err := s.queue.push(&job{done: make(chan struct{})}); err != nil {
+		if err := s.queue.push(&job{done: make(chan struct{})}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,31 +240,32 @@ func TestTenantInFlightLimit(t *testing.T) {
 }
 
 // TestBrownoutHysteresis drives the controller with an injected clock:
-// engage at HighFrac, hold through MinHold even once depth drops, stay
-// put inside the band, disengage only below LowFrac after the hold.
+// engage at brownoutHigh, hold through brownoutHold even once depth
+// drops, stay put inside the band, disengage only below brownoutLow
+// after the hold.
 func TestBrownoutHysteresis(t *testing.T) {
-	b := newBrownout(BrownoutConfig{HighFrac: 0.75, LowFrac: 0.25, MinHold: time.Second})
+	b := newBrownout()
 	now := time.Unix(1000, 0)
 	b.now = func() time.Time { return now }
 
 	if b.evaluate(2, 4) {
-		t.Fatal("engaged below HighFrac")
+		t.Fatal("engaged below brownoutHigh")
 	}
 	if !b.evaluate(3, 4) {
-		t.Fatal("did not engage at HighFrac")
+		t.Fatal("did not engage at brownoutHigh")
 	}
 	if !b.evaluate(1, 4) {
-		t.Fatal("disengaged before MinHold elapsed")
+		t.Fatal("disengaged before brownoutHold elapsed")
 	}
 	now = now.Add(2 * time.Second)
 	if !b.evaluate(2, 4) {
 		t.Fatal("disengaged inside the hysteresis band")
 	}
 	if b.evaluate(1, 4) {
-		t.Fatal("did not disengage below LowFrac after MinHold")
+		t.Fatal("did not disengage below brownoutLow after brownoutHold")
 	}
 	if b.evaluate(2, 4) {
-		t.Fatal("re-engaged below HighFrac")
+		t.Fatal("re-engaged below brownoutHigh")
 	}
 	if got := b.engagements.Load(); got != 1 {
 		t.Fatalf("engagements = %d, want 1", got)
@@ -279,15 +281,15 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueDepth = 8
-		c.Brownout = BrownoutConfig{HighFrac: 0.5, LowFrac: 0.25, MinHold: 10 * time.Millisecond}
-		c.Watchdog = WatchdogConfig{Interval: 20 * time.Millisecond}
 		c.Params.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeStall, Stall: 200 * time.Millisecond})
 	})
 
 	// Fillers sit at priority 0 — above the shed line — so the POST
-	// whose own evaluate() crosses HighFrac is still admitted.
+	// whose own evaluate() crosses brownoutHigh is still admitted. One
+	// filler runs; the other seven put 6/8 in the queue by the last
+	// POST's evaluate().
 	var ids []string
-	for i := uint64(1); i <= 6; i++ {
+	for i := uint64(1); i <= 8; i++ {
 		resp, out := postJob(t, ts, cellReq(i))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("filler %d status = %d (%v)", i, resp.StatusCode, out)
@@ -295,11 +297,11 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 		ids = append(ids, out["id"].(string))
 	}
 	if !s.brown.isEngaged() {
-		t.Fatal("brownout not engaged at 4/8 queued")
+		t.Fatal("brownout not engaged at 6/8 queued")
 	}
 
 	// Fresh low-priority exact work is shed while engaged.
-	shedReq := cellReq(7)
+	shedReq := cellReq(9)
 	shedReq.Priority = -1
 	resp, out := postJob(t, ts, shedReq)
 	if resp.StatusCode != http.StatusTooManyRequests || out["reason"] != "brownout" {
@@ -356,7 +358,7 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 func TestWatchdogKillsStalledJob(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
-		c.Watchdog = WatchdogConfig{Interval: 25 * time.Millisecond, Stall: 150 * time.Millisecond}
+		c.Watchdog = WatchdogConfig{Stall: 150 * time.Millisecond}
 		c.Params.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeStall, Stall: 30 * time.Second})
 	})
 
@@ -377,5 +379,91 @@ func TestWatchdogKillsStalledJob(t *testing.T) {
 	}
 	if sz.Resilience.WatchdogKills < 1 {
 		t.Fatalf("watchdog_kills = %d, want >= 1", sz.Resilience.WatchdogKills)
+	}
+}
+
+// TestWatchdogSparesLongHealthyCell: a clean exact cell that runs several
+// times the stall bound ends done, because every checkpoint boundary it
+// crosses counts as progress.
+func TestWatchdogSparesLongHealthyCell(t *testing.T) {
+	// Time a short reference run of the cell: its wall time per window,
+	// and the longest gap between checkpoint boundaries (the first gap
+	// includes building the system).
+	scale := uint64(128)
+	ref := tinyParams()
+	ref.Scale = scale
+	var gap time.Duration
+	last := time.Now()
+	ref.Store = &harness.CellStore{Preempt: func() error {
+		now := time.Now()
+		gap = max(gap, now.Sub(last))
+		last = now
+		return nil
+	}}
+	t0 := time.Now()
+	if _, err := harness.RunCell(ref, "WL-6", "8Gb", "allbank", false); err != nil {
+		t.Fatal(err)
+	}
+	perWindow := time.Since(t0) / time.Duration(ref.WarmupWindows+ref.MeasureWindows)
+	// The stall bound clears that gap twice over plus one resilience
+	// tick, and the job measures enough windows to run about five times
+	// the bound.
+	stall := 2*gap + resilienceTick
+	windows := int(5*stall/perWindow) + 1
+
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.Watchdog = WatchdogConfig{Stall: stall}
+	})
+	_, out := postJob(t, ts, Request{
+		Cell:   &CellSpec{Mix: "WL-6", Density: "8Gb", Bundle: "allbank"},
+		Params: &ParamOverrides{Scale: &scale, MeasureWindows: &windows},
+	})
+	st := waitJobState(t, ts, out["id"].(string), JobDone)
+	ran := st.FinishedAt.Sub(*st.StartedAt)
+	t.Logf("stall bound %s, %d windows, job ran %s", stall, windows, ran)
+	if ran < 3*stall {
+		t.Fatalf("the cell ran %s, under 3x the %s stall bound", ran, stall)
+	}
+	if kills := s.StatsSnapshot().Resilience.WatchdogKills; kills != 0 {
+		t.Fatalf("watchdog_kills = %d, want 0", kills)
+	}
+}
+
+// TestTenantStateIsPruned: every distinct tenant header adds admission
+// state, and the resilience tick drops each one that a fresh state would
+// equal (a refilled bucket, nothing in flight), so client-chosen tenant
+// names cannot grow the daemon without bound.
+func TestTenantStateIsPruned(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) {
+		c.Tenant = TenantConfig{Rate: 1, Burst: 1}
+	})
+	// The clock is read and advanced under the admission lock, which the
+	// resilience loop's sweep also holds.
+	s.tenants.mu.Lock()
+	clock := time.Unix(1000, 0)
+	s.tenants.now = func() time.Time { return clock }
+	s.tenants.mu.Unlock()
+
+	for i := 0; i < 10000; i++ {
+		if err := s.tenants.admitRate(fmt.Sprintf("tenant-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tenants := func() float64 { return s.MetricsSnapshot().Gauge("admission.tenants") }
+	if got := tenants(); got != 10000 {
+		t.Fatalf("admission.tenants = %v after 10000 tenants, want 10000", got)
+	}
+
+	// Past the refill time (Burst/Rate = 1s) every bucket is full again.
+	s.tenants.mu.Lock()
+	clock = clock.Add(2 * time.Second)
+	s.tenants.mu.Unlock()
+	deadline := time.Now().Add(10 * resilienceTick)
+	for tenants() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission.tenants = %v ticks after every bucket refilled, want 0", tenants())
+		}
+		time.Sleep(resilienceTick / 10)
 	}
 }

@@ -28,6 +28,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,10 +81,7 @@ type Config struct {
 	// Tenant is the per-tenant admission policy (zero value: no
 	// per-tenant limits).
 	Tenant TenantConfig
-	// Brownout tunes graceful degradation under queue pressure.
-	Brownout BrownoutConfig
-	// Watchdog tunes the stalled-job watchdog and the resilience
-	// loop's tick.
+	// Watchdog tunes the stalled-job watchdog.
 	Watchdog WatchdogConfig
 	// DrainTimeout bounds how long Shutdown waits for in-flight jobs
 	// before aborting them (default 30s).
@@ -116,7 +115,6 @@ func (c Config) withDefaults() Config {
 		c.DrainTimeout = 30 * time.Second
 	}
 	c.Tenant = c.Tenant.withDefaults()
-	c.Brownout = c.Brownout.withDefaults()
 	c.Watchdog = c.Watchdog.withDefaults()
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -138,7 +136,7 @@ type Server struct {
 	start   time.Time
 
 	// loopStop/loopDone bracket the resilience loop goroutine
-	// (watchdog scans + brownout recovery ticks).
+	// (brownout recovery, tenant-state sweeps and watchdog scans).
 	loopStop chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
@@ -155,19 +153,19 @@ type Server struct {
 	active   map[string]*job // requestKey -> queued/running job (single-flight)
 	finished []string        // finished job ids, oldest first (retention ring)
 	jobSeq   atomic.Uint64
+	// idPrefix starts every minted job id: "job-" on a single node, and
+	// "job-<node>-" on a cluster node, so any node can tell from an id
+	// which node owns the job.
+	idPrefix string
 
 	log    *slog.Logger
 	reqSeq atomic.Uint64 // access-log request ids
 
 	// cluster is the node's membership/ring/fan-out state (nil when
 	// clustering is off; every use is nil-safe). clusterTL records
-	// node-level forward and received-cell spans; remoteJobs maps job
-	// ids created via forwarded POSTs to their owning peer (guarded by
-	// jobsMu, bounded like the finished ring).
-	cluster        *cluster.Cluster
-	clusterTL      *timeline.Recorder
-	remoteJobs     map[string]string
-	remoteJobOrder []string
+	// node-level forward and received-cell spans.
+	cluster   *cluster.Cluster
+	clusterTL *timeline.Recorder
 
 	// Counters behind /statsz and /metricsz. The atomics are the write
 	// targets; reg reads them (plus the queue, cache, and per-figure
@@ -180,7 +178,6 @@ type Server struct {
 	watchdogKills, watchdogScans   atomic.Uint64
 	preemptions                    atomic.Uint64 // running jobs displaced by priority
 	preemptResumes                 atomic.Uint64 // cells resumed from a preemption snapshot
-	shedBrownout                   atomic.Uint64 // jobs rejected while browned out
 	eventDrops                     atomic.Uint64 // slow-subscriber event drops
 	simulations                    atomic.Uint64 // runner.RunBatch executions
 	running                        atomic.Int64
@@ -207,11 +204,12 @@ func New(cfg Config) (*Server, error) {
 		cache:    NewCache(cfg.CacheBytes, jnl),
 		gate:     newPriorityGate(cfg.CellSlots),
 		tenants:  newTenantAdmission(cfg.Tenant),
-		brown:    newBrownout(cfg.Brownout),
+		brown:    newBrownout(),
 		start:    time.Now(),
 		loopStop: make(chan struct{}),
 		loopDone: make(chan struct{}),
 		jobs:     map[string]*job{},
+		idPrefix: "job-",
 		active:   map[string]*job{},
 		reg:      metrics.NewRegistry(),
 		figs:     map[string]*figureMetrics{},
@@ -220,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	if s.cluster.Enabled() {
-		s.remoteJobs = map[string]string{}
+		s.idPrefix = "job-" + s.cluster.Self().ID + "-"
 		s.clusterTL = newClusterTimeline(s.cluster.Self().ID)
 	}
 
@@ -273,8 +271,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) replayWAL(pending []walRecord) {
 	maxSeq := uint64(0)
 	for _, rec := range pending {
-		var n uint64
-		if _, err := fmt.Sscanf(rec.ID, "job-%d", &n); err == nil && n > maxSeq {
+		if _, n, ok := splitJobID(rec.ID); ok && n > maxSeq {
 			maxSeq = n
 		}
 	}
@@ -295,6 +292,25 @@ func (s *Server) replayWAL(pending []walRecord) {
 			s.wal.appendDone(rec.ID)
 		}
 	}
+}
+
+// splitJobID parses a job id into the node that minted it ("" for a
+// single-node id) and its sequence number: the number after the last
+// dash, so node ids may contain dashes themselves.
+func splitJobID(id string) (node string, seq uint64, ok bool) {
+	rest, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return "", 0, false
+	}
+	i := strings.LastIndexByte(rest, '-')
+	seq, err := strconv.ParseUint(rest[i+1:], 10, 64)
+	if err != nil {
+		return "", 0, false
+	}
+	if i < 0 {
+		return "", seq, true
+	}
+	return rest[:i], seq, true
 }
 
 // Shutdown drains the daemon: admission closes immediately, queued and

@@ -561,12 +561,12 @@ func TestCacheJournalSurvivesKill(t *testing.T) {
 // TestDrainDeadlineAbortsInFlightCells: when the drain deadline
 // expires, Shutdown aborts the cells still running instead of waiting
 // them out — here a 30s chaos stall that only the job's hard context
-// can interrupt, with the watchdog off.
+// can interrupt, with a stall bound the watchdog never reaches.
 func TestDrainDeadlineAbortsInFlightCells(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.DrainTimeout = 100 * time.Millisecond
-		c.Watchdog = WatchdogConfig{Disabled: true}
+		c.Watchdog = WatchdogConfig{Stall: time.Hour}
 		c.Params.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeStall, Stall: 30 * time.Second})
 	})
 	_, out := postJob(t, ts, cellReq(1))

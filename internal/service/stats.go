@@ -58,7 +58,7 @@ func (s *Server) registerMetrics() {
 	adm := root.Sub("admission")
 	adm.CounterFunc("shed_rate", s.tenants.shedRate.Load)
 	adm.CounterFunc("shed_in_flight", s.tenants.shedInFlight.Load)
-	adm.CounterFunc("shed_brownout", s.shedBrownout.Load)
+	adm.CounterFunc("shed_brownout", s.brown.shed.Load)
 	adm.GaugeFunc("tenants", func() float64 { return float64(s.tenants.count()) })
 
 	b := root.Sub("brownout")

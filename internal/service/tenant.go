@@ -162,7 +162,23 @@ func (a *tenantAdmission) release(tenant string) {
 	a.mu.Unlock()
 }
 
-// count reports how many distinct tenants have been seen.
+// prune drops every tenant whose state a fresh one would equal: nothing
+// in flight and a bucket refilled to Burst. The tenant header is chosen
+// by the client, so without this each distinct value would hold state
+// forever. No admission decision changes: a dropped tenant's next
+// request finds the same full bucket it would have found anyway.
+func (a *tenantAdmission) prune() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	now := a.now()
+	for tenant, st := range a.tenants {
+		if st.inFlight == 0 && st.tokens+now.Sub(st.last).Seconds()*a.cfg.Rate >= float64(a.cfg.Burst) {
+			delete(a.tenants, tenant)
+		}
+	}
+}
+
+// count reports how many tenants currently hold admission state.
 func (a *tenantAdmission) count() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

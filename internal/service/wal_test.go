@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"refsched/internal/cluster"
 )
 
 // TestJobWALRecovery is the crash-consistency contract end to end: a
@@ -84,5 +86,45 @@ func TestJobWALRecovery(t *testing.T) {
 	}
 	if len(pending) != 0 || torn {
 		t.Fatalf("after clean shutdown pending/torn = %d/%v, want 0/false", len(pending), torn)
+	}
+}
+
+// TestJobWALRecoveryNodeIDs: a cluster node's ledger holds ids that name
+// the node. Replay keeps them, and fresh ids continue past the highest
+// recovered sequence number, not the last one replayed.
+func TestJobWALRecoveryNodeIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	w, _, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req7, req8 := cellReq(7), cellReq(8)
+	if err := w.appendAccept(walRecord{ID: "job-n0-000012", Req: &req7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.appendAccept(walRecord{ID: "job-n0-000003", Req: &req8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	clu, err := cluster.New(cluster.Config{NodeID: "n0", Peers: []cluster.Member{{ID: "n0", Addr: "127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, func(c *Config) {
+		c.WALPath = path
+		c.Cluster = clu
+	})
+	waitJobState(t, ts, "job-n0-000012", JobDone)
+	waitJobState(t, ts, "job-n0-000003", JobDone)
+
+	resp, out := postJob(t, ts, cellReq(9))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fresh post status = %d", resp.StatusCode)
+	}
+	if id := out["id"].(string); id != "job-n0-000013" {
+		t.Fatalf("fresh job id = %q, want job-n0-000013", id)
 	}
 }

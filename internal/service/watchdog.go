@@ -5,29 +5,23 @@ import (
 	"time"
 )
 
+// resilienceTick is how often the resilience loop runs: a brownout
+// re-evaluation, a tenant-state sweep and a watchdog scan.
+const resilienceTick = 100 * time.Millisecond
+
 // WatchdogConfig tunes the stalled-job watchdog. The zero value selects
-// the documented defaults; set Disabled to opt out.
+// the documented default.
 type WatchdogConfig struct {
-	// Interval is how often running jobs are scanned (default 1s). It
-	// is also the resilience loop's tick, which drives brownout
-	// recovery when no enqueues arrive.
-	Interval time.Duration
-	// Stall is how long a running job's progress signature (its
-	// engine-throughput gauge: events executed by completed cells) may
+	// Stall is how long a running job's progress signature (finished
+	// cells, their engine events, and checkpoint boundaries crossed) may
 	// stay frozen before the job is killed and its in-flight cells
-	// quarantined (default 30s). It must comfortably exceed the
-	// longest healthy cell at the daemon's parameter scale, since the
-	// gauge only advances on cell completion.
+	// quarantined (default 30s). An exact cell crosses a boundary every
+	// four timeslices, so the bound needs to exceed the longest gap
+	// between boundaries, not the longest cell.
 	Stall time.Duration
-	// Disabled turns the watchdog off (the resilience loop still runs
-	// for brownout recovery).
-	Disabled bool
 }
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.Stall <= 0 {
 		c.Stall = 30 * time.Second
 	}
@@ -43,11 +37,12 @@ type watchdogObservation struct {
 // resilienceLoop is the daemon's single background control goroutine:
 // each tick it re-evaluates brownout against the live queue depth (so
 // the mode disengages even when the overload ends and no requests
-// arrive to trigger an enqueue-time evaluation) and scans running jobs
-// for stalled progress. It exits when loopStop closes.
+// arrive to trigger an enqueue-time evaluation), drops tenant state a
+// fresh one would equal, and scans running jobs for stalled progress.
+// It exits when loopStop closes.
 func (s *Server) resilienceLoop() {
 	defer close(s.loopDone)
-	t := time.NewTicker(s.cfg.Watchdog.Interval)
+	t := time.NewTicker(resilienceTick)
 	defer t.Stop()
 	seen := map[*job]watchdogObservation{}
 	for {
@@ -56,9 +51,8 @@ func (s *Server) resilienceLoop() {
 			return
 		case now := <-t.C:
 			s.brown.evaluate(s.queue.len(), s.cfg.QueueDepth)
-			if !s.cfg.Watchdog.Disabled {
-				s.watchdogScan(seen, now)
-			}
+			s.tenants.prune()
+			s.watchdogScan(seen, now)
 		}
 	}
 }

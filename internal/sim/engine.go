@@ -395,14 +395,6 @@ func (e *Engine) refill() bool {
 	return true
 }
 
-// nextTime returns the timestamp of the earliest pending event.
-func (e *Engine) nextTime() (Time, bool) {
-	if e.fifoHead < len(e.fifo) {
-		return e.now, true
-	}
-	return e.nextEventTime()
-}
-
 // Step executes the single earliest pending event and advances the clock
 // to its timestamp. It returns false when no events remain.
 func (e *Engine) Step() bool {
