@@ -7,6 +7,7 @@ import (
 	"refsched/internal/core"
 	"refsched/internal/kernel/buddy"
 	"refsched/internal/runner"
+	"refsched/internal/workload"
 )
 
 // Fig4 regenerates Figure 4: the BLP-vs-tRFC trade-off. Each task is
@@ -37,17 +38,7 @@ func Fig4(p Params) (*Result, error) {
 					key: cellKey("conf", d.String(), mix.Name, fmt.Sprint(k)),
 					cell: runner.Cell{Mix: mix.Name, Density: d.String(),
 						Bundle: fmt.Sprintf("confine%d", k), Seed: p.Seed},
-					run: func() (*core.Report, error) {
-						cfg := p.configFor(d, bundleNone, false)
-						sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale})
-						if err != nil {
-							return nil, err
-						}
-						if err := sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k)); err != nil {
-							return nil, err
-						}
-						return sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
-					},
+					run: func() (*core.Report, error) { return p.runConfined(d, mix, k) },
 				})
 			}
 		}
@@ -81,6 +72,20 @@ func Fig4(p Params) (*Result, error) {
 		"paper: >=4 banks per task beats the 8-bank all-bank-refresh baseline for 16/24/32Gb;",
 		"paper: at 8Gb (low tRFC) confinement is not worth it")
 	return r, nil
+}
+
+// runConfined runs one Figure 4 confinement cell: mix at density d with
+// refresh off and every task confined to k banks per rank.
+func (p Params) runConfined(d config.Density, mix workload.Mix, k int) (*core.Report, error) {
+	cfg := p.configFor(d, bundleNone, false)
+	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale})
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k)); err != nil {
+		return nil, err
+	}
+	return sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
 }
 
 // confineMasks gives task i the k bank indices {i, i+1, ... i+k-1} mod
