@@ -4,32 +4,15 @@ import (
 	"testing"
 
 	"refsched/internal/config"
-	"refsched/internal/dram"
-	"refsched/internal/refresh"
 	"refsched/internal/sim"
 )
-
-func newRigWith(t *testing.T, mutate func(*config.MemConfig)) *rig {
-	t.Helper()
-	cfg := config.Default(config.Density32Gb, 64)
-	mutate(&cfg.Mem)
-	tm := dram.TimingFrom(&cfg)
-	eng := sim.NewEngine()
-	ch := dram.NewChannel(0, cfg.Mem, &tm)
-	geo := refresh.Geometry{Ranks: cfg.Mem.Ranks(), BanksPerRank: cfg.Mem.BanksPerRank, Timing: &tm}
-	p, err := refresh.New(config.RefreshNone, geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p), tm: tm, cfg: cfg})
-}
 
 // TestClosedPageLosesRowHits: under the closed-page ablation, two
 // accesses to the same row both pay activation; under open-page the
 // second is a fast row hit.
 func TestClosedPageLosesRowHits(t *testing.T) {
 	timeFor := func(closed bool) sim.Time {
-		r := newRigWith(t, func(m *config.MemConfig) { m.ClosedPage = closed })
+		r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.ClosedPage = closed })
 		d1 := r.read(t, 0, 0, 5)
 		r.eng.Run()
 		_ = d1
@@ -47,7 +30,7 @@ func TestClosedPageLosesRowHits(t *testing.T) {
 // TestClosedPageBankStateAlwaysPrecharged: after any access the bank is
 // closed.
 func TestClosedPageBankStateAlwaysPrecharged(t *testing.T) {
-	r := newRigWith(t, func(m *config.MemConfig) { m.ClosedPage = true })
+	r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.ClosedPage = true })
 	r.read(t, 0, 3, 9)
 	r.eng.Run()
 	if r.ch.BankAt(0, 3).OpenRow() != -1 {
@@ -58,7 +41,7 @@ func TestClosedPageBankStateAlwaysPrecharged(t *testing.T) {
 // TestFCFSDoesNotReorder: with FCFS an older row-conflict request is
 // served before a younger row hit.
 func TestFCFSDoesNotReorder(t *testing.T) {
-	r := newRigWith(t, func(m *config.MemConfig) { m.FCFS = true })
+	r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.FCFS = true })
 	// Open row 1.
 	first := r.read(t, 0, 0, 1)
 	r.eng.Run()

@@ -55,6 +55,27 @@ type Controller struct {
 	// stack of the planning loop, whose speed otherwise depends on where
 	// the run loop's frames happen to land.
 	cand, chosen dram.AccessPlan
+	// rejectedHit and rejectedMiss are the current pick's plan memo: bit
+	// g is set once a plan for global bank g with that row-hit class was
+	// rejected for promptness. A plan's start depends only on the bank,
+	// the bus and whether the row hits, and within one pick only a
+	// granted pause changes any of them, so a later request to the same
+	// bank and class would be rejected with the same start. Scratch like
+	// cand: pick clears it. config.Validate caps a channel at 64 banks.
+	rejectedHit, rejectedMiss uint64
+
+	// gen counts changes to what an evaluation reads: the queues, bank
+	// and bus state, and the refresh policy. idle records the last
+	// evaluation that issued nothing and paused nothing; a later
+	// try-issue event at the same cycle and gen would rescan to the same
+	// verdict, so it re-arms the recorded retry instead. Neither is
+	// checkpointed: a restored controller starts with no record, and a
+	// rescan reaches the state the record stands for.
+	gen  uint64
+	idle struct {
+		at, retry sim.Time
+		gen       uint64
+	}
 
 	// Read-queue back-pressure waiters, FIFO: rejected requests
 	// resubmitted (in arrival order) as slots free. Holding the requests
@@ -94,6 +115,7 @@ func New(eng *sim.Engine, ch *dram.Channel, cfg config.MemConfig, policy refresh
 		policy:        policy,
 		enabled:       policy.Name() != "none",
 		perBankQueued: make([]int, ch.TotalBanks()),
+		gen:           1, // so the zero idle record matches nothing
 	}
 	if p, ok := policy.(refresh.Pauser); ok {
 		c.pauser = p
@@ -147,6 +169,7 @@ func (c *Controller) SubmitRead(r *Request) bool {
 	c.trackOcc()
 	c.readQ = append(c.readQ, r)
 	c.perBankQueued[r.Coord.GlobalBank(c.ch.BanksPerRank)]++
+	c.gen++
 	c.kick()
 	return true
 }
@@ -168,6 +191,7 @@ func (c *Controller) SubmitWrite(r *Request) bool {
 		c.draining = true
 		c.Stats.WriteDrains++
 	}
+	c.gen++
 	c.kick()
 	return true
 }
@@ -223,6 +247,7 @@ func (c *Controller) trackOcc() {
 
 func (c *Controller) refreshTick() {
 	now := c.eng.Now()
+	c.gen++ // Next may change policy state even when it skips
 	t := c.policy.Next(now, c)
 	c.PolicyStats.Observe(t)
 	if t.Skip {
@@ -296,8 +321,13 @@ func (c *Controller) tryIssue() {
 	// This event may be stale (a newer one was requested); only the
 	// earliest matters, so clear the flag and re-evaluate from scratch.
 	c.issuePending = false
-	c.minRejectedStart = 0
 	now := c.eng.Now()
+	if c.idle.gen == c.gen && c.idle.at == now {
+		c.scheduleIssue(c.idle.retry)
+		return
+	}
+	c.minRejectedStart = 0
+	gen := c.gen
 
 	for {
 		q := c.pickQueue()
@@ -307,7 +337,14 @@ func (c *Controller) tryIssue() {
 		idx := c.pick(*q, now)
 		if idx < 0 {
 			// Nothing can start promptly; retry when resources free.
-			c.scheduleIssue(c.earliestRetry(now))
+			retry := c.earliestRetry(now)
+			// Record only an evaluation that issued nothing: after a
+			// commit, minRejectedStart still holds rejections made
+			// against the bank and bus state before it.
+			if c.gen == gen {
+				c.idle.at, c.idle.gen, c.idle.retry = now, gen, retry
+			}
+			c.scheduleIssue(retry)
 			return
 		}
 		c.issue((*q)[idx], &c.chosen, q, idx, now)
@@ -338,6 +375,7 @@ func (c *Controller) pickQueue() *[]*Request {
 // the oldest request is considered. It returns the picked index, with
 // its plan in c.chosen, or -1.
 func (c *Controller) pick(q []*Request, now sim.Time) int {
+	c.rejectedHit, c.rejectedMiss = 0, 0
 	if c.cfg.FCFS {
 		if c.promptPlan(q[0], now) {
 			c.chosen = c.cand
@@ -391,6 +429,11 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) bool {
 				c.pauser.Paused(r.Coord.Rank, remaining)
 				c.Stats.RefreshPauses++
 			}
+			// The pause changed bank state: forget this pick's
+			// rejections, and keep the evaluation from being recorded
+			// (a repeat would pause again).
+			c.rejectedHit, c.rejectedMiss = 0, 0
+			c.gen++
 			// Fall through: the bank frees after the pause penalty.
 		} else {
 			if !r.Write && !r.RefreshStalled {
@@ -411,11 +454,26 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) bool {
 			return false
 		}
 	}
+	// The refresh branch above runs for every visited request; only the
+	// plan is skipped when this pick already rejected the bank and class.
+	// On a bank with subarrays a miss's start also depends on the row's
+	// subarray, so such misses are always planned (bit stays 0).
+	memo, bit := &c.rejectedMiss, uint64(0)
+	if bank.OpenRow() == int64(r.Coord.Row) {
+		memo = &c.rejectedHit
+	}
+	if memo == &c.rejectedHit || bank.Subarrays() == 1 {
+		bit = 1 << uint(r.Coord.GlobalBank(c.ch.BanksPerRank))
+	}
+	if *memo&bit != 0 {
+		return false
+	}
 	c.cand = c.ch.Plan(now, r.Coord, r.Write)
 	if start := c.cand.Start; start > now+promptWindow {
 		if c.minRejectedStart == 0 || start < c.minRejectedStart {
 			c.minRejectedStart = start
 		}
+		*memo |= bit
 		return false
 	}
 	return true
@@ -463,6 +521,7 @@ func (c *Controller) earliestRetry(now sim.Time) sim.Time {
 // issue commits the plan and schedules completion.
 func (c *Controller) issue(r *Request, plan *dram.AccessPlan, q *[]*Request, idx int, now sim.Time) {
 	c.ch.Commit(r.Coord, *plan)
+	c.gen++
 	r.IssueAt = plan.Start
 	r.FinishAt = plan.DataEnd
 	if !r.Write {

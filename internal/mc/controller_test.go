@@ -22,15 +22,29 @@ type rig struct {
 
 	onDone   map[uint64]func(finish sim.Time)
 	nextMiss uint64
+	// rescan routes try-issue events to the reference issue engine
+	// (rescan_test.go) instead of the controller's own.
+	rescan bool
 }
 
 func newRig(t *testing.T, pol config.RefreshPolicy) *rig {
 	t.Helper()
+	return newRigWith(t, pol, nil)
+}
+
+// newRigWith builds a rig whose memory config mutate adjusts first (nil
+// keeps the default).
+func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemConfig)) *rig {
+	t.Helper()
 	cfg := config.Default(config.Density32Gb, 64)
+	if mutate != nil {
+		mutate(&cfg.Mem)
+	}
 	tm := dram.TimingFrom(&cfg)
 	eng := sim.NewEngine()
 	ch := dram.NewChannel(0, cfg.Mem, &tm)
-	geo := refresh.Geometry{Ranks: cfg.Mem.Ranks(), BanksPerRank: cfg.Mem.BanksPerRank, Timing: &tm}
+	geo := refresh.Geometry{Ranks: cfg.Mem.Ranks(), BanksPerRank: cfg.Mem.BanksPerRank,
+		Subarrays: cfg.Mem.SubarraysPerBank, Timing: &tm}
 	p, err := refresh.New(pol, geo)
 	if err != nil {
 		t.Fatal(err)
@@ -43,15 +57,18 @@ func newRig(t *testing.T, pol config.RefreshPolicy) *rig {
 func wireRig(r *rig) *rig {
 	r.onDone = make(map[uint64]func(sim.Time))
 	r.eng.SetExec(func(pl sim.Payload) {
-		if pl.Kind == sim.KindMCComplete {
+		switch {
+		case pl.Kind == sim.KindMCComplete:
 			if pl.B != 0 {
 				if fn := r.onDone[pl.C]; fn != nil {
 					fn(r.eng.Now())
 				}
 			}
-			return
+		case pl.Kind == sim.KindMCTryIssue && r.rescan:
+			r.mc.rescanTryIssue()
+		default:
+			r.mc.Exec(pl)
 		}
-		r.mc.Exec(pl)
 	})
 	return r
 }

@@ -126,6 +126,7 @@ func (c *Controller) SetState(st ControllerState) {
 	c.utilLastOcc = st.UtilLastOcc
 	c.Stats = st.Stats
 	c.PolicyStats = st.PolicyStats
+	c.gen++ // the idle record describes the state being replaced
 	if s, ok := c.policy.(refresh.Stateful); ok && st.HasPolicy {
 		s.SetState(st.Policy)
 	}
