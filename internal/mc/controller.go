@@ -319,7 +319,9 @@ func (c *Controller) scheduleIssue(t sim.Time) {
 
 func (c *Controller) tryIssue() {
 	// This event may be stale (a newer one was requested); only the
-	// earliest matters, so clear the flag and re-evaluate from scratch.
+	// earliest matters, so clear the flag and re-evaluate. A repeat of
+	// the recorded evaluation would reach its verdict again, so it only
+	// re-arms the recorded retry.
 	c.issuePending = false
 	now := c.eng.Now()
 	if c.idle.gen == c.gen && c.idle.at == now {
@@ -458,11 +460,13 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) bool {
 	// plan is skipped when this pick already rejected the bank and class.
 	// On a bank with subarrays a miss's start also depends on the row's
 	// subarray, so such misses are always planned (bit stays 0).
-	memo, bit := &c.rejectedMiss, uint64(0)
-	if bank.OpenRow() == int64(r.Coord.Row) {
+	hit := bank.OpenRow() == int64(r.Coord.Row)
+	memo := &c.rejectedMiss
+	if hit {
 		memo = &c.rejectedHit
 	}
-	if memo == &c.rejectedHit || bank.Subarrays() == 1 {
+	var bit uint64
+	if hit || bank.Subarrays() == 1 {
 		bit = 1 << uint(r.Coord.GlobalBank(c.ch.BanksPerRank))
 	}
 	if *memo&bit != 0 {

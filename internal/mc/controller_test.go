@@ -49,14 +49,9 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wireRig(&rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p),
-		tm: tm, cfg: cfg})
-}
-
-// wireRig installs the rig's payload dispatcher on its engine.
-func wireRig(r *rig) *rig {
-	r.onDone = make(map[uint64]func(sim.Time))
-	r.eng.SetExec(func(pl sim.Payload) {
+	r := &rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p), tm: tm, cfg: cfg,
+		onDone: make(map[uint64]func(sim.Time))}
+	eng.SetExec(func(pl sim.Payload) {
 		switch {
 		case pl.Kind == sim.KindMCComplete:
 			if pl.B != 0 {

@@ -135,11 +135,12 @@ func (r *rig) evaluate() {
 // back-pressure waiters form (up to a bounded backlog), separated by
 // idle gaps. It returns every request in submission order.
 //
-// A stale try-issue event that lands on the cycle of a refresh tick is
-// rare, so drive also evaluates directly just before and just after
-// each tick of a fixed-interval policy: the second evaluation sees the
-// tick's new refresh and policy state only if the tick invalidated the
-// first one's record.
+// A stale try-issue event that lands on the cycle of a submission or a
+// refresh tick is rare, so drive also evaluates directly just before
+// some bursts, and just before and just after each tick of a
+// fixed-interval policy: the evaluation that follows sees the new
+// queue, refresh and policy state only if the submission or the tick
+// invalidated the record of the one before.
 func (r *rig) drive(seed int64) []*Request {
 	rng := rand.New(rand.NewSource(seed))
 	// One bank in each rank, so rank-level refresh always meets the
@@ -150,6 +151,16 @@ func (r *rig) drive(seed int64) []*Request {
 	var reqs []*Request
 	var inject func()
 	inject = func() {
+		// Now and then evaluate first, as a try-issue event queued for
+		// this cycle would: the burst's submissions must invalidate its
+		// record. (Each direct evaluation leaves one more retry event
+		// behind, so not every burst gets one.)
+		if rng.Intn(4) == 0 {
+			r.evaluate()
+		}
+		// A third of the bursts are all writes, so write drains start
+		// and writes arrive while only the write queue is being served.
+		writes := rng.Intn(3) == 0
 		for n := 1 + rng.Intn(8); n > 0 && len(r.mc.readWaiters)+len(r.mc.writeWaiters) < 16; n-- {
 			g := banks[rng.Intn(len(banks))]
 			req := &Request{TaskID: -1, Coord: dram.Coord{
@@ -157,7 +168,7 @@ func (r *rig) drive(seed int64) []*Request {
 				Row: uint64(rng.Intn(16)),
 			}}
 			reqs = append(reqs, req)
-			if rng.Intn(4) == 0 {
+			if writes || rng.Intn(4) == 0 {
 				if !r.mc.SubmitWrite(req) {
 					r.mc.WhenWriteSpace(req)
 				}
