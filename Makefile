@@ -54,9 +54,10 @@ staticcheck:
 # drill (the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0)
 # with its durability twin (SIGKILL after a sweep, then a warm restart
-# on the same -journal answers it as a hit with zero simulations),
-# and finally the refbench module's own tests (~20 s; it is a separate
-# module, so ./... above does not reach it).
+# on the same -journal answers it as a hit with zero simulations), the
+# on-disk checkpoint drill (checkpoint-smoke, ~2 s), and finally the
+# refbench module's own tests (~20 s; it is a separate module, so ./...
+# above does not reach it).
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
@@ -69,6 +70,7 @@ ci:
 	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart' ./cmd/refschedd/
+	$(MAKE) checkpoint-smoke
 	cd cmd/refbench && $(GO) test -count=1 .
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload
@@ -113,23 +115,31 @@ cluster-demo:
 # restore" and DESIGN.md §12): run a reference simulation, run the
 # identical simulation again with -checkpoint and SIGKILL it as soon as
 # the first snapshot lands, then -restore the survivor and require the
-# resumed report byte-identical to the uninterrupted one. The race-list
-# packages in `ci` already cover the preempt-and-resume paths; this
-# target proves the on-disk snapshot survives a hard kill.
+# resumed report byte-identical to the uninterrupted one. It runs twice:
+# per-bank refresh under the round-robin scheduler, then the co-design,
+# whose snapshot holds non-empty CFS runqueues. Each run is 24M cycles
+# long and writes its first snapshot 1M cycles in; checkpointed, it
+# lasts about 0.7 s on a 2-vCPU host, so the 0.05 s poll kills it with a
+# wide margin. The race-list packages in `ci` already cover the
+# preempt-and-resume paths; this target proves the on-disk snapshot
+# survives a hard kill.
 checkpoint-smoke:
 	@set -e; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o $$dir/refsim ./cmd/refsim; \
-	run="$$dir/refsim -mix WL-1 -density 8 -policy perbank -scale 512 -footprint-scale 0.02 -warmup 0 -measure 2"; \
-	$$run > $$dir/ref.json; \
-	$$run -checkpoint $$dir/c.snap -checkpoint-every 50000 > /dev/null 2>&1 & pid=$$!; \
-	i=0; while [ ! -s $$dir/c.snap ] && [ $$i -lt 600 ]; do sleep 0.05; i=$$((i+1)); done; \
-	kill -9 $$pid 2>/dev/null || { echo "checkpoint-smoke: run finished before SIGKILL landed (no snapshot left to restore)" >&2; exit 1; }; \
-	wait $$pid 2>/dev/null || true; \
-	[ -s $$dir/c.snap ] || { echo "checkpoint-smoke: no snapshot was written" >&2; exit 1; }; \
-	$$dir/refsim -restore $$dir/c.snap > $$dir/resumed.json; \
-	cmp $$dir/ref.json $$dir/resumed.json; \
-	echo "checkpoint-smoke: SIGKILL mid-run + restore is byte-identical"
+	for pol in "-policy perbank" "-codesign"; do \
+		run="$$dir/refsim -mix WL-1 -density 8 $$pol -scale 512 -footprint-scale 0.02 -warmup 0 -measure 60"; \
+		rm -f $$dir/c.snap; \
+		$$run > $$dir/ref.json; \
+		$$run -checkpoint $$dir/c.snap -checkpoint-every 1000000 > /dev/null 2>&1 & pid=$$!; \
+		i=0; while [ ! -s $$dir/c.snap ] && [ $$i -lt 600 ]; do sleep 0.05; i=$$((i+1)); done; \
+		kill -9 $$pid 2>/dev/null || { echo "checkpoint-smoke: run finished before SIGKILL landed (no snapshot left to restore)" >&2; exit 1; }; \
+		wait $$pid 2>/dev/null || true; \
+		[ -s $$dir/c.snap ] || { echo "checkpoint-smoke: no snapshot was written" >&2; exit 1; }; \
+		$$dir/refsim -restore $$dir/c.snap > $$dir/resumed.json; \
+		cmp $$dir/ref.json $$dir/resumed.json; \
+		echo "checkpoint-smoke: $$pol: SIGKILL mid-run + restore is byte-identical"; \
+	done
 
 # Write the pair of Perfetto timelines EXPERIMENTS.md walks through:
 # the same mix under rotating per-bank refresh (baseline) and under the

@@ -11,6 +11,7 @@
 package refsched_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -21,7 +22,6 @@ import (
 	"refsched/internal/core"
 	"refsched/internal/harness"
 	"refsched/internal/kernel/buddy"
-	"refsched/internal/rbtree"
 	"refsched/internal/sim"
 	"refsched/internal/timeline"
 	"refsched/internal/workload"
@@ -298,23 +298,35 @@ func BenchmarkFig10Parallel(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-// BenchmarkEngineScheduleStep measures the event-engine hot path: one
-// heap-path schedule plus one step per iteration against a warm
-// 128-event population. The hand-rolled monomorphic heap must stay at
-// 0 allocs/op (container/heap's interface{} boxing paid ≥1 per event).
-func BenchmarkEngineScheduleStep(b *testing.B) {
+// runEvents seeds e with seed events (delay(i) cycles from now) whose
+// every execution schedules a successor delay(i) cycles on, calling
+// body first, until n events have run; the run itself is timed.
+func runEvents(b *testing.B, seed int, delay func(i int) sim.Time, body func()) {
 	e := sim.NewEngine()
 	e.Reserve(256)
-	fn := func() {}
-	for i := 0; i < 128; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
+	n := 0
+	e.SetExec(func(sim.Payload) {
+		body()
+		if n < b.N {
+			e.SchedulePAt(e.Now()+delay(n), sim.Payload{})
+		}
+		n++
+	})
+	for i := 0; i < seed; i++ {
+		e.SchedulePAt(delay(i), sim.Payload{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-		e.Step()
-	}
+	e.RunUntil(math.MaxUint64)
+}
+
+// BenchmarkEngineScheduleStep measures the event-engine hot path: one
+// calendar-path schedule plus one execution per iteration against a
+// warm 128-event population. The hand-rolled monomorphic stores must
+// stay at 0 allocs/op (container/heap's interface{} boxing paid ≥1 per
+// event).
+func BenchmarkEngineScheduleStep(b *testing.B) {
+	runEvents(b, 128, func(i int) sim.Time { return sim.Time(i%31) + 1 }, func() {})
 }
 
 // BenchmarkEngineTimelineDisabled pins the cost of the tracing seam
@@ -323,53 +335,24 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 // allocations to the engine loop (the acceptance contract for keeping
 // timeline hooks compiled into the simulator unconditionally).
 func BenchmarkEngineTimelineDisabled(b *testing.B) {
-	e := sim.NewEngine()
-	e.Reserve(256)
 	var tl *timeline.Recorder // disabled: exactly how mc/kernel hold it
-	fn := func() {
+	runEvents(b, 128, func(i int) sim.Time { return sim.Time(i%31) + 1 }, func() {
 		if tl != nil {
 			tl.Span(timeline.PidCPU, 0, "tick", 0, 1)
 		}
-	}
-	for i := 0; i < 128; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Time(i%31)+1, fn)
-		e.Step()
-	}
+	})
 }
 
-// BenchmarkEngineSameCycleFIFO measures the Schedule(0, fn) fast path:
-// same-cycle events bypass the heap entirely.
+// BenchmarkEngineSameCycleFIFO measures the same-cycle fast path:
+// events scheduled for the current cycle bypass the calendar and heap.
 func BenchmarkEngineSameCycleFIFO(b *testing.B) {
-	e := sim.NewEngine()
-	e.Reserve(16)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(0, fn)
-		e.Step()
-	}
+	runEvents(b, 1, func(int) sim.Time { return 0 }, func() {})
 }
 
-// BenchmarkEngineEventThroughput measures raw event-heap throughput.
+// BenchmarkEngineEventThroughput measures raw throughput of a single
+// self-rescheduling event one cycle apart.
 func BenchmarkEngineEventThroughput(b *testing.B) {
-	e := sim.NewEngine()
-	n := 0
-	var pump func()
-	pump = func() {
-		n++
-		if n < b.N {
-			e.Schedule(1, pump)
-		}
-	}
-	e.Schedule(1, pump)
-	b.ResetTimer()
-	e.Run()
+	runEvents(b, 1, func(int) sim.Time { return 1 }, func() {})
 }
 
 // BenchmarkCacheAccess measures hierarchy probe throughput on a hot set.
@@ -398,17 +381,6 @@ func BenchmarkBuddyAllocFree(b *testing.B) {
 			b.Fatal("exhausted")
 		}
 		a.FreePage(p)
-	}
-}
-
-// BenchmarkRBTreeInsertDelete measures scheduler-tree churn.
-func BenchmarkRBTreeInsertDelete(b *testing.B) {
-	tr := rbtree.New(func(x, y int) bool { return x < y })
-	r := sim.NewRand(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := tr.Insert(r.Intn(1 << 20))
-		tr.Delete(n)
 	}
 }
 

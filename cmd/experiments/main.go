@@ -58,13 +58,12 @@ func main() {
 		jobs    = flag.Int("j", 0, "parallel simulation cells (0 = all CPUs; results identical at any -j)")
 
 		failfast   = flag.Bool("failfast", false, "abort a sweep on its first failed cell instead of quarantining it")
-		retries    = flag.Int("retries", 0, "max identical-seed retries for transient cell errors (0 = default, <0 = off)")
 		journalDir = flag.String("journal", "", "directory for per-figure completed-cell journals (empty = no journaling)")
 		resume     = flag.Bool("resume", false, "skip cells already recorded in the journal (requires -journal)")
 
 		chaosFrac = flag.Float64("chaos-frac", 0, "inject faults into this fraction of cells (failure drills)")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for deterministic fault placement")
-		chaosMode = flag.String("chaos-mode", "transient", "fault shape: transient|error|panic|stall|mixed")
+		chaosMode = flag.String("chaos-mode", "error", "fault shape: error|panic|stall|mixed")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to FILE")
 	)
@@ -93,7 +92,6 @@ func main() {
 	p.Verbose = *verbose
 	p.Parallelism = *jobs
 	p.FailFast = *failfast
-	p.Retries = *retries
 	p.JournalDir = *journalDir
 	p.Resume = *resume
 	if *resume && *journalDir == "" {

@@ -106,7 +106,7 @@ func main() {
 		watchdogStall = flag.Duration("watchdog-stall", 0, "kill a running job after this long with no cell finished and no checkpoint boundary crossed (0 = default 30s)")
 
 		chaosFrac  = flag.Float64("chaos-frac", 0, "fraction of simulation cells to fault-inject, in [0,1] (0 = off)")
-		chaosMode  = flag.String("chaos-mode", "transient", "injected fault shape: transient|error|panic|stall|mixed")
+		chaosMode  = flag.String("chaos-mode", "error", "injected fault shape: error|panic|stall|mixed")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault placement seed")
 		chaosStall = flag.Duration("chaos-stall", 0, "stall-mode sleep per faulted cell (0 = default 10ms)")
 

@@ -56,7 +56,6 @@ func main() {
 		jobs     = flag.Int("j", 0, "parallel runs when several mixes are given (0 = all CPUs)")
 
 		failfast    = flag.Bool("failfast", false, "abort on the first failed run instead of quarantining it")
-		retries     = flag.Int("retries", 2, "max identical-seed retries for transient errors (<0 = off)")
 		journalPath = flag.String("journal", "", "journal file for completed runs (empty = no journaling)")
 		resume      = flag.Bool("resume", false, "skip runs already recorded in the journal (requires -journal)")
 		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot per run to FILE (full per-bank/per-task hierarchy)")
@@ -213,7 +212,6 @@ func main() {
 	opts := runner.Options[*refsched.Report]{
 		Parallelism: *jobs,
 		FailFast:    *failfast,
-		Retries:     *retries,
 	}
 	if jnl != nil {
 		opts.OnDone = func(i int, _ runner.Cell, rep *refsched.Report) {

@@ -2,53 +2,45 @@
 // experiment pipeline. It wraps a sweep cell's closure and makes a
 // configurable fraction of cells fail — by returned error, by panic, or
 // by stalling before succeeding — so tests can prove that quarantine,
-// bounded retry, and journaled resume actually deliver the failure
+// deadlines, and journaled resume actually deliver the failure
 // semantics they promise.
 //
 // Every decision is a pure function of (injector seed, cell key), so a
 // chaos run is as reproducible as the simulation itself: the same seed
 // faults the same cells in the same way regardless of worker count or
-// completion order. Transient faults fail only the first FailuresPerCell
-// attempts of a cell and then let it run normally, which is exactly the
-// shape the runner's identical-seed retry is built to absorb.
+// completion order.
 package chaos
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
-
-	"refsched/internal/runner"
 )
 
 // Mode selects how a faulted cell fails.
 type Mode string
 
 const (
-	// ModeTransient returns an error marked transient (retryable); the
-	// cell succeeds once its first FailuresPerCell attempts are spent.
-	ModeTransient Mode = "transient"
-	// ModeError returns a permanent (non-retryable) error every attempt.
+	// ModeError returns an *InjectedError.
 	ModeError Mode = "error"
-	// ModePanic panics with a *chaos.InjectedPanic value every attempt.
+	// ModePanic panics with a *chaos.InjectedPanic value.
 	ModePanic Mode = "panic"
 	// ModeStall sleeps for Stall before running the cell normally. It
 	// models a slow, not broken, cell — used to hold a batch open while
 	// a test cancels it.
 	ModeStall Mode = "stall"
-	// ModeMixed cycles deterministically through transient/error/panic
-	// per faulted cell.
+	// ModeMixed picks error or panic deterministically per faulted
+	// cell.
 	ModeMixed Mode = "mixed"
 )
 
 // ParseMode validates a -chaos-mode flag value.
 func ParseMode(s string) (Mode, error) {
 	switch m := Mode(s); m {
-	case ModeTransient, ModeError, ModePanic, ModeStall, ModeMixed:
+	case ModeError, ModePanic, ModeStall, ModeMixed:
 		return m, nil
 	default:
-		return "", fmt.Errorf("chaos: unknown mode %q (want transient|error|panic|stall|mixed)", s)
+		return "", fmt.Errorf("chaos: unknown mode %q (want error|panic|stall|mixed)", s)
 	}
 }
 
@@ -58,24 +50,20 @@ type Config struct {
 	Seed uint64
 	// Frac is the fraction of cells faulted, in [0, 1].
 	Frac float64
-	// Mode selects the failure shape (default ModeTransient).
+	// Mode selects the failure shape (default ModeError).
 	Mode Mode
-	// FailuresPerCell is how many leading attempts of a transient-
-	// faulted cell fail before it succeeds (default 1).
-	FailuresPerCell int
 	// Stall is the ModeStall sleep (default 10ms).
 	Stall time.Duration
 }
 
 // InjectedError is the typed error returned by faulted cells.
 type InjectedError struct {
-	Key     string
-	Attempt int
+	Key string
 }
 
 // Error implements error.
 func (e *InjectedError) Error() string {
-	return fmt.Sprintf("chaos: injected fault in %q (attempt %d)", e.Key, e.Attempt)
+	return fmt.Sprintf("chaos: injected fault in %q", e.Key)
 }
 
 // InjectedPanic is the typed panic value thrown by ModePanic cells, so
@@ -90,14 +78,10 @@ func (p *InjectedPanic) Error() string {
 }
 
 // Injector decides, per cell key, whether and how to inject a fault.
-// Decision state is immutable after construction; the per-cell attempt
-// counters are mutex-guarded, so an Injector is safe for concurrent use
+// It is immutable after construction, so it is safe for concurrent use
 // by the worker pool.
 type Injector struct {
 	cfg Config
-
-	mu       sync.Mutex
-	attempts map[string]int
 }
 
 // New builds an injector; a nil return (Frac <= 0) means chaos is off
@@ -107,15 +91,12 @@ func New(cfg Config) *Injector {
 		return nil
 	}
 	if cfg.Mode == "" {
-		cfg.Mode = ModeTransient
-	}
-	if cfg.FailuresPerCell <= 0 {
-		cfg.FailuresPerCell = 1
+		cfg.Mode = ModeError
 	}
 	if cfg.Stall <= 0 {
 		cfg.Stall = 10 * time.Millisecond
 	}
-	return &Injector{cfg: cfg, attempts: map[string]int{}}
+	return &Injector{cfg: cfg}
 }
 
 // hash is SplitMix64 over the seed and key — a stateless, platform-
@@ -145,23 +126,14 @@ func (in *Injector) Faulted(key string) (Mode, bool) {
 	}
 	mode := in.cfg.Mode
 	if mode == ModeMixed {
-		mode = []Mode{ModeTransient, ModeError, ModePanic}[(h>>1)%3]
+		mode = []Mode{ModeError, ModePanic}[(h>>1)%2]
 	}
 	return mode, true
 }
 
-// attempt bumps and returns the 1-based attempt counter for key.
-func (in *Injector) attempt(key string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.attempts[key]++
-	return in.attempts[key]
-}
-
 // Wrap returns run with the injector's fault (if any) for key applied
-// in front of it. The wrapped closure stays deterministic: on a
-// non-faulting attempt it simply runs the original closure with its
-// original seed.
+// in front of it. The wrapped closure stays deterministic: a cell that
+// is not faulted runs the original closure unchanged.
 func Wrap[T any](in *Injector, key string, run func() (T, error)) func() (T, error) {
 	return WrapContext(in, key, nil, run)
 }
@@ -183,13 +155,12 @@ func WrapContext[T any](in *Injector, key string, ctx context.Context, run func(
 	}
 	return func() (T, error) {
 		var zero T
-		attempt := in.attempt(key)
 		switch mode {
 		case ModePanic:
 			panic(&InjectedPanic{Key: key})
 		case ModeError:
-			return zero, &InjectedError{Key: key, Attempt: attempt}
-		case ModeStall:
+			return zero, &InjectedError{Key: key}
+		default: // ModeStall
 			if ctx == nil {
 				time.Sleep(in.cfg.Stall)
 				return run()
@@ -202,11 +173,6 @@ func WrapContext[T any](in *Injector, key string, ctx context.Context, run func(
 			case <-ctx.Done():
 				return zero, fmt.Errorf("chaos: stall in %q interrupted: %w", key, ctx.Err())
 			}
-		default: // ModeTransient
-			if attempt <= in.cfg.FailuresPerCell {
-				return zero, runner.MarkTransient(&InjectedError{Key: key, Attempt: attempt})
-			}
-			return run()
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 func TestParseMode(t *testing.T) {
-	for _, ok := range []string{"transient", "error", "panic", "stall", "mixed"} {
+	for _, ok := range []string{"error", "panic", "stall", "mixed"} {
 		if _, err := ParseMode(ok); err != nil {
 			t.Errorf("ParseMode(%q) = %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"", "Transient", "crash", "none"} {
+	for _, bad := range []string{"", "transient", "Error", "crash", "none"} {
 		if _, err := ParseMode(bad); err == nil {
 			t.Errorf("ParseMode(%q) accepted", bad)
 		}
@@ -74,38 +74,13 @@ func TestFaultPlacementDeterministic(t *testing.T) {
 	}
 }
 
-func TestWrapTransientThenClean(t *testing.T) {
-	in := New(Config{Seed: 1, Frac: 1, Mode: ModeTransient, FailuresPerCell: 2})
-	calls := 0
-	run := Wrap(in, "cell", func() (int, error) { calls++; return 99, nil })
-	for attempt := 1; attempt <= 2; attempt++ {
-		_, err := run()
-		if err == nil {
-			t.Fatalf("attempt %d should have failed", attempt)
-		}
-		if !runner.IsTransient(err) {
-			t.Fatalf("attempt %d error not marked transient: %v", attempt, err)
-		}
-		var ie *InjectedError
-		if !errors.As(err, &ie) || ie.Attempt != attempt {
-			t.Fatalf("attempt %d error = %v", attempt, err)
-		}
-	}
-	v, err := run()
-	if err != nil || v != 99 {
-		t.Fatalf("post-budget attempt = (%d, %v), want (99, nil)", v, err)
-	}
-	if calls != 1 {
-		t.Fatalf("original closure ran %d times, want 1", calls)
-	}
-}
-
 func TestWrapErrorModePermanent(t *testing.T) {
 	in := New(Config{Seed: 1, Frac: 1, Mode: ModeError})
 	run := Wrap(in, "cell", func() (int, error) { return 1, nil })
 	for i := 0; i < 3; i++ {
-		if _, err := run(); err == nil || runner.IsTransient(err) {
-			t.Fatalf("ModeError attempt %d = %v, want permanent error", i+1, err)
+		var ie *InjectedError
+		if _, err := run(); !errors.As(err, &ie) || ie.Key != "cell" {
+			t.Fatalf("ModeError call %d = %v, want *InjectedError{Key: cell}", i+1, err)
 		}
 	}
 }
@@ -124,48 +99,10 @@ func TestWrapPanicMode(t *testing.T) {
 	t.Fatal("ModePanic did not panic")
 }
 
-func TestChaosWithRunnerRetryHeals(t *testing.T) {
-	// End-to-end with the worker pool: transient chaos within the retry
-	// budget must heal completely and reproduce the clean results.
-	in := New(Config{Seed: 7, Frac: 0.5, Mode: ModeTransient, FailuresPerCell: 1})
-	const n = 40
-	jobs := make([]runner.Job[int], n)
-	injected := 0
-	for i := range jobs {
-		i := i
-		key := fmt.Sprintf("cell-%d", i)
-		if _, ok := in.Faulted(key); ok {
-			injected++
-		}
-		jobs[i] = runner.Job[int]{
-			Cell: runner.Cell{Mix: key},
-			Run:  Wrap(in, key, func() (int, error) { return i * i, nil }),
-		}
-	}
-	if injected == 0 {
-		t.Fatal("test vacuous: no cells faulted")
-	}
-	b, err := runner.RunBatch(context.Background(), jobs, runner.Options[int]{Parallelism: 4, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Failed) != 0 {
-		t.Fatalf("transient chaos within retry budget still quarantined: %v", b.Failed)
-	}
-	if b.Retried != injected {
-		t.Errorf("Retried = %d, want %d (one per faulted cell)", b.Retried, injected)
-	}
-	for i := range jobs {
-		if b.Results[i] != i*i {
-			t.Errorf("Results[%d] = %d, want %d", i, b.Results[i], i*i)
-		}
-	}
-}
-
 func TestChaosWithRunnerQuarantinesPermanent(t *testing.T) {
 	// Permanent chaos (error + panic via mixed mode) must be quarantined
 	// with the rest of the batch intact.
-	in := New(Config{Seed: 3, Frac: 0.3, Mode: ModeMixed, FailuresPerCell: 100})
+	in := New(Config{Seed: 3, Frac: 0.3, Mode: ModeMixed})
 	const n = 50
 	jobs := make([]runner.Job[int], n)
 	wantFail := 0
@@ -173,7 +110,7 @@ func TestChaosWithRunnerQuarantinesPermanent(t *testing.T) {
 		i := i
 		key := fmt.Sprintf("cell-%d", i)
 		if _, ok := in.Faulted(key); ok {
-			wantFail++ // mixed transient cells also fail: budget > retries
+			wantFail++
 		}
 		jobs[i] = runner.Job[int]{
 			Cell: runner.Cell{Mix: key},
@@ -183,7 +120,7 @@ func TestChaosWithRunnerQuarantinesPermanent(t *testing.T) {
 	if wantFail == 0 {
 		t.Fatal("test vacuous: no cells faulted")
 	}
-	b, err := runner.RunBatch(context.Background(), jobs, runner.Options[int]{Parallelism: 4, Retries: 1})
+	b, err := runner.RunBatch(context.Background(), jobs, runner.Options[int]{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

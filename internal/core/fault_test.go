@@ -9,6 +9,20 @@ import (
 	"refsched/internal/sim"
 )
 
+// plant schedules fn as an event at cycle t: a KindNone payload, which
+// the system never schedules, routed to fn ahead of the system's own
+// dispatcher.
+func plant(sys *System, t sim.Time, fn func()) {
+	sys.Eng.SetExec(func(p sim.Payload) {
+		if p.Kind == sim.KindNone {
+			fn()
+			return
+		}
+		sys.execPayload(p)
+	})
+	sys.Eng.SchedulePAt(t, sim.Payload{})
+}
+
 // TestRunConvertsSimFaultToError exercises the run boundary's error
 // taxonomy: a typed sim.Fault unwinding out of the event loop must come
 // back as a returned error tagged with the cell identity — never as a
@@ -21,8 +35,8 @@ func TestRunConvertsSimFaultToError(t *testing.T) {
 	}
 	// Plant a component bookkeeping bug: an event that schedules into
 	// the past once the clock reaches cycle 10.
-	sys.Eng.Schedule(10, func() {
-		sys.Eng.ScheduleAt(5, func() {})
+	plant(sys, 10, func() {
+		sys.Eng.SchedulePAt(5, sim.Payload{})
 	})
 	rep, err := sys.RunWindows(1, 1)
 	if err == nil {
@@ -55,7 +69,7 @@ func TestRunRepanicsNonFaultValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Eng.Schedule(10, func() { panic("invariant violated") })
+	plant(sys, 10, func() { panic("invariant violated") })
 	defer func() {
 		p := recover()
 		if p != "invariant violated" {

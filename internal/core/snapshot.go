@@ -57,16 +57,10 @@ func (st *SystemState) Cycle() uint64 { return uint64(st.Engine.Now) }
 type BoundaryFn func(capture func() (*SystemState, error)) error
 
 // captureState flattens the whole machine into a SystemState. It fails
-// when any pending engine event is a closure (a layer that forgot to
-// reify an event type) or when a task's workload generator is not
-// checkpointable.
+// when a task's workload generator is not checkpointable.
 func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap metrics.Snapshot) (*SystemState, error) {
 	if s.observed {
 		return nil, fmt.Errorf("core: cannot checkpoint with a trace or timeline attached")
-	}
-	eng, err := s.Eng.SnapshotState()
-	if err != nil {
-		return nil, err
 	}
 	kst, err := s.Kernel.State()
 	if err != nil {
@@ -79,7 +73,7 @@ func (s *System) captureState(warmup, measure uint64, pastWarmup bool, warmSnap 
 		Warmup:         warmup,
 		Measure:        measure,
 		PastWarmup:     pastWarmup,
-		Engine:         *eng,
+		Engine:         *s.Eng.SnapshotState(),
 		Kernel:         kst,
 	}
 	if pastWarmup {

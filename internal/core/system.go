@@ -169,18 +169,18 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	return s, nil
 }
 
-// execPayload is the machine's single payload-event dispatcher: every
-// layer schedules closure-free typed events (see sim.Payload) and this
-// routes them back to the owning component. Keeping the event
-// population closure-free is what makes the engine's pending-event set
-// serializable for checkpoint/restore.
+// execPayload is the machine's single event dispatcher: every layer
+// schedules typed payload events (see sim.Payload) and this routes them
+// back to the owning component. Payloads are plain data, which is what
+// makes the engine's pending-event set serializable for
+// checkpoint/restore.
 func (s *System) execPayload(p sim.Payload) {
 	switch p.Kind {
 	case sim.KindMCRefreshTick, sim.KindMCTryIssue:
 		s.MCs[p.A].Exec(p)
 	case sim.KindMCComplete:
-		// B = core+1; 0 means an unowned (posted-write) completion that
-		// exists only so event counts match the closure implementation.
+		// B = core+1; 0 means an unowned (posted-write) completion,
+		// which notifies nobody but still counts in Report.Events.
 		if p.B != 0 {
 			s.Cores[p.B-1].MissComplete(p.C, p.D)
 		}

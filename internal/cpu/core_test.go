@@ -76,7 +76,8 @@ func (m *fakeMem) SubmitRead(r *mc.Request) bool {
 		return false
 	}
 	m.reads = append(m.reads, r)
-	m.eng.Schedule(m.latency, func() { m.core.MissComplete(r.Owner.Miss, r.Owner.Epoch) })
+	m.eng.SchedulePAt(m.eng.Now()+m.latency, sim.Payload{Kind: sim.KindMCComplete,
+		C: r.Owner.Miss, D: r.Owner.Epoch})
 	return true
 }
 func (m *fakeMem) WhenReadSpace(_ int, r *mc.Request) { m.readWaiters = append(m.readWaiters, r) }
@@ -101,8 +102,26 @@ func newTestCore(t *testing.T, mem Memory, mlp int) *Core {
 	}
 	c := NewCore(0, fm.eng, mem, hier, 1.0, mlp, 128)
 	fm.core = c
-	fm.eng.SetExec(c.Exec)
+	fm.eng.SetExec(func(p sim.Payload) {
+		if p.Kind == sim.KindMCComplete {
+			c.MissComplete(p.C, p.D)
+			return
+		}
+		c.Exec(p)
+	})
 	return c
+}
+
+// runIdle runs eng until no event is pending, leaving the clock at the
+// last one.
+func runIdle(eng *sim.Engine) {
+	for {
+		st := eng.SnapshotState()
+		if len(st.Events) == 0 {
+			return
+		}
+		eng.RunUntil(st.Events[len(st.Events)-1].When)
+	}
 }
 
 func TestCoreComputeOnlyIPC(t *testing.T) {
@@ -117,7 +136,7 @@ func TestCoreComputeOnlyIPC(t *testing.T) {
 
 	endAt := sim.Time(0)
 	c.Run(task, 100000, func(_ *Core, at sim.Time) { endAt = at })
-	eng.Run()
+	runIdle(eng)
 	if endAt < 100000 {
 		t.Fatalf("quantum ended at %d, want >= 100000", endAt)
 	}
@@ -143,7 +162,7 @@ func TestCoreQuantumClipsRunahead(t *testing.T) {
 
 	endAt := sim.Time(0)
 	c.Run(task, 5000, func(_ *Core, at sim.Time) { endAt = at })
-	eng.Run()
+	runIdle(eng)
 	if endAt != 5000 {
 		t.Fatalf("clipped quantum ended at %d, want exactly 5000", endAt)
 	}
@@ -226,7 +245,7 @@ func TestCoreStoreMissDoesNotBlockRetirement(t *testing.T) {
 	task := &scriptTask{segs: segs}
 	endAt := sim.Time(0)
 	c.Run(task, 3000, func(_ *Core, at sim.Time) { endAt = at })
-	eng.Run()
+	runIdle(eng)
 	// The store's 100k-cycle fill must not stall the 3000-cycle quantum.
 	if endAt != 3000 {
 		t.Fatalf("store miss stalled retirement: quantum ended %d", endAt)
@@ -297,7 +316,7 @@ func TestCoreEpochIgnoresStaleCompletions(t *testing.T) {
 	}{seg(100, 0x100, false, false)}}
 	endAt := sim.Time(0)
 	c.Run(task2, 20000, func(_ *Core, at sim.Time) { endAt = at })
-	eng.Run()
+	runIdle(eng)
 	if endAt != 20000 {
 		t.Fatalf("task2 quantum ended at %d", endAt)
 	}

@@ -51,7 +51,7 @@ func TestCellSpecKeyCoversEveryField(t *testing.T) {
 // made from.
 func TestCellSpecParamsFingerprint(t *testing.T) {
 	full := Params{Scale: 512, FootprintScale: 0.25, WarmupWindows: 2, MeasureWindows: 3, Seed: 7, Mode: ModeApprox,
-		Mixes: []string{"WL-1"}, Parallelism: 3, Retries: -1}
+		Mixes: []string{"WL-1"}, Parallelism: 3}
 	for _, p := range []Params{tinyParams(), full} {
 		spec, err := p.Cell("WL-1", "8Gb", "allbank", true)
 		if err != nil {

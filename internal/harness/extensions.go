@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"refsched/internal/config"
 	"refsched/internal/core"
 	"refsched/internal/runner"
@@ -62,10 +60,6 @@ func Extensions(p Params) (*Result, error) {
 	}
 	r.Failed = failed
 
-	type cell struct {
-		gain, stalled, energy float64
-	}
-	results := map[string]cell{}
 	for _, e := range entries {
 		var gains, stalls, energies []float64
 		for _, mix := range p.sweepMixes() {
@@ -83,15 +77,11 @@ func Extensions(p Params) (*Result, error) {
 			stalls = append(stalls, rep.RefreshStalledFrac)
 			energies = append(energies, rep.RefreshEnergyFrac)
 		}
-		results[e.name] = cell{mean(gains), mean(stalls), mean(energies)}
-	}
-	for _, e := range entries {
-		c := results[e.name]
-		gain := pct(c.gain)
+		gain := meanPct(gains, 1)
 		if e.name == "allbank" {
 			gain = "baseline"
 		}
-		r.Table.AddRow(e.name, gain, fmt.Sprintf("%.2f%%", c.stalled*100), pct(c.energy))
+		r.Table.AddRow(e.name, gain, meanPct(stalls, 2), meanPct(energies, 1))
 	}
 	r.Notes = append(r.Notes,
 		"elastic/pausing/raidr are the paper's Section 7 related work, rebuilt as comparators;",

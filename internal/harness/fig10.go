@@ -107,7 +107,7 @@ func Fig10(p Params, highTemp bool) (*Result, *Result, error) {
 	}
 	avg := []string{"average"}
 	for _, d := range mainDensities {
-		avg = append(avg, pct(mean(gainsPB[d])), pct(mean(gainsCD[d])))
+		avg = append(avg, meanPct(gainsPB[d], 1), meanPct(gainsCD[d], 1))
 	}
 	r10.Table.Rows = append(r10.Table.Rows, avg)
 

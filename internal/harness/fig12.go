@@ -47,7 +47,7 @@ func Fig12(p Params) (*Result, error) {
 		g2, g4, gc = append(g2, v2), append(g4, v4), append(gc, vc)
 		r.Table.AddRow(mix.Name, pct(v2), pct(v4), pct(vc))
 	}
-	r.Table.AddRow("average", pct(mean(g2)), pct(mean(g4)), pct(mean(gc)))
+	r.Table.AddRow("average", meanPct(g2, 1), meanPct(g4, 1), meanPct(gc, 1))
 	r.Notes = append(r.Notes,
 		"paper: 2x and 4x modes fare worse than 1x; the co-design beats all FGR modes")
 	return r, nil
@@ -102,8 +102,8 @@ func Fig14(p Params) (*Result, error) {
 		r.Table.Rows = append(r.Table.Rows, row)
 	}
 	r.Table.AddRow("average",
-		pct(mean(gains["adaptive"])), pct(mean(gains["oooperbank"])),
-		pct(mean(gains["perbank"])), pct(mean(gains["codesign"])))
+		meanPct(gains["adaptive"], 1), meanPct(gains["oooperbank"], 1),
+		meanPct(gains["perbank"], 1), meanPct(gains["codesign"], 1))
 	r.Notes = append(r.Notes,
 		"paper: AR +1.9% over all-bank (below per-bank); OOO per-bank +9.5%; co-design +6.1% over OOO and +14.6% over AR")
 	return r, nil

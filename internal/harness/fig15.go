@@ -81,8 +81,8 @@ func Fig15(p Params) (*Result, error) {
 					gcd = append(gcd, cd.HarmonicIPC/ab.HarmonicIPC-1)
 				}
 			}
-			pbRow = append(pbRow, pct(mean(gpb)))
-			cdRow = append(cdRow, pct(mean(gcd)))
+			pbRow = append(pbRow, meanPct(gpb, 1))
+			cdRow = append(cdRow, meanPct(gcd, 1))
 		}
 		r.Table.Rows = append(r.Table.Rows, pbRow, cdRow)
 	}

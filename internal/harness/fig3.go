@@ -54,7 +54,7 @@ func Fig3(p Params) (*Result, error) {
 					degPB = append(degPB, 1-pb.HarmonicIPC/none.HarmonicIPC)
 				}
 			}
-			r.Table.AddRow(d.String(), temp.name, pct(mean(degAB)), pct(mean(degPB)))
+			r.Table.AddRow(d.String(), temp.name, meanPct(degAB, 1), meanPct(degPB, 1))
 		}
 	}
 	r.Notes = append(r.Notes,

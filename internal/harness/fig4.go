@@ -64,7 +64,7 @@ func Fig4(p Params) (*Result, error) {
 					ratios = append(ratios, rep.HarmonicIPC/base)
 				}
 			}
-			row = append(row, pct(mean(ratios)))
+			row = append(row, meanPct(ratios, 1))
 		}
 		r.Table.Rows = append(r.Table.Rows, row)
 	}
@@ -75,12 +75,13 @@ func Fig4(p Params) (*Result, error) {
 }
 
 // runConfined runs one Figure 4 confinement cell: mix at density d with
-// refresh off and every task confined to k banks per rank.
+// refresh off and every task confined to k banks per rank. Like every
+// exact cell, it aborts mid-run when HardCtx ends.
 func (p Params) runConfined(d config.Density, mix workload.Mix, k int) (*core.Report, error) {
 	cfg := p.configFor(d, bundleNone, false)
-	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale})
+	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s/%s/confine%d: %w", mix.Name, cfg.Mem.Density, k, err)
 	}
 	if err := sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k)); err != nil {
 		return nil, err

@@ -73,9 +73,6 @@ type Params struct {
 	// semantics). The default quarantines failed cells into the
 	// Result's failure summary and completes the rest of the grid.
 	FailFast bool
-	// Retries bounds identical-seed re-runs of a cell whose error is
-	// marked transient; < 0 disables retry, 0 selects DefaultRetries.
-	Retries int
 	// JournalDir, when non-empty, appends each completed cell to
 	// <JournalDir>/<figure>.journal.json as it finishes.
 	JournalDir string
@@ -109,10 +106,6 @@ type Params struct {
 // names the sweep for keying and display. See Params.CellRunner.
 type CellRunner func(ctx context.Context, figID string, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error)
 
-// DefaultRetries is the transient-error retry budget used when
-// Params.Retries is zero.
-const DefaultRetries = 2
-
 // Simulation tiers for Params.Mode.
 const (
 	// ModeExact runs the full event-driven engine (the default).
@@ -136,17 +129,6 @@ func (p Params) checkMode() error {
 		return nil
 	}
 	return fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
-}
-
-// retries resolves the Retries knob (0 = default, negative = off).
-func (p Params) retries() int {
-	if p.Retries == 0 {
-		return DefaultRetries
-	}
-	if p.Retries < 0 {
-		return 0
-	}
-	return p.Retries
 }
 
 // DefaultParams is the full-fidelity configuration used for
@@ -187,7 +169,7 @@ func (r *Result) String() string {
 	if len(r.Failed) > 0 {
 		fmt.Fprintf(&b, "-- %d cell(s) failed and were quarantined --\n", len(r.Failed))
 		var ft stats.Table
-		ft.Header = []string{"cell", "seed", "attempts", "kind", "error"}
+		ft.Header = []string{"cell", "seed", "kind", "error"}
 		for _, f := range r.Failed {
 			kind := "error"
 			detail := ""
@@ -197,7 +179,7 @@ func (r *Result) String() string {
 			} else if f.Err != nil {
 				detail = f.Err.Error()
 			}
-			ft.AddRow(f.Cell.String(), fmt.Sprint(f.Cell.Seed), fmt.Sprint(f.Attempts), kind, detail)
+			ft.AddRow(f.Cell.String(), fmt.Sprint(f.Cell.Seed), kind, detail)
 		}
 		b.WriteString(ft.String())
 	}
@@ -306,14 +288,16 @@ func (p Params) runBundle(d config.Density, b bundle, highTemp bool, mix workloa
 // pct formats a ratio as a percentage string.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
-// mean returns the arithmetic mean of vs (0 when empty).
-func mean(vs []float64) float64 {
+// meanPct formats the mean of vs as a percentage with prec decimals.
+// A mean over no cells (every one quarantined) renders as "-", since no
+// cell produced a number.
+func meanPct(vs []float64, prec int) string {
 	if len(vs) == 0 {
-		return 0
+		return "-"
 	}
 	var s float64
 	for _, v := range vs {
 		s += v
 	}
-	return s / float64(len(vs))
+	return fmt.Sprintf("%.*f%%", prec, s/float64(len(vs))*100)
 }

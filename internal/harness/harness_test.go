@@ -179,7 +179,17 @@ func TestPctAndMean(t *testing.T) {
 	if pct(0.123) != "12.3%" {
 		t.Fatalf("pct = %q", pct(0.123))
 	}
-	if mean(nil) != 0 || mean([]float64{1, 3}) != 2 {
-		t.Fatal("mean broken")
+	for _, c := range []struct {
+		vs   []float64
+		prec int
+		want string
+	}{
+		{nil, 1, "-"},
+		{[]float64{1, 3}, 1, "200.0%"},
+		{[]float64{0.001, 0.002}, 2, "0.15%"},
+	} {
+		if got := meanPct(c.vs, c.prec); got != c.want {
+			t.Errorf("meanPct(%v, %d) = %q, want %q", c.vs, c.prec, got, c.want)
+		}
 	}
 }

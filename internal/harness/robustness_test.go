@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,39 +88,6 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 	_, _, err = Fig10(p, false)
 	if err == nil {
 		t.Fatal("FailFast run did not abort on injected faults")
-	}
-}
-
-// TestFig10TransientChaosHealsByteIdentical proves the identical-seed
-// retry: with every injected fault transient and within the retry
-// budget, the sweep self-heals and renders tables byte-identical to an
-// undisturbed run.
-func TestFig10TransientChaosHealsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
-	p := tinyParams()
-	clean10, clean11, err := Fig10(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	keys := fig10ChaosKeys(p)
-	seed := chaosSeedFaulting(t, keys, 0.3, chaos.ModeTransient, 2)
-	p.Chaos = chaos.New(chaos.Config{Seed: seed, Frac: 0.3, Mode: chaos.ModeTransient, FailuresPerCell: 2})
-	p.Parallelism = 4
-	r10, r11, err := Fig10(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r10.Failed) != 0 {
-		t.Fatalf("transient faults within retry budget still quarantined: %v", r10.Failed)
-	}
-	if r10.String() != clean10.String() {
-		t.Errorf("healed fig10 not byte-identical:\nclean:\n%s\nhealed:\n%s", clean10, r10)
-	}
-	if r11.String() != clean11.String() {
-		t.Errorf("healed fig11 not byte-identical:\nclean:\n%s\nhealed:\n%s", clean11, r11)
 	}
 }
 
@@ -266,5 +234,61 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		if q.Fingerprint() == base.Fingerprint() {
 			t.Errorf("changing %s does not change the journal fingerprint", name)
 		}
+	}
+}
+
+// TestFig4HardCtxAbortsConfinementCells: a hard-cancelled fig4 sweep
+// fails every cell with the context error, the custom bank-mask
+// confinement cells as well as the all-bank baselines, each error
+// naming its cell.
+func TestFig4HardCtxAbortsConfinementCells(t *testing.T) {
+	p := tinyParams()
+	p.SweepMixes = []string{"WL-6"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.HardCtx = ctx
+	r, err := Fig4(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 4 densities × (1 baseline + 4 confinement cells).
+	if len(r.Failed) != 20 {
+		t.Fatalf("%d cells failed, want all 20:\n%s", len(r.Failed), r)
+	}
+	for _, f := range r.Failed {
+		if !errors.Is(f, context.Canceled) {
+			t.Errorf("cell %s failed with %v, want context.Canceled in the chain", f.Cell, f.Err)
+		}
+		if !strings.Contains(f.Err.Error(), "WL-6/"+f.Cell.Density) {
+			t.Errorf("cell %s error %q does not name its mix and density", f.Cell, f.Err)
+		}
+	}
+}
+
+// TestEmptyMeanRendersDash: a figure column whose cells were all
+// quarantined renders "-", not a mean no cell produced. The analytical
+// tier covers neither the related-work and subarray policies of ext1
+// nor the FGR modes of fig12.
+func TestEmptyMeanRendersDash(t *testing.T) {
+	p := QuickParams()
+	p.Mode = ModeApprox
+	ext, err := Extensions(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncovered := map[string]bool{"elastic": true, "pausing": true, "raidr": true, "perbank-salp8": true}
+	for _, row := range ext.Table.Rows {
+		for _, v := range row[1:] {
+			if uncovered[row[0]] != (v == "-") {
+				t.Errorf("ext1 row %v: %q", row, v)
+			}
+		}
+	}
+	fig12, err := Fig12(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fig12.Table.Rows[len(fig12.Table.Rows)-1]; !reflect.DeepEqual(got, []string{"average", "-", "-", "-"}) {
+		t.Errorf("fig12 average row = %q, want every column -", got)
 	}
 }

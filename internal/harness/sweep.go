@@ -74,12 +74,11 @@ func (p Params) ctx() context.Context {
 //
 // This is the pipeline's fault boundary. A cell that fails or panics is
 // captured as a typed *runner.CellError and quarantined (unless
-// Params.FailFast restores abort-on-first-error semantics); errors
-// marked transient are retried with the identical seed up to
-// Params.Retries times. With journaling enabled every completed cell is
-// appended and fsynced as it finishes, and with Resume set, cells
-// already on record are decoded instead of re-run — JSON round-trips
-// float64 exactly, so a resumed sweep renders byte-identical tables.
+// Params.FailFast restores abort-on-first-error semantics). With
+// journaling enabled every completed cell is appended and fsynced as it
+// finishes, and with Resume set, cells already on record are decoded
+// instead of re-run — JSON round-trips float64 exactly, so a resumed
+// sweep renders byte-identical tables.
 // Cells share no mutable state and results are collected by submission
 // index, so the returned map is identical to a serial in-order run;
 // Verbose lines go through the runner's single collector goroutine and
@@ -141,7 +140,6 @@ func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report,
 	ropts := runner.Options[*core.Report]{
 		Parallelism: p.Parallelism,
 		FailFast:    p.FailFast,
-		Retries:     p.retries(),
 		OnDone:      onDone,
 	}
 	execute := p.CellRunner

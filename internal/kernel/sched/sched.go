@@ -1,6 +1,6 @@
 // Package sched implements the simulated OS task schedulers: the paper's
 // round-robin baseline and a Completely Fair Scheduler model with
-// per-CPU red-black runqueues ordered by vruntime. The CFS picker
+// per-CPU runqueues ordered by vruntime. The CFS picker
 // implements the paper's refresh-aware pick_next_task (Algorithm 3),
 // including the η fairness threshold and the Section 5.4.1 best-effort
 // mode for tasks with data on every bank.
@@ -8,7 +8,6 @@ package sched
 
 import (
 	"refsched/internal/kernel/buddy"
-	"refsched/internal/rbtree"
 	"refsched/internal/stats"
 )
 
@@ -25,7 +24,6 @@ type Entity struct {
 	// global bank (best-effort scheduling input); may be nil.
 	Occupancy func(globalBank int) float64
 
-	node *rbtree.Node[*Entity]
 	cpu  int
 	onRQ bool
 }
@@ -102,7 +100,11 @@ func less(a, b *Entity) bool {
 
 // CFS is the Completely Fair Scheduler model.
 type CFS struct {
-	queues []*rbtree.Tree[*Entity]
+	// queues holds each CPU's runnable entities sorted by less. Linux
+	// keeps them in a red-black tree; Algorithm 3 needs only the order,
+	// and a runqueue holds a handful of tasks, so a sorted slice serves.
+	// An entity's vruntime changes only while it is off its queue.
+	queues [][]*Entity
 	// Eta is the fairness threshold η from Algorithm 3: the maximum
 	// number of candidates examined before falling back to the
 	// leftmost task. 1 disables refresh awareness.
@@ -117,19 +119,21 @@ type CFS struct {
 
 // NewCFS builds a CFS with ncpu runqueues.
 func NewCFS(ncpu, eta int, bestEffort bool) *CFS {
-	qs := make([]*rbtree.Tree[*Entity], ncpu)
-	for i := range qs {
-		qs[i] = rbtree.New(less)
-	}
-	return &CFS{queues: qs, Eta: eta, BestEffort: bestEffort,
+	return &CFS{queues: make([][]*Entity, ncpu), Eta: eta, BestEffort: bestEffort,
 		skips: stats.NewHistogram(1, skipHistBuckets)}
 }
 
-// Enqueue implements Picker.
+// Enqueue implements Picker: insert e at its sorted position.
 func (s *CFS) Enqueue(cpu int, e *Entity) {
 	e.cpu = cpu
-	e.node = s.queues[cpu].Insert(e)
 	e.onRQ = true
+	q := append(s.queues[cpu], nil)
+	i := len(q) - 1
+	for ; i > 0 && less(e, q[i-1]); i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	s.queues[cpu] = q
 }
 
 // Dequeue implements Picker.
@@ -137,9 +141,7 @@ func (s *CFS) Dequeue(e *Entity) {
 	if !e.onRQ {
 		return
 	}
-	s.queues[e.cpu].Delete(e.node)
-	e.node = nil
-	e.onRQ = false
+	s.dequeue(e)
 }
 
 // excludes reports whether e's possible-banks vector avoids every bank
@@ -148,18 +150,18 @@ func excludes(e *Entity, avoid buddy.BankMask) bool {
 	return e.Mask&avoid == 0
 }
 
-// PickNext implements Picker with Algorithm 3: walk the red-black tree
+// PickNext implements Picker with Algorithm 3: walk the runqueue
 // leftmost-first; pick the first task with no data on the banks being
 // refreshed next quantum; after η candidates give up and take the
 // leftmost (or the best-effort minimum-occupancy candidate).
 func (s *CFS) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 	q := s.queues[cpu]
-	if q.Len() == 0 {
+	if len(q) == 0 {
 		return nil
 	}
 	s.stats.Picks++
 
-	first := q.Min().Value
+	first := q[0]
 	if avoid == 0 {
 		s.skips.Add(0)
 		s.dequeue(first)
@@ -170,11 +172,11 @@ func (s *CFS) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 	var bestOcc float64 = 2 // occupancy fractions are <= 1
 	var best *Entity
 	count := 0
-	q.Ascend(func(e *Entity) bool {
+	for _, e := range q {
 		count++
 		if excludes(e, avoid) {
 			pick = e
-			return false
+			break
 		}
 		if s.BestEffort && e.Occupancy != nil {
 			occ := 0.0
@@ -187,8 +189,10 @@ func (s *CFS) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 				bestOcc, best = occ, e
 			}
 		}
-		return count < s.Eta
-	})
+		if count >= s.Eta {
+			break
+		}
+	}
 
 	switch {
 	case pick != nil:
@@ -214,9 +218,15 @@ func (s *CFS) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 	return pick
 }
 
+// dequeue removes the enqueued entity e from its runqueue.
 func (s *CFS) dequeue(e *Entity) {
-	s.queues[e.cpu].Delete(e.node)
-	e.node = nil
+	q := s.queues[e.cpu]
+	for i, x := range q {
+		if x == e {
+			s.queues[e.cpu] = append(q[:i], q[i+1:]...)
+			break
+		}
+	}
 	e.onRQ = false
 }
 
@@ -227,12 +237,12 @@ func (s *CFS) Put(e *Entity, ran uint64) {
 }
 
 // NrRunning implements Picker.
-func (s *CFS) NrRunning(cpu int) int { return s.queues[cpu].Len() }
+func (s *CFS) NrRunning(cpu int) int { return len(s.queues[cpu]) }
 
 // MinVruntime implements Picker.
 func (s *CFS) MinVruntime(cpu int) uint64 {
-	if n := s.queues[cpu].Min(); n != nil {
-		return n.Value.Vruntime
+	if q := s.queues[cpu]; len(q) > 0 {
+		return q[0].Vruntime
 	}
 	return 0
 }
@@ -245,17 +255,18 @@ func (s *CFS) LoadBalance() int {
 	for {
 		lo, hi := 0, 0
 		for i, q := range s.queues {
-			if q.Len() < s.queues[lo].Len() {
+			if len(q) < len(s.queues[lo]) {
 				lo = i
 			}
-			if q.Len() > s.queues[hi].Len() {
+			if len(q) > len(s.queues[hi]) {
 				hi = i
 			}
 		}
-		if s.queues[hi].Len()-s.queues[lo].Len() <= 1 {
+		if len(s.queues[hi])-len(s.queues[lo]) <= 1 {
 			return moved
 		}
-		e := s.queues[hi].Max().Value
+		q := s.queues[hi]
+		e := q[len(q)-1]
 		s.dequeue(e)
 		s.Enqueue(lo, e)
 		s.stats.Migrations++

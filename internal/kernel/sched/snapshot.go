@@ -1,14 +1,11 @@
 package sched
 
-import (
-	"refsched/internal/rbtree"
-	"refsched/internal/stats"
-)
+import "refsched/internal/stats"
 
 // State is the serializable state of a scheduler: per-CPU queue
 // membership in queue order (FIFO order for round-robin; ascending
 // (vruntime, task) order for CFS, where re-insertion reproduces the
-// same tree ordering), plus decision counters. Entity fields
+// same order), plus decision counters. Entity fields
 // themselves (vruntime, weight, mask) are owned and serialized by the
 // kernel's task state.
 type State struct {
@@ -22,23 +19,27 @@ type State struct {
 // dequeued and therefore not re-placed by State restore.
 func (e *Entity) Place(cpu int) { e.cpu = cpu }
 
+// taskIDs lists each queue's task IDs in queue order.
+func taskIDs(queues [][]*Entity) [][]int {
+	per := make([][]int, len(queues))
+	for i, q := range queues {
+		for _, e := range q {
+			per[i] = append(per[i], e.TaskID)
+		}
+	}
+	return per
+}
+
 // State implements Picker.
 func (s *CFS) State() State {
-	per := make([][]int, len(s.queues))
-	for i, q := range s.queues {
-		q.Ascend(func(e *Entity) bool {
-			per[i] = append(per[i], e.TaskID)
-			return true
-		})
-	}
-	return State{PerCPU: per, Stats: s.stats, Skips: s.skips.State()}
+	return State{PerCPU: taskIDs(s.queues), Stats: s.stats, Skips: s.skips.State()}
 }
 
 // SetState implements Picker: rebuild each runqueue by re-inserting the
 // resolved entities in serialized order.
 func (s *CFS) SetState(st State, resolve func(taskID int) *Entity) {
 	for i := range s.queues {
-		s.queues[i] = rbtree.New(less)
+		s.queues[i] = nil
 	}
 	for cpu, ids := range st.PerCPU {
 		for _, id := range ids {
@@ -51,13 +52,7 @@ func (s *CFS) SetState(st State, resolve func(taskID int) *Entity) {
 
 // State implements Picker.
 func (s *RR) State() State {
-	per := make([][]int, len(s.queues))
-	for i, q := range s.queues {
-		for _, e := range q {
-			per[i] = append(per[i], e.TaskID)
-		}
-	}
-	return State{PerCPU: per, Stats: s.stats, Skips: s.skips.State()}
+	return State{PerCPU: taskIDs(s.queues), Stats: s.stats, Skips: s.skips.State()}
 }
 
 // SetState implements Picker.

@@ -14,10 +14,10 @@ func TestClosedPageLosesRowHits(t *testing.T) {
 	timeFor := func(closed bool) sim.Time {
 		r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.ClosedPage = closed })
 		d1 := r.read(t, 0, 0, 5)
-		r.eng.Run()
+		r.runIdle()
 		_ = d1
 		d2 := r.read(t, 0, 0, 5)
-		r.eng.Run()
+		r.runIdle()
 		return *d2
 	}
 	open := timeFor(false)
@@ -32,7 +32,7 @@ func TestClosedPageLosesRowHits(t *testing.T) {
 func TestClosedPageBankStateAlwaysPrecharged(t *testing.T) {
 	r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.ClosedPage = true })
 	r.read(t, 0, 3, 9)
-	r.eng.Run()
+	r.runIdle()
 	if r.ch.BankAt(0, 3).OpenRow() != -1 {
 		t.Fatal("closed-page bank left a row open")
 	}
@@ -44,11 +44,11 @@ func TestFCFSDoesNotReorder(t *testing.T) {
 	r := newRigWith(t, config.RefreshNone, func(m *config.MemConfig) { m.FCFS = true })
 	// Open row 1.
 	first := r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	_ = first
 	conflict := r.read(t, 0, 0, 2) // older, conflicting
 	hit := r.read(t, 0, 0, 1)      // younger, would hit under FR-FCFS
-	r.eng.Run()
+	r.runIdle()
 	if !(*conflict < *hit) {
 		t.Fatalf("FCFS reordered: conflict at %d, hit at %d", *conflict, *hit)
 	}

@@ -540,8 +540,9 @@ func (c *Controller) issue(r *Request, plan *dram.AccessPlan, q *[]*Request, idx
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 
 	// Completion re-enters the issuing core. Unowned completions
-	// (posted writes) still execute — as no-ops — so the event
-	// population matches the closure implementation exactly.
+	// (posted writes) still execute, as no-ops: every event counts
+	// toward Report.Events, which is part of every hashed report, so
+	// dropping them would change every result.
 	var owner uint64
 	if r.Owner.Valid {
 		owner = uint64(r.Owner.Core) + 1

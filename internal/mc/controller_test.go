@@ -22,6 +22,9 @@ type rig struct {
 
 	onDone   map[uint64]func(finish sim.Time)
 	nextMiss uint64
+	// fs holds the funcs a test schedules with at; a KindNone payload
+	// carries its index.
+	fs []func()
 	// rescan routes try-issue events to the reference issue engine
 	// (rescan_test.go) instead of the controller's own.
 	rescan bool
@@ -53,6 +56,8 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 		onDone: make(map[uint64]func(sim.Time))}
 	eng.SetExec(func(pl sim.Payload) {
 		switch {
+		case pl.Kind == sim.KindNone:
+			r.fs[pl.A]()
 		case pl.Kind == sim.KindMCComplete:
 			if pl.B != 0 {
 				if fn := r.onDone[pl.C]; fn != nil {
@@ -66,6 +71,24 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 		}
 	})
 	return r
+}
+
+// at schedules fn as an event at absolute time t.
+func (r *rig) at(t sim.Time, fn func()) {
+	r.fs = append(r.fs, fn)
+	r.eng.SchedulePAt(t, sim.Payload{A: uint64(len(r.fs) - 1)})
+}
+
+// runIdle runs the engine until no event is pending, leaving the clock
+// at the last one.
+func (r *rig) runIdle() {
+	for {
+		st := r.eng.SnapshotState()
+		if len(st.Events) == 0 {
+			return
+		}
+		r.eng.RunUntil(st.Events[len(st.Events)-1].When)
+	}
 }
 
 // miss registers a completion callback and returns its miss id.
@@ -93,7 +116,7 @@ func (r *rig) read(t *testing.T, rank, bank int, row uint64) *sim.Time {
 func TestReadCompletes(t *testing.T) {
 	r := newRig(t, config.RefreshNone)
 	done := r.read(t, 0, 0, 5)
-	r.eng.Run()
+	r.runIdle()
 	want := r.tm.TRCD + r.tm.TCL + r.tm.TBL
 	if *done != sim.Time(want) {
 		t.Fatalf("completion at %d, want %d", *done, want)
@@ -107,13 +130,13 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	r := newRig(t, config.RefreshNone)
 	// Open row 1 in bank 0.
 	first := r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	_ = first
 	// Now enqueue a conflicting request (older) and a row hit (younger)
 	// to the same bank: the row hit should be served first.
 	conflict := r.read(t, 0, 0, 2)
 	hit := r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	if !(*hit < *conflict) {
 		t.Fatalf("row hit done at %d, conflict at %d; hit should win", *hit, *conflict)
 	}
@@ -122,7 +145,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 func TestFRFCFSAntiStarvation(t *testing.T) {
 	r := newRig(t, config.RefreshNone)
 	r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	// One conflicting request, then a long run of row hits. The
 	// conflict's bypass budget must eventually force it through.
 	conflict := r.read(t, 0, 0, 2)
@@ -130,7 +153,7 @@ func TestFRFCFSAntiStarvation(t *testing.T) {
 	for i := 0; i < 2*maxBypasses; i++ {
 		lastHit = r.read(t, 0, 0, 1)
 	}
-	r.eng.Run()
+	r.runIdle()
 	if *conflict > *lastHit {
 		t.Fatalf("conflict starved: done %d after all %d hits (last %d)", *conflict, 2*maxBypasses, *lastHit)
 	}
@@ -142,7 +165,7 @@ func TestBankParallelismOverlaps(t *testing.T) {
 	// serialization, far sooner than two serialized accesses.
 	d1 := r.read(t, 0, 0, 1)
 	d2 := r.read(t, 0, 1, 1)
-	r.eng.Run()
+	r.runIdle()
 	lat1 := r.tm.TRCD + r.tm.TCL + r.tm.TBL
 	if *d2 > sim.Time(lat1+r.tm.TBL) {
 		t.Fatalf("second bank's read at %d, want bus-limited %d", *d2, lat1+r.tm.TBL)
@@ -176,7 +199,7 @@ func TestReadQueueBackpressure(t *testing.T) {
 		Owner: Owner{Valid: true, Miss: r.miss(func(at sim.Time) { *done = at })},
 	}
 	r.mc.WhenReadSpace(waiter)
-	r.eng.Run()
+	r.runIdle()
 	if *done == 0 {
 		t.Fatal("read-space waiter never completed")
 	}
@@ -195,7 +218,7 @@ func TestWriteDrainWatermarks(t *testing.T) {
 	if r.mc.Stats.WriteDrains != 1 {
 		t.Fatalf("drain episodes = %d, want 1", r.mc.Stats.WriteDrains)
 	}
-	r.eng.Run()
+	r.runIdle()
 	if r.mc.QueuedWrites() != 0 {
 		// With no read traffic the opportunistic path empties it fully.
 		t.Fatalf("writes left = %d", r.mc.QueuedWrites())
@@ -212,7 +235,7 @@ func TestWritesYieldToReadsOutsideDrain(t *testing.T) {
 		r.mc.SubmitWrite(&Request{Coord: dram.Coord{Rank: 0, Bank: 1, Row: 9}})
 	}
 	done := r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	if *done > sim.Time(r.tm.TRCD+r.tm.TCL+r.tm.TBL) {
 		t.Fatalf("read delayed to %d by sub-watermark writes", *done)
 	}
@@ -258,7 +281,7 @@ func TestOutstandingToBankTracking(t *testing.T) {
 	if got := r.mc.OutstandingToBank(8 + 3); got != 1 {
 		t.Fatalf("bank 11 outstanding = %d, want 1", got)
 	}
-	r.eng.Run()
+	r.runIdle()
 	if got := r.mc.OutstandingToBank(3); got != 0 {
 		t.Fatalf("post-drain outstanding = %d", got)
 	}
@@ -284,7 +307,7 @@ func TestUtilizationSampling(t *testing.T) {
 func TestLatencyStats(t *testing.T) {
 	r := newRig(t, config.RefreshNone)
 	r.read(t, 0, 0, 1)
-	r.eng.Run()
+	r.runIdle()
 	want := float64(r.tm.TRCD + r.tm.TCL + r.tm.TBL)
 	if got := r.mc.Stats.AvgReadLatency(); got != want {
 		t.Fatalf("avg latency = %v, want %v", got, want)

@@ -184,25 +184,25 @@ func (r *rig) drive(seed int64) []*Request {
 			gap += rng.Intn(int(r.tm.TREFIab))
 		}
 		if next := r.eng.Now() + sim.Time(gap); next < stop {
-			r.eng.ScheduleAt(next, inject)
+			r.at(next, inject)
 		}
 	}
-	r.eng.ScheduleAt(1, inject)
+	r.at(1, inject)
 	interval := sim.Time(r.mc.policy.Interval())
 	var aroundTick func()
 	aroundTick = func() {
 		r.evaluate()
 		// Scheduled now, this runs after the tick queued for this cycle;
 		// the next probe is queued ahead of the tick that follows.
-		r.eng.ScheduleAt(r.eng.Now(), r.evaluate)
+		r.at(r.eng.Now(), r.evaluate)
 		if next := r.eng.Now() + interval; next < stop {
-			r.eng.ScheduleAt(next, aroundTick)
+			r.at(next, aroundTick)
 		}
 	}
 	// New queued the first tick already, so the first probe to run
 	// ahead of its tick is the second tick's.
 	if 2*interval < stop {
-		r.eng.ScheduleAt(2*interval, aroundTick)
+		r.at(2*interval, aroundTick)
 	}
 	r.eng.RunUntil(stop)
 	// The refresh ticker never stops, so run in steps until the backlog

@@ -32,9 +32,9 @@ type Request struct {
 	RefreshStalled bool
 
 	// Owner identifies the core-side miss to notify at completion time
-	// (reads only; posted writes leave it zero). It replaces a completion
-	// closure so in-flight requests are serializable: the completion
-	// event carries these words and the dispatcher routes them back to
+	// (reads only; posted writes leave it zero). It is plain data so
+	// in-flight requests are serializable: the completion event carries
+	// these words and the dispatcher routes them back to
 	// cpu.Core.MissComplete.
 	Owner Owner
 

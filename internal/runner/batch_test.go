@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,9 +43,6 @@ func TestRunBatchQuarantinesFailures(t *testing.T) {
 		if ce.Cell.Seed != uint64(ce.Index) {
 			t.Errorf("Failed[%d] lost its cell identity: %+v", k, ce.Cell)
 		}
-		if ce.Attempts != 1 {
-			t.Errorf("Failed[%d].Attempts = %d, want 1 (error was not transient)", k, ce.Attempts)
-		}
 	}
 	// Every healthy cell still completed with its own result.
 	for i := range jobs {
@@ -66,75 +62,20 @@ func TestRunBatchQuarantinesFailures(t *testing.T) {
 	}
 }
 
-func TestRunBatchTransientRetrySameResult(t *testing.T) {
-	// A transient failure is retried with the identical closure, so the
-	// eventual result is exactly what a clean run would have produced.
-	var firstTry atomic.Int64
-	jobs := make([]Job[int], 8)
-	attempts := make([]atomic.Int64, 8)
-	for i := range jobs {
-		i := i
-		jobs[i].Run = func() (int, error) {
-			if attempts[i].Add(1) == 1 && i%2 == 0 {
-				firstTry.Add(1)
-				return 0, MarkTransient(errors.New("spurious"))
-			}
-			return 100 + i, nil
-		}
-	}
-	b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: 3, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Failed) != 0 {
-		t.Fatalf("transient failures within budget must not quarantine: %v", b.Failed)
-	}
-	if b.Retried != int(firstTry.Load()) {
-		t.Errorf("Retried = %d, want %d", b.Retried, firstTry.Load())
-	}
-	for i := range jobs {
-		if b.Results[i] != 100+i {
-			t.Errorf("Results[%d] = %d, want %d", i, b.Results[i], 100+i)
-		}
-	}
-}
-
-func TestRunBatchRetriesExhausted(t *testing.T) {
-	var attempts atomic.Int64
-	jobs := []Job[int]{{
-		Cell: Cell{Mix: "WL-2"},
-		Run: func() (int, error) {
-			attempts.Add(1)
-			return 0, MarkTransient(errors.New("always"))
-		},
-	}}
-	b, err := RunBatch(context.Background(), jobs, Options[int]{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("executions = %d, want 3 (1 + 2 retries)", got)
-	}
-	if len(b.Failed) != 1 || b.Failed[0].Attempts != 3 {
-		t.Fatalf("Failed = %v, want one cell with Attempts=3", b.Failed)
-	}
-	if !IsTransient(b.Failed[0].Err) {
-		t.Error("quarantine record lost the transient marker")
-	}
-}
-
+// TestRunBatchNonTransientNotRetried: a failed cell runs exactly once.
+// Cells are deterministic, so re-running one would only fail again.
 func TestRunBatchNonTransientNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	jobs := []Job[int]{{Run: func() (int, error) {
 		attempts.Add(1)
 		return 0, errors.New("deterministic model error")
 	}}}
-	b, _ := RunBatch(context.Background(), jobs, Options[int]{Retries: 5})
+	b, _ := RunBatch(context.Background(), jobs, Options[int]{})
 	if attempts.Load() != 1 {
-		t.Errorf("executions = %d, want 1: plain errors must not retry", attempts.Load())
+		t.Errorf("executions = %d, want 1: a failed cell must not re-run", attempts.Load())
 	}
-	if b.Retried != 0 {
-		t.Errorf("Retried = %d, want 0", b.Retried)
+	if len(b.Failed) != 1 {
+		t.Errorf("Failed = %v, want the one cell", b.Failed)
 	}
 }
 
@@ -296,29 +237,5 @@ func TestRunBatchOnDoneIndexed(t *testing.T) {
 		if v != i*3 {
 			t.Errorf("OnDone(%d) = %d, want %d", i, v, i*3)
 		}
-	}
-}
-
-func TestMarkTransient(t *testing.T) {
-	base := errors.New("base")
-	if MarkTransient(nil) != nil {
-		t.Error("MarkTransient(nil) != nil")
-	}
-	m := MarkTransient(base)
-	if !IsTransient(m) {
-		t.Error("IsTransient(MarkTransient(err)) = false")
-	}
-	if !errors.Is(m, base) {
-		t.Error("transient wrapper must unwrap to the original error")
-	}
-	if IsTransient(base) {
-		t.Error("unmarked error reported transient")
-	}
-	if IsTransient(nil) {
-		t.Error("IsTransient(nil) = true")
-	}
-	// The marker survives further wrapping.
-	if !IsTransient(fmt.Errorf("wrapped: %w", m)) {
-		t.Error("transient marker lost through wrapping")
 	}
 }

@@ -13,12 +13,11 @@
 // The pool has the failure semantics of a real job scheduler. A failing
 // or panicking cell is captured as a typed *CellError (cell identity,
 // seed, original panic value, goroutine stack) and — unless FailFast is
-// set — quarantined so the rest of the batch still completes. Errors
-// marked transient (see MarkTransient) are retried a bounded number of
-// times, re-running the identical closure with the identical seed so
-// determinism holds. Cancelling the batch context
-// lets in-flight cells finish and skips the rest, so completed work is
-// preserved for journaled resumption.
+// set — quarantined so the rest of the batch still completes. A cell is
+// never retried: it is deterministic, so a cell that fails once fails
+// again. Cancelling the batch context lets in-flight cells finish and
+// skips the rest, so completed work is preserved for journaled
+// resumption.
 package runner
 
 import (
@@ -62,24 +61,22 @@ func (c Cell) String() string {
 
 // Job couples a cell's identity with the closure that simulates it.
 // Run must be self-contained: it may not share mutable state with any
-// other job in the same batch, and it must be deterministic so that a
-// retry after a transient failure reproduces the identical result.
+// other job in the same batch, and it must be deterministic.
 type Job[T any] struct {
 	Cell Cell
 	Run  func() (T, error)
 }
 
 // CellError is the quarantine record for one failed cell: which cell it
-// was, how it failed, and how many attempts were made. A panicking cell
-// preserves the original panic value and the goroutine stack captured
-// at recovery time, so nothing is flattened into an opaque string.
+// was and how it failed. A panicking cell preserves the original panic
+// value and the goroutine stack captured at recovery time, so nothing
+// is flattened into an opaque string.
 type CellError struct {
-	Index    int  // position of the job in the batch
-	Cell     Cell // identity, including the seed for standalone repro
-	Attempts int  // total executions, including retries
+	Index int  // position of the job in the batch
+	Cell  Cell // identity, including the seed for standalone repro
 
-	// Err is the error the final attempt returned, or nil when the cell
-	// panicked instead.
+	// Err is the error the cell returned, or nil when it panicked
+	// instead.
 	Err error
 	// PanicValue is the recovered panic value (nil unless the cell
 	// panicked); Stack is the goroutine stack captured at that point.
@@ -91,11 +88,11 @@ type CellError struct {
 // kilobytes); it stays available via the Stack field.
 func (e *CellError) Error() string {
 	if e.PanicValue != nil {
-		return fmt.Sprintf("cell %d (%s, seed %d) panicked after %d attempt(s): %v",
-			e.Index, e.Cell, e.Cell.Seed, e.Attempts, e.PanicValue)
+		return fmt.Sprintf("cell %d (%s, seed %d) panicked: %v",
+			e.Index, e.Cell, e.Cell.Seed, e.PanicValue)
 	}
-	return fmt.Sprintf("cell %d (%s, seed %d) failed after %d attempt(s): %v",
-		e.Index, e.Cell, e.Cell.Seed, e.Attempts, e.Err)
+	return fmt.Sprintf("cell %d (%s, seed %d) failed: %v",
+		e.Index, e.Cell, e.Cell.Seed, e.Err)
 }
 
 // Unwrap exposes the underlying error for errors.Is/As chains. A panic
@@ -113,33 +110,8 @@ func (e *CellError) Unwrap() error {
 // Panicked reports whether the cell failed by panicking.
 func (e *CellError) Panicked() bool { return e.PanicValue != nil }
 
-// transientError marks an error as worth retrying with the same seed.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// MarkTransient wraps err so the runner's bounded retry applies to it.
-// Simulation determinism means a genuine model error always recurs;
-// transience is for infrastructure faults (and for chaos injection in
-// tests). Marking nil returns nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked transient anywhere in its
-// chain.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // Options configures a batch run. The zero value means: GOMAXPROCS
-// workers, quarantine failures (no fail-fast), no retries, no progress
-// callback.
+// workers, quarantine failures (no fail-fast), no progress callback.
 type Options[T any] struct {
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS.
 	Parallelism int
@@ -147,16 +119,13 @@ type Options[T any] struct {
 	// index, matching what an in-order serial run would hit first)
 	// cancels the batch instead of being quarantined.
 	FailFast bool
-	// Retries is the maximum number of re-executions for a cell whose
-	// error is marked transient (0 = never retry).
-	Retries int
 	// OnDone, if non-nil, is invoked once per successful cell from a
 	// single collector goroutine — in completion order, never
 	// concurrently — for progress reporting and journaling. The first
 	// argument is the job's batch index.
 	OnDone func(int, Cell, T)
 	// Gate, if non-nil, is acquired before each cell executes and
-	// released when it finishes (covering all of its retries). It is
+	// released when it finishes. It is
 	// the hook an external job scheduler uses to impose a global
 	// concurrency budget and per-job priority across batches that run
 	// simultaneously: each concurrent batch passes a Gate closed over
@@ -169,8 +138,8 @@ type Options[T any] struct {
 	Gate func(ctx context.Context) (release func(), err error)
 }
 
-// Batch is the outcome of RunBatch: index-addressed results, the
-// quarantined failures, and retry accounting.
+// Batch is the outcome of RunBatch: index-addressed results and the
+// quarantined failures.
 type Batch[T any] struct {
 	// Results holds each job's value at its submission index; entries
 	// for failed or skipped cells are the zero value (check OK).
@@ -179,9 +148,6 @@ type Batch[T any] struct {
 	OK []bool
 	// Failed lists quarantined cells in batch-index order.
 	Failed []*CellError
-	// Retried counts transient-failure re-executions that eventually
-	// succeeded or exhausted their budget.
-	Retried int
 	// Skipped counts jobs never started because the batch was cancelled
 	// (or a fail-fast failure occurred).
 	Skipped int
@@ -221,9 +187,8 @@ func Parallelism(j int) int {
 // *CellError as the panic value). Quarantined failures in a completed
 // batch are reported via Batch.Failed / Batch.Err, not the error.
 //
-// Determinism: each job runs exactly once (plus identical-seed retries)
-// with no shared state, so results are independent of parallelism and
-// completion order.
+// Determinism: each job runs exactly once with no shared state, so
+// results are independent of parallelism and completion order.
 func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batch[T], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -239,7 +204,6 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 	}
 
 	cellErrs := make([]*CellError, n)
-	var retried atomic.Int64
 	var next atomic.Int64
 	next.Store(-1)
 	var bail atomic.Bool // set by fail-fast failure; skips unstarted jobs
@@ -279,7 +243,7 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 						return
 					}
 				}
-				ce := runCell(ctx, jobs, b.Results, i, opts, &retried)
+				ce := runCell(jobs, b.Results, i)
 				if release != nil {
 					release()
 				}
@@ -303,7 +267,6 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 		<-collectorDone
 	}
 
-	b.Retried = int(retried.Load())
 	for i, ce := range cellErrs {
 		if ce != nil {
 			ce.Index = i
@@ -337,38 +300,20 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 	return b, nil
 }
 
-// runCell executes jobs[i] with panic capture and bounded retry for
-// transient errors; it returns the quarantine record, or nil on success.
-func runCell[T any](ctx context.Context, jobs []Job[T], results []T, i int, opts Options[T], retried *atomic.Int64) *CellError {
-	attempts := 0
-	for {
-		attempts++
-		err, pv, stack := attemptCell(jobs, results, i)
-		if err == nil && pv == nil {
-			return nil
-		}
-		if pv == nil && IsTransient(err) && attempts <= opts.Retries && ctx.Err() == nil {
-			retried.Add(1)
-			continue
-		}
-		return &CellError{Cell: jobs[i].Cell, Attempts: attempts, Err: err, PanicValue: pv, Stack: stack}
-	}
-}
-
-// attemptCell runs one execution of jobs[i], converting a panic into a
-// captured (value, stack) pair instead of crashing the worker.
-func attemptCell[T any](jobs []Job[T], results []T, i int) (err error, panicValue any, stack []byte) {
+// runCell executes jobs[i], converting a panic into a captured (value,
+// stack) pair instead of crashing the worker; it returns the quarantine
+// record, or nil on success.
+func runCell[T any](jobs []Job[T], results []T, i int) (ce *CellError) {
 	defer func() {
 		if p := recover(); p != nil {
-			panicValue = p
 			buf := make([]byte, 64<<10)
-			stack = buf[:runtime.Stack(buf, false)]
+			ce = &CellError{Cell: jobs[i].Cell, PanicValue: p, Stack: buf[:runtime.Stack(buf, false)]}
 		}
 	}()
 	v, err := jobs[i].Run()
 	if err != nil {
-		return err, nil, nil
+		return &CellError{Cell: jobs[i].Cell, Err: err}
 	}
 	results[i] = v
-	return nil, nil, nil
+	return nil
 }

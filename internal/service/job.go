@@ -163,19 +163,17 @@ const (
 // CellFailure is the wire form of a quarantined cell's typed error
 // detail.
 type CellFailure struct {
-	Cell     string `json:"cell"`
-	Seed     uint64 `json:"seed"`
-	Attempts int    `json:"attempts"`
-	Kind     string `json:"kind"` // "error" or "panic"
-	Detail   string `json:"detail"`
+	Cell   string `json:"cell"`
+	Seed   uint64 `json:"seed"`
+	Kind   string `json:"kind"` // "error" or "panic"
+	Detail string `json:"detail"`
 }
 
 func cellFailure(ce *runner.CellError) CellFailure {
 	f := CellFailure{
-		Cell:     ce.Cell.String(),
-		Seed:     ce.Cell.Seed,
-		Attempts: ce.Attempts,
-		Kind:     "error",
+		Cell: ce.Cell.String(),
+		Seed: ce.Cell.Seed,
+		Kind: "error",
 	}
 	if ce.Panicked() {
 		f.Kind = "panic"

@@ -400,7 +400,6 @@ func TestAdmissionControl(t *testing.T) {
 func TestQuarantinedJob(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		p := tinyParams()
-		p.Retries = -1
 		p.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeError})
 		c.Params = p
 	})
@@ -425,7 +424,7 @@ func TestQuarantinedJob(t *testing.T) {
 		t.Fatalf("typed failures = %d, want 9", len(st.Quarantined))
 	}
 	f := st.Quarantined[0]
-	if f.Kind != "error" || f.Seed != 1 || f.Attempts < 1 || !strings.Contains(f.Detail, "chaos") {
+	if f.Kind != "error" || f.Seed != 1 || !strings.Contains(f.Detail, "chaos") {
 		t.Fatalf("typed failure detail = %+v", f)
 	}
 	if got := s.simulations.Load(); got != 2 {

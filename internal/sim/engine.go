@@ -3,9 +3,9 @@
 // pseudo-random streams.
 //
 // All simulated time is expressed in CPU cycles (uint64). Components
-// schedule closures to run at absolute or relative times; the engine
-// executes them in (time, insertion-order) order, so the simulation is
-// fully deterministic for a given configuration and seed.
+// schedule typed payload events at absolute times; the engine executes
+// them in (time, insertion-order) order, so the simulation is fully
+// deterministic for a given configuration and seed.
 package sim
 
 import "math/bits"
@@ -13,12 +13,11 @@ import "math/bits"
 // Time is a point in simulated time, measured in CPU clock cycles.
 type Time = uint64
 
-// Payload is a typed, closure-free event body. An event scheduled with a
-// payload carries no Go closure: it is dispatched through the engine's
-// exec hook (see SetExec), which routes on Kind and the operand words.
-// Payload events are the serializable subset of the event population —
-// an engine whose pending events are all payloads can be checkpointed
-// and restored exactly (see SnapshotState).
+// Payload is a typed event body. It carries no Go closure: the engine
+// dispatches it through its exec hook (see SetExec), which routes on
+// Kind and the operand words. Because every event is plain data, the
+// pending-event set can be checkpointed and restored exactly (see
+// SnapshotState).
 type Payload struct {
 	Kind uint16
 	A    uint64
@@ -37,8 +36,9 @@ const (
 	KindMCRefreshTick // periodic refresh scheduling tick
 	KindMCTryIssue    // FR-FCFS issue re-evaluation
 	// Request completion (A = channel, B = core+1 (0 = unowned), C = miss
-	// id, D = miss epoch). Unowned completions (writebacks) still execute
-	// as events so Executed counts match the closure implementation.
+	// id, D = miss epoch). Unowned completions (posted writes) notify
+	// nobody, but they still fire: Executed is Report.Events, which every
+	// hashed report carries, so dropping them would change every result.
 	KindMCComplete
 	// CPU core (A = core index).
 	KindCPUSubmitRead  // B = line addr, C = miss id, D = epoch, E = task id + 1
@@ -50,11 +50,10 @@ const (
 	KindKernelWake     // A = task id, B = cpu index
 )
 
-// event is a scheduled closure or typed payload (fn == nil).
+// event is a scheduled payload.
 type event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events at the same cycle
-	fn   func()
 	p    Payload
 }
 
@@ -96,8 +95,8 @@ type calNode struct {
 // container/heap interface{} boxing, so the hot scheduling path is
 // allocation-free once the backing stores reach steady-state capacity):
 //
-//   - a FIFO of events due at the current cycle (same-cycle Schedule
-//     calls append here directly);
+//   - a FIFO of events due at the current cycle (events scheduled for
+//     now append here directly);
 //   - a calendar queue — a ring of calHorizon buckets indexed by
 //     (when & calMask), each an arena-backed linked list in seq order,
 //     with a bitmap for O(1) next-nonempty-bucket search — holding every
@@ -115,7 +114,6 @@ type Engine struct {
 	seq      uint64
 	fifo     []event // events due at exactly now, in seq order
 	fifoHead int     // next unexecuted index into fifo
-	stopped  bool
 
 	// Calendar queue: invariant — every bucketed event has
 	// now < when < now+calHorizon, so a slot maps to a unique timestamp.
@@ -128,8 +126,8 @@ type Engine struct {
 
 	heap []event // 4-ary min-heap by (when, seq); every when > now
 
-	// exec dispatches payload events (events scheduled without a
-	// closure); installed once by the system owner via SetExec.
+	// exec dispatches payload events; installed once by the system
+	// owner via SetExec.
 	exec func(Payload)
 
 	// Executed counts events processed since construction; useful for
@@ -142,11 +140,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of scheduled, not-yet-executed events.
-func (e *Engine) Pending() int {
-	return len(e.fifo) - e.fifoHead + e.calCount + len(e.heap)
-}
 
 // Reserve pre-sizes the internal event stores — the heap, the same-cycle
 // FIFO, and the calendar-queue node arena — to hold at least n pending
@@ -171,54 +164,21 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning "later this
-// cycle", after already-queued same-cycle events).
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay == 0 {
-		// Same-cycle fast path: straight to the FIFO, no queue traffic.
-		e.seq++
-		e.fifo = append(e.fifo, event{when: e.now, seq: e.seq, fn: fn})
-		return
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt runs fn at absolute time t. Scheduling in the past always
-// indicates a component bookkeeping bug; it unwinds with a typed
-// *PastEventError fault, which the core run API converts into a
-// returned error at its boundary (see Fault).
-func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.schedule(t, fn, Payload{})
-}
-
-// SetExec installs the dispatcher for payload events. Scheduling a
-// payload without a dispatcher installed is a programming error caught
-// at execution time.
+// SetExec installs the dispatcher for payload events; it must be set
+// before the first RunUntil that executes an event.
 func (e *Engine) SetExec(fn func(Payload)) { e.exec = fn }
 
-// ScheduleP schedules a payload event after delay cycles (possibly
-// zero), exactly like Schedule but closure-free.
-func (e *Engine) ScheduleP(delay Time, p Payload) {
-	if delay == 0 {
-		e.seq++
-		e.fifo = append(e.fifo, event{when: e.now, seq: e.seq, p: p})
-		return
-	}
-	e.SchedulePAt(e.now+delay, p)
-}
-
-// SchedulePAt schedules a payload event at absolute time t.
+// SchedulePAt schedules a payload event at absolute time t; an event at
+// the current cycle runs after the ones already queued for it.
+// Scheduling in the past always indicates a component bookkeeping bug;
+// it unwinds with a typed *PastEventError fault, which the core run API
+// converts into a returned error at its boundary (see Fault).
 func (e *Engine) SchedulePAt(t Time, p Payload) {
-	e.schedule(t, nil, p)
-}
-
-// schedule routes an event to the right store by its distance from now.
-func (e *Engine) schedule(t Time, fn func(), p Payload) {
 	if t < e.now {
 		panic(&PastEventError{T: t, Now: e.now})
 	}
 	e.seq++
-	ev := event{when: t, seq: e.seq, fn: fn, p: p}
+	ev := event{when: t, seq: e.seq, p: p}
 	switch {
 	case t == e.now:
 		e.fifo = append(e.fifo, ev)
@@ -227,19 +187,6 @@ func (e *Engine) schedule(t Time, fn func(), p Payload) {
 	default:
 		e.heapPush(ev)
 	}
-}
-
-// run executes one event body: the closure if present, else the payload
-// dispatcher.
-func (e *Engine) run(ev event) {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	if e.exec == nil {
-		panic("sim: payload event scheduled without a SetExec dispatcher")
-	}
-	e.exec(ev.p)
 }
 
 // --- calendar queue ---
@@ -316,7 +263,6 @@ func (e *Engine) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release the closure for GC
 	h = h[:n]
 	i := 0
 	for {
@@ -362,9 +308,6 @@ func (e *Engine) drainTo(t Time) {
 			n := &e.arena[i]
 			e.fifo = append(e.fifo, n.ev)
 			next := n.next
-			// Recycle the node; zero the event so the closure is
-			// released for GC while the node sits on the freelist.
-			n.ev = event{}
 			n.next = e.freeHead
 			e.freeHead = i
 			i = next
@@ -380,69 +323,27 @@ func (e *Engine) drainTo(t Time) {
 	}
 }
 
-// refill advances the clock to the earliest pending timestamp and
-// drains every event due at that cycle into the FIFO, preserving seq
-// order. It reports whether any event became runnable.
-func (e *Engine) refill() bool {
-	e.fifo = e.fifo[:0]
-	e.fifoHead = 0
-	t, ok := e.nextEventTime()
-	if !ok {
-		return false
-	}
-	e.now = t
-	e.drainTo(t)
-	return true
-}
-
-// Step executes the single earliest pending event and advances the clock
-// to its timestamp. It returns false when no events remain.
-func (e *Engine) Step() bool {
-	if e.fifoHead >= len(e.fifo) && !e.refill() {
-		return false
-	}
-	ev := e.fifo[e.fifoHead]
-	e.fifo[e.fifoHead] = event{} // release the closure for GC
-	e.fifoHead++
-	if e.fifoHead == len(e.fifo) {
-		// Fully drained: rewind so same-cycle producer/consumer loops
-		// reuse the buffer instead of growing it without bound.
-		e.fifo = e.fifo[:0]
-		e.fifoHead = 0
-	}
-	e.Executed++
-	e.run(ev)
-	return true
-}
-
 // RunUntil executes events until the clock would pass t, then sets the
 // clock to exactly t. Events scheduled at exactly t are executed.
 //
-// Unlike Step-driven loops, RunUntil batch-advances: it drains each
-// runnable cycle's FIFO back to back (everything in the FIFO is due
-// exactly now by construction, so no per-event next-time re-check is
-// needed) and only consults the calendar/heap between cycles.
-//
-// If Stop is called from within an event, RunUntil returns after that
-// event without fast-forwarding the clock, leaving the remaining events
-// pending; a subsequent Run/RunUntil resumes exactly where it left off.
+// RunUntil batch-advances: it drains each runnable cycle's FIFO back to
+// back (everything in the FIFO is due exactly now by construction, so
+// no per-event next-time re-check is needed) and only consults the
+// calendar/heap between cycles.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
 	if e.now <= t {
 		for {
 			for e.fifoHead < len(e.fifo) {
-				ev := e.fifo[e.fifoHead]
-				e.fifo[e.fifoHead] = event{} // release the closure for GC
+				p := e.fifo[e.fifoHead].p
 				e.fifoHead++
 				if e.fifoHead == len(e.fifo) {
+					// Fully drained: rewind so same-cycle producer/consumer
+					// loops reuse the buffer instead of growing it.
 					e.fifo = e.fifo[:0]
 					e.fifoHead = 0
 				}
 				e.Executed++
-				e.run(ev)
-				if e.stopped {
-					return
-				}
+				e.exec(p)
 			}
 			w, ok := e.nextEventTime()
 			if !ok || w > t {
@@ -456,13 +357,3 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 	}
 }
-
-// Run executes events until none remain or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-}
-
-// Stop halts Run/RunUntil after the current event finishes.
-func (e *Engine) Stop() { e.stopped = true }

@@ -25,6 +25,7 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 	delays := []Time{0, 1, 2, 3, 30, 600, calHorizon - 1, calHorizon, calHorizon + 1, 3 * calHorizon, 50000}
 	for trial := 0; trial < 20; trial++ {
 		e := NewEngine()
+		f := newFuncs(e)
 		rng := lcg(1000 + trial)
 
 		// Reference: (when, seq) pairs sorted stably.
@@ -46,7 +47,7 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 			id++
 			refSeq++
 			ref = append(ref, refEv{when: refNow + d, seq: refSeq, id: myID})
-			e.Schedule(d, func() {
+			f.at(refNow+d, func() {
 				got = append(got, myID)
 				if depth < 3 && rng.next()%3 == 0 {
 					// Nested scheduling relative to this event's time.
@@ -61,10 +62,9 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 			refNow = 0
 			add(0)
 		}
-		// The reference must know nested events' schedule times; easiest
-		// is to re-run: instead, execute the engine and reconstruct the
-		// reference order afterwards from the recorded (when, seq).
-		e.Run()
+		// Execute the engine, then sort the reference by the recorded
+		// (when, seq) to get the order it must have produced.
+		runIdle(e)
 
 		sort.SliceStable(ref, func(a, b int) bool {
 			if ref[a].when != ref[b].when {
@@ -79,56 +79,16 @@ func TestEngineDifferentialOrdering(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: execution order diverged from (when, seq) reference\n got=%v\nwant=%v", trial, got, want)
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events left pending after Run", trial, e.Pending())
+		if n := pending(e); n != 0 {
+			t.Fatalf("trial %d: %d events left pending after running to idle", trial, n)
 		}
 	}
 }
 
-// The reference above records nested events' times via refNow set just
-// before add() inside the event body; this only works because add() is
-// called synchronously from the running event, when e.Now() equals the
-// event's timestamp. The compile-time assertion below documents the
-// dependency on Schedule being relative to Now at call time.
-var _ = Time(0)
-
-// TestEngineStopDuringRunUntil verifies the documented Stop semantics:
-// RunUntil returns after the stopping event without fast-forwarding the
-// clock, remaining events stay pending, and a subsequent RunUntil
-// resumes exactly where execution left off.
-func TestEngineStopDuringRunUntil(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Schedule(10, func() { order = append(order, "a@10") })
-	e.Schedule(20, func() {
-		order = append(order, "stop@20")
-		e.Stop()
-	})
-	e.Schedule(20, func() { order = append(order, "b@20") }) // same cycle, after the stopper
-	e.Schedule(30, func() { order = append(order, "c@30") })
-
-	e.RunUntil(100)
-	if e.Now() != 20 {
-		t.Fatalf("Now() after Stop = %d, want 20 (clock must not fast-forward to the RunUntil bound)", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() after Stop = %d, want 2 (same-cycle successor and the later event)", e.Pending())
-	}
-	want := []string{"a@10", "stop@20"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order after Stop = %v, want %v", order, want)
-	}
-
-	// Resuming picks up the same-cycle successor first, then the rest.
-	e.RunUntil(100)
-	want = []string{"a@10", "stop@20", "b@20", "c@30"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order after resume = %v, want %v", order, want)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now() after resume = %d, want 100", e.Now())
-	}
-}
+// The reference above records nested events' times via refNow, set to
+// e.Now() just before add() inside the event body; add() runs
+// synchronously from the running event, when e.Now() equals the
+// event's timestamp.
 
 // TestEngineRunUntilBoundaryEvents pins the inclusive boundary: events
 // scheduled at exactly t run, events one cycle later do not, and the
@@ -136,15 +96,16 @@ func TestEngineStopDuringRunUntil(t *testing.T) {
 func TestEngineRunUntilBoundaryEvents(t *testing.T) {
 	for _, base := range []Time{0, calHorizon - 1, calHorizon, 123456} {
 		e := NewEngine()
+		f := newFuncs(e)
 		e.RunUntil(base)
 		var ranAt, ranAfter, nested bool
-		e.ScheduleAt(base+100, func() {
+		f.at(base+100, func() {
 			ranAt = true
-			// A zero-delay event scheduled at the boundary cycle itself
-			// must also run before RunUntil returns.
-			e.Schedule(0, func() { nested = true })
+			// An event scheduled at the boundary cycle itself must also
+			// run before RunUntil returns.
+			f.after(0, func() { nested = true })
 		})
-		e.ScheduleAt(base+101, func() { ranAfter = true })
+		f.at(base+101, func() { ranAfter = true })
 		e.RunUntil(base + 100)
 		if !ranAt || !nested {
 			t.Fatalf("base %d: event at boundary ran=%v nested=%v, want both true", base, ranAt, nested)
@@ -155,8 +116,8 @@ func TestEngineRunUntilBoundaryEvents(t *testing.T) {
 		if e.Now() != base+100 {
 			t.Fatalf("base %d: Now() = %d, want %d", base, e.Now(), base+100)
 		}
-		if e.Pending() != 1 {
-			t.Fatalf("base %d: Pending() = %d, want 1", base, e.Pending())
+		if n := pending(e); n != 1 {
+			t.Fatalf("base %d: pending = %d, want 1", base, n)
 		}
 	}
 }
@@ -166,9 +127,10 @@ func TestEngineRunUntilBoundaryEvents(t *testing.T) {
 // with same-cycle events pending.
 func TestEngineRunUntilPast(t *testing.T) {
 	e := NewEngine()
+	f := newFuncs(e)
 	e.RunUntil(50)
 	ran := false
-	e.Schedule(0, func() { ran = true })
+	f.after(0, func() { ran = true })
 	e.RunUntil(10)
 	if ran {
 		t.Fatal("RunUntil(past) executed a pending same-cycle event")
@@ -204,20 +166,21 @@ func TestEngineAllocationFreeAllStores(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
 			e.Reserve(256)
-			// Warm to steady state.
-			for i := 0; i < 128; i++ {
-				e.Schedule(tc.delay(i), func() {})
-			}
-			for i := 0; i < 4096; i++ {
-				e.Schedule(tc.delay(i), func() {})
-				e.Step()
-			}
+			// Every event schedules its successor, so the population
+			// stays at its seeded size.
 			i := 0
-			allocs := testing.AllocsPerRun(2000, func() {
-				e.Schedule(tc.delay(i), func() {})
-				e.Step()
+			e.SetExec(func(Payload) {
+				e.SchedulePAt(e.Now()+tc.delay(i), Payload{})
 				i++
 			})
+			for j := 0; j < 128; j++ {
+				e.SchedulePAt(tc.delay(j), Payload{})
+			}
+			// Warm to steady state.
+			for j := 0; j < 4096; j++ {
+				step(e)
+			}
+			allocs := testing.AllocsPerRun(2000, func() { step(e) })
 			if allocs != 0 {
 				t.Fatalf("%s steady-state schedule+step allocates %.2f allocs/op, want 0", tc.name, allocs)
 			}
@@ -230,17 +193,17 @@ func TestEngineAllocationFreeAllStores(t *testing.T) {
 // near-future events must not grow the arena.
 func TestEngineReservePresizesCalendarArena(t *testing.T) {
 	e := NewEngine()
+	e.SetExec(func(Payload) {})
 	const n = 500
 	e.Reserve(n)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n; i++ {
-			e.Schedule(Time(i%100)+1, func() {})
+			e.SchedulePAt(e.Now()+Time(i%100)+1, Payload{})
 		}
-		for e.Step() {
-		}
+		runIdle(e)
 	})
-	// The closure itself is hoisted (no captures); the only possible
-	// allocations are store growth, which Reserve must have prevented.
+	// The only possible allocations are store growth, which Reserve
+	// must have prevented.
 	if allocs != 0 {
 		t.Fatalf("scheduling %d calendar events after Reserve(%d) allocates %.2f allocs/op, want 0", n, n, allocs)
 	}
@@ -252,14 +215,15 @@ func TestEngineReservePresizesCalendarArena(t *testing.T) {
 func TestEngineCalendarWraparound(t *testing.T) {
 	e := NewEngine()
 	var got []Time
+	e.SetExec(func(Payload) { got = append(got, e.Now()) })
 	want := make([]Time, 0, 64)
 	var at Time
 	for i := 0; i < 64; i++ {
 		at += calHorizon/3 + Time(i*7)
 		want = append(want, at)
-		e.ScheduleAt(at, func() { got = append(got, e.Now()) })
+		e.SchedulePAt(at, Payload{})
 	}
-	e.Run()
+	runIdle(e)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wraparound execution times diverged\n got=%v\nwant=%v", got, want)
 	}

@@ -6,13 +6,61 @@ import (
 	"testing/quick"
 )
 
+// funcs lets a test schedule Go funcs as payload events: each func is
+// stored at the index its payload carries, and the dispatcher calls it.
+type funcs struct {
+	e  *Engine
+	fs []func()
+}
+
+func newFuncs(e *Engine) *funcs {
+	f := &funcs{e: e}
+	e.SetExec(func(p Payload) { f.fs[p.A]() })
+	return f
+}
+
+// at schedules fn at absolute time t.
+func (f *funcs) at(t Time, fn func()) {
+	f.fs = append(f.fs, fn)
+	f.e.SchedulePAt(t, Payload{A: uint64(len(f.fs) - 1)})
+}
+
+// after schedules fn d cycles from now.
+func (f *funcs) after(d Time, fn func()) { f.at(f.e.Now()+d, fn) }
+
+// step runs every event due at the earliest pending timestamp and
+// reports whether there was one.
+func step(e *Engine) bool {
+	t, ok := e.nextEventTime()
+	if e.fifoHead < len(e.fifo) {
+		t, ok = e.now, true
+	}
+	if ok {
+		e.RunUntil(t)
+	}
+	return ok
+}
+
+// runIdle runs events until none is pending, leaving the clock at the
+// last one (a RunUntil bound would move it further).
+func runIdle(e *Engine) {
+	for step(e) {
+	}
+}
+
+// pending counts the scheduled, not yet executed events.
+func pending(e *Engine) int {
+	return len(e.fifo) - e.fifoHead + e.calCount + len(e.heap)
+}
+
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine()
+	f := newFuncs(e)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
-	e.Run()
+	f.after(30, func() { got = append(got, 3) })
+	f.after(10, func() { got = append(got, 1) })
+	f.after(20, func() { got = append(got, 2) })
+	runIdle(e)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order = %v, want [1 2 3]", got)
 	}
@@ -23,12 +71,13 @@ func TestEngineOrdersEventsByTime(t *testing.T) {
 
 func TestEngineFIFOAmongSameCycle(t *testing.T) {
 	e := NewEngine()
+	f := newFuncs(e)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		f.after(5, func() { got = append(got, i) })
 	}
-	e.Run()
+	runIdle(e)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-cycle order = %v, want FIFO", got)
@@ -38,13 +87,14 @@ func TestEngineFIFOAmongSameCycle(t *testing.T) {
 
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
+	f := newFuncs(e)
 	var got []Time
-	e.Schedule(10, func() {
+	f.after(10, func() {
 		got = append(got, e.Now())
-		e.Schedule(5, func() { got = append(got, e.Now()) })
-		e.Schedule(0, func() { got = append(got, e.Now()) })
+		f.after(5, func() { got = append(got, e.Now()) })
+		f.after(0, func() { got = append(got, e.Now()) })
 	})
-	e.Run()
+	runIdle(e)
 	want := []Time{10, 10, 15}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("times = %v, want %v", got, want)
@@ -53,10 +103,11 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine()
+	f := newFuncs(e)
 	var fired []Time
 	for _, d := range []Time{5, 10, 15, 20} {
 		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
+		f.after(d, func() { fired = append(fired, d) })
 	}
 	e.RunUntil(10)
 	if len(fired) != 2 {
@@ -65,8 +116,8 @@ func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("Now() = %d, want 10", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
+	if n := pending(e); n != 2 {
+		t.Fatalf("pending = %d, want 2", n)
 	}
 	e.RunUntil(100)
 	if len(fired) != 4 || e.Now() != 100 {
@@ -82,24 +133,10 @@ func TestEngineRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++; e.Stop() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("executed %d events after Stop, want 1", n)
-	}
-	e.Run() // resumes
-	if n != 2 {
-		t.Fatalf("executed %d events total, want 2", n)
-	}
-}
-
 func TestEnginePanicsOnPastEvent(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	f := newFuncs(e)
+	f.after(10, func() {
 		defer func() {
 			p := recover()
 			if p == nil {
@@ -124,24 +161,25 @@ func TestEnginePanicsOnPastEvent(t *testing.T) {
 				}
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		f.at(5, func() {})
 	})
-	e.Run()
+	runIdle(e)
 }
 
 func TestEngineSameCycleFastPathOrdering(t *testing.T) {
-	// Events scheduled with delay 0 (or at the current absolute time)
-	// take the FIFO fast path; they must still interleave correctly
-	// with heap events previously scheduled for the same cycle.
+	// Events scheduled at the current cycle take the FIFO fast path;
+	// they must still interleave correctly with calendar events
+	// previously scheduled for the same cycle.
 	e := NewEngine()
+	f := newFuncs(e)
 	var got []int
-	e.Schedule(10, func() {
+	f.after(10, func() {
 		got = append(got, 1)
-		e.Schedule(0, func() { got = append(got, 3) })         // fast path
-		e.ScheduleAt(e.Now(), func() { got = append(got, 4) }) // fast path via ScheduleAt
+		f.after(0, func() { got = append(got, 3) })    // fast path
+		f.at(e.Now(), func() { got = append(got, 4) }) // fast path again
 	})
-	e.Schedule(10, func() { got = append(got, 2) }) // same cycle, scheduled earlier
-	e.Run()
+	f.after(10, func() { got = append(got, 2) }) // same cycle, scheduled earlier
+	runIdle(e)
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("order = %v, want %v", got, want)
@@ -155,23 +193,23 @@ func TestEngineSameCycleFastPathOrdering(t *testing.T) {
 
 func TestEngineReserve(t *testing.T) {
 	e := NewEngine()
+	e.SetExec(func(Payload) {})
 	e.Reserve(64)
-	fn := func() {}
 	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i%7)+1, fn)
+		e.SchedulePAt(Time(i%7)+1, Payload{})
 	}
-	if e.Pending() != 64 {
-		t.Fatalf("Pending = %d, want 64", e.Pending())
+	if n := pending(e); n != 64 {
+		t.Fatalf("pending = %d, want 64", n)
 	}
-	e.Run()
+	runIdle(e)
 	if e.Executed != 64 {
 		t.Fatalf("Executed = %d, want 64", e.Executed)
 	}
 	// Reserving after events exist must preserve them.
-	e.Schedule(1, fn)
-	e.Schedule(2, fn)
+	e.SchedulePAt(e.Now()+1, Payload{})
+	e.SchedulePAt(e.Now()+2, Payload{})
 	e.Reserve(1024)
-	e.Run()
+	runIdle(e)
 	if e.Executed != 66 {
 		t.Fatalf("Executed = %d, want 66", e.Executed)
 	}
@@ -179,19 +217,20 @@ func TestEngineReserve(t *testing.T) {
 
 func TestEngineScheduleIsAllocationFree(t *testing.T) {
 	// The hand-rolled heap must not box events: once the slices are at
-	// capacity, a schedule+step cycle performs zero allocations.
+	// capacity, scheduling and executing performs zero allocations.
+	// Every event schedules its successor, so the 128-event population
+	// stays warm.
 	e := NewEngine()
 	e.Reserve(256)
-	fn := func() {}
-	for i := 0; i < 128; i++ {
-		e.Schedule(Time(i%31)+1, fn)
-	}
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(Time(i%31)+1, fn)
-		e.Step()
+	e.SetExec(func(Payload) {
+		e.SchedulePAt(e.Now()+Time(i%31)+1, Payload{})
 		i++
 	})
+	for j := 0; j < 128; j++ {
+		e.SchedulePAt(Time(j%31)+1, Payload{})
+	}
+	allocs := testing.AllocsPerRun(1000, func() { step(e) })
 	if allocs != 0 {
 		t.Fatalf("allocs per schedule+step = %v, want 0", allocs)
 	}
@@ -202,6 +241,7 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 	// in nondecreasing time order with FIFO ties, and every event runs.
 	r := NewRand(3)
 	e := NewEngine()
+	f := newFuncs(e)
 	total := 0
 	var executed int
 	var lastWhen Time
@@ -214,7 +254,7 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 		for i := 0; i < n; i++ {
 			total++
 			d := Time(r.Intn(3)) // 0 hits the fast path
-			e.Schedule(d, func() {
+			f.after(d, func() {
 				if e.Now() < lastWhen {
 					t.Errorf("clock went backwards: %d after %d", e.Now(), lastWhen)
 				}
@@ -225,49 +265,35 @@ func TestEngineMixedFastAndHeapPaths(t *testing.T) {
 		}
 	}
 	total++
-	e.Schedule(1, func() { executed++; schedule(0) })
-	e.Run()
+	f.after(1, func() { executed++; schedule(0) })
+	runIdle(e)
 	if executed != total {
 		t.Fatalf("executed %d of %d events", executed, total)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Run", e.Pending())
-	}
-}
-
-func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty engine returned true")
-	}
-	e.Schedule(1, func() {})
-	if !e.Step() {
-		t.Fatal("Step with pending event returned false")
-	}
-	if e.Executed != 1 {
-		t.Fatalf("Executed = %d, want 1", e.Executed)
+	if n := pending(e); n != 0 {
+		t.Fatalf("pending = %d after running to idle", n)
 	}
 }
 
 func TestEngineMonotonicClockProperty(t *testing.T) {
 	// Whatever delays are scheduled, observed times never decrease.
-	f := func(delays []uint8) bool {
+	check := func(delays []uint8) bool {
 		e := NewEngine()
+		f := newFuncs(e)
 		last := Time(0)
 		ok := true
 		for _, d := range delays {
-			d := Time(d)
-			e.Schedule(d, func() {
+			f.after(Time(d), func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
 			})
 		}
-		e.Run()
+		runIdle(e)
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

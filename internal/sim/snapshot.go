@@ -1,21 +1,14 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Engine checkpoint/restore.
 //
-// An engine is snapshottable when every pending event is a payload
-// event (fn == nil): payloads are plain data, so the full event
-// population — FIFO, calendar ring, and far-event heap — flattens into
-// a sorted []EventState and reconstitutes exactly, preserving each
+// Every pending event is a payload, which is plain data, so the full
+// event population — FIFO, calendar ring, and far-event heap — flattens
+// into a sorted []EventState and reconstitutes exactly, preserving each
 // event's original (when, seq) and therefore the strict execution
-// order. A pending closure event cannot be serialized and makes the
-// snapshot fail with a typed *ClosureEventError naming the offender, so
-// a layer that forgot to reify one of its event types is caught the
-// first time a checkpoint is attempted, not by silent divergence.
+// order.
 
 // EventState is one pending event in serializable form.
 type EventState struct {
@@ -32,44 +25,22 @@ type EngineState struct {
 	Events   []EventState // sorted by (When, Seq)
 }
 
-// ClosureEventError reports a pending event that carries a Go closure
-// and therefore cannot be checkpointed.
-type ClosureEventError struct {
-	When Time
-	Seq  uint64
-}
-
-func (e *ClosureEventError) Error() string {
-	return fmt.Sprintf("sim: pending closure event at t=%d seq=%d cannot be snapshotted (not payload-reified)", e.When, e.Seq)
-}
-
 // SnapshotState captures the engine's complete pending-event state.
-// It fails if any pending event is a closure.
-func (e *Engine) SnapshotState() (*EngineState, error) {
+func (e *Engine) SnapshotState() *EngineState {
 	st := &EngineState{Now: e.now, Seq: e.seq, Executed: e.Executed}
-	add := func(ev event) error {
-		if ev.fn != nil {
-			return &ClosureEventError{When: ev.when, Seq: ev.seq}
-		}
+	add := func(ev event) {
 		st.Events = append(st.Events, EventState{When: ev.when, Seq: ev.seq, P: ev.p})
-		return nil
 	}
 	for _, ev := range e.fifo[e.fifoHead:] {
-		if err := add(ev); err != nil {
-			return nil, err
-		}
+		add(ev)
 	}
 	for slot := 0; slot < calHorizon; slot++ {
 		for i := e.calHead[slot]; i != 0; i = e.arena[i].next {
-			if err := add(e.arena[i].ev); err != nil {
-				return nil, err
-			}
+			add(e.arena[i].ev)
 		}
 	}
 	for _, ev := range e.heap {
-		if err := add(ev); err != nil {
-			return nil, err
-		}
+		add(ev)
 	}
 	sort.Slice(st.Events, func(i, j int) bool {
 		a, b := st.Events[i], st.Events[j]
@@ -78,7 +49,7 @@ func (e *Engine) SnapshotState() (*EngineState, error) {
 		}
 		return a.Seq < b.Seq
 	})
-	return st, nil
+	return st
 }
 
 // RestoreState discards every pending event and replaces the engine's
