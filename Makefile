@@ -41,7 +41,9 @@ staticcheck:
 # The merge gate: gofmt (any file `gofmt -l` lists fails it), build,
 # vet, staticcheck, the short test suite, every golden figure (-short
 # skips six of the eight, among them the deep-queue fig4, the adaptive
-# and OOO fig14 and the pausing and subarray ext1; all eight take ~5 s),
+# and OOO fig14 and the pausing and subarray ext1; all eight take ~5 s)
+# rendered plainly and again after every exact cell was preempted at
+# its second checkpoint boundary and resumed (~15 s),
 # then the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
@@ -65,7 +67,7 @@ ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -short ./...
-	$(GO) test -count=1 -run TestGoldenFigures ./internal/harness/
+	$(GO) test -count=1 -run 'TestGoldenFigures|TestPreemptedGoldenFigures' ./internal/harness/
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
 	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/

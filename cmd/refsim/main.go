@@ -9,7 +9,7 @@
 //	refsim -mix WL-6 -density 32 -policy allbank
 //	refsim -mix WL-6 -density 32 -codesign -v
 //	refsim -mix WL-1,WL-5,WL-6 -codesign -j 4
-//	refsim -bench mcf,mcf,povray,povray -policy perbank -temp 95
+//	refsim -bench mcf,mcf,povray,povray -policy perbank -hot
 //	refsim -mix WL-6 -density 24 -policy perbank -mode=approx
 //
 // A failing run is quarantined (reported, the other mixes still

@@ -166,7 +166,7 @@ type Cluster struct {
 	CacheServed       atomic.Uint64 // /v1/cache lookups this node answered with a hit
 	CellsDispatched   atomic.Uint64 // fan-out cells sent to peers
 	CellsReclaimed    atomic.Uint64 // dispatched cells re-run locally after peer failure
-	CellsResumed      atomic.Uint64 // reclaimed cells resumed from a peer-shipped snapshot
+	CellsResumed      atomic.Uint64 // reclaimed cells whose peer-shipped snapshot was filed for the local run to resume
 	CellsExecuted     atomic.Uint64 // /v1/cells requests this node simulated
 }
 

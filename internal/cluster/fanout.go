@@ -18,9 +18,7 @@ import (
 // CellRequest is the wire form of one fan-out cell: the cell's
 // harness.CellSpec — its coordinates plus every Params knob that
 // changes its simulated result — and the coordinating sweep's context.
-// The executing node rebuilds the cell from its spec alone, which is
-// why only cells marked runner.Cell.Remotable — built by the standard
-// bundle pipeline — may be dispatched.
+// The executing node rebuilds the cell from its spec alone.
 type CellRequest struct {
 	harness.CellSpec
 
@@ -33,9 +31,9 @@ type CellRequest struct {
 // CellSnapshotHeader marks a /v1/cells failure response whose body is
 // an encoded core snapshot of the cell's partial progress (the
 // executing node was draining or lost its caller mid-run and
-// checkpointed instead of discarding the work). The coordinator
-// resumes the cell locally from the snapshot rather than recomputing
-// it from cycle zero.
+// checkpointed instead of discarding the work). The coordinator files
+// the snapshot in the job's harness.CellStore, so its local run of the
+// cell resumes from it rather than recomputing from cycle zero.
 const CellSnapshotHeader = "X-Refsched-Cell-Snapshot"
 
 // cellSnapshotError is runRemoteCell's failure carrying the partial
@@ -69,10 +67,10 @@ type CellEvent struct {
 type CellObserver func(CellEvent)
 
 // RunCells is the cluster-aware harness.CellRunner core: it executes a
-// sweep's cells with remotable cells opportunistically dispatched to
-// alive peers (bounded by the per-peer fan-out cap) and everything
-// else — non-remotable cells, dispatch failures, and overflow beyond
-// remote capacity — run locally under the original gate.
+// sweep's cells with each cell opportunistically dispatched to an alive
+// peer (bounded by the per-peer fan-out cap) and the rest — dispatch
+// failures and overflow beyond remote capacity — run locally under the
+// original gate.
 //
 // The merge is byte-identical to a local run: a remote cell returns its
 // core.Report as JSON, which round-trips float64 exactly (the same
@@ -109,18 +107,10 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 
 	wrapped := make([]runner.Job[*core.Report], len(jobs))
 	for i, j := range jobs {
-		local := j.Run
-		wrapped[i] = j
-		wrapped[i].Run = func() (*core.Report, error) { return runLocal(local) }
-		if !j.Cell.Remotable {
-			continue
-		}
-		cell := j.Cell
-		spec, err := p.Cell(cell.Mix, cell.Density, cell.Bundle, cell.Hot)
-		if err != nil {
-			continue // not addressable by its coordinates: run it here
-		}
+		local, cell := j.Run, j.Cell
+		spec := p.Spec(cell)
 		cr := CellRequest{CellSpec: spec, Fig: figID, Origin: c.self.ID, ReqID: reqID, Priority: priority}
+		wrapped[i] = j
 		wrapped[i].Run = func() (*core.Report, error) {
 			if pr, lane := c.acquireSlot(); pr != nil {
 				rep, err := c.runRemoteCell(ctx, pr, cr, cell, lane, obs)
@@ -130,19 +120,15 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 				}
 				c.CellsReclaimed.Add(1)
 				// A peer that checkpointed before failing ships its
-				// partial progress; continue the simulation locally
-				// from the snapshot instead of from cycle zero. The
-				// resumed result is byte-identical either way, so a
-				// restore failure just falls through to the full
-				// local re-run.
+				// partial progress. Filed in the job's store under the
+				// cell's key, it is resumed by the local run below —
+				// with the job's preemption poll and hard context, like
+				// any checkpointed cell — instead of recomputing from
+				// cycle zero. The result is byte-identical either way.
 				var se *cellSnapshotError
-				if errors.As(err, &se) {
-					if rep, rerr := runLocal(func() (*core.Report, error) {
-						return resumeCell(ctx, se.st)
-					}); rerr == nil {
-						c.CellsResumed.Add(1)
-						return rep, nil
-					}
+				if errors.As(err, &se) && p.Store != nil {
+					p.Store.PutSnapshot(spec.Key(), se.st)
+					c.CellsResumed.Add(1)
 				}
 			}
 			return runLocal(local)
@@ -151,18 +137,6 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 
 	opts.Parallelism = runner.Parallelism(opts.Parallelism) + len(c.order)*c.cfg.FanoutPerPeer
 	return runner.RunBatch(ctx, wrapped, opts)
-}
-
-// resumeCell continues a peer-shipped cell snapshot to completion on
-// this node. The snapshot carries the full run interval and leg state,
-// so a plain Resume with no further checkpointing finishes the cell
-// and yields the byte-identical report.
-func resumeCell(ctx context.Context, st *core.SystemState) (*core.Report, error) {
-	sys, err := core.Restore(st, core.Options{Ctx: ctx})
-	if err != nil {
-		return nil, err
-	}
-	return sys.Resume(0, nil)
 }
 
 // acquireSlot picks the alive peer with the most free fan-out capacity
@@ -196,7 +170,7 @@ func (c *Cluster) releaseSlot(p *peer, lane int) {
 	p.slots <- lane - p.laneBase
 }
 
-// runRemoteCell executes one remotable cell on p via POST /v1/cells and
+// runRemoteCell executes one cell on p via POST /v1/cells and
 // decodes the report. Any failure — transport, non-200, decode — is
 // returned for local reclamation; transport failures additionally count
 // against the peer's health so a dead node is deserted quickly, without

@@ -114,8 +114,8 @@ const (
 	// SchedRR is the paper's baseline: round-robin with a fixed time
 	// slice per CPU.
 	SchedRR SchedPolicy = "rr"
-	// SchedCFS is a Completely Fair Scheduler model: red-black tree
-	// ordered by vruntime per CPU.
+	// SchedCFS is a Completely Fair Scheduler model: a per-CPU
+	// runqueue ordered by vruntime.
 	SchedCFS SchedPolicy = "cfs"
 )
 
@@ -187,16 +187,6 @@ type RefreshConfig struct {
 	// TREFWms is the retention window in milliseconds before Scale:
 	// 64 below 85°C, 32 above.
 	TREFWms float64
-	// AdaptiveEpochUS is the utilization sampling epoch for Adaptive
-	// Refresh, in µs.
-	AdaptiveEpochUS float64
-	// AdaptiveHighUtil is the queue-utilization fraction above which
-	// Adaptive Refresh switches to 4x mode.
-	AdaptiveHighUtil float64
-	// RAIDRBins is the synthetic retention profile for the RAIDR
-	// policy: fractions of rows retaining for {1, 2, 4} windows.
-	// All-zero selects the published default profile.
-	RAIDRBins [3]float64
 }
 
 // OSConfig describes the simulated kernel policies.
@@ -354,10 +344,8 @@ func Default(d Density, scale uint64) System {
 			WriteHighWater:  54,
 		},
 		Refresh: RefreshConfig{
-			Policy:           RefreshAllBank,
-			TREFWms:          64,
-			AdaptiveEpochUS:  100,
-			AdaptiveHighUtil: 0.5,
+			Policy:  RefreshAllBank,
+			TREFWms: 64,
 		},
 		OS: OSConfig{
 			Scheduler:       SchedRR,

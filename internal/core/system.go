@@ -121,7 +121,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	var planner refresh.SlotPlanner
 	for ch := 0; ch < cfg.Mem.Channels; ch++ {
 		channel := dram.NewChannel(ch, cfg.Mem, &s.timing)
-		pol, err := newPolicy(&cfg, geo)
+		pol, err := refresh.New(cfg.Refresh.Policy, geo)
 		if err != nil {
 			return nil, err
 		}
@@ -234,23 +234,6 @@ func (s *System) registerMetrics() {
 // MetricsSnapshot reads the full registry (cumulative since
 // construction) — the machine-readable counterpart of Report.
 func (s *System) MetricsSnapshot() metrics.Snapshot { return s.Reg.Snapshot() }
-
-// newPolicy builds the per-channel refresh scheduler, threading
-// policy-specific parameters from the config.
-func newPolicy(cfg *config.System, geo refresh.Geometry) (refresh.Scheduler, error) {
-	switch cfg.Refresh.Policy {
-	case config.RefreshAdaptive:
-		epoch := cfg.Cycles(cfg.Refresh.AdaptiveEpochUS * 1000)
-		return refresh.NewAdaptive(geo, epoch, cfg.Refresh.AdaptiveHighUtil), nil
-	case config.RefreshRAIDR:
-		b := cfg.Refresh.RAIDRBins
-		return refresh.NewRAIDR(geo, refresh.RetentionBins{
-			OneWindow: b[0], TwoWindow: b[1], FourWindow: b[2],
-		})
-	default:
-		return refresh.New(cfg.Refresh.Policy, geo)
-	}
-}
 
 // Window returns the scaled retention window in cycles — the natural
 // unit for warmup/measure durations.

@@ -83,11 +83,11 @@ func TestApproxValidationGrids(t *testing.T) {
 	var maxCell string
 	var hipcMax, hipcSum float64
 	for _, c := range cells {
-		exact, err := p.runBundle(c.d, c.b, c.highTemp, c.mix)
+		exact, err := p.runCell(p.cell(c.mix, c.d, c.b, c.highTemp))
 		if err != nil {
 			t.Fatalf("exact %s/%s/%s: %v", c.mix.Name, c.d, c.b.name, err)
 		}
-		pred, err := ap.runBundle(c.d, c.b, c.highTemp, c.mix)
+		pred, err := ap.runCell(ap.cell(c.mix, c.d, c.b, c.highTemp))
 		if err != nil {
 			t.Fatalf("approx %s/%s/%s: %v", c.mix.Name, c.d, c.b.name, err)
 		}
@@ -131,7 +131,7 @@ func TestApproxModeJournalsSeparate(t *testing.T) {
 func TestApproxModeUnknownRejected(t *testing.T) {
 	p := approxValidationParams()
 	p.Mode = "aprox"
-	if _, err := p.runBundle(config.Density32Gb, bundleAllBank, false, workload.Table2()[0]); err == nil {
+	if _, err := p.runCell(p.cell(workload.Table2()[0], config.Density32Gb, bundleAllBank, false)); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

@@ -111,66 +111,77 @@ func TestCellRejectsBadAddresses(t *testing.T) {
 	}
 }
 
-// TestCellStoreResumesPreemptedCell walks one cell through the store's
-// three outcomes: a run preempted at its second checkpoint boundary
-// leaves its snapshot under the spec's Key; the next run resumes that
-// snapshot to a report byte-identical to an undisturbed run; a third
-// run is answered from the stored report without simulating.
+// TestCellStoreResumesPreemptedCell walks one cell of each kind a
+// figure runs — a policy bundle, a bank-confined fig4 cell, an ext1
+// comparator and its subarray-level refresh, and fig15 machines —
+// through the store's three outcomes: a run preempted at its second
+// checkpoint boundary leaves its snapshot under the spec's Key; the
+// next run resumes that snapshot to a report byte-identical to an
+// undisturbed run; a third run is answered from the stored report
+// without simulating.
 func TestCellStoreResumesPreemptedCell(t *testing.T) {
-	p := tinyParams()
-	p.Parallelism = 1
-	ref, err := RunCell(p, "WL-6", "32Gb", "codesign", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := p.Cell("WL-6", "32Gb", "codesign", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, bundle := range []string{
+		"codesign", "confine1", "pausing", "perbank-salp8",
+		"codesign@4cores-1:4", "allbank@2cores-1:4-2dimm",
+	} {
+		bundle := bundle
+		t.Run(bundle, func(t *testing.T) {
+			p := tinyParams()
+			p.Parallelism = 1
+			ref, err := RunCell(p, "WL-6", "32Gb", bundle, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := p.Cell("WL-6", "32Gb", bundle, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	errPreempt := errors.New("preempted")
-	var resumes atomic.Uint64
-	boundaries := 0
-	p.Store = &CellStore{Resumes: &resumes, Preempt: func() error {
-		if boundaries++; boundaries == 2 {
-			return errPreempt
-		}
-		return nil
-	}}
+			errPreempt := errors.New("preempted")
+			var resumes atomic.Uint64
+			boundaries := 0
+			p.Store = &CellStore{Resumes: &resumes, Preempt: func() error {
+				if boundaries++; boundaries == 2 {
+					return errPreempt
+				}
+				return nil
+			}}
 
-	if _, err := RunCell(p, "WL-6", "32Gb", "codesign", false); !errors.Is(err, errPreempt) {
-		t.Fatalf("first run returned %v, want the preemption", err)
-	}
-	if p.Store.snaps[spec.Key()] == nil {
-		t.Fatalf("preempted run left no snapshot under %q", spec.Key())
-	}
+			if _, err := RunCell(p, "WL-6", "32Gb", bundle, false); !errors.Is(err, errPreempt) {
+				t.Fatalf("first run returned %v, want the preemption", err)
+			}
+			if p.Store.snaps[spec.Key()] == nil {
+				t.Fatalf("preempted run left no snapshot under %q", spec.Key())
+			}
 
-	rep, err := RunCell(p, "WL-6", "32Gb", "codesign", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumes.Load() != 1 {
-		t.Fatalf("resumes = %d, want 1", resumes.Load())
-	}
-	if boundaries <= 2 {
-		t.Fatalf("resumed run crossed no checkpoint boundary (%d in all)", boundaries)
-	}
-	got, _ := json.Marshal(rep)
-	want, _ := json.Marshal(ref)
-	if string(got) != string(want) {
-		t.Fatal("resumed report differs from an undisturbed run")
-	}
-	if len(p.Store.snaps) != 0 {
-		t.Fatalf("a finished cell left %d snapshot(s) behind", len(p.Store.snaps))
-	}
+			rep, err := RunCell(p, "WL-6", "32Gb", bundle, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumes.Load() != 1 {
+				t.Fatalf("resumes = %d, want 1", resumes.Load())
+			}
+			if boundaries <= 2 {
+				t.Fatalf("resumed run crossed no checkpoint boundary (%d in all)", boundaries)
+			}
+			got, _ := json.Marshal(rep)
+			want, _ := json.Marshal(ref)
+			if string(got) != string(want) {
+				t.Fatal("resumed report differs from an undisturbed run")
+			}
+			if len(p.Store.snaps) != 0 {
+				t.Fatalf("a finished cell left %d snapshot(s) behind", len(p.Store.snaps))
+			}
 
-	polled := boundaries
-	again, err := RunCell(p, "WL-6", "32Gb", "codesign", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != rep || boundaries != polled {
-		t.Fatal("third run simulated instead of returning the stored report")
+			polled := boundaries
+			again, err := RunCell(p, "WL-6", "32Gb", bundle, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != rep || boundaries != polled {
+				t.Fatal("third run simulated instead of returning the stored report")
+			}
+		})
 	}
 }
 
@@ -186,7 +197,7 @@ func TestCellStoreConcurrentUse(t *testing.T) {
 		go func(key string) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				store.saveSnapshot(key, &core.SystemState{})
+				store.PutSnapshot(key, &core.SystemState{})
 				if store.TakeSnapshot(key) == nil {
 					t.Errorf("%s: saved snapshot not found", key)
 				}

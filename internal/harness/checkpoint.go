@@ -10,7 +10,7 @@ import (
 	"refsched/internal/workload"
 )
 
-// CellStore holds exact bundle cells' progress across runs, keyed by
+// CellStore holds exact cells' progress across runs, keyed by
 // CellSpec.Key: the mid-run snapshot a preempted cell left behind, and
 // the report of a cell that finished. A run consults it before
 // simulating — a stored report answers the cell outright, a stored
@@ -21,7 +21,7 @@ import (
 // empty store that never preempts.
 type CellStore struct {
 	// Preempt, when non-nil, is polled at every checkpoint boundary of
-	// every exact bundle cell run with this store. A non-nil return
+	// every exact cell run with this store. A non-nil return
 	// stores the cell's snapshot and aborts the cell with that error —
 	// the cooperative preemption point.
 	Preempt func() error
@@ -53,7 +53,10 @@ func (c *CellStore) TakeSnapshot(key string) *core.SystemState {
 	return st
 }
 
-func (c *CellStore) saveSnapshot(key string, st *core.SystemState) {
+// PutSnapshot stores a mid-run snapshot for key, for the next run of
+// that cell to resume: the cell's own preemption files one, and so
+// does a fan-out coordinator for a snapshot a peer shipped back.
+func (c *CellStore) PutSnapshot(key string, st *core.SystemState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.snaps == nil {
@@ -80,21 +83,20 @@ func (c *CellStore) finish(key string, rep *core.Report) {
 	delete(c.snaps, key)
 }
 
-// runExact executes one exact-engine cell. A bundle cell run with a
-// store (key non-empty) is answered by its stored report when there is
-// one, resumes from its stored snapshot when there is one, and
-// otherwise builds fresh; it runs with a lazy boundary callback that
-// polls the store's Preempt, and on completion its report is stored.
+// runExact executes one exact-engine cell; confine > 0 confines every
+// task to that many banks per rank. A cell run with a store is answered
+// by the report stored under key when there is one, resumes from the
+// snapshot stored there when there is one (its bank masks travel in the
+// snapshot), and otherwise builds fresh; it runs with a lazy boundary
+// callback that polls the store's Preempt, and on completion its report
+// is stored.
 // Boundaries fall every four timeslices — frequent enough that a
 // preemption request lands quickly, cheap because a boundary without a
 // snapshot costs only a leg split. The leg structure and every
 // snapshot/restore cycle are invisible to the simulation: the report is
 // byte-identical to an uncheckpointed run.
-func (p Params) runExact(cfg config.System, mix workload.Mix, key string) (*core.Report, error) {
-	var store *CellStore
-	if key != "" {
-		store = p.Store
-	}
+func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key string) (*core.Report, error) {
+	store := p.Store
 	var st *core.SystemState
 	if store != nil {
 		if rep := store.report(key); rep != nil {
@@ -108,6 +110,9 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, key string) (*core
 		sys, err = core.Restore(st, core.Options{Ctx: p.HardCtx})
 	} else {
 		sys, err = core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
+		if err == nil && confine > 0 {
+			err = sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), confine))
+		}
 		if err != nil {
 			err = fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 		}
@@ -129,7 +134,7 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, key string) (*core
 			if err != nil {
 				return err
 			}
-			store.saveSnapshot(key, st)
+			store.PutSnapshot(key, st)
 			return perr
 		}
 	}

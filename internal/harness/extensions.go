@@ -2,7 +2,6 @@ package harness
 
 import (
 	"refsched/internal/config"
-	"refsched/internal/core"
 	"refsched/internal/runner"
 )
 
@@ -21,67 +20,47 @@ func Extensions(p Params) (*Result, error) {
 	r.Table.Header = []string{"policy", "ipc-gain", "refresh-stalled", "refresh-energy"}
 	d := config.Density32Gb
 
-	type entry struct {
-		name      string
-		bundle    bundle
-		subarrays int
-	}
-	entries := []entry{
-		{"allbank", bundleAllBank, 0},
-		{"elastic", bundle{"elastic", config.RefreshElastic, false}, 0},
-		{"pausing", bundle{"pausing", config.RefreshPausing, false}, 0},
-		{"raidr", bundle{"raidr", config.RefreshRAIDR, false}, 0},
-		{"perbank", bundlePerBank, 0},
-		{"perbank-salp8", bundle{"perbanksa", config.RefreshPerBankSA, false}, 8},
-		{"codesign", bundleCoDesign, 0},
+	entries := []bundle{
+		bundleAllBank, bundleElastic, bundlePausing, bundleRAIDR,
+		bundlePerBank, bundleSALP8, bundleCoDesign,
 	}
 
 	// Enumerate every (entry, mix) cell — the all-bank entry doubles as
 	// the per-mix baseline — and fan out across the worker pool.
-	var jobs []cellJob
-	for _, e := range entries {
+	var cells []runner.Cell
+	for _, b := range entries {
 		for _, mix := range p.sweepMixes() {
-			e, mix := e, mix
-			jobs = append(jobs, cellJob{
-				key: cellKey(e.name, mix.Name),
-				cell: runner.Cell{Mix: mix.Name, Density: d.String(),
-					Bundle: e.name, Seed: p.Seed},
-				run: func() (*core.Report, error) {
-					cfg := p.configFor(d, e.bundle, false)
-					cfg.Mem.SubarraysPerBank = e.subarrays
-					return p.run(cfg, mix, "")
-				},
-			})
+			cells = append(cells, p.cell(mix, d, b, false))
 		}
 	}
-	reps, failed, err := p.runCells("ext1", jobs)
+	reps, failed, err := p.runCells("ext1", cells)
 	if err != nil {
 		return nil, err
 	}
 	r.Failed = failed
 
-	for _, e := range entries {
+	for _, b := range entries {
 		var gains, stalls, energies []float64
 		for _, mix := range p.sweepMixes() {
-			rep := reps[cellKey(e.name, mix.Name)]
-			base := reps[cellKey("allbank", mix.Name)]
+			rep := reps[p.cell(mix, d, b, false)]
+			base := reps[p.cell(mix, d, bundleAllBank, false)]
 			if rep == nil || base == nil {
 				// Quarantined cell: this mix drops out of the means.
 				continue
 			}
 			g := 0.0
-			if b := base.HarmonicIPC; b > 0 {
-				g = rep.HarmonicIPC/b - 1
+			if ipc := base.HarmonicIPC; ipc > 0 {
+				g = rep.HarmonicIPC/ipc - 1
 			}
 			gains = append(gains, g)
 			stalls = append(stalls, rep.RefreshStalledFrac)
 			energies = append(energies, rep.RefreshEnergyFrac)
 		}
 		gain := meanPct(gains, 1)
-		if e.name == "allbank" {
+		if b == bundleAllBank {
 			gain = "baseline"
 		}
-		r.Table.AddRow(e.name, gain, meanPct(stalls, 2), meanPct(energies, 1))
+		r.Table.AddRow(b.name, gain, meanPct(stalls, 2), meanPct(energies, 1))
 	}
 	r.Notes = append(r.Notes,
 		"elastic/pausing/raidr are the paper's Section 7 related work, rebuilt as comparators;",

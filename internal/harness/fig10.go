@@ -15,27 +15,23 @@ var mainDensities = []config.Density{config.Density16Gb, config.Density24Gb, con
 
 // mainResults runs the Figure 10/11/13 experiment grid — every selected
 // mix × {16,24,32 Gb} × {all-bank, per-bank, co-design} — at the given
-// retention temperature, and returns the reports keyed by
-// (mix, density, bundle) plus any quarantined cell failures. All cells
-// run through the fault-tolerant parallel sweep runner.
-func (p Params) mainResults(highTemp bool) (map[string]*core.Report, []*runner.CellError, error) {
+// retention temperature, and returns the reports keyed by cell plus any
+// quarantined cell failures. All cells run through the fault-tolerant
+// parallel sweep runner.
+func (p Params) mainResults(highTemp bool) (map[runner.Cell]*core.Report, []*runner.CellError, error) {
 	figID := "fig10"
 	if highTemp {
 		figID = "fig13"
 	}
-	var jobs []cellJob
+	var cells []runner.Cell
 	for _, mix := range p.mixes() {
 		for _, d := range mainDensities {
 			for _, b := range []bundle{bundleAllBank, bundlePerBank, bundleCoDesign} {
-				jobs = append(jobs, p.bundleJob(key(mix.Name, d, b.name), d, b, highTemp, mix))
+				cells = append(cells, p.cell(mix, d, b, highTemp))
 			}
 		}
 	}
-	return p.runCells(figID, jobs)
-}
-
-func key(mix string, d config.Density, bundle string) string {
-	return fmt.Sprintf("%s|%s|%s", mix, d, bundle)
+	return p.runCells(figID, cells)
 }
 
 // Fig10 regenerates Figure 10 (IPC improvement of per-bank refresh and
@@ -73,9 +69,9 @@ func Fig10(p Params, highTemp bool) (*Result, *Result, error) {
 		rowCD := make(map[config.Density]float64)
 		complete := true
 		for _, d := range mainDensities {
-			ab := reps[key(mix.Name, d, "allbank")]
-			pb := reps[key(mix.Name, d, "perbank")]
-			cd := reps[key(mix.Name, d, "codesign")]
+			ab := reps[p.cell(mix, d, bundleAllBank, highTemp)]
+			pb := reps[p.cell(mix, d, bundlePerBank, highTemp)]
+			cd := reps[p.cell(mix, d, bundleCoDesign, highTemp)]
 			if ab == nil || pb == nil || cd == nil {
 				// A quarantined cell voids this mix's whole row (and its
 				// contribution to the averages); it is accounted for in

@@ -1,6 +1,9 @@
 package harness
 
-import "refsched/internal/config"
+import (
+	"refsched/internal/config"
+	"refsched/internal/runner"
+)
 
 // Fig12 regenerates Figure 12: DDR4 fine-granularity refresh modes
 // (1x = all-bank baseline, 2x, 4x) versus the co-design at 32 Gb, with
@@ -16,13 +19,13 @@ func Fig12(p Params) (*Result, error) {
 	d := config.Density32Gb
 
 	bundles := []bundle{bundleAllBank, bundleFGR2x, bundleFGR4x, bundleCoDesign}
-	var jobs []cellJob
+	var cells []runner.Cell
 	for _, mix := range p.mixes() {
 		for _, b := range bundles {
-			jobs = append(jobs, p.bundleJob(cellKey(mix.Name, b.name), d, b, false, mix))
+			cells = append(cells, p.cell(mix, d, b, false))
 		}
 	}
-	reps, failed, err := p.runCells("fig12", jobs)
+	reps, failed, err := p.runCells("fig12", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -30,10 +33,10 @@ func Fig12(p Params) (*Result, error) {
 
 	var g2, g4, gc []float64
 	for _, mix := range p.mixes() {
-		base := reps[cellKey(mix.Name, bundleAllBank.name)]
-		f2 := reps[cellKey(mix.Name, bundleFGR2x.name)]
-		f4 := reps[cellKey(mix.Name, bundleFGR4x.name)]
-		cd := reps[cellKey(mix.Name, bundleCoDesign.name)]
+		base := reps[p.cell(mix, d, bundleAllBank, false)]
+		f2 := reps[p.cell(mix, d, bundleFGR2x, false)]
+		f4 := reps[p.cell(mix, d, bundleFGR4x, false)]
+		cd := reps[p.cell(mix, d, bundleCoDesign, false)]
 		if base == nil || f2 == nil || f4 == nil || cd == nil {
 			// Quarantined cell: the mix's row is omitted (see Failed).
 			continue
@@ -66,13 +69,13 @@ func Fig14(p Params) (*Result, error) {
 	d := config.Density32Gb
 
 	compared := []bundle{bundleAdaptive, bundleOOO, bundlePerBank, bundleCoDesign}
-	var jobs []cellJob
+	var cells []runner.Cell
 	for _, mix := range p.mixes() {
 		for _, b := range append([]bundle{bundleAllBank}, compared...) {
-			jobs = append(jobs, p.bundleJob(cellKey(mix.Name, b.name), d, b, false, mix))
+			cells = append(cells, p.cell(mix, d, b, false))
 		}
 	}
-	reps, failed, err := p.runCells("fig14", jobs)
+	reps, failed, err := p.runCells("fig14", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -80,10 +83,10 @@ func Fig14(p Params) (*Result, error) {
 
 	gains := map[string][]float64{}
 	for _, mix := range p.mixes() {
-		base := reps[cellKey(mix.Name, bundleAllBank.name)]
+		base := reps[p.cell(mix, d, bundleAllBank, false)]
 		complete := base != nil
 		for _, b := range compared {
-			complete = complete && reps[cellKey(mix.Name, b.name)] != nil
+			complete = complete && reps[p.cell(mix, d, b, false)] != nil
 		}
 		if !complete {
 			// Quarantined cell: the mix's row is omitted (see Failed).
@@ -91,7 +94,7 @@ func Fig14(p Params) (*Result, error) {
 		}
 		row := []string{mix.Name}
 		for _, b := range compared {
-			rep := reps[cellKey(mix.Name, b.name)]
+			rep := reps[p.cell(mix, d, b, false)]
 			g := 0.0
 			if base.HarmonicIPC > 0 {
 				g = rep.HarmonicIPC/base.HarmonicIPC - 1

@@ -1,15 +1,8 @@
 package harness
 
-import (
-	"fmt"
+import "refsched/internal/runner"
 
-	"refsched/internal/config"
-	"refsched/internal/core"
-	"refsched/internal/runner"
-	"refsched/internal/workload"
-)
-
-// scenario is one sensitivity configuration of Figure 15.
+// scenario is one sensitivity machine of Figure 15.
 type scenario struct {
 	name         string
 	cores        int
@@ -17,6 +10,17 @@ type scenario struct {
 	dimms        int
 	banksPerTask int
 }
+
+// scenarios are Figure 15's machines; each runs scenarioBundles, named
+// <bundle>@<scenario> (see bundle.on).
+var scenarios = []scenario{
+	{"2cores-1:2", 2, 2, 1, 4},
+	{"2cores-1:4", 2, 4, 1, 6},
+	{"4cores-1:4", 4, 4, 1, 6},
+	{"2cores-1:4-2dimm", 2, 4, 2, 6},
+}
+
+var scenarioBundles = []bundle{bundleAllBank, bundlePerBank, bundleCoDesign}
 
 // Fig15 regenerates Figure 15: sensitivity of the co-design's gains to
 // core count, consolidation ratio, and DIMMs per channel. Each cell is
@@ -32,46 +36,32 @@ func Fig15(p Params) (*Result, error) {
 		r.Table.Header = append(r.Table.Header, d.String())
 	}
 
-	scenarios := []scenario{
-		{"2cores-1:2", 2, 2, 1, 4},
-		{"2cores-1:4", 2, 4, 1, 6},
-		{"4cores-1:4", 4, 4, 1, 6},
-		{"2cores-1:4-2dimm", 2, 4, 2, 6},
-	}
-
-	bundles := []bundle{bundleAllBank, bundlePerBank, bundleCoDesign}
-	var jobs []cellJob
-	for _, sc := range scenarios {
+	var cells []runner.Cell
+	for i := range scenarios {
 		for _, d := range mainDensities {
-			for _, baseMix := range p.sweepMixes() {
-				mix := workload.MixFor(baseMix, sc.cores, sc.ratio)
-				for _, b := range bundles {
-					sc, d, b, mix := sc, d, b, mix
-					jobs = append(jobs, cellJob{
-						key: cellKey(sc.name, d.String(), baseMix.Name, b.name),
-						cell: runner.Cell{Mix: mix.Name, Density: d.String(),
-							Bundle: b.name, Seed: p.Seed},
-						run: func() (*core.Report, error) { return p.runScenario(d, b, sc, mix) },
-					})
+			for _, mix := range p.sweepMixes() {
+				for _, b := range scenarioBundles {
+					cells = append(cells, p.cell(mix, d, b.on(&scenarios[i]), false))
 				}
 			}
 		}
 	}
-	reps, failed, err := p.runCells("fig15", jobs)
+	reps, failed, err := p.runCells("fig15", cells)
 	if err != nil {
 		return nil, err
 	}
 	r.Failed = failed
 
-	for _, sc := range scenarios {
+	for i := range scenarios {
+		sc := &scenarios[i]
 		pbRow := []string{sc.name, "perbank"}
 		cdRow := []string{sc.name, "codesign"}
 		for _, d := range mainDensities {
 			var gpb, gcd []float64
-			for _, baseMix := range p.sweepMixes() {
-				ab := reps[cellKey(sc.name, d.String(), baseMix.Name, bundleAllBank.name)]
-				pb := reps[cellKey(sc.name, d.String(), baseMix.Name, bundlePerBank.name)]
-				cd := reps[cellKey(sc.name, d.String(), baseMix.Name, bundleCoDesign.name)]
+			for _, mix := range p.sweepMixes() {
+				ab := reps[p.cell(mix, d, bundleAllBank.on(sc), false)]
+				pb := reps[p.cell(mix, d, bundlePerBank.on(sc), false)]
+				cd := reps[p.cell(mix, d, bundleCoDesign.on(sc), false)]
 				if ab == nil || pb == nil || cd == nil {
 					// Quarantined cell: this mix drops out of the mean.
 					continue
@@ -89,14 +79,4 @@ func Fig15(p Params) (*Result, error) {
 	r.Notes = append(r.Notes,
 		"paper: co-design +14.2%/11.2%/8.9% over all-bank at 1:2 (32/24/16Gb); gains persist for quad-core and improve with 2 DIMMs")
 	return r, nil
-}
-
-// runScenario runs one sensitivity cell.
-func (p Params) runScenario(d config.Density, b bundle, sc scenario, mix workload.Mix) (*core.Report, error) {
-	cfg := p.configFor(d, b, false)
-	cfg.Cores = sc.cores
-	cfg.Mem.DIMMsPerChannel = sc.dimms
-	cfg.OS.BanksPerTask = sc.banksPerTask
-	cfg.Name = fmt.Sprintf("fig15-%s", sc.name)
-	return p.run(cfg, mix, "")
 }

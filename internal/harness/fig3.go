@@ -1,6 +1,9 @@
 package harness
 
-import "refsched/internal/config"
+import (
+	"refsched/internal/config"
+	"refsched/internal/runner"
+)
 
 // Fig3 regenerates Figure 3: performance degradation due to refresh
 // (relative to an ideal refresh-free system) for all-bank and per-bank
@@ -21,18 +24,17 @@ func Fig3(p Params) (*Result, error) {
 
 	// Enumerate every (temp, density, mix, bundle) cell up front and fan
 	// out across the worker pool.
-	var jobs []cellJob
+	var cells []runner.Cell
 	for _, temp := range temps {
 		for _, d := range config.Densities {
 			for _, mix := range p.sweepMixes() {
 				for _, b := range []bundle{bundleNone, bundleAllBank, bundlePerBank} {
-					jobs = append(jobs, p.bundleJob(
-						cellKey(temp.name, d.String(), mix.Name, b.name), d, b, temp.high, mix))
+					cells = append(cells, p.cell(mix, d, b, temp.high))
 				}
 			}
 		}
 	}
-	reps, failed, err := p.runCells("fig3", jobs)
+	reps, failed, err := p.runCells("fig3", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -42,9 +44,9 @@ func Fig3(p Params) (*Result, error) {
 		for _, d := range config.Densities {
 			var degAB, degPB []float64
 			for _, mix := range p.sweepMixes() {
-				none := reps[cellKey(temp.name, d.String(), mix.Name, bundleNone.name)]
-				ab := reps[cellKey(temp.name, d.String(), mix.Name, bundleAllBank.name)]
-				pb := reps[cellKey(temp.name, d.String(), mix.Name, bundlePerBank.name)]
+				none := reps[p.cell(mix, d, bundleNone, temp.high)]
+				ab := reps[p.cell(mix, d, bundleAllBank, temp.high)]
+				pb := reps[p.cell(mix, d, bundlePerBank, temp.high)]
 				if none == nil || ab == nil || pb == nil {
 					// Quarantined cell: this mix drops out of the mean.
 					continue

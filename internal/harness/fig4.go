@@ -1,13 +1,9 @@
 package harness
 
 import (
-	"fmt"
-
 	"refsched/internal/config"
-	"refsched/internal/core"
 	"refsched/internal/kernel/buddy"
 	"refsched/internal/runner"
-	"refsched/internal/workload"
 )
 
 // Fig4 regenerates Figure 4: the BLP-vs-tRFC trade-off. Each task is
@@ -23,27 +19,18 @@ func Fig4(p Params) (*Result, error) {
 	}
 	r.Table.Header = []string{"density", "1-bank", "2-banks", "4-banks", "8-banks(noref)"}
 
-	ks := []int{1, 2, 4, 8}
-
 	// Enumerate the all-bank baselines plus every k-bank confinement
 	// cell up front and fan out across the worker pool.
-	var jobs []cellJob
+	var cells []runner.Cell
 	for _, d := range config.Densities {
 		for _, mix := range p.sweepMixes() {
-			jobs = append(jobs,
-				p.bundleJob(cellKey("base", d.String(), mix.Name), d, bundleAllBank, false, mix))
-			for _, k := range ks {
-				d, mix, k := d, mix, k
-				jobs = append(jobs, cellJob{
-					key: cellKey("conf", d.String(), mix.Name, fmt.Sprint(k)),
-					cell: runner.Cell{Mix: mix.Name, Density: d.String(),
-						Bundle: fmt.Sprintf("confine%d", k), Seed: p.Seed},
-					run: func() (*core.Report, error) { return p.runConfined(d, mix, k) },
-				})
+			cells = append(cells, p.cell(mix, d, bundleAllBank, false))
+			for _, k := range confineBanks {
+				cells = append(cells, p.cell(mix, d, confined(k), false))
 			}
 		}
 	}
-	reps, failed, err := p.runCells("fig4", jobs)
+	reps, failed, err := p.runCells("fig4", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -51,11 +38,11 @@ func Fig4(p Params) (*Result, error) {
 
 	for _, d := range config.Densities {
 		row := []string{d.String()}
-		for _, k := range ks {
+		for _, k := range confineBanks {
 			var ratios []float64
 			for _, mix := range p.sweepMixes() {
-				baseRep := reps[cellKey("base", d.String(), mix.Name)]
-				rep := reps[cellKey("conf", d.String(), mix.Name, fmt.Sprint(k))]
+				baseRep := reps[p.cell(mix, d, bundleAllBank, false)]
+				rep := reps[p.cell(mix, d, confined(k), false)]
 				if baseRep == nil || rep == nil {
 					// Quarantined cell: this mix drops out of the mean.
 					continue
@@ -74,20 +61,8 @@ func Fig4(p Params) (*Result, error) {
 	return r, nil
 }
 
-// runConfined runs one Figure 4 confinement cell: mix at density d with
-// refresh off and every task confined to k banks per rank. Like every
-// exact cell, it aborts mid-run when HardCtx ends.
-func (p Params) runConfined(d config.Density, mix workload.Mix, k int) (*core.Report, error) {
-	cfg := p.configFor(d, bundleNone, false)
-	sys, err := core.Build(cfg, mix, core.Options{FootprintScale: p.FootprintScale, Ctx: p.HardCtx})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/confine%d: %w", mix.Name, cfg.Mem.Density, k, err)
-	}
-	if err := sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), k)); err != nil {
-		return nil, err
-	}
-	return sys.RunWindows(p.WarmupWindows, p.MeasureWindows)
-}
+// confineBanks are the banks per rank Figure 4 confines each task to.
+var confineBanks = []int{1, 2, 4, 8}
 
 // confineMasks gives task i the k bank indices {i, i+1, ... i+k-1} mod
 // banksPerRank (in every rank): confinement with stagger, so tasks

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"refsched/internal/config"
@@ -28,12 +27,16 @@ func Fig5(p Params) (*Result, error) {
 	}
 
 	// One cell per benchmark footprint, fanned out across the worker
-	// pool; each cell sweeps the densities for its footprint.
+	// pool; each cell sweeps the densities for its footprint, and stops
+	// between densities once HardCtx ends.
 	jobs := make([]runner.Job[[]float64], len(workload.SPECFootprints))
 	for i, fe := range workload.SPECFootprints {
 		jobs[i].Run = func() ([]float64, error) {
 			out := make([]float64, len(config.Densities))
 			for di, d := range config.Densities {
+				if p.HardCtx != nil && p.HardCtx.Err() != nil {
+					return nil, fmt.Errorf("fig5 %s: %w", fe.Name, p.HardCtx.Err())
+				}
 				frac, err := singleBankFraction(d, fe.Footprint)
 				if err != nil {
 					return nil, err
@@ -43,7 +46,7 @@ func Fig5(p Params) (*Result, error) {
 			return out, nil
 		}
 	}
-	b, err := runner.RunBatch(context.Background(), jobs,
+	b, err := runner.RunBatch(p.ctx(), jobs,
 		runner.Options[[]float64]{Parallelism: p.Parallelism, FailFast: true})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"refsched/internal/config"
 	"refsched/internal/core"
+	"refsched/internal/runner"
 	"refsched/internal/workload"
 )
 
@@ -74,21 +75,30 @@ func one(r *Result, err error) ([]*Result, error) {
 	return []*Result{r}, nil
 }
 
-// bundles maps the bundle names the figures print to their policy
-// combinations, for single-cell requests addressed by name.
-var bundles = map[string]bundle{
-	bundleNone.name:     bundleNone,
-	bundleAllBank.name:  bundleAllBank,
-	bundlePerBank.name:  bundlePerBank,
-	bundleOOO.name:      bundleOOO,
-	bundleFGR2x.name:    bundleFGR2x,
-	bundleFGR4x.name:    bundleFGR4x,
-	bundleAdaptive.name: bundleAdaptive,
-	bundleCoDesign.name: bundleCoDesign,
-}
+// bundles is the bundle table: every bundle a figure prints, by name,
+// so any cell of any figure is addressable as a single-cell request.
+var bundles = func() map[string]bundle {
+	all := []bundle{
+		bundleNone, bundleAllBank, bundlePerBank, bundleOOO, bundleFGR2x, bundleFGR4x,
+		bundleAdaptive, bundleCoDesign, bundleElastic, bundlePausing, bundleRAIDR, bundleSALP8,
+	}
+	for _, k := range confineBanks {
+		all = append(all, confined(k))
+	}
+	for i := range scenarios {
+		for _, b := range scenarioBundles {
+			all = append(all, b.on(&scenarios[i]))
+		}
+	}
+	m := make(map[string]bundle, len(all))
+	for _, b := range all {
+		m[b.name] = b
+	}
+	return m
+}()
 
-// BundleNames lists the policy-bundle names RunCell accepts, sorted
-// for deterministic display.
+// BundleNames lists the bundle names RunCell accepts, sorted for
+// deterministic display.
 func BundleNames() []string {
 	names := make([]string, 0, len(bundles))
 	for n := range bundles {
@@ -115,12 +125,12 @@ func ParseDensity(s string) (config.Density, error) {
 	return 0, fmt.Errorf("unsupported density %q (want one of %v)", s, config.Densities)
 }
 
-// CellSpec is one bundle cell's identity: its coordinates in the
-// evaluation grid (Table 2 mix × density × policy bundle × retention
-// regime) and every Params knob that changes its simulated result.
-// Key names the cell for the serving daemon's result cache and
-// single-flight index and for a CellStore; the JSON form travels as a
-// fanned-out cluster cell. Params.Cell builds one.
+// CellSpec is one cell's identity: its coordinates in the evaluation
+// grid (Table 2 mix × density × bundle × retention regime) and every
+// Params knob that changes its simulated result. Key names the cell for
+// a sweep journal, the serving daemon's result cache and single-flight
+// index, and a CellStore; the JSON form travels as a fanned-out cluster
+// cell. Params.Cell and Params.Spec build one.
 type CellSpec struct {
 	Mix     string `json:"mix"`
 	Density string `json:"density"`
@@ -143,7 +153,7 @@ func (p Params) Cell(mixName, density, bundleName string, highTemp bool) (CellSp
 	if err != nil {
 		return CellSpec{}, err
 	}
-	return p.cell(mix, d, b, highTemp), nil
+	return p.Spec(p.cell(mix, d, b, highTemp)), nil
 }
 
 // resolveCell is Cell's validation: it checks p's Mode and looks a
@@ -167,10 +177,16 @@ func (p Params) resolveCell(mixName, density, bundleName string) (workload.Mix, 
 	return ms[0], d, b, nil
 }
 
-// cell is the spec of a bundle cell from resolved coordinates.
-func (p Params) cell(mix workload.Mix, d config.Density, b bundle, highTemp bool) CellSpec {
+// cell is the sweep cell at resolved coordinates: the value a figure
+// enumerates and looks its report up by.
+func (p Params) cell(mix workload.Mix, d config.Density, b bundle, highTemp bool) runner.Cell {
+	return runner.Cell{Mix: mix.Name, Density: d.String(), Bundle: b.name, Seed: p.Seed, Hot: highTemp}
+}
+
+// Spec returns the spec of sweep cell c under p.
+func (p Params) Spec(c runner.Cell) CellSpec {
 	return CellSpec{
-		Mix: mix.Name, Density: d.String(), Bundle: b.name, Hot: highTemp,
+		Mix: c.Mix, Density: c.Density, Bundle: c.Bundle, Hot: c.Hot,
 		Scale: p.Scale, FootprintScale: p.FootprintScale,
 		WarmupWindows: p.WarmupWindows, MeasureWindows: p.MeasureWindows,
 		Seed: p.Seed, Mode: p.Mode,
@@ -197,9 +213,9 @@ func (c CellSpec) Key() string {
 		c.Mix, c.Density, c.Bundle, c.Hot, c.Params().Fingerprint())
 }
 
-// RunCell simulates one fully addressed cell — mix × density × policy
-// bundle, optionally at >85C retention — through the same fault
-// boundary as the figure sweeps (quarantine, retry, chaos, and the
+// RunCell simulates one fully addressed cell — mix × density × bundle,
+// optionally at >85C retention — through the same fault boundary as the
+// figure sweeps (quarantine, chaos, the journal, the store and the
 // injected CellRunner all apply), so a daemon serving single-cell jobs
 // gets identical semantics to whole-figure jobs. The sweep is the
 // one-cell figure "cell"; the coordinates are validated as by Cell.
@@ -208,17 +224,17 @@ func RunCell(p Params, mixName, density, bundleName string, highTemp bool) (*cor
 	if err != nil {
 		return nil, err
 	}
-	job := p.bundleJob(cellKey(mix.Name, d.String(), b.name), d, b, highTemp, mix)
-	out, failed, err := p.runCells("cell", []cellJob{job})
+	c := p.cell(mix, d, b, highTemp)
+	out, failed, err := p.runCells("cell", []runner.Cell{c})
 	if err != nil {
 		return nil, err
 	}
 	if len(failed) > 0 {
 		return nil, failed[0]
 	}
-	rep, ok := out[job.key]
+	rep, ok := out[c]
 	if !ok {
-		return nil, fmt.Errorf("cell %s produced no report", job.key)
+		return nil, fmt.Errorf("cell %s produced no report", c)
 	}
 	return rep, nil
 }

@@ -45,8 +45,8 @@ type Params struct {
 	// from the internal/approx analytical model (microseconds per cell,
 	// no event loop) — covered bundles only, and exact only at the
 	// model's calibration anchors; see that package for error bounds.
-	// Figures whose cells bypass the bundle pipeline (fig4's custom
-	// bank-mask cells) always run exact.
+	// Bank-confined cells (fig4's confineK bundles) always run exact:
+	// the model has no bank masks.
 	Mode string
 	// Verbose prints each run's one-line summary as it completes.
 	Verbose bool
@@ -82,10 +82,10 @@ type Params struct {
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// Store, when non-nil, checkpoints every exact bundle cell: it
-	// answers cells it holds a report for, resumes cells it holds a
-	// snapshot for, and polls its Preempt at each checkpoint boundary
-	// (see CellStore). It is absent from Fingerprint, because a resumed
+	// Store, when non-nil, checkpoints every exact cell: it answers
+	// cells it holds a report for, resumes cells it holds a snapshot
+	// for, and polls its Preempt at each checkpoint boundary (see
+	// CellStore). It is absent from Fingerprint, because a resumed
 	// cell's report is byte-identical to an uninterrupted one. The
 	// serving daemon's preempt-and-resume path lives here.
 	Store *CellStore
@@ -220,23 +220,52 @@ func selectMixes(names []string) []workload.Mix {
 	return out
 }
 
-// bundle names a (refresh policy, OS policy) combination.
+// bundle names one machine-and-policy combination a figure prints: the
+// refresh policy, the OS side, and any departure from the default
+// machine. Every cell a figure runs is a (mix, density, bundle, hot)
+// coordinate, so the bundle table (figures.go) addresses each by name.
 type bundle struct {
 	name    string
 	refresh config.RefreshPolicy
 	code    bool // enable the full co-design OS side
+	// subarrays, when non-zero, sets the subarrays per bank (ext1's
+	// subarray-level refresh).
+	subarrays int
+	// confine, when non-zero, confines every task to that many banks
+	// per rank (fig4); such bundles run with refresh off.
+	confine int
+	// machine, when non-nil, is a fig15 sensitivity machine.
+	machine *scenario
 }
 
 var (
-	bundleNone     = bundle{"norefresh", config.RefreshNone, false}
-	bundleAllBank  = bundle{"allbank", config.RefreshAllBank, false}
-	bundlePerBank  = bundle{"perbank", config.RefreshPerBankRR, false}
-	bundleOOO      = bundle{"oooperbank", config.RefreshOOOPerBank, false}
-	bundleFGR2x    = bundle{"fgr2x", config.RefreshFGR2x, false}
-	bundleFGR4x    = bundle{"fgr4x", config.RefreshFGR4x, false}
-	bundleAdaptive = bundle{"adaptive", config.RefreshAdaptive, false}
-	bundleCoDesign = bundle{"codesign", config.RefreshPerBankSeq, true}
+	bundleNone     = bundle{name: "norefresh", refresh: config.RefreshNone}
+	bundleAllBank  = bundle{name: "allbank", refresh: config.RefreshAllBank}
+	bundlePerBank  = bundle{name: "perbank", refresh: config.RefreshPerBankRR}
+	bundleOOO      = bundle{name: "oooperbank", refresh: config.RefreshOOOPerBank}
+	bundleFGR2x    = bundle{name: "fgr2x", refresh: config.RefreshFGR2x}
+	bundleFGR4x    = bundle{name: "fgr4x", refresh: config.RefreshFGR4x}
+	bundleAdaptive = bundle{name: "adaptive", refresh: config.RefreshAdaptive}
+	bundleCoDesign = bundle{name: "codesign", refresh: config.RefreshPerBankSeq, code: true}
+
+	// ext1's related-work comparators and subarray-level refresh.
+	bundleElastic = bundle{name: "elastic", refresh: config.RefreshElastic}
+	bundlePausing = bundle{name: "pausing", refresh: config.RefreshPausing}
+	bundleRAIDR   = bundle{name: "raidr", refresh: config.RefreshRAIDR}
+	bundleSALP8   = bundle{name: "perbank-salp8", refresh: config.RefreshPerBankSA, subarrays: 8}
 )
+
+// confined is fig4's bundle confining each task to k banks per rank.
+func confined(k int) bundle {
+	return bundle{name: fmt.Sprintf("confine%d", k), refresh: config.RefreshNone, confine: k}
+}
+
+// on is b run on fig15's machine sc.
+func (b bundle) on(sc *scenario) bundle {
+	b.name += "@" + sc.name
+	b.machine = sc
+	return b
+}
 
 // configFor builds the machine config for a bundle.
 func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.System {
@@ -250,39 +279,42 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 		cfg.OS.Scheduler = config.SchedCFS
 		cfg.OS.RefreshAware = true
 	}
+	if b.subarrays != 0 {
+		cfg.Mem.SubarraysPerBank = b.subarrays
+	}
+	if sc := b.machine; sc != nil {
+		cfg.Cores = sc.cores
+		cfg.Mem.DIMMsPerChannel = sc.dimms
+		cfg.OS.BanksPerTask = sc.banksPerTask
+		cfg.Name = "fig15-" + sc.name
+	}
 	cfg.Seed = p.Seed
 	return cfg
 }
 
-// run executes one configuration over one mix. key is a bundle cell's
-// CellSpec.Key, under which p.Store files its snapshots and report;
-// custom-closure cells (fig4's bank masks, ext1's subarray overrides)
-// have no spec, pass "" and never checkpoint, mirroring their
-// non-remotability. Verbose progress lines are emitted by the sweep
-// collector (see sweep.go), not here, so that parallel workers never
-// interleave output.
-func (p Params) run(cfg config.System, mix workload.Mix, key string) (*core.Report, error) {
-	if err := p.checkMode(); err != nil {
+// runCell simulates one sweep cell from its coordinates: on the approx
+// tier it is predicted, otherwise it runs exact under p.Store by its
+// CellSpec.Key. Bank-confined cells always run exact. A machine bundle
+// tiles the mix to the machine's task count. Verbose progress lines are
+// emitted by the sweep collector (see sweep.go), not here, so that
+// parallel workers never interleave output.
+func (p Params) runCell(c runner.Cell) (*core.Report, error) {
+	mix, d, b, err := p.resolveCell(c.Mix, c.Density, c.Bundle)
+	if err != nil {
 		return nil, err
 	}
-	if p.Mode == ModeApprox {
+	cfg := p.configFor(d, b, c.Hot)
+	if sc := b.machine; sc != nil {
+		mix = workload.MixFor(mix, sc.cores, sc.ratio)
+	}
+	if p.Mode == ModeApprox && b.confine == 0 {
 		rep, err := approx.Predict(cfg, mix)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 		}
 		return rep, nil
 	}
-	return p.runExact(cfg, mix, key)
-}
-
-// runBundle is run with a bundle shorthand. Bundle cells are the
-// checkpointable population (byte-identical results either way).
-func (p Params) runBundle(d config.Density, b bundle, highTemp bool, mix workload.Mix) (*core.Report, error) {
-	var key string
-	if p.Store != nil {
-		key = p.cell(mix, d, b, highTemp).Key()
-	}
-	return p.run(p.configFor(d, b, highTemp), mix, key)
+	return p.runExact(cfg, mix, b.confine, p.Spec(c).Key())
 }
 
 // pct formats a ratio as a percentage string.

@@ -7,9 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"refsched/internal/config"
-	"refsched/internal/core"
 )
 
 // quickCells are cells at QuickParams whose controller queues fill: the
@@ -21,27 +18,13 @@ import (
 //
 //	go test ./internal/harness/ -run TestQuickCellHashes -update
 var quickCells = []struct {
-	name string
-	run  func(p Params) (*core.Report, error)
+	name, mix, bundle string
 }{
-	{"fig4/WL-8/32Gb/confine1", func(p Params) (*core.Report, error) {
-		return p.runConfined(config.Density32Gb, selectMixes([]string{"WL-8"})[0], 1)
-	}},
-	{"ext1/WL-6/32Gb/pausing", func(p Params) (*core.Report, error) {
-		cfg := p.configFor(config.Density32Gb, bundle{"pausing", config.RefreshPausing, false}, false)
-		return p.run(cfg, selectMixes([]string{"WL-6"})[0], "")
-	}},
-	{"ext1/WL-6/32Gb/perbank-salp8", func(p Params) (*core.Report, error) {
-		cfg := p.configFor(config.Density32Gb, bundle{"perbanksa", config.RefreshPerBankSA, false}, false)
-		cfg.Mem.SubarraysPerBank = 8
-		return p.run(cfg, selectMixes([]string{"WL-6"})[0], "")
-	}},
-	{"fig14/WL-6/32Gb/adaptive", func(p Params) (*core.Report, error) {
-		return p.runBundle(config.Density32Gb, bundleAdaptive, false, selectMixes([]string{"WL-6"})[0])
-	}},
-	{"fig14/WL-8/32Gb/oooperbank", func(p Params) (*core.Report, error) {
-		return p.runBundle(config.Density32Gb, bundleOOO, false, selectMixes([]string{"WL-8"})[0])
-	}},
+	{"fig4/WL-8/32Gb/confine1", "WL-8", "confine1"},
+	{"ext1/WL-6/32Gb/pausing", "WL-6", "pausing"},
+	{"ext1/WL-6/32Gb/perbank-salp8", "WL-6", "perbank-salp8"},
+	{"fig14/WL-6/32Gb/adaptive", "WL-6", "adaptive"},
+	{"fig14/WL-8/32Gb/oooperbank", "WL-8", "oooperbank"},
 }
 
 // TestQuickCellHashes pins the sha256 of each quick cell's report JSON.
@@ -65,7 +48,7 @@ func TestQuickCellHashes(t *testing.T) {
 			i, c := i, c
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				rep, err := c.run(QuickParams())
+				rep, err := RunCell(QuickParams(), c.mix, "32Gb", c.bundle, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,7 +22,7 @@ func fig10ChaosKeys(p Params) []string {
 	for _, mix := range p.mixes() {
 		for _, d := range mainDensities {
 			for _, b := range []bundle{bundleAllBank, bundlePerBank, bundleCoDesign} {
-				keys = append(keys, "fig10|"+key(mix.Name, d, b.name))
+				keys = append(keys, "fig10|"+p.Spec(p.cell(mix, d, b, false)).Key())
 			}
 		}
 	}
@@ -213,6 +213,28 @@ func TestFig10CancelledContext(t *testing.T) {
 	_, _, err := Fig10(p, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFig5HonoursContexts: fig5's allocator sweep stops like every
+// other figure — a cancelled Ctx skips its cells, a cancelled HardCtx
+// aborts them between densities — and returns the context error
+// instead of the full table.
+func TestFig5HonoursContexts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, set := range map[string]func(*Params){
+		"Ctx":     func(p *Params) { p.Ctx = ctx },
+		"HardCtx": func(p *Params) { p.HardCtx = ctx },
+	} {
+		set := set
+		t.Run(name, func(t *testing.T) {
+			p := tinyParams()
+			set(&p)
+			if r, err := Fig5(p); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Fig5 returned a table: %t, err %v; want context.Canceled", r != nil, err)
+			}
+		})
 	}
 }
 

@@ -4,38 +4,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"refsched/internal/chaos"
-	"refsched/internal/config"
 	"refsched/internal/core"
 	"refsched/internal/journal"
 	"refsched/internal/runner"
-	"refsched/internal/workload"
 )
-
-// cellJob is one simulation cell of a figure sweep: an addressing key
-// the driver uses to look the report back up, the cell identity for
-// progress lines, and the self-contained closure that runs it.
-type cellJob struct {
-	key  string
-	cell runner.Cell
-	run  func() (*core.Report, error)
-}
-
-// cellKey joins a sweep cell's coordinates into a lookup key.
-func cellKey(parts ...string) string {
-	return strings.Join(parts, "|")
-}
-
-// bundleJob builds the common density × bundle × mix cell.
-func (p Params) bundleJob(key string, d config.Density, b bundle, highTemp bool, mix workload.Mix) cellJob {
-	return cellJob{
-		key:  key,
-		cell: runner.Cell{Mix: mix.Name, Density: d.String(), Bundle: b.name, Seed: p.Seed, Hot: highTemp, Remotable: true},
-		run:  func() (*core.Report, error) { return p.runBundle(d, b, highTemp, mix) },
-	}
-}
 
 // Fingerprint identifies the parameter set a journal's entries are
 // valid for: every knob that changes a cell's simulated result, and so
@@ -69,16 +43,17 @@ func (p Params) ctx() context.Context {
 }
 
 // runCells executes a sweep's cells across Params.Parallelism workers
-// and returns the reports keyed by each job's key, plus the quarantined
-// failures.
+// and returns the reports keyed by cell, plus the quarantined failures.
+// A figure looks a report up with the same p.cell call it enumerated
+// the cell with.
 //
 // This is the pipeline's fault boundary. A cell that fails or panics is
 // captured as a typed *runner.CellError and quarantined (unless
 // Params.FailFast restores abort-on-first-error semantics). With
 // journaling enabled every completed cell is appended and fsynced as it
-// finishes, and with Resume set, cells already on record are decoded
-// instead of re-run — JSON round-trips float64 exactly, so a resumed
-// sweep renders byte-identical tables.
+// finishes, under its CellSpec.Key, and with Resume set, cells already
+// on record are decoded instead of re-run — JSON round-trips float64
+// exactly, so a resumed sweep renders byte-identical tables.
 // Cells share no mutable state and results are collected by submission
 // index, so the returned map is identical to a serial in-order run;
 // Verbose lines go through the runner's single collector goroutine and
@@ -87,8 +62,8 @@ func (p Params) ctx() context.Context {
 // The error is non-nil only when the sweep did not run to completion:
 // cancellation, a fail-fast failure, or a journal write failure (which
 // would silently void the resume guarantee if ignored).
-func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report, []*runner.CellError, error) {
-	out := make(map[string]*core.Report, len(jobs))
+func (p Params) runCells(figID string, cells []runner.Cell) (map[runner.Cell]*core.Report, []*runner.CellError, error) {
+	out := make(map[runner.Cell]*core.Report, len(cells))
 
 	var jnl *journal.Journal
 	if p.JournalDir != "" {
@@ -100,36 +75,36 @@ func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report,
 	}
 
 	// Resume: satisfy cells from the journal and run only the rest.
-	toRun := jobs
+	toRun := cells
 	if jnl != nil && p.Resume {
 		toRun = toRun[:0:0]
-		for _, j := range jobs {
+		for _, c := range cells {
 			var rep core.Report
-			if jnl.Lookup(j.key, &rep) {
-				out[j.key] = &rep
+			if jnl.Lookup(p.Spec(c).Key(), &rep) {
+				out[c] = &rep
 				continue
 			}
-			toRun = append(toRun, j)
+			toRun = append(toRun, c)
 		}
 	}
 
-	rjobs := make([]runner.Job[*core.Report], len(toRun))
-	for i, j := range toRun {
-		run := j.run
+	jobs := make([]runner.Job[*core.Report], len(toRun))
+	for i, c := range toRun {
+		run := func() (*core.Report, error) { return p.runCell(c) }
 		if p.Chaos != nil {
 			// HardCtx (deadline/watchdog cancellation) interrupts chaos
 			// stalls, so a killed job terminates within its bound
 			// instead of waiting out every injected sleep.
-			run = chaos.WrapContext(p.Chaos, figID+"|"+j.key, p.HardCtx, run)
+			run = chaos.WrapContext(p.Chaos, figID+"|"+p.Spec(c).Key(), p.HardCtx, run)
 		}
-		rjobs[i] = runner.Job[*core.Report]{Cell: j.cell, Run: run}
+		jobs[i] = runner.Job[*core.Report]{Cell: c, Run: run}
 	}
 
 	// The collector goroutine serializes journaling and progress output.
 	var journalErr error
 	onDone := func(i int, c runner.Cell, rep *core.Report) {
 		if jnl != nil && journalErr == nil {
-			journalErr = jnl.Record(toRun[i].key, rep, true)
+			journalErr = jnl.Record(p.Spec(toRun[i]).Key(), rep, true)
 		}
 		if p.Verbose {
 			fmt.Printf("  ran %-6s %-5s %-10s hIPC=%.4f lat=%.0f stalled=%.4f\n",
@@ -148,10 +123,10 @@ func (p Params) runCells(figID string, jobs []cellJob) (map[string]*core.Report,
 			return runner.RunBatch(ctx, jobs, opts)
 		}
 	}
-	batch, err := execute(p.ctx(), figID, rjobs, ropts)
-	for i, j := range toRun {
+	batch, err := execute(p.ctx(), figID, jobs, ropts)
+	for i, c := range toRun {
 		if batch.OK[i] {
-			out[j.key] = batch.Results[i]
+			out[c] = batch.Results[i]
 		}
 	}
 	if err != nil {

@@ -6,51 +6,15 @@ import (
 	"refsched/internal/sim"
 )
 
-// AllBank is rank-level auto-refresh: every tREFIab each rank receives a
-// REF command that refreshes a group of rows in all of its banks, holding
-// the whole rank busy for tRFCab. Commands to different ranks are
-// staggered evenly across the interval, as real controllers do.
-type AllBank struct {
-	g        Geometry
-	nextRank int
-	rows     uint64
-	interval uint64
-}
-
-// NewAllBank builds the policy for the channel geometry.
-func NewAllBank(g Geometry) *AllBank {
-	tm := g.Timing
-	cmds := tm.RefreshCmdsPerWindow() // per rank per window
-	return &AllBank{
-		g:        g,
-		rows:     tm.RowsPerRefresh(cmds),
-		interval: tm.TREFIab / uint64(g.Ranks),
-	}
-}
-
-// Name implements Scheduler.
-func (*AllBank) Name() string { return "allbank" }
-
-// Interval implements Scheduler: tREFIab spread across ranks.
-func (a *AllBank) Interval() uint64 { return a.interval }
-
-// Next implements Scheduler, rotating ranks.
-func (a *AllBank) Next(sim.Time, QueueView) Target {
-	r := a.nextRank
-	a.nextRank = (a.nextRank + 1) % a.g.Ranks
-	return Target{
-		AllBank: true,
-		Rank:    r,
-		Rows:    a.rows,
-		Dur:     a.g.Timing.TRFCab,
-	}
-}
-
-// FGR is DDR4 fine-granularity all-bank refresh. In 2x (4x) mode the
-// refresh interval halves (quarters) while tRFC shrinks only by 1.35x
-// (1.63x) — the sub-linear scaling the paper adopts from Mukundan et al.
-// — so finer modes trade shorter blocking episodes for more total
-// refresh overhead.
+// FGR is rank-level all-bank auto-refresh in DDR4's 1x, 2x or 4x mode.
+// In 1x mode — plain all-bank refresh, the DDR3 default — every tREFIab
+// each rank receives a REF command that refreshes a group of rows in all
+// of its banks, holding the whole rank busy for tRFCab; commands to
+// different ranks are staggered evenly across the interval, as real
+// controllers do. In 2x (4x) mode the refresh interval halves (quarters)
+// while tRFC shrinks only by 1.35x (1.63x) — the sub-linear scaling the
+// paper adopts from Mukundan et al. — so finer modes trade shorter
+// blocking episodes for more total refresh overhead.
 type FGR struct {
 	g        Geometry
 	mode     int // 1, 2 or 4
@@ -112,7 +76,7 @@ func (f *FGR) Name() string {
 	case 4:
 		return "fgr4x"
 	default:
-		return "fgr1x"
+		return "allbank"
 	}
 }
 

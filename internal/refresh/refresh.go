@@ -2,7 +2,7 @@
 // paper evaluates:
 //
 //   - NoRefresh        — ideal upper bound, refresh disabled
-//   - AllBank          — rank-level auto-refresh (DDR3 / DDR4 1x)
+//   - all-bank         — rank-level auto-refresh (DDR3 / DDR4 FGR 1x)
 //   - PerBankRR        — LPDDR3 round-robin per-bank refresh
 //   - PerBankSeq       — the paper's proposed schedule (Algorithm 1)
 //   - OOOPerBank       — out-of-order per-bank refresh (Chang et al.)
@@ -92,7 +92,7 @@ func New(p config.RefreshPolicy, g Geometry) (Scheduler, error) {
 	case config.RefreshNone:
 		return &NoRefresh{}, nil
 	case config.RefreshAllBank:
-		return NewAllBank(g), nil
+		return NewFGR(g, 1)
 	case config.RefreshPerBankRR:
 		return NewPerBankRR(g), nil
 	case config.RefreshPerBankSeq:
@@ -110,8 +110,6 @@ func New(p config.RefreshPolicy, g Geometry) (Scheduler, error) {
 	case config.RefreshPausing:
 		return NewPausing(g), nil
 	case config.RefreshRAIDR:
-		// The default profile is explicit here: callers with a configured
-		// profile (core.newPolicy) construct NewRAIDR directly.
 		return NewRAIDR(g, DefaultRetentionBins())
 	case config.RefreshPerBankSA:
 		if g.Subarrays <= 1 {

@@ -53,7 +53,10 @@ func TestNoRefreshAlwaysSkips(t *testing.T) {
 
 func TestAllBankRotatesRanksAndCoversRows(t *testing.T) {
 	g := geo(t, 64)
-	a := NewAllBank(g)
+	a, err := NewFGR(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Interval() != g.Timing.TREFIab/uint64(g.Ranks) {
 		t.Fatalf("interval = %d", a.Interval())
 	}

@@ -7,7 +7,7 @@ import "refsched/internal/sim"
 // fields — so one stable gob type covers the whole policy matrix and a
 // snapshot stays decodable as policies gain fields.
 type State struct {
-	// AllBank / FGR / Pausing rank rotation; PerBankRR / RAIDR bank
+	// FGR (all-bank) / Pausing rank rotation; PerBankRR / RAIDR bank
 	// rotation.
 	NextRank int
 	Next     int
@@ -60,12 +60,6 @@ type Stateful interface {
 }
 
 func cloneU64(s []uint64) []uint64 { return append([]uint64(nil), s...) }
-
-// State implements Stateful.
-func (a *AllBank) State() State { return State{NextRank: a.nextRank} }
-
-// SetState implements Stateful.
-func (a *AllBank) SetState(s State) { a.nextRank = s.NextRank }
 
 // State implements Stateful.
 func (f *FGR) State() State { return State{NextRank: f.nextRank} }

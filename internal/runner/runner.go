@@ -45,13 +45,6 @@ type Cell struct {
 	// from the Cell alone (String deliberately omits it to keep progress
 	// lines unchanged).
 	Hot bool
-	// Remotable marks a cell whose simulation is fully determined by the
-	// (Mix, Density, Bundle, Hot) coordinates plus the sweep-wide
-	// parameters — i.e. it was built by the standard bundle pipeline and
-	// can be re-created and executed verbatim on another process. Cells
-	// with custom closures (bank-mask sweeps, subarray overrides, derived
-	// mixes) leave it false and always run where they were enumerated.
-	Remotable bool
 }
 
 // String renders the cell compactly for progress and error text.

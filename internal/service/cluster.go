@@ -277,7 +277,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCellExec is POST /v1/cells (cluster-internal): execute one
-// remotable sweep cell on behalf of a coordinating peer and return the
+// sweep cell on behalf of a coordinating peer and return the
 // core.Report as JSON. The cell runs through the standard fault
 // boundary (harness.RunCell) under this node's priority gate at the
 // coordinating job's priority, so remote cells compete fairly with

@@ -76,11 +76,11 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 			}
 		}
 		if s.cluster.FanoutEnabled() {
-			// Remotable cells fan out to peers with spare capacity;
-			// everything else (and every failed dispatch) runs locally
-			// under the gate installed above. Results merge at their
-			// submission index, so the rendered figure is byte-identical
-			// to a single-node run.
+			// Cells fan out to peers with spare capacity; the rest (and
+			// every failed dispatch) run locally under the gate
+			// installed above. Results merge at their submission index,
+			// so the rendered figure is byte-identical to a single-node
+			// run.
 			j.tl.SetProcessName(tlPidRemote, "remote cells")
 			return s.cluster.RunCells(ctx, figID, j.params, j.reqID, j.priority,
 				rjobs, opts, s.remoteCellObserver(j))

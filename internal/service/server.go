@@ -8,7 +8,7 @@
 // The serving path composes the primitives the pipeline already has:
 // figure drivers run through harness.RunFigure with an injected
 // CellRunner, so every sweep passes the same fault boundary
-// (quarantine, retry, typed *runner.CellError) as the CLI and is
+// (quarantine, typed *runner.CellError) as the CLI and is
 // additionally subject to the daemon's global cell gate
 // (highest-priority job first) and per-cell progress streaming.
 // Rendered results land in a byte-budget LRU cache keyed by the
@@ -177,7 +177,7 @@ type Server struct {
 	panics                         atomic.Uint64 // HTTP handler panics recovered
 	watchdogKills, watchdogScans   atomic.Uint64
 	preemptions                    atomic.Uint64 // running jobs displaced by priority
-	preemptResumes                 atomic.Uint64 // cells resumed from a preemption snapshot
+	preemptResumes                 atomic.Uint64 // cells resumed from a snapshot (a preemption's or a peer's)
 	eventDrops                     atomic.Uint64 // slow-subscriber event drops
 	simulations                    atomic.Uint64 // runner.RunBatch executions
 	running                        atomic.Int64
