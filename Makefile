@@ -6,7 +6,7 @@ GO ?= go
 # out of go.mod so the simulator itself stays dependency-free.
 STATICCHECK = $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: build test short race bench serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke
+.PHONY: build test short race bench serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke reuse-smoke
 
 build:
 	$(GO) build ./...
@@ -57,9 +57,10 @@ staticcheck:
 # figure round-trip through the cache, and a SIGTERM drain to exit 0)
 # with its durability twin (SIGKILL after a sweep, then a warm restart
 # on the same -journal answers it as a hit with zero simulations), the
-# on-disk checkpoint drill (checkpoint-smoke, ~2 s), and finally the
-# refbench module's own tests (~20 s; it is a separate module, so ./...
-# above does not reach it).
+# on-disk checkpoint drill (checkpoint-smoke, ~2 s), the cross-figure
+# reuse drill (reuse-smoke, a few seconds), and finally the refbench
+# module's own tests (~20 s; it is a separate module, so ./... above
+# does not reach it).
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
@@ -73,6 +74,7 @@ ci:
 	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart' ./cmd/refschedd/
 	$(MAKE) checkpoint-smoke
+	$(MAKE) reuse-smoke
 	cd cmd/refbench && $(GO) test -count=1 .
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload
@@ -142,6 +144,24 @@ checkpoint-smoke:
 		cmp $$dir/ref.json $$dir/resumed.json; \
 		echo "checkpoint-smoke: $$pol: SIGKILL mid-run + restore is byte-identical"; \
 	done
+
+# The cross-figure reuse drill (see DESIGN.md §9 "Cross-figure
+# reuse"): render the grid figures once in one process, where a figure
+# is answered from the cells an earlier figure simulated, and once as
+# one process per figure, where every cell is simulated. The two
+# outputs, less their wall-clock `total:` lines, must be byte-identical.
+reuse-smoke:
+	@set -e; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/experiments ./cmd/experiments; \
+	run="$$dir/experiments -quick -j 2 -mixes WL-6"; \
+	figs="fig3 fig10 fig12 fig13 fig14 ext1"; \
+	$$run $$figs > $$dir/one.out; \
+	for f in $$figs; do $$run $$f; done > $$dir/six.out; \
+	grep -v '^total:' $$dir/one.out > $$dir/one.txt; \
+	grep -v '^total:' $$dir/six.out > $$dir/six.txt; \
+	cmp $$dir/one.txt $$dir/six.txt; \
+	echo "reuse-smoke: six figures render the same bytes in one process as in six"
 
 # Write the pair of Perfetto timelines EXPERIMENTS.md walks through:
 # the same mix under rotating per-bank refresh (baseline) and under the

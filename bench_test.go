@@ -7,6 +7,8 @@
 //
 //	go test -bench 'BenchmarkFig' -benchtime=1x
 //
+// Each iteration gets a fresh harness.CellStore, so it simulates its
+// cells instead of answering them from the process-wide store.
 // Full-fidelity numbers come from cmd/experiments (see EXPERIMENTS.md).
 package refsched_test
 
@@ -63,6 +65,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 func BenchmarkFig3RefreshDegradation(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Fig3(p); err != nil {
 			b.Fatal(err)
 		}
@@ -73,6 +76,7 @@ func BenchmarkFig3RefreshDegradation(b *testing.B) {
 func BenchmarkFig4BankConfinement(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Fig4(p); err != nil {
 			b.Fatal(err)
 		}
@@ -120,6 +124,7 @@ func BenchmarkFig11MemLatency(b *testing.B) {
 func BenchmarkFig12FGRModes(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Fig12(p); err != nil {
 			b.Fatal(err)
 		}
@@ -130,6 +135,7 @@ func BenchmarkFig12FGRModes(b *testing.B) {
 func BenchmarkFig13LowRetention(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, _, err := harness.Fig10(p, true); err != nil {
 			b.Fatal(err)
 		}
@@ -140,6 +146,7 @@ func BenchmarkFig13LowRetention(b *testing.B) {
 func BenchmarkFig14PriorWork(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Fig14(p); err != nil {
 			b.Fatal(err)
 		}
@@ -151,6 +158,7 @@ func BenchmarkFig14PriorWork(b *testing.B) {
 func BenchmarkFig15Sensitivity(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Fig15(p); err != nil {
 			b.Fatal(err)
 		}
@@ -162,6 +170,7 @@ func BenchmarkFig15Sensitivity(b *testing.B) {
 func BenchmarkExt1Extensions(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
 		if _, err := harness.Extensions(p); err != nil {
 			b.Fatal(err)
 		}
@@ -279,12 +288,14 @@ func BenchmarkFig10Parallel(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		p.Parallelism = 1
+		p.Store = &harness.CellStore{}
 		t0 := time.Now()
 		if _, _, err := harness.Fig10(p, false); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		p.Parallelism = runtime.NumCPU()
+		p.Store = &harness.CellStore{}
 		t0 = time.Now()
 		if _, _, err := harness.Fig10(p, false); err != nil {
 			b.Fatal(err)

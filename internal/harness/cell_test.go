@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"refsched/internal/core"
+	"refsched/internal/runner"
 )
 
 // TestCellSpecKeyCoversEveryField: a cell's Key is its identity in
@@ -211,5 +213,137 @@ func TestCellStoreConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := resumes.Load(); got != workers*rounds {
 		t.Fatalf("resumes = %d, want %d", got, workers*rounds)
+	}
+}
+
+// resetProcessStore empties the process-wide store, so a test starts
+// with no cell answered from the figures an earlier test rendered.
+func resetProcessStore() {
+	processStore.mu.Lock()
+	defer processStore.mu.Unlock()
+	processStore.snaps, processStore.reports, processStore.order = nil, nil, nil
+}
+
+// TestCellStoreReusesCellsAcrossFigures: sweeps run without a Store
+// share the process-wide one, so a figure reuses the cells an earlier
+// figure simulated. Fig10's all-bank and per-bank cells are Fig3's
+// 64 ms cells: they come back as the very reports Fig3 got, Fig10's
+// co-design cells are simulated, and Fig10 and Fig11 render the bytes
+// of a run under a store of its own.
+func TestCellStoreReusesCellsAcrossFigures(t *testing.T) {
+	resetProcessStore()
+	t.Cleanup(resetProcessStore)
+	p := tinyParams()
+	got := map[string]map[string]*core.Report{} // figure → cell key → report
+	p.CellRunner = func(ctx context.Context, figID string, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
+		got[figID] = map[string]*core.Report{}
+		opts.OnDone = func(_ int, c runner.Cell, rep *core.Report) { got[figID][p.Spec(c).Key()] = rep }
+		return runner.RunBatch(ctx, jobs, opts)
+	}
+	if _, err := Fig3(p); err != nil {
+		t.Fatal(err)
+	}
+	stored := len(processStore.reports)
+	if stored != len(got["fig3"]) {
+		t.Fatalf("the store holds %d reports after fig3's %d cells", stored, len(got["fig3"]))
+	}
+	r10, r11, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fig3Reports := map[*core.Report]bool{}
+	for _, rep := range got["fig3"] {
+		fig3Reports[rep] = true
+	}
+	shared, fresh := 0, 0
+	for key, rep := range got["fig10"] {
+		if prev, ok := got["fig3"][key]; ok {
+			shared++
+			if rep != prev {
+				t.Errorf("%s: fig10 simulated a cell fig3 already ran", key)
+			}
+			continue
+		}
+		fresh++
+		if fig3Reports[rep] {
+			t.Errorf("%s: fig10 was answered with a report of another cell", key)
+		}
+	}
+	// WL-6 × {16, 24, 32 Gb} × {allbank, perbank} shared; × codesign fresh.
+	if shared != 6 || fresh != 3 {
+		t.Fatalf("fig10 shared %d cells with fig3 and ran %d fresh, want 6 and 3", shared, fresh)
+	}
+	if n := len(processStore.reports); n != stored+fresh {
+		t.Fatalf("the store holds %d reports after fig10, want %d", n, stored+fresh)
+	}
+
+	own := tinyParams()
+	own.Store = &CellStore{}
+	o10, o11, err := Fig10(own, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r10.String() != o10.String() || r11.String() != o11.String() {
+		t.Errorf("fig10/fig11 after fig3 differ from a run under its own store:\n%s%s\nown store:\n%s%s", r10, r11, o10, o11)
+	}
+}
+
+// TestCellStoreDropsOldestPastCap: the store keeps maxStoredReports
+// finished reports. One more drops the oldest, whose cell the next run
+// simulates again to the same bytes, and every other report is still
+// answered.
+func TestCellStoreDropsOldestPastCap(t *testing.T) {
+	resetProcessStore()
+	t.Cleanup(resetProcessStore)
+	p := tinyParams()
+	oldest, err := RunCell(p, "WL-6", "32Gb", "allbank", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := RunCell(p, "WL-6", "32Gb", "perbank", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler := make([]*core.Report, maxStoredReports-1)
+	for i := range filler[:len(filler)-1] {
+		filler[i] = &core.Report{}
+		processStore.finish(fmt.Sprint("filler", i), filler[i])
+	}
+
+	// At the cap the oldest report is still held.
+	if n := len(processStore.reports); n != maxStoredReports {
+		t.Fatalf("the store holds %d reports, want %d", n, maxStoredReports)
+	}
+	if again, err := RunCell(p, "WL-6", "32Gb", "allbank", false); err != nil || again != oldest {
+		t.Fatalf("at the cap the oldest cell was not answered from the store (err %v)", err)
+	}
+
+	// One past the cap it is dropped, and the rest are kept.
+	last := len(filler) - 1
+	filler[last] = &core.Report{}
+	processStore.finish(fmt.Sprint("filler", last), filler[last])
+	if n := len(processStore.reports); n != maxStoredReports {
+		t.Fatalf("the store holds %d reports, want %d", n, maxStoredReports)
+	}
+	if again, err := RunCell(p, "WL-6", "32Gb", "perbank", false); err != nil || again != next {
+		t.Fatalf("the second-oldest cell was not answered from the store (err %v)", err)
+	}
+	for i, rep := range filler {
+		if processStore.report(fmt.Sprint("filler", i)) != rep {
+			t.Fatalf("filler%d was dropped", i)
+		}
+	}
+	again, err := RunCell(p, "WL-6", "32Gb", "allbank", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == oldest {
+		t.Fatal("the oldest report was answered past the cap")
+	}
+	a, _ := json.Marshal(again)
+	o, _ := json.Marshal(oldest)
+	if string(a) != string(o) {
+		t.Fatal("the dropped cell simulated again to different bytes")
 	}
 }

@@ -16,9 +16,13 @@ import (
 // simulating — a stored report answers the cell outright, a stored
 // snapshot is resumed from — so a preempted sweep continues where it
 // stopped instead of recomputing. The serving daemon keeps one per job
-// across preemptions, and one per cell it executes for a peer. It is
-// safe for concurrent use by a sweep's workers; the zero value is an
-// empty store that never preempts.
+// across preemptions, and one per cell it executes for a peer; a sweep
+// run without one uses the process-wide store, so a later figure reuses
+// the cells an earlier one simulated. It keeps at most maxStoredReports
+// finished reports and drops the oldest past that. The reports it hands
+// out are shared by every caller that asks for the same key, so they
+// must never be mutated. It is safe for concurrent use by a sweep's
+// workers; the zero value is an empty store that never preempts.
 type CellStore struct {
 	// Preempt, when non-nil, is polled at every checkpoint boundary of
 	// every exact cell run with this store. A non-nil return
@@ -32,7 +36,16 @@ type CellStore struct {
 	mu      sync.Mutex
 	snaps   map[string]*core.SystemState
 	reports map[string]*core.Report
+	order   []string // keys of reports, oldest first
 }
+
+// maxStoredReports bounds a CellStore's finished reports. A report is
+// about 2.6 KB as JSON, so a full store holds about 10 MB;
+// `experiments -quick all` stores 360.
+const maxStoredReports = 4096
+
+// processStore is the store of every sweep run without a Params.Store.
+var processStore CellStore
 
 // TakeSnapshot removes and returns the mid-run snapshot stored for key,
 // or nil. core.Restore aliases layer state by reference, so a snapshot
@@ -71,39 +84,55 @@ func (c *CellStore) report(key string) *core.Report {
 	return c.reports[key]
 }
 
-// finish stores key's report and retires its snapshot, so a stale one
-// never satisfies a later run.
+// finish stores key's report, dropping the oldest past
+// maxStoredReports, and retires key's snapshot, so a stale one never
+// satisfies a later run.
 func (c *CellStore) finish(key string, rep *core.Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.reports == nil {
 		c.reports = make(map[string]*core.Report)
 	}
+	if _, ok := c.reports[key]; !ok {
+		c.order = append(c.order, key)
+		if len(c.order) > maxStoredReports {
+			delete(c.reports, c.order[0])
+			c.order = c.order[1:]
+		}
+	}
 	c.reports[key] = rep
 	delete(c.snaps, key)
 }
 
 // runExact executes one exact-engine cell; confine > 0 confines every
-// task to that many banks per rank. A cell run with a store is answered
-// by the report stored under key when there is one, resumes from the
-// snapshot stored there when there is one (its bank masks travel in the
-// snapshot), and otherwise builds fresh; it runs with a lazy boundary
-// callback that polls the store's Preempt, and on completion its report
-// is stored.
+// task to that many banks per rank. It runs under p.Store, or the
+// process-wide store when p.Store is nil. A cell whose HardCtx has
+// ended fails at once, before the store is asked. Otherwise the report
+// stored under key answers the cell when there is one, the snapshot
+// stored there is resumed from when there is one (its bank masks travel
+// in the snapshot), and failing both the cell builds fresh; it runs
+// with a lazy boundary callback that polls the store's Preempt, and on
+// completion its report is stored.
 // Boundaries fall every four timeslices — frequent enough that a
 // preemption request lands quickly, cheap because a boundary without a
 // snapshot costs only a leg split. The leg structure and every
 // snapshot/restore cycle are invisible to the simulation: the report is
 // byte-identical to an uncheckpointed run.
 func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key string) (*core.Report, error) {
-	store := p.Store
-	var st *core.SystemState
-	if store != nil {
-		if rep := store.report(key); rep != nil {
-			return rep, nil
-		}
-		st = store.TakeSnapshot(key)
+	named := func(err error) error {
+		return fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 	}
+	if p.HardCtx != nil && p.HardCtx.Err() != nil {
+		return nil, named(p.HardCtx.Err())
+	}
+	store := p.Store
+	if store == nil {
+		store = &processStore
+	}
+	if rep := store.report(key); rep != nil {
+		return rep, nil
+	}
+	st := store.TakeSnapshot(key)
 	var sys *core.System
 	var err error
 	if st != nil {
@@ -114,7 +143,7 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key s
 			err = sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), confine))
 		}
 		if err != nil {
-			err = fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
+			err = named(err)
 		}
 	}
 	if err != nil {
@@ -124,7 +153,7 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key s
 	// The lazy boundary: polling Preempt costs nothing; state is
 	// captured only when a preemption was requested.
 	var boundary core.BoundaryFn
-	if store != nil && store.Preempt != nil {
+	if store.Preempt != nil {
 		boundary = func(capture func() (*core.SystemState, error)) error {
 			perr := store.Preempt()
 			if perr == nil {
@@ -150,8 +179,6 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key s
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		store.finish(key, rep)
-	}
+	store.finish(key, rep)
 	return rep, nil
 }

@@ -9,7 +9,8 @@ import (
 // guarantee: the Figure 10 sweep must produce deep-equal Results — and
 // identical per-cell engine event counts — at -j 1 and -j 8. Every cell
 // is deterministically seeded and shares no state, so parallelism may
-// only change wall-clock time, never output.
+// only change wall-clock time, never output. Each run simulates under
+// its own CellStore, so no run is answered from another's reports.
 func TestFig10ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
@@ -19,11 +20,13 @@ func TestFig10ParallelDeterminism(t *testing.T) {
 	// Raw reports first: compare every metric and the executed event
 	// count per (mix, density, bundle) cell.
 	p.Parallelism = 1
+	p.Store = &CellStore{}
 	serialReps, sFailed, err := p.mainResults(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Parallelism = 8
+	p.Store = &CellStore{}
 	parallelReps, pFailed, err := p.mainResults(false)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +42,9 @@ func TestFig10ParallelDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("cell %s missing from parallel run", k)
 		}
+		if sr == pr {
+			t.Fatalf("cell %s: the parallel run returned the serial run's report", k)
+		}
 		if sr.Events != pr.Events {
 			t.Errorf("cell %s: executed events %d serial vs %d parallel", k, sr.Events, pr.Events)
 		}
@@ -50,11 +56,13 @@ func TestFig10ParallelDeterminism(t *testing.T) {
 	// Rendered figures second: the tables the user sees must be
 	// byte-identical.
 	p.Parallelism = 1
+	p.Store = &CellStore{}
 	s10, s11, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Parallelism = 8
+	p.Store = &CellStore{}
 	p10, p11, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)

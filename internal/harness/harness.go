@@ -82,12 +82,14 @@ type Params struct {
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// Store, when non-nil, checkpoints every exact cell: it answers
-	// cells it holds a report for, resumes cells it holds a snapshot
-	// for, and polls its Preempt at each checkpoint boundary (see
-	// CellStore). It is absent from Fingerprint, because a resumed
-	// cell's report is byte-identical to an uninterrupted one. The
-	// serving daemon's preempt-and-resume path lives here.
+	// Store checkpoints every exact cell: it answers cells it holds a
+	// report for, resumes cells it holds a snapshot for, and polls its
+	// Preempt at each checkpoint boundary (see CellStore). Nil means the
+	// process-wide store, which never preempts and lets a figure reuse
+	// the cells an earlier figure in the same process simulated. It is
+	// absent from Fingerprint, because a resumed cell's report is
+	// byte-identical to an uninterrupted one. The serving daemon's
+	// preempt-and-resume path lives here.
 	Store *CellStore
 
 	// CellRunner, when non-nil, replaces the direct runner.RunBatch

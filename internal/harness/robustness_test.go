@@ -95,13 +95,16 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 // interrupted journaled sweep (here: cells knocked out by permanent
 // chaos stand in for a mid-run kill — either way they are simply absent
 // from the journal) is finished by a -resume rerun whose rendered
-// tables are byte-identical to an uninterrupted serial run.
+// tables are byte-identical to an uninterrupted serial run. Each run
+// simulates under its own CellStore, so the resumed cells are simulated
+// again rather than answered from the clean run's reports.
 func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
 	p := tinyParams()
 	p.Parallelism = 1
+	p.Store = &CellStore{}
 	clean10, clean11, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +119,7 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	p1 := p
 	p1.JournalDir = dir
 	p1.Parallelism = 4
+	p1.Store = &CellStore{}
 	p1.Chaos = chaos.New(chaos.Config{Seed: seed, Frac: 0.3, Mode: chaos.ModeError})
 	r10, _, err := Fig10(p1, false)
 	if err != nil {
@@ -141,6 +145,7 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	p2.JournalDir = dir
 	p2.Resume = true
 	p2.Parallelism = 4
+	p2.Store = &CellStore{}
 	res10, res11, err := Fig10(p2, false)
 	if err != nil {
 		t.Fatal(err)

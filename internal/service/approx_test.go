@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"refsched/internal/harness"
 )
 
 // TestFigureFidelityApprox exercises the two-tier first-response path:
@@ -100,6 +102,29 @@ func TestJobModeOverrideValidated(t *testing.T) {
 	resp, _ := postJob(t, ts, Request{Figure: "fig10", Params: &ParamOverrides{Mode: &mode}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestApproxFig4JobCheckpoints: an approx fig4 runs its bank-confined
+// cells exact, under the job's own store. They cross checkpoint
+// boundaries, which the watchdog counts as progress and where a
+// preemption lands; a cell answered from the process-wide store, which
+// has no poll, would cross none.
+func TestApproxFig4JobCheckpoints(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	mode := harness.ModeApprox
+	resp, out := postJob(t, ts, Request{Figure: "fig4", Params: &ParamOverrides{Mode: &mode}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	j := s.getJob(id)
+	if j == nil {
+		t.Fatal("job not found")
+	}
+	waitJobState(t, ts, id, JobDone)
+	if n := j.boundaries.Load(); n == 0 {
+		t.Fatal("approx fig4's exact cells crossed no checkpoint boundary")
 	}
 }
 

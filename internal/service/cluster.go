@@ -305,18 +305,17 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 	p.Ctx = r.Context()
 	p.HardCtx = r.Context()
 	p.CellRunner = s.remoteCellRunner(cr.Priority)
-	// Exact cells run under the checkpoint driver so a node that starts
-	// draining mid-cell yields at its next boundary and ships the
-	// partial progress back (see the snapshot response below) instead
-	// of discarding it.
-	if p.Mode != harness.ModeApprox {
-		p.Store = &harness.CellStore{Preempt: func() error {
-			if s.draining.Load() || r.Context().Err() != nil {
-				return errPreempted
-			}
-			return nil
-		}}
-	}
+	// The cell runs under a store of its own: an exact cell (a
+	// bank-confined cell runs exact on either tier) checkpoints, so a
+	// node that starts draining mid-cell yields at its next boundary and
+	// ships the partial progress back (see the snapshot response below)
+	// instead of discarding it.
+	p.Store = &harness.CellStore{Preempt: func() error {
+		if s.draining.Load() || r.Context().Err() != nil {
+			return errPreempted
+		}
+		return nil
+	}}
 
 	rep, err := harness.RunCell(p, spec.Mix, spec.Density, spec.Bundle, spec.Hot)
 
@@ -342,17 +341,15 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 		// instead of recomputing it. An encode failure mid-body is
 		// unrecoverable over HTTP; the coordinator's decode rejects the
 		// torn snapshot (CRC) and falls back to the full re-run.
-		if p.Store != nil {
-			if st := p.Store.TakeSnapshot(spec.Key()); st != nil {
-				w.Header().Set(cluster.CellSnapshotHeader, "1")
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				if werr := core.EncodeSnapshot(w, st); werr != nil {
-					s.log.Warn("shipping cell snapshot failed",
-						"origin", cr.Origin, "err", werr.Error())
-				}
-				return
+		if st := p.Store.TakeSnapshot(spec.Key()); st != nil {
+			w.Header().Set(cluster.CellSnapshotHeader, "1")
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			if werr := core.EncodeSnapshot(w, st); werr != nil {
+				s.log.Warn("shipping cell snapshot failed",
+					"origin", cr.Origin, "err", werr.Error())
 			}
+			return
 		}
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return

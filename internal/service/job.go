@@ -214,11 +214,12 @@ type job struct {
 	key    string
 	figure string // canonical figure name, or "cell"
 	req    Request
-	// params are the job's simulation parameters. An exact job's
-	// params.Store holds its mid-cell snapshots and finished-cell
-	// reports; it is made once at enqueue and kept through requeues, so
-	// a job preempted twice still resumes from its furthest checkpoint.
-	// Approx jobs have no event loop to snapshot and no store.
+	// params are the job's simulation parameters. params.Store holds
+	// the job's mid-cell snapshots and finished-cell reports; it is made
+	// once at enqueue and kept through requeues, so a job preempted
+	// twice still resumes from its furthest checkpoint. An approx job
+	// has one too, for the cells it runs exact (fig4's bank-confined
+	// ones).
 	params   harness.Params
 	priority int
 	seq      uint64 // queue tiebreak: FIFO within a priority

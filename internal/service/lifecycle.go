@@ -459,13 +459,13 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		walAccepted: recovered,
 	}
 	j.hub.drops = &s.eventDrops
-	if params.Mode != harness.ModeApprox {
-		// Exact jobs run under the checkpoint driver; the store's poll is
-		// where a preemption request takes effect. The leg structure is
-		// invisible — a checkpointed cell's report is byte-identical to a
-		// plain run's.
-		j.params.Store = &harness.CellStore{Preempt: j.pollPreempt, Resumes: &s.preemptResumes}
-	}
+	// Every job's exact cells run under the checkpoint driver and a
+	// store of the job's own, never the process-wide one; an approx job
+	// has exact cells too (fig4's bank-confined ones). The store's poll
+	// is where a preemption request takes effect. The leg structure is
+	// invisible — a checkpointed cell's report is byte-identical to a
+	// plain run's.
+	j.params.Store = &harness.CellStore{Preempt: j.pollPreempt, Resumes: &s.preemptResumes}
 	s.enqueued.Add(1)
 
 	// Already computed: answer without a queue trip. No WAL record is
@@ -532,7 +532,7 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 }
 
 // maybePreempt runs under jobsMu after a fresh job joins the queue:
-// when every worker is busy and some running exact job is strictly
+// when every worker is busy and some running job is strictly
 // lower-priority than the arrival, the lowest-priority such job is
 // asked to yield at its next checkpoint boundary. Only the request is
 // posted here — the displaced job snapshots, unwinds, and requeues on
@@ -544,7 +544,7 @@ func (s *Server) maybePreempt(incoming *job) {
 	}
 	var victim *job
 	for _, j := range s.active {
-		if j == incoming || j.params.Store == nil || j.priority >= incoming.priority {
+		if j == incoming || j.priority >= incoming.priority {
 			continue
 		}
 		j.mu.Lock()
