@@ -6,7 +6,7 @@ GO ?= go
 # out of go.mod so the simulator itself stays dependency-free.
 STATICCHECK = $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: build test short race bench serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke reuse-smoke
+.PHONY: build test short race bench serve ci staticcheck regen-output timeline-demo soak soak-short cluster-smoke cluster-demo checkpoint-smoke reuse-smoke resume-smoke
 
 build:
 	$(GO) build ./...
@@ -58,7 +58,8 @@ staticcheck:
 # with its durability twin (SIGKILL after a sweep, then a warm restart
 # on the same -journal answers it as a hit with zero simulations), the
 # on-disk checkpoint drill (checkpoint-smoke, ~2 s), the cross-figure
-# reuse drill (reuse-smoke, a few seconds), and finally the refbench
+# reuse drill (reuse-smoke, a few seconds), the kill-and-resume drill
+# (resume-smoke, a few seconds), and finally the refbench
 # module's own tests (~20 s; it is a separate module, so ./... above
 # does not reach it).
 ci:
@@ -75,6 +76,7 @@ ci:
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart' ./cmd/refschedd/
 	$(MAKE) checkpoint-smoke
 	$(MAKE) reuse-smoke
+	$(MAKE) resume-smoke
 	cd cmd/refbench && $(GO) test -count=1 .
 
 # The overload/chaos drill (see EXPERIMENTS.md "Soak drill"): refload
@@ -162,6 +164,40 @@ reuse-smoke:
 	grep -v '^total:' $$dir/six.out > $$dir/six.txt; \
 	cmp $$dir/one.txt $$dir/six.txt; \
 	echo "reuse-smoke: six figures render the same bytes in one process as in six"
+
+# The kill-and-resume drill (see README "Fault tolerance: quarantine
+# and resume"): render two figures once uninterrupted, then run them
+# again with -journal F and SIGKILL the run as soon as F holds a
+# record. The kill may tear F's final record, which the rerun drops.
+# A rerun on the same -journal must finish the sweep, appending the
+# cells the killed run did not record, and print the uninterrupted
+# output byte for byte, less the wall-clock `total:` lines; a third run
+# over the finished F must add no record to it. The 27 cells take about
+# 2 s at -j 2 on a 2-vCPU host and the first record lands after one
+# cell, so the 0.05 s poll kills the run mid-sweep with a wide margin;
+# a run that finishes first, or a kill after its last record, fails
+# the drill.
+resume-smoke:
+	@set -e; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/experiments ./cmd/experiments; \
+	run="$$dir/experiments -quick -j 2 -mixes WL-6"; \
+	figs="fig3 fig10"; log=$$dir/cells.json; \
+	$$run $$figs | grep -v '^total:' > $$dir/ref.txt; \
+	$$run -journal $$log $$figs > /dev/null 2>&1 & pid=$$!; \
+	i=0; while ! grep -qs '"key"' $$log && [ $$i -lt 600 ]; do sleep 0.05; i=$$((i+1)); done; \
+	kill -9 $$pid 2>/dev/null || true; \
+	st=0; wait $$pid 2>/dev/null || st=$$?; \
+	[ $$st -eq 137 ] || { echo "resume-smoke: the journaled run exited $$st before SIGKILL landed" >&2; exit 1; }; \
+	cp $$log $$dir/killed.json; \
+	$$run -journal $$log $$figs | grep -v '^total:' > $$dir/resumed.txt; \
+	cmp $$dir/ref.txt $$dir/resumed.txt; \
+	! cmp -s $$log $$dir/killed.json || { echo "resume-smoke: the SIGKILL landed after the last record; nothing was resumed" >&2; exit 1; }; \
+	cp $$log $$dir/finished.json; \
+	$$run -journal $$log $$figs | grep -v '^total:' > $$dir/again.txt; \
+	cmp $$dir/ref.txt $$dir/again.txt; \
+	cmp $$log $$dir/finished.json || { echo "resume-smoke: a run over the finished journal added records" >&2; exit 1; }; \
+	echo "resume-smoke: SIGKILL mid-sweep + rerun on the same -journal is byte-identical; a finished journal answers every cell"
 
 # Write the pair of Perfetto timelines EXPERIMENTS.md walks through:
 # the same mix under rotating per-bank refresh (baseline) and under the

@@ -20,13 +20,14 @@
 // Failure semantics are those of a real job scheduler. A failing or
 // panicking cell is quarantined into the figure's failure-summary table
 // and the rest of the sweep completes (the process then exits 3);
-// -failfast restores abort-on-first-error. With -journal DIR every
-// completed cell is persisted atomically as it finishes, and -resume
-// skips cells already on record — after a crash or Ctrl-C, rerunning
-// with -resume finishes the remainder and renders output byte-identical
-// to an uninterrupted run. SIGINT cancels gracefully: in-flight cells
-// finish and are journaled, the rest are skipped. The -chaos-* flags
-// deterministically inject faults for failure drills.
+// -failfast restores abort-on-first-error. With -journal FILE the run's
+// cell store keeps every cell it computes in FILE, appended and fsynced
+// as the cell finishes, and answers the cells already on record there —
+// after a crash or Ctrl-C, rerunning with the same -journal finishes
+// the remainder and renders output byte-identical to an uninterrupted
+// run. SIGINT cancels gracefully: in-flight cells finish and are
+// recorded, the rest are skipped. The -chaos-* flags deterministically
+// inject faults for failure drills.
 package main
 
 import (
@@ -57,9 +58,8 @@ func main() {
 		verbose = flag.Bool("v", false, "print each run as it completes")
 		jobs    = flag.Int("j", 0, "parallel simulation cells (0 = all CPUs; results identical at any -j)")
 
-		failfast   = flag.Bool("failfast", false, "abort a sweep on its first failed cell instead of quarantining it")
-		journalDir = flag.String("journal", "", "directory for per-figure completed-cell journals (empty = no journaling)")
-		resume     = flag.Bool("resume", false, "skip cells already recorded in the journal (requires -journal)")
+		failfast    = flag.Bool("failfast", false, "abort a sweep on its first failed cell instead of quarantining it")
+		journalPath = flag.String("journal", "", "keep every computed cell in FILE and answer the cells already recorded there (empty = no journaling)")
 
 		chaosFrac = flag.Float64("chaos-frac", 0, "inject faults into this fraction of cells (failure drills)")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for deterministic fault placement")
@@ -92,17 +92,13 @@ func main() {
 	p.Verbose = *verbose
 	p.Parallelism = *jobs
 	p.FailFast = *failfast
-	p.JournalDir = *journalDir
-	p.Resume = *resume
-	if *resume && *journalDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -journal DIR")
-		os.Exit(2)
-	}
-	if *journalDir != "" {
-		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
+	if *journalPath != "" {
+		store, err := harness.OpenCellStore(*journalPath)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
+		p.Store = store
 	}
 	if *chaosFrac > 0 {
 		mode, err := chaos.ParseMode(*chaosMode)
@@ -134,7 +130,7 @@ func main() {
 	}
 
 	// SIGINT cancels gracefully: in-flight cells finish (and are
-	// journaled); a second SIGINT kills the process the hard way.
+	// recorded); a second SIGINT kills the process the hard way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	p.Ctx = ctx
@@ -153,8 +149,8 @@ func main() {
 			stopProfile()
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "experiments: interrupted: %v\n", err)
-				if *journalDir != "" {
-					fmt.Fprintf(os.Stderr, "experiments: completed cells are journaled in %s; rerun with -resume to finish\n", *journalDir)
+				if *journalPath != "" {
+					fmt.Fprintf(os.Stderr, "experiments: completed cells are recorded in %s; rerun with the same -journal to finish\n", *journalPath)
 				}
 				os.Exit(130)
 			}

@@ -15,11 +15,12 @@
 // A failing run is quarantined (reported, the other mixes still
 // complete, exit 3) unless -failfast is given. -metrics FILE writes the
 // full cumulative metrics hierarchy (per-bank, per-controller, per-task
-// counters) of every completed run as JSON keyed "slot|mix". -journal FILE persists
-// each completed run atomically; -resume skips runs already on record,
-// so an interrupted multi-mix invocation can be finished later with
+// counters) of every completed run as JSON keyed "slot|mix". -journal
+// FILE keeps each completed run in FILE (appended and fsynced) and
+// answers the runs already recorded there, so rerunning an interrupted
+// multi-mix invocation with the same -journal finishes it with
 // identical output. SIGINT cancels gracefully: in-flight runs finish
-// and are journaled.
+// and are recorded.
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 
 	"refsched"
 	"refsched/internal/buildinfo"
-	"refsched/internal/journal"
+	"refsched/internal/harness"
 	"refsched/internal/runner"
 )
 
@@ -56,10 +57,9 @@ func main() {
 		jobs     = flag.Int("j", 0, "parallel runs when several mixes are given (0 = all CPUs)")
 
 		failfast    = flag.Bool("failfast", false, "abort on the first failed run instead of quarantining it")
-		journalPath = flag.String("journal", "", "journal file for completed runs (empty = no journaling)")
-		resume      = flag.Bool("resume", false, "skip runs already recorded in the journal (requires -journal)")
+		journalPath = flag.String("journal", "", "keep completed runs in FILE and answer the runs already recorded there (empty = no journaling)")
 		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot per run to FILE (full per-bank/per-task hierarchy)")
-		tlPath      = flag.String("timeline", "", "write a Perfetto-loadable timeline (Chrome trace-event JSON) per run to FILE; with several mixes each run writes FILE.<slot> (journal-resumed runs have no live system and write none)")
+		tlPath      = flag.String("timeline", "", "write a Perfetto-loadable timeline (Chrome trace-event JSON) per run to FILE; with several mixes each run writes FILE.<slot> (runs answered from -journal have no live system and write none)")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot of the running simulation to FILE at every checkpoint boundary (atomic replace; removed on clean completion); with several mixes each run writes FILE.<slot>; resume a survivor with -restore")
 		ckptEvery   = flag.Uint64("checkpoint-every", 0, "checkpoint-boundary cadence in simulated cycles for -checkpoint/-restore (0 = four timeslices)")
 		restorePath = flag.String("restore", "", "resume one interrupted run from the snapshot at FILE (written by -checkpoint) and print its report; the snapshot carries the machine config and mix, so the usual run flags are ignored")
@@ -71,9 +71,6 @@ func main() {
 		return
 	}
 
-	if *resume && *journalPath == "" {
-		fatal(errors.New("-resume requires -journal FILE"))
-	}
 	switch *mode {
 	case "exact":
 	case "approx":
@@ -114,116 +111,107 @@ func main() {
 	}
 	cfg.Seed = *seed
 
-	// The journal fingerprint covers every flag that changes a report, so
-	// a stale journal from a different configuration is never resumed.
-	var jnl *journal.Journal
+	// The journal keys a run by a fingerprint of every flag that changes
+	// a report, so a record of another configuration never answers it,
+	// followed by the run's slot and mix (runs may repeat a mix).
+	// v4: the mode knob landed; approx and exact runs must never answer
+	// each other.
+	var store *harness.CellStore
 	if *journalPath != "" {
-		// v4: the mode knob landed; approx and exact runs must never
-		// satisfy each other's -resume.
-		fp := fmt.Sprintf("v4 mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
-			*mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
-		jnl, err = journal.Open(*journalPath, fp)
-		if err != nil {
+		if store, err = harness.OpenCellStore(*journalPath); err != nil {
 			fatal(err)
 		}
 	}
+	fp := fmt.Sprintf("v4 mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
+		*mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	// Each mix is an independent, deterministically-seeded simulation;
-	// fan out and print reports in mix order. Runs may repeat a mix, so
-	// journal keys carry the slot index.
-	key := func(i int) string { return fmt.Sprintf("%d|%s", i, mixes[i].Name) }
+	// fan out and print reports in mix order.
 	// Per-run cumulative metrics snapshots for -metrics; each slot is
-	// written only by its own run goroutine. Journal-resumed runs have no
-	// live system, so their slot stays nil and is omitted from the dump.
+	// written only by its own run goroutine. Runs answered from the
+	// journal have no live system, so their slot stays nil and is
+	// omitted from the dump.
 	snaps := make([]*refsched.MetricsSnapshot, len(mixes))
 	runJobs := make([]runner.Job[*refsched.Report], len(mixes))
 	for i := range mixes {
-		i := i
-		runJobs[i] = runner.Job[*refsched.Report]{
-			Cell: runner.Cell{Mix: mixes[i].Name, Density: fmt.Sprintf("%dGb", *density), Bundle: *policy, Seed: *seed},
-			Run: func() (*refsched.Report, error) {
-				if *resume && jnl != nil {
-					var rep refsched.Report
-					if jnl.Lookup(key(i), &rep) {
-						return &rep, nil
-					}
+		run := func() (*refsched.Report, error) {
+			if *mode == "approx" {
+				return refsched.PredictApprox(cfg, mixes[i])
+			}
+			sys, err := refsched.NewSystemWithOptions(cfg, mixes[i], refsched.Options{FootprintScale: *fpScale})
+			if err != nil {
+				return nil, err
+			}
+			var tl *refsched.TimelineRecorder
+			var tlFile *os.File
+			if *tlPath != "" {
+				path := *tlPath
+				if len(mixes) > 1 {
+					path = fmt.Sprintf("%s.%d", path, i)
 				}
-				if *mode == "approx" {
-					return refsched.PredictApprox(cfg, mixes[i])
-				}
-				sys, err := refsched.NewSystemWithOptions(cfg, mixes[i], refsched.Options{FootprintScale: *fpScale})
+				tlFile, err = os.Create(path)
 				if err != nil {
 					return nil, err
 				}
-				var tl *refsched.TimelineRecorder
-				var tlFile *os.File
-				if *tlPath != "" {
-					path := *tlPath
-					if len(mixes) > 1 {
-						path = fmt.Sprintf("%s.%d", path, i)
-					}
-					tlFile, err = os.Create(path)
-					if err != nil {
-						return nil, err
-					}
-					defer tlFile.Close()
-					if tl, err = sys.AttachTimeline(tlFile); err != nil {
-						return nil, err
+				defer tlFile.Close()
+				if tl, err = sys.AttachTimeline(tlFile); err != nil {
+					return nil, err
+				}
+			}
+			var rep *refsched.Report
+			if *ckptPath != "" {
+				// Periodic crash-durable snapshot; a run that
+				// completes consumes its own snapshot so a later
+				// -restore never resumes finished work.
+				snapPath := *ckptPath
+				if len(mixes) > 1 {
+					snapPath = fmt.Sprintf("%s.%d", snapPath, i)
+				}
+				rep, err = sys.RunWindowsCheckpointed(*warmup, *measure, checkpointCadence(*ckptEvery, cfg),
+					func(st *refsched.SystemState) error { return refsched.WriteSnapshot(snapPath, st) })
+				if err == nil {
+					if rmErr := os.Remove(snapPath); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
+						return nil, rmErr
 					}
 				}
-				var rep *refsched.Report
-				if *ckptPath != "" {
-					// Periodic crash-durable snapshot; a run that
-					// completes consumes its own snapshot so a later
-					// -restore never resumes finished work.
-					snapPath := *ckptPath
-					if len(mixes) > 1 {
-						snapPath = fmt.Sprintf("%s.%d", snapPath, i)
-					}
-					rep, err = sys.RunWindowsCheckpointed(*warmup, *measure, checkpointCadence(*ckptEvery, cfg),
-						func(st *refsched.SystemState) error { return refsched.WriteSnapshot(snapPath, st) })
-					if err == nil {
-						if rmErr := os.Remove(snapPath); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-							return nil, rmErr
-						}
-					}
-				} else {
-					rep, err = sys.RunWindows(*warmup, *measure)
+			} else {
+				rep, err = sys.RunWindows(*warmup, *measure)
+			}
+			if err == nil && tl != nil {
+				if err := tl.Flush(); err != nil {
+					return nil, fmt.Errorf("timeline: %w", err)
 				}
-				if err == nil && tl != nil {
-					if err := tl.Flush(); err != nil {
-						return nil, fmt.Errorf("timeline: %w", err)
-					}
-					if err := tlFile.Close(); err != nil {
-						return nil, fmt.Errorf("timeline: %w", err)
-					}
+				if err := tlFile.Close(); err != nil {
+					return nil, fmt.Errorf("timeline: %w", err)
 				}
-				if err == nil && *metricsPath != "" {
-					snap := sys.MetricsSnapshot()
-					snaps[i] = &snap
-				}
-				return rep, err
-			},
+			}
+			if err == nil && *metricsPath != "" {
+				snap := sys.MetricsSnapshot()
+				snaps[i] = &snap
+			}
+			return rep, err
+		}
+		if store != nil {
+			key := fmt.Sprintf("%s|%d|%s", fp, i, mixes[i].Name)
+			compute := run
+			run = func() (*refsched.Report, error) { return store.Answer(key, compute) }
+		}
+		runJobs[i] = runner.Job[*refsched.Report]{
+			Cell: runner.Cell{Mix: mixes[i].Name, Density: fmt.Sprintf("%dGb", *density), Bundle: *policy, Seed: *seed},
+			Run:  run,
 		}
 	}
 	opts := runner.Options[*refsched.Report]{
 		Parallelism: *jobs,
 		FailFast:    *failfast,
 	}
-	if jnl != nil {
-		opts.OnDone = func(i int, _ runner.Cell, rep *refsched.Report) {
-			if err := jnl.Record(key(i), rep, true); err != nil {
-				fmt.Fprintf(os.Stderr, "refsim: journal: %v\n", err)
-			}
-		}
-	}
 	batch, err := runner.RunBatch(ctx, runJobs, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) && jnl != nil {
-			fmt.Fprintf(os.Stderr, "refsim: interrupted; completed runs are journaled in %s — rerun with -resume to finish\n", *journalPath)
+		if errors.Is(err, context.Canceled) && store != nil {
+			fmt.Fprintf(os.Stderr, "refsim: interrupted; completed runs are recorded in %s — rerun with the same -journal to finish\n", *journalPath)
 			os.Exit(130)
 		}
 		fatal(err)
@@ -294,8 +282,7 @@ func restoreRun(path, ckptPath string, every uint64) error {
 }
 
 // writeMetrics dumps each completed run's cumulative snapshot as a JSON
-// object keyed "slot|mix" (matching the journal key scheme, since runs
-// may repeat a mix).
+// object keyed "slot|mix" (runs may repeat a mix).
 func writeMetrics(path string, mixes []refsched.Mix, snaps []*refsched.MetricsSnapshot) error {
 	out := make(map[string]*refsched.MetricsSnapshot)
 	for i, s := range snaps {

@@ -69,40 +69,28 @@ type CellObserver func(CellEvent)
 // RunCells is the cluster-aware harness.CellRunner core: it executes a
 // sweep's cells with each cell opportunistically dispatched to an alive
 // peer (bounded by the per-peer fan-out cap) and the rest — dispatch
-// failures and overflow beyond remote capacity — run locally under the
-// original gate.
+// failures and overflow beyond remote capacity — run locally through
+// the job's own Run.
 //
 // The merge is byte-identical to a local run: a remote cell returns its
 // core.Report as JSON, which round-trips float64 exactly (the same
-// invariant the journal resume path relies on), and results land at
-// their submission index like any RunBatch. Determinism is preserved
-// because a dispatched cell is re-created from its coordinates with the
+// invariant a logged CellStore relies on), and results land at their
+// submission index like any RunBatch. Determinism is preserved because
+// a dispatched cell is re-created from its coordinates with the
 // identical seed, and a failed dispatch falls back to the identical
 // local closure.
 //
 // Scheduling: the pool is widened by the total remote slot count so
-// local workers stay busy while remote cells are in flight. The
-// caller's Gate is lifted out of opts and applied only around local
-// execution — remote cells consume the remote node's budget (that is
-// the point of fan-out), so they bypass the local gate entirely.
+// local workers stay busy while remote cells are in flight. A
+// dispatched cell consumes the remote node's budget (that is the point
+// of fan-out), so it runs outside the job's Run; whatever budget the
+// caller imposes by wrapping Run (the daemon's priority gate) applies
+// only to the cells that run here.
 func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, reqID string, priority int, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report], obs CellObserver) (*runner.Batch[*core.Report], error) {
 	if !c.FanoutEnabled() || p.Mode == harness.ModeApprox {
 		// Approx cells cost microseconds; a network round-trip per cell
 		// would be pure overhead.
 		return runner.RunBatch(ctx, jobs, opts)
-	}
-
-	gate := opts.Gate
-	opts.Gate = nil
-	runLocal := func(run func() (*core.Report, error)) (*core.Report, error) {
-		if gate != nil {
-			release, err := gate(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-		}
-		return run()
 	}
 
 	wrapped := make([]runner.Job[*core.Report], len(jobs))
@@ -131,7 +119,7 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 					c.CellsResumed.Add(1)
 				}
 			}
-			return runLocal(local)
+			return local()
 		}
 	}
 

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -345,5 +349,103 @@ func TestCellStoreDropsOldestPastCap(t *testing.T) {
 	o, _ := json.Marshal(oldest)
 	if string(a) != string(o) {
 		t.Fatal("the dropped cell simulated again to different bytes")
+	}
+}
+
+// TestCellStoreReopenedLogAnswersFig10: a store reopened on the log of
+// a finished fig10 run answers every fig10 cell without computing it,
+// and Fig10 rendered through such a store prints the bytes of the run
+// that wrote the log and appends nothing to it.
+func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
+	p := tinyParams()
+	p.Parallelism = 4 // workers append to the log concurrently
+	path := filepath.Join(t.TempDir(), "cells.json")
+	p.Store = openStore(t, path)
+	clean10, clean11, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fig10Keys(p)
+	if n := loggedCells(t, path); n != len(keys) {
+		t.Fatalf("the log has %d cells, want fig10's %d", n, len(keys))
+	}
+	logged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := openStore(t, path)
+	for _, key := range keys {
+		if _, err := reopened.Answer(key, func() (*core.Report, error) {
+			return nil, errors.New("computed instead of answered from the log")
+		}); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+	}
+
+	p.Store = openStore(t, path)
+	r10, r11, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r10.String() != clean10.String() || r11.String() != clean11.String() {
+		t.Errorf("fig10/fig11 from the log differ from the run that wrote it:\n%s%s\nclean:\n%s%s", r10, r11, clean10, clean11)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, logged) {
+		t.Fatalf("rendering fig10 from its log changed the log (err %v)", err)
+	}
+}
+
+// TestCellStoreLogsApproxCells: an approx cell answered through a store
+// with a log is on record there, so a store reopened on the log answers
+// it with the same report without predicting it again.
+func TestCellStoreLogsApproxCells(t *testing.T) {
+	p := tinyParams()
+	p.Mode = ModeApprox
+	path := filepath.Join(t.TempDir(), "cells.json")
+	p.Store = openStore(t, path)
+	rep, err := RunCell(p, "WL-6", "32Gb", "codesign", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := p.Cell("WL-6", "32Gb", "codesign", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := openStore(t, path).Answer(spec.Key(), func() (*core.Report, error) {
+		return nil, errors.New("the approx cell is not on record")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(got)
+	b, _ := json.Marshal(rep)
+	if string(a) != string(b) {
+		t.Fatal("the logged approx report differs from the one the run returned")
+	}
+}
+
+// TestCellStoreFailedAppendFailsRun: a report the store cannot append
+// to its log fails its cell, and so the run, with an error naming the
+// log file; it is not served as if it were on record.
+func TestCellStoreFailedAppendFailsRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing-dir", "cells.json")
+	p := tinyParams()
+	p.Mode = ModeApprox
+	p.Store = openStore(t, path)
+	if _, err := RunCell(p, "WL-6", "32Gb", "codesign", false); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("RunCell err = %v, want a failure naming %s", err, path)
+	}
+	r10, _, err := Fig10(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(fig10Keys(p)); len(r10.Failed) != want {
+		t.Fatalf("%d of fig10's %d cells failed, want all:\n%s", len(r10.Failed), want, r10)
+	}
+	for _, f := range r10.Failed {
+		if !strings.Contains(f.Err.Error(), path) {
+			t.Errorf("cell %s failed with %v, which does not name %s", f.Cell, f.Err, path)
+		}
 	}
 }

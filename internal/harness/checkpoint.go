@@ -7,22 +7,26 @@ import (
 
 	"refsched/internal/config"
 	"refsched/internal/core"
+	"refsched/internal/journal"
 	"refsched/internal/workload"
 )
 
-// CellStore holds exact cells' progress across runs, keyed by
-// CellSpec.Key: the mid-run snapshot a preempted cell left behind, and
-// the report of a cell that finished. A run consults it before
-// simulating — a stored report answers the cell outright, a stored
-// snapshot is resumed from — so a preempted sweep continues where it
-// stopped instead of recomputing. The serving daemon keeps one per job
-// across preemptions, and one per cell it executes for a peer; a sweep
-// run without one uses the process-wide store, so a later figure reuses
-// the cells an earlier one simulated. It keeps at most maxStoredReports
-// finished reports and drops the oldest past that. The reports it hands
-// out are shared by every caller that asks for the same key, so they
-// must never be mutated. It is safe for concurrent use by a sweep's
-// workers; the zero value is an empty store that never preempts.
+// CellStore is the one place a finished cell is kept, keyed by
+// CellSpec.Key: Answer returns a cell's report from the store when it
+// holds one and computes it otherwise. It also holds the mid-run
+// snapshot a preempted exact cell left behind, which the cell's next
+// run resumes from, so a preempted sweep continues where it stopped
+// instead of recomputing. The serving daemon keeps one per job across
+// preemptions, and one per cell it executes for a peer; a sweep run
+// without one uses the process-wide store, so a later figure reuses the
+// cells an earlier one simulated. A store made by OpenCellStore also
+// keeps every report it computes in a log file, from which a later
+// process's store answers them. It keeps at most maxStoredReports
+// finished reports in memory and drops the oldest past that. The
+// reports it hands out are shared by every caller that asks for the
+// same key, so they must never be mutated. It is safe for concurrent
+// use by a sweep's workers; the zero value is an empty store without a
+// log that never preempts.
 type CellStore struct {
 	// Preempt, when non-nil, is polled at every checkpoint boundary of
 	// every exact cell run with this store. A non-nil return
@@ -33,10 +37,38 @@ type CellStore struct {
 	// that continued from a checkpoint instead of recomputing.
 	Resumes *atomic.Uint64
 
+	// log, when non-nil, holds the reports on record at OpenCellStore
+	// and receives every report the store computes; logMu serializes
+	// the appends, which the journal requires.
+	log     *journal.Journal
+	logPath string
+	logMu   sync.Mutex
+
 	mu      sync.Mutex
 	snaps   map[string]*core.SystemState
 	reports map[string]*core.Report
 	order   []string // keys of reports, oldest first
+}
+
+// cellLogFormat is the fingerprint of every CellStore log. A record is
+// keyed by CellSpec.Key, which names every knob that changes a result,
+// so one file can hold cells of several presets and a record answers
+// only the computation that wrote it. Change it only when the record
+// encoding changes.
+const cellLogFormat = "cellstore v1"
+
+// OpenCellStore returns a store backed by the log file at path: the
+// reports on record there answer their cells, and every report the
+// store computes is appended with fsync before Answer returns it, so
+// the file, open from the first append on, needs no closing. An absent
+// file opens empty. A torn final record, which a kill mid-append leaves
+// behind, is dropped; other damage is an error naming the file.
+func OpenCellStore(path string) (*CellStore, error) {
+	log, err := journal.Open(path, cellLogFormat)
+	if err != nil {
+		return nil, err
+	}
+	return &CellStore{log: log, logPath: path}, nil
 }
 
 // maxStoredReports bounds a CellStore's finished reports. A report is
@@ -104,34 +136,51 @@ func (c *CellStore) finish(key string, rep *core.Report) {
 	delete(c.snaps, key)
 }
 
-// runExact executes one exact-engine cell; confine > 0 confines every
-// task to that many banks per rank. It runs under p.Store, or the
-// process-wide store when p.Store is nil. A cell whose HardCtx has
-// ended fails at once, before the store is asked. Otherwise the report
-// stored under key answers the cell when there is one, the snapshot
-// stored there is resumed from when there is one (its bank masks travel
-// in the snapshot), and failing both the cell builds fresh; it runs
-// with a lazy boundary callback that polls the store's Preempt, and on
-// completion its report is stored.
+// Answer returns the report of the cell stored under key: the report
+// the store holds, else the one on record in its log, else the one
+// compute returns. A computed report is stored and, with a log,
+// appended with fsync before Answer returns. A failed append fails the
+// cell with an error naming the log file, since a report missing from
+// the log would void the promise that a rerun finishes the run.
+func (c *CellStore) Answer(key string, compute func() (*core.Report, error)) (*core.Report, error) {
+	if rep := c.report(key); rep != nil {
+		return rep, nil
+	}
+	if c.log != nil {
+		var rep core.Report
+		if c.log.Lookup(key, &rep) {
+			c.finish(key, &rep)
+			return &rep, nil
+		}
+	}
+	rep, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	if c.log != nil {
+		c.logMu.Lock()
+		err = c.log.Record(key, rep, true)
+		c.logMu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("harness: recording cell in %s: %w", c.logPath, err)
+		}
+	}
+	c.finish(key, rep)
+	return rep, nil
+}
+
+// runExact simulates one exact-engine cell for CellStore.Answer;
+// confine > 0 confines every task to that many banks per rank. The
+// snapshot stored under key is resumed from when there is one (its bank
+// masks travel in the snapshot), and failing that the cell builds
+// fresh; it runs with a lazy boundary callback that polls the store's
+// Preempt.
 // Boundaries fall every four timeslices — frequent enough that a
 // preemption request lands quickly, cheap because a boundary without a
 // snapshot costs only a leg split. The leg structure and every
 // snapshot/restore cycle are invisible to the simulation: the report is
 // byte-identical to an uncheckpointed run.
-func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key string) (*core.Report, error) {
-	named := func(err error) error {
-		return fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
-	}
-	if p.HardCtx != nil && p.HardCtx.Err() != nil {
-		return nil, named(p.HardCtx.Err())
-	}
-	store := p.Store
-	if store == nil {
-		store = &processStore
-	}
-	if rep := store.report(key); rep != nil {
-		return rep, nil
-	}
+func (p Params) runExact(store *CellStore, cfg config.System, mix workload.Mix, confine int, key string) (*core.Report, error) {
 	st := store.TakeSnapshot(key)
 	var sys *core.System
 	var err error
@@ -143,7 +192,7 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key s
 			err = sys.SetTaskMasks(confineMasks(cfg, len(sys.Kernel.Tasks()), confine))
 		}
 		if err != nil {
-			err = named(err)
+			err = cellError(mix, cfg, err)
 		}
 	}
 	if err != nil {
@@ -169,16 +218,9 @@ func (p Params) runExact(cfg config.System, mix workload.Mix, confine int, key s
 	}
 
 	every := 4 * cfg.Timeslice()
-	var rep *core.Report
 	if st != nil {
-		rep, err = sys.Resume(every, boundary)
-	} else {
-		w := cfg.TREFW()
-		rep, err = sys.RunCheckpointed(uint64(p.WarmupWindows)*w, uint64(p.MeasureWindows)*w, every, boundary)
+		return sys.Resume(every, boundary)
 	}
-	if err != nil {
-		return nil, err
-	}
-	store.finish(key, rep)
-	return rep, nil
+	w := cfg.TREFW()
+	return sys.RunCheckpointed(uint64(p.WarmupWindows)*w, uint64(p.MeasureWindows)*w, every, boundary)
 }

@@ -32,12 +32,11 @@ type Params struct {
 	// windows.
 	WarmupWindows  int
 	MeasureWindows int
-	// Mixes restricts which Table 2 mixes run (nil = all ten).
+	// Mixes restricts which Table 2 mixes run. Nil means all ten for
+	// the per-mix figures (10-14) and a representative 5-mix subset
+	// covering the H/M/L spectrum for the heavily swept, averaged-only
+	// figures (3, 4, 15).
 	Mixes []string
-	// SweepMixes restricts the heavily swept, averaged-only figures
-	// (3, 4, 15); nil means a representative 5-mix subset covering the
-	// H/M/L spectrum. Per-mix figures (10-14) always use Mixes.
-	SweepMixes []string
 	// Seed drives all random streams.
 	Seed uint64
 	// Mode selects the simulation tier every cell runs on. "" and
@@ -58,7 +57,7 @@ type Params struct {
 	Parallelism int
 
 	// Ctx cancels a sweep (nil = context.Background). Cancellation is
-	// graceful: in-flight cells finish (and are journaled), unstarted
+	// graceful: in-flight cells finish (and are stored), unstarted
 	// cells are skipped, and the sweep returns the context error.
 	Ctx context.Context
 	// HardCtx, when non-nil, aborts in-flight cells mid-run: the exact
@@ -73,21 +72,18 @@ type Params struct {
 	// semantics). The default quarantines failed cells into the
 	// Result's failure summary and completes the rest of the grid.
 	FailFast bool
-	// JournalDir, when non-empty, appends each completed cell to
-	// <JournalDir>/<figure>.journal.json as it finishes.
-	JournalDir string
-	// Resume skips cells already recorded in the figure's journal,
-	// producing output byte-identical to an uninterrupted run.
-	Resume bool
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// Store checkpoints every exact cell: it answers cells it holds a
-	// report for, resumes cells it holds a snapshot for, and polls its
-	// Preempt at each checkpoint boundary (see CellStore). Nil means the
-	// process-wide store, which never preempts and lets a figure reuse
-	// the cells an earlier figure in the same process simulated. It is
-	// absent from Fingerprint, because a resumed cell's report is
+	// Store answers every cell: it returns the reports it holds or has
+	// on record in its log, resumes exact cells it holds a snapshot
+	// for, and polls its Preempt at each checkpoint boundary (see
+	// CellStore). Nil means the process-wide store, which has no log,
+	// never preempts, and lets a figure reuse the cells an earlier
+	// figure in the same process simulated. A store opened on a file
+	// (OpenCellStore) is how an interrupted run is finished: a rerun on
+	// the same file answers the cells already on record. It is absent
+	// from Fingerprint, because a resumed cell's report is
 	// byte-identical to an uninterrupted one. The serving daemon's
 	// preempt-and-resume path lives here.
 	Store *CellStore
@@ -95,12 +91,12 @@ type Params struct {
 	// CellRunner, when non-nil, replaces the direct runner.RunBatch
 	// call that executes a sweep's enumerated cells. It is the hook the
 	// serving daemon uses to wrap every figure driver without forking
-	// them: counting executions, imposing a global priority gate across
-	// concurrent jobs, and streaming per-cell progress by decorating
-	// opts.OnDone. Implementations must preserve RunBatch's contract
-	// (index-addressed results; OnDone called from one goroutine) —
-	// delegating to runner.RunBatch after adjusting opts is the
-	// intended shape.
+	// them: counting executions, wrapping each job's Run in a global
+	// priority gate across concurrent jobs, and streaming per-cell
+	// progress by decorating opts.OnDone. Implementations must preserve
+	// RunBatch's contract (index-addressed results; OnDone called from
+	// one goroutine) — delegating to runner.RunBatch after wrapping the
+	// jobs and adjusting opts is the intended shape.
 	CellRunner CellRunner
 }
 
@@ -193,9 +189,6 @@ func (p Params) mixes() []workload.Mix { return selectMixes(p.Mixes) }
 
 // sweepMixes resolves the subset used by the averaged sweep figures.
 func (p Params) sweepMixes() []workload.Mix {
-	if len(p.SweepMixes) > 0 {
-		return selectMixes(p.SweepMixes)
-	}
 	if len(p.Mixes) > 0 {
 		return selectMixes(p.Mixes)
 	}
@@ -294,9 +287,12 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 	return cfg
 }
 
-// runCell simulates one sweep cell from its coordinates: on the approx
-// tier it is predicted, otherwise it runs exact under p.Store by its
-// CellSpec.Key. Bank-confined cells always run exact. A machine bundle
+// runCell answers one sweep cell from its coordinates through p's
+// store, or the process-wide store when p.Store is nil, under its
+// CellSpec.Key. A cell the store cannot answer is computed: on the
+// approx tier it is predicted, otherwise it runs exact (see runExact).
+// Bank-confined cells always run exact, and an exact cell whose HardCtx
+// has ended fails at once, before the store is asked. A machine bundle
 // tiles the mix to the machine's task count. Verbose progress lines are
 // emitted by the sweep collector (see sweep.go), not here, so that
 // parallel workers never interleave output.
@@ -309,14 +305,32 @@ func (p Params) runCell(c runner.Cell) (*core.Report, error) {
 	if sc := b.machine; sc != nil {
 		mix = workload.MixFor(mix, sc.cores, sc.ratio)
 	}
-	if p.Mode == ModeApprox && b.confine == 0 {
-		rep, err := approx.Predict(cfg, mix)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
-		}
-		return rep, nil
+	store := p.Store
+	if store == nil {
+		store = &processStore
 	}
-	return p.runExact(cfg, mix, b.confine, p.Spec(c).Key())
+	key := p.Spec(c).Key()
+	if p.Mode == ModeApprox && b.confine == 0 {
+		return store.Answer(key, func() (*core.Report, error) {
+			rep, err := approx.Predict(cfg, mix)
+			if err != nil {
+				return nil, cellError(mix, cfg, err)
+			}
+			return rep, nil
+		})
+	}
+	if p.HardCtx != nil && p.HardCtx.Err() != nil {
+		return nil, cellError(mix, cfg, p.HardCtx.Err())
+	}
+	return store.Answer(key, func() (*core.Report, error) {
+		return p.runExact(store, cfg, mix, b.confine, key)
+	})
+}
+
+// cellError names the cell err came from by mix, density and refresh
+// policy.
+func cellError(mix workload.Mix, cfg config.System, err error) error {
+	return fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
 }
 
 // pct formats a ratio as a percentage string.

@@ -146,13 +146,9 @@ func TestSweepMixesDefaults(t *testing.T) {
 	if len(ms) != 5 {
 		t.Fatalf("default sweep subset = %d mixes", len(ms))
 	}
-	p.SweepMixes = []string{"WL-2"}
+	p.Mixes = []string{"WL-2"}
 	if got := p.sweepMixes(); len(got) != 1 || got[0].Name != "WL-2" {
 		t.Fatalf("explicit sweep selection = %v", got)
-	}
-	p2 := Params{Mixes: []string{"WL-9"}}
-	if got := p2.sweepMixes(); len(got) != 1 || got[0].Name != "WL-9" {
-		t.Fatal("sweep should fall back to Mixes")
 	}
 }
 

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,19 +12,54 @@ import (
 	"refsched/internal/journal"
 )
 
-// fig10ChaosKeys reproduces the chaos keys runCells derives for the
-// tiny fig10 sweep, so tests can pick injector seeds that definitely
-// fault (or spare) specific cells.
-func fig10ChaosKeys(p Params) []string {
+// fig10Keys lists the CellSpec keys of the cells of a fig10 sweep.
+func fig10Keys(p Params) []string {
 	var keys []string
 	for _, mix := range p.mixes() {
 		for _, d := range mainDensities {
 			for _, b := range []bundle{bundleAllBank, bundlePerBank, bundleCoDesign} {
-				keys = append(keys, "fig10|"+p.Spec(p.cell(mix, d, b, false)).Key())
+				keys = append(keys, p.Spec(p.cell(mix, d, b, false)).Key())
 			}
 		}
 	}
 	return keys
+}
+
+// fig10ChaosKeys reproduces the chaos keys runCells derives for the
+// tiny fig10 sweep, so tests can pick injector seeds that definitely
+// fault (or spare) specific cells.
+func fig10ChaosKeys(p Params) []string {
+	keys := fig10Keys(p)
+	for i, k := range keys {
+		keys[i] = "fig10|" + k
+	}
+	return keys
+}
+
+// openStore opens a CellStore logged at path, closed when the test
+// ends.
+func openStore(t *testing.T, path string) *CellStore {
+	t.Helper()
+	s, err := OpenCellStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.log.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return s
+}
+
+// loggedCells counts the cells on record in the CellStore log at path.
+func loggedCells(t *testing.T, path string) int {
+	t.Helper()
+	jnl, err := journal.Open(path, cellLogFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jnl.Len()
 }
 
 // chaosSeedFaulting returns an injector seed whose fault placement hits
@@ -92,12 +125,13 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 }
 
 // TestFig10JournalResumeByteIdentical is the resume acceptance: an
-// interrupted journaled sweep (here: cells knocked out by permanent
-// chaos stand in for a mid-run kill — either way they are simply absent
-// from the journal) is finished by a -resume rerun whose rendered
-// tables are byte-identical to an uninterrupted serial run. Each run
-// simulates under its own CellStore, so the resumed cells are simulated
-// again rather than answered from the clean run's reports.
+// interrupted run on a logged store (here: cells knocked out by
+// permanent chaos stand in for a mid-run kill — either way they are
+// simply absent from the log) is finished by a rerun on a fresh store
+// opened on the same file, whose rendered tables are byte-identical to
+// an uninterrupted serial run. Each pass runs under a store of its own,
+// so a rerun's cells come from the log or are simulated again, never
+// from the clean run's reports.
 func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
@@ -110,16 +144,15 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	keys := fig10ChaosKeys(p)
-	seed := chaosSeedFaulting(t, keys, 0.3, chaos.ModeError, 2)
+	path := filepath.Join(t.TempDir(), "cells.json")
+	keys := fig10Keys(p)
+	seed := chaosSeedFaulting(t, fig10ChaosKeys(p), 0.3, chaos.ModeError, 2)
 
-	// Pass 1: journaled run with some cells failing permanently; their
-	// results never reach the journal.
+	// Pass 1: a logged run with some cells failing permanently; their
+	// reports never reach the log.
 	p1 := p
-	p1.JournalDir = dir
 	p1.Parallelism = 4
-	p1.Store = &CellStore{}
+	p1.Store = openStore(t, path)
 	p1.Chaos = chaos.New(chaos.Config{Seed: seed, Frac: 0.3, Mode: chaos.ModeError})
 	r10, _, err := Fig10(p1, false)
 	if err != nil {
@@ -130,22 +163,17 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 		t.Fatal("pass 1 quarantined nothing — test vacuous")
 	}
 
-	// The journal holds exactly the healthy cells.
-	jnl, err := journal.Open(filepath.Join(dir, "fig10.journal.json"), p.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jnl.Len() != len(keys)-missing {
-		t.Fatalf("journal has %d cells, want %d", jnl.Len(), len(keys)-missing)
+	// The log holds exactly the healthy cells.
+	if n := loggedCells(t, path); n != len(keys)-missing {
+		t.Fatalf("the log has %d cells, want %d", n, len(keys)-missing)
 	}
 
-	// Pass 2: resume without chaos. Only the missing cells re-run; the
-	// rendered tables must be byte-identical to the clean serial run.
+	// Pass 2: a fresh store on the same file, without chaos. The missing
+	// cells run and join the log; the rendered tables must be
+	// byte-identical to the clean serial run.
 	p2 := p
-	p2.JournalDir = dir
-	p2.Resume = true
 	p2.Parallelism = 4
-	p2.Store = &CellStore{}
+	p2.Store = openStore(t, path)
 	res10, res11, err := Fig10(p2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -159,51 +187,8 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	if res11.String() != clean11.String() {
 		t.Errorf("resumed fig11 not byte-identical:\nclean:\n%s\nresumed:\n%s", clean11, res11)
 	}
-}
-
-// TestFig10ResumesEarlierJournalFormat: a sweep journal in the single
-// indented object earlier releases rewrote after every cell resumes
-// unchanged. Every cell must come from it — chaos fails any cell that
-// runs — and the tables are byte-identical to a clean run.
-func TestFig10ResumesEarlierJournalFormat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
-	p := tinyParams()
-	p.JournalDir = t.TempDir()
-	clean10, clean11, err := Fig10(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(p.JournalDir, "fig10.journal.json")
-	jnl, err := journal.Open(path, p.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := struct {
-		Fingerprint string                     `json:"fingerprint"`
-		Entries     map[string]json.RawMessage `json:"entries"`
-	}{Fingerprint: p.Fingerprint(), Entries: map[string]json.RawMessage{}}
-	jnl.Each(func(k string, raw json.RawMessage) { old.Entries[k] = raw })
-	data, err := json.MarshalIndent(old, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	p.Resume = true
-	p.Chaos = chaos.New(chaos.Config{Seed: 1, Frac: 1, Mode: chaos.ModeError})
-	r10, r11, err := Fig10(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r10.Failed) != 0 {
-		t.Fatalf("%d cells ran instead of resuming from the journal", len(r10.Failed))
-	}
-	if r10.String() != clean10.String() || r11.String() != clean11.String() {
-		t.Error("resumed tables differ from the clean run")
+	if n := loggedCells(t, path); n != len(keys) {
+		t.Fatalf("after the resume the log has %d cells, want %d", n, len(keys))
 	}
 }
 
@@ -244,8 +229,8 @@ func TestFig5HonoursContexts(t *testing.T) {
 }
 
 // TestFingerprintCoversResultKnobs: any parameter that changes a cell's
-// simulated result must change the journal fingerprint, or a resume
-// could decode stale results.
+// simulated result must change the fingerprint every cell key ends
+// with, or a logged store could answer a cell with a stale report.
 func TestFingerprintCoversResultKnobs(t *testing.T) {
 	base := tinyParams()
 	mutations := map[string]func(*Params){
@@ -259,7 +244,7 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		q := base
 		mutate(&q)
 		if q.Fingerprint() == base.Fingerprint() {
-			t.Errorf("changing %s does not change the journal fingerprint", name)
+			t.Errorf("changing %s does not change the fingerprint", name)
 		}
 	}
 }
@@ -269,8 +254,7 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 // confinement cells as well as the all-bank baselines, each error
 // naming its cell.
 func TestFig4HardCtxAbortsConfinementCells(t *testing.T) {
-	p := tinyParams()
-	p.SweepMixes = []string{"WL-6"}
+	p := tinyParams() // Mixes = WL-6
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.HardCtx = ctx

@@ -4,9 +4,10 @@
 // atomic tmp + fsync + rename + directory-fsync swap behind compaction
 // and checkpoint files (log.go).
 //
-// A Journal is the keyed result store on top: the completed cells of
-// an experiment sweep (<figure>.journal.json) or a refsim run, or the
-// serving daemon's result cache. Its file is a header object,
+// A Journal is the keyed result store on top, with two users: the log
+// of a harness.CellStore (experiments -journal and refsim -journal),
+// which holds finished cells under their CellSpec keys, and the serving
+// daemon's result cache. Its file is a header object,
 // {"fingerprint": ..., "entries": {key: value, ...}}, followed by one
 // {"key": ..., "value": ...} record per Record, so an N-cell sweep
 // writes O(N) bytes. Compacted, it is the header alone: the
@@ -15,9 +16,10 @@
 // whose float64 encoding is exact, so a resumed sweep renders
 // byte-identical tables to an uninterrupted run.
 //
-// A journal is bound to the parameter fingerprint of the sweep that
-// created it. Opening with a different fingerprint discards the stale
-// entries rather than resuming into wrong results.
+// A journal is bound to the fingerprint it was opened with: the
+// CellStore's constant record format, or the daemon cache's. Opening
+// with a different fingerprint discards the stale entries rather than
+// answering from them with wrong results.
 package journal
 
 import (
@@ -30,7 +32,7 @@ import (
 
 // header is a journal's first value and its whole compacted form.
 type header struct {
-	// Fingerprint identifies the sweep parameters the entries belong to.
+	// Fingerprint identifies the format the entries belong to.
 	Fingerprint string `json:"fingerprint"`
 	// Entries maps cell key -> the cell's JSON-encoded result.
 	Entries map[string]json.RawMessage `json:"entries"`

@@ -214,7 +214,7 @@ func TestRunBatchFailFast(t *testing.T) {
 }
 
 func TestRunBatchOnDoneIndexed(t *testing.T) {
-	// OnDone receives the batch index, so callers journaling by an
+	// OnDone receives the batch index, so callers keying results by an
 	// index-derived key never collide even when Cell metadata repeats
 	// (e.g. the same mix at two retention temperatures).
 	jobs := make([]Job[int], 32)

@@ -16,8 +16,11 @@
 // set — quarantined so the rest of the batch still completes. A cell is
 // never retried: it is deterministic, so a cell that fails once fails
 // again. Cancelling the batch context lets in-flight cells finish and
-// skips the rest, so completed work is preserved for journaled
-// resumption.
+// skips the rest, so completed work is preserved: the harness keeps
+// every finished cell in its CellStore, from which a rerun answers it.
+// The pool's only concurrency bound is its worker count; a scheduler
+// sharing a budget across concurrent batches wraps each Job's Run, as
+// the serving daemon's priority gate does.
 package runner
 
 import (
@@ -41,15 +44,20 @@ type Cell struct {
 	Seed    uint64
 
 	// Hot records the high-temperature (2x refresh rate) variant of the
-	// bundle. It exists so a cell's full simulation input is addressable
-	// from the Cell alone (String deliberately omits it to keep progress
-	// lines unchanged).
+	// bundle, so a cell's full simulation input is addressable from the
+	// Cell alone.
 	Hot bool
 }
 
-// String renders the cell compactly for progress and error text.
+// String renders the cell compactly for progress and error text:
+// mix/density/bundle, with a /hot suffix naming the high-temperature
+// regime when Hot is set.
 func (c Cell) String() string {
-	return fmt.Sprintf("%s/%s/%s", c.Mix, c.Density, c.Bundle)
+	s := fmt.Sprintf("%s/%s/%s", c.Mix, c.Density, c.Bundle)
+	if c.Hot {
+		s += "/hot"
+	}
+	return s
 }
 
 // Job couples a cell's identity with the closure that simulates it.
@@ -114,21 +122,9 @@ type Options[T any] struct {
 	FailFast bool
 	// OnDone, if non-nil, is invoked once per successful cell from a
 	// single collector goroutine — in completion order, never
-	// concurrently — for progress reporting and journaling. The first
-	// argument is the job's batch index.
+	// concurrently — for progress reporting. The first argument is the
+	// job's batch index.
 	OnDone func(int, Cell, T)
-	// Gate, if non-nil, is acquired before each cell executes and
-	// released when it finishes. It is
-	// the hook an external job scheduler uses to impose a global
-	// concurrency budget and per-job priority across batches that run
-	// simultaneously: each concurrent batch passes a Gate closed over
-	// its job's priority, and the shared gate admits cells
-	// highest-priority-first as slots free up. Gate must block until a
-	// slot is available and return a non-nil release function; the only
-	// permitted error is ctx ending, which makes the worker stop taking
-	// cells (the batch then reports the remaining cells as skipped,
-	// exactly like plain cancellation).
-	Gate func(ctx context.Context) (release func(), err error)
 }
 
 // Batch is the outcome of RunBatch: index-addressed results and the
@@ -170,8 +166,8 @@ func Parallelism(j int) int {
 
 // RunBatch executes jobs across a bounded worker pool with the failure
 // semantics selected by opts. It returns a non-nil *Batch even on
-// error, so completed results remain usable (e.g. for journaled
-// resumption).
+// error, so completed results remain usable (e.g. for printing a
+// partial run).
 //
 // The returned error is non-nil only when the batch did not run to
 // completion: ctx was cancelled (the context error is returned after
@@ -226,21 +222,7 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 				if i >= n || bail.Load() || ctx.Err() != nil {
 					return
 				}
-				var release func()
-				if opts.Gate != nil {
-					var err error
-					release, err = opts.Gate(ctx)
-					if err != nil {
-						// Only cancellation may surface here; the cell was
-						// never started, so it counts as skipped.
-						return
-					}
-				}
-				ce := runCell(jobs, b.Results, i)
-				if release != nil {
-					release()
-				}
-				if ce != nil {
+				if ce := runCell(jobs, b.Results, i); ce != nil {
 					cellErrs[i] = ce
 					if opts.FailFast {
 						bail.Store(true)

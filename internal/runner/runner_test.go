@@ -153,3 +153,16 @@ func TestCellString(t *testing.T) {
 		t.Fatalf("Cell.String() = %q", got)
 	}
 }
+
+// TestCellStringNamesHotRegime: a high-temperature cell's label differs
+// from the same cell's at normal temperature and names the regime, so
+// fig3's 32 ms and 64 ms cells are told apart in failure tables,
+// progress lines and timelines.
+func TestCellStringNamesHotRegime(t *testing.T) {
+	c := Cell{Mix: "WL-1", Density: "32Gb", Bundle: "perbank", Seed: 1}
+	hot := c
+	hot.Hot = true
+	if got := hot.String(); got == c.String() || !strings.HasSuffix(got, "/hot") {
+		t.Fatalf("hot Cell.String() = %q, want %q plus a /hot suffix", got, c.String())
+	}
+}

@@ -10,9 +10,9 @@ import (
 // brownoutHigh of QueueDepth and disengages once depth falls back to
 // brownoutLow; the gap is the hysteresis band that keeps it from
 // flapping at the threshold, and brownoutHold is the minimum time it
-// stays engaged once entered. While engaged, fresh exact jobs with a
-// negative priority (batch work) are rejected instead of queued;
-// default and interactive work is not.
+// stays engaged once entered. While engaged, fresh jobs with a
+// negative priority (batch work) are rejected instead of queued,
+// whatever their fidelity tier; default and interactive work is not.
 const (
 	brownoutHigh = 0.75
 	brownoutLow  = 0.25
@@ -21,8 +21,8 @@ const (
 
 // brownout is the hysteresis controller behind graceful degradation.
 // While engaged, default-fidelity figure GETs are answered from the
-// analytical approx tier (marked as degraded) and low-priority exact
-// work is shed, trading fidelity for bounded latency instead of letting
+// analytical approx tier (marked as degraded) and low-priority work is
+// shed, trading fidelity for bounded latency instead of letting
 // the queue grow until admission fails for everyone.
 //
 // State transitions happen in evaluate, which is called on every
@@ -38,7 +38,7 @@ type brownout struct {
 
 	engagements atomic.Uint64 // times the mode engaged
 	degraded    atomic.Uint64 // figure GETs downgraded to approx
-	shed        atomic.Uint64 // low-priority exact jobs rejected
+	shed        atomic.Uint64 // low-priority jobs rejected
 }
 
 func newBrownout() *brownout {
@@ -69,9 +69,10 @@ func (b *brownout) isEngaged() bool {
 	return b.engaged
 }
 
-// shouldShed reports whether a fresh exact job at priority should be
-// rejected under the current mode. Approx jobs always pass — they are
-// the degraded mode's own currency and cost milliseconds, not cells.
-func (b *brownout) shouldShed(priority int, approxMode bool) bool {
-	return !approxMode && priority < 0 && b.isEngaged()
+// shouldShed reports whether a fresh job at priority should be
+// rejected under the current mode. Approx jobs get no exemption: an
+// approx fig4 still runs its bank-confined cells exact. The degraded
+// figure GETs run at a non-negative priority, so they still pass.
+func (b *brownout) shouldShed(priority int) bool {
+	return priority < 0 && b.isEngaged()
 }

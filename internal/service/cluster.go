@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -297,6 +296,7 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
+	cell := runner.Cell{Mix: cr.Mix, Density: cr.Density, Bundle: cr.Bundle, Hot: cr.Hot}
 	t0 := time.Now()
 	// The request context is both cancellation tiers: if the
 	// coordinator gives up (or reclaims the cell after a timeout), the
@@ -320,10 +320,9 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 	rep, err := harness.RunCell(p, spec.Mix, spec.Density, spec.Bundle, spec.Hot)
 
 	ts := s.clusterSinceUS(t0)
-	name := fmt.Sprintf("remote-cell %s/%s/%s", cr.Mix, cr.Density, cr.Bundle)
 	ev := timeline.Event{Ph: timeline.PhaseSpan,
 		Ts: ts, Dur: s.clusterSinceUS(time.Now()) - ts,
-		Pid: tlPidService, Tid: tlTidJob, Name: name,
+		Pid: tlPidService, Tid: tlTidJob, Name: "remote-cell " + cell.String(),
 		Arg1Name: "priority", Arg1: int64(cr.Priority),
 		StrName: "peer", Str: cr.Origin}
 	if err != nil {
@@ -333,7 +332,7 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 
 	if err != nil {
 		s.log.Warn("remote cell failed",
-			"cell", fmt.Sprintf("%s/%s/%s", cr.Mix, cr.Density, cr.Bundle),
+			"cell", cell.String(),
 			"origin", cr.Origin, "err", err.Error())
 		// A failure that left a checkpoint behind (this node draining,
 		// or any abort past a boundary snapshot) ships the partial
@@ -361,14 +360,23 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 
 // remoteCellRunner is the CellRunner for cells executed on behalf of a
 // peer: simulation counting plus the local priority gate at the
-// coordinating job's priority — remote cells wait their turn exactly
-// like local ones.
+// coordinating job's priority, taken in a wrapper around each cell as
+// cellRunner does — remote cells wait their turn exactly like local
+// ones.
 func (s *Server) remoteCellRunner(priority int) harness.CellRunner {
 	return func(ctx context.Context, _ string, rjobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
 		s.simulations.Add(1)
-		if s.gate != nil {
-			opts.Gate = func(ctx context.Context) (func(), error) {
-				return s.gate.acquire(ctx, priority)
+		for i := range rjobs {
+			run := rjobs[i].Run
+			rjobs[i].Run = func() (*core.Report, error) {
+				if s.gate != nil {
+					release, err := s.gate.acquire(ctx, priority)
+					if err != nil {
+						return nil, err
+					}
+					defer release()
+				}
+				return run()
 			}
 		}
 		return runner.RunBatch(ctx, rjobs, opts)

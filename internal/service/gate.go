@@ -8,9 +8,10 @@ import (
 )
 
 // priorityGate is the global simulation-cell budget shared by every
-// job the daemon runs concurrently. Each job's sweep acquires one slot
-// per cell through runner.Options.Gate; when all slots are busy,
-// waiters are admitted highest-priority-first (FIFO within a
+// job the daemon runs concurrently. Each cell that runs on this node
+// acquires one slot in the daemon's per-cell wrapper (cellRunner for a
+// job's own cells, remoteCellRunner for a peer's); when all slots are
+// busy, waiters are admitted highest-priority-first (FIFO within a
 // priority), so a high-priority job enqueued behind a bulk sweep
 // starts stealing slots as soon as individual cells finish rather than
 // waiting for the whole sweep.

@@ -82,7 +82,6 @@ type ParamOverrides struct {
 	MeasureWindows *int     `json:"measure_windows,omitempty"`
 	Seed           *uint64  `json:"seed,omitempty"`
 	Mixes          []string `json:"mixes,omitempty"`
-	SweepMixes     []string `json:"sweep_mixes,omitempty"`
 	// Mode selects the simulation tier ("exact" or "approx"; see
 	// harness.Params.Mode). Approx results are cached under their own
 	// fingerprint, never satisfying an exact request.
@@ -113,9 +112,6 @@ func (o *ParamOverrides) apply(base harness.Params) harness.Params {
 	if o.Mixes != nil {
 		base.Mixes = o.Mixes
 	}
-	if o.SweepMixes != nil {
-		base.SweepMixes = o.SweepMixes
-	}
 	if o.Mode != nil {
 		base.Mode = *o.Mode
 	}
@@ -127,8 +123,7 @@ func (o *ParamOverrides) apply(base harness.Params) harness.Params {
 // extended with the figure and the mix selection, which changes which
 // cells the figure renders.
 func figureKey(figure string, p harness.Params) string {
-	return fmt.Sprintf("fig|%s|mixes=%s|sweep=%s|%s",
-		figure, strings.Join(p.Mixes, ","), strings.Join(p.SweepMixes, ","), p.Fingerprint())
+	return fmt.Sprintf("fig|%s|mixes=%s|%s", figure, strings.Join(p.Mixes, ","), p.Fingerprint())
 }
 
 // JobState is the lifecycle of a job as GET /v1/jobs/{id} reports it.

@@ -17,7 +17,8 @@ import (
 // cellRunner is the harness hook that ties a figure sweep to this
 // daemon: it counts executions, publishes per-cell progress through
 // the job's event hub (reusing the runner's OnDone collector), and
-// routes every cell through the global priority gate.
+// wraps every cell that runs here in the global priority gate and a
+// timeline lane.
 func (s *Server) cellRunner(j *job) harness.CellRunner {
 	return func(ctx context.Context, figID string, rjobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
 		s.simulations.Add(1)
@@ -42,14 +43,28 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 			}
 			j.cellDone(c)
 		}
-		// Each cell runs on an exclusive timeline lane for its whole
-		// execution, so lane timestamps are monotone by construction;
-		// the span carries the creating request's id for correlation
-		// with the HTTP request span.
+		// Each cell first waits for a gate slot at the job's priority
+		// (a cancelled wait fails the cell with the context error) and
+		// marks its admission on the timeline. It then runs on an
+		// exclusive timeline lane for its whole execution, so lane
+		// timestamps are monotone by construction; the span carries the
+		// creating request's id for correlation with the HTTP request
+		// span.
 		for i := range rjobs {
 			cell := rjobs[i].Cell
 			run := rjobs[i].Run
 			rjobs[i].Run = func() (*core.Report, error) {
+				if s.gate != nil {
+					t0 := j.sinceUS()
+					release, err := s.gate.acquire(ctx, j.priority)
+					if err != nil {
+						return nil, err
+					}
+					defer release()
+					j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
+						Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidGate,
+						Name: "admitted", Arg1Name: "wait_us", Arg1: int64(j.sinceUS() - t0)})
+				}
 				lane := j.acquireLane()
 				t0 := j.sinceUS()
 				rep, err := run()
@@ -62,22 +77,9 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 				return rep, err
 			}
 		}
-		if s.gate != nil {
-			priority := j.priority
-			opts.Gate = func(ctx context.Context) (func(), error) {
-				t0 := j.sinceUS()
-				release, err := s.gate.acquire(ctx, priority)
-				if err == nil {
-					j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
-						Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidGate,
-						Name: "admitted", Arg1Name: "wait_us", Arg1: int64(j.sinceUS() - t0)})
-				}
-				return release, err
-			}
-		}
 		if s.cluster.FanoutEnabled() {
 			// Cells fan out to peers with spare capacity; the rest (and
-			// every failed dispatch) run locally under the gate
+			// every failed dispatch) run here through the gated wrapper
 			// installed above. Results merge at their submission index,
 			// so the rendered figure is byte-identical to a single-node
 			// run.
@@ -485,7 +487,7 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 	if recovered {
 		s.tenants.hold(adm.tenant)
 	} else {
-		if s.brown.shouldShed(req.Priority, params.Mode == harness.ModeApprox) {
+		if s.brown.shouldShed(req.Priority) {
 			s.brown.shed.Add(1)
 			return nil, false, &admissionError{
 				tenant: adm.tenant, reason: "brownout", retryAfter: s.retryAfterSeconds(),

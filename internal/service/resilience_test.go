@@ -273,8 +273,8 @@ func TestBrownoutHysteresis(t *testing.T) {
 }
 
 // TestBrownoutDegradesAndRecovers is the end-to-end brownout story:
-// queue pressure engages the mode, low-priority exact work is shed
-// with reason "brownout", a default-fidelity figure GET is served
+// queue pressure engages the mode, low-priority work of either tier is
+// shed with reason "brownout", a default-fidelity figure GET is served
 // degraded from the approx tier, and once the queue drains the
 // resilience loop disengages the mode on its own.
 func TestBrownoutDegradesAndRecovers(t *testing.T) {
@@ -306,6 +306,13 @@ func TestBrownoutDegradesAndRecovers(t *testing.T) {
 	resp, out := postJob(t, ts, shedReq)
 	if resp.StatusCode != http.StatusTooManyRequests || out["reason"] != "brownout" {
 		t.Fatalf("shed candidate = %d %v, want 429 reason=brownout", resp.StatusCode, out)
+	}
+	// So is low-priority approx work: an approx fig4 still runs its
+	// bank-confined cells exact.
+	approx := harness.ModeApprox
+	resp, out = postJob(t, ts, Request{Figure: "fig4", Priority: -1, Params: &ParamOverrides{Mode: &approx}})
+	if resp.StatusCode != http.StatusTooManyRequests || out["reason"] != "brownout" {
+		t.Fatalf("approx fig4 at priority -1 = %d %v, want 429 reason=brownout", resp.StatusCode, out)
 	}
 
 	// A default-fidelity figure GET is answered degraded from the

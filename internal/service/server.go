@@ -10,7 +10,8 @@
 // CellRunner, so every sweep passes the same fault boundary
 // (quarantine, typed *runner.CellError) as the CLI and is
 // additionally subject to the daemon's global cell gate
-// (highest-priority job first) and per-cell progress streaming.
+// (highest-priority job first), taken in the CellRunner's per-cell
+// wrapper, and per-cell progress streaming.
 // Rendered results land in a byte-budget LRU cache keyed by the
 // harness parameter fingerprint and, with a journal, are appended to it
 // as they are cached, so a restarted daemon starts warm even after a

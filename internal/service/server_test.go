@@ -336,6 +336,16 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown figure GET = %d: %s", resp.StatusCode, body)
 	}
+	// An override the daemon does not know is refused, not ignored.
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"figure":"fig3","params":{"sweep_mixes":["WL-6"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("sweep_mixes override = %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestAdmissionControl: with the worker wedged on the cell gate, jobs

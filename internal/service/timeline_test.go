@@ -92,6 +92,47 @@ func TestJobTimelineEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobTimelineGateSerializesCells: with one gate slot, a figure job
+// whose sweep has four workers never has two cells in flight — each
+// cell takes its slot before its timeline lane — so the job's timeline
+// uses a single cell lane, and every cell is admitted through the gate.
+func TestJobTimelineGateSerializesCells(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.CellSlots = 1
+		c.Params.Parallelism = 4
+	})
+	resp, out := postJob(t, ts, Request{Figure: "fig10"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("enqueue status = %d (%v)", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	waitJobState(t, ts, id, JobDone)
+
+	_, tbody := get(t, ts, "/v1/jobs/"+id+"/timeline")
+	events, err := timeline.Decode(strings.NewReader(string(tbody)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[int32]bool{}
+	var cells, admitted int
+	for _, e := range events {
+		switch {
+		case e.Ph == "X" && e.Pid == tlPidCells:
+			cells++
+			lanes[e.Tid] = true
+		case e.Name == "admitted":
+			admitted++
+		}
+	}
+	// fig10 over one mix: 3 densities × 3 bundles.
+	if cells != 9 || admitted != cells {
+		t.Fatalf("%d cell spans and %d gate admissions, want 9 of each", cells, admitted)
+	}
+	if len(lanes) != 1 {
+		t.Fatalf("cells ran on %d lanes, want 1 under a 1-slot gate", len(lanes))
+	}
+}
+
 // TestJobTimelineCacheHit: a repeat of an already-cached cell records a
 // cache-hit instant instead of simulation spans.
 func TestJobTimelineCacheHit(t *testing.T) {
