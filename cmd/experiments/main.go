@@ -19,15 +19,16 @@
 //
 // Failure semantics are those of a real job scheduler. A failing or
 // panicking cell is quarantined into the figure's failure-summary table
-// and the rest of the sweep completes (the process then exits 3);
-// -failfast restores abort-on-first-error. With -journal FILE the run's
-// cell store keeps every cell it computes in FILE, appended and fsynced
-// as the cell finishes, and answers the cells already on record there —
-// after a crash or Ctrl-C, rerunning with the same -journal finishes
-// the remainder and renders output byte-identical to an uninterrupted
-// run. SIGINT cancels gracefully: in-flight cells finish and are
-// recorded, the rest are skipped. The -chaos-* flags deterministically
-// inject faults for failure drills.
+// and the rest of the sweep completes (the process then exits 3). With
+// -journal FILE the run's cell store keeps every cell it computes in
+// FILE, appended and fsynced as the cell finishes, and answers the
+// cells already on record there — after a crash or Ctrl-C, rerunning
+// with the same -journal finishes the remainder and renders output
+// byte-identical to an uninterrupted run. What opening FILE dropped (a
+// torn final record, or the entries of a file in another format) is
+// reported in one line on stderr. SIGINT cancels gracefully: in-flight
+// cells finish and are recorded, the rest are skipped. The -chaos-*
+// flags deterministically inject faults for failure drills.
 package main
 
 import (
@@ -58,7 +59,6 @@ func main() {
 		verbose = flag.Bool("v", false, "print each run as it completes")
 		jobs    = flag.Int("j", 0, "parallel simulation cells (0 = all CPUs; results identical at any -j)")
 
-		failfast    = flag.Bool("failfast", false, "abort a sweep on its first failed cell instead of quarantining it")
 		journalPath = flag.String("journal", "", "keep every computed cell in FILE and answer the cells already recorded there (empty = no journaling)")
 
 		chaosFrac = flag.Float64("chaos-frac", 0, "inject faults into this fraction of cells (failure drills)")
@@ -91,12 +91,14 @@ func main() {
 	p.Mode = *mode
 	p.Verbose = *verbose
 	p.Parallelism = *jobs
-	p.FailFast = *failfast
 	if *journalPath != "" {
-		store, err := harness.OpenCellStore(*journalPath)
+		store, dropped, err := harness.OpenCellStore(*journalPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
+		}
+		if d := dropped.String(); d != "" {
+			fmt.Fprintf(os.Stderr, "experiments: %s: dropped %s\n", *journalPath, d)
 		}
 		p.Store = store
 	}

@@ -48,7 +48,9 @@
 // -journal appends every result to a file as it is cached, so the next
 // start, after a drain or a SIGKILL, serves it instantly. SIGINT and
 // SIGTERM drain: in-flight jobs get -drain to finish before they are
-// aborted, then the journal is compacted to one JSON object.
+// aborted, then the journal is compacted to one JSON object. What
+// opening -journal or -job-wal dropped, such as a torn final record, is
+// logged at startup.
 //
 // Logging is structured (log/slog) on stderr — one request-ID-tagged
 // access-log line per HTTP request — as text by default or JSON with

@@ -375,34 +375,36 @@ func readLines(t *testing.T, path string) []string {
 }
 
 // parseWALHistory reads the raw ledger — every accept and done id since
-// the last compaction — tolerating a torn final line.
+// the last compaction — tolerating a torn final record. The ledger is a
+// journal: the compacted header's entries and every record with a
+// value are accepts, and a record with a null value is a done.
 func parseWALHistory(t *testing.T, path string) (accepts, dones map[string]bool) {
 	t.Helper()
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	accepts, dones = map[string]bool{}, map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		var rec struct {
-			Op string `json:"op"`
-			ID string `json:"id"`
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		var v struct {
+			Entries map[string]json.RawMessage `json:"entries"`
+			Key     string                     `json:"key"`
+			Value   json.RawMessage            `json:"value"`
 		}
-		if json.Unmarshal(sc.Bytes(), &rec) != nil {
-			continue // torn tail from the kill
+		if dec.Decode(&v) != nil {
+			break // the end, or the torn tail from the kill
 		}
-		switch rec.Op {
-		case "accept":
-			accepts[rec.ID] = true
-		case "done":
-			dones[rec.ID] = true
+		for id := range v.Entries {
+			accepts[id] = true
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		switch {
+		case v.Key == "":
+		case string(v.Value) == "null":
+			dones[v.Key] = true
+		default:
+			accepts[v.Key] = true
+		}
 	}
 	return accepts, dones
 }

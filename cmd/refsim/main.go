@@ -13,14 +13,14 @@
 //	refsim -mix WL-6 -density 24 -policy perbank -mode=approx
 //
 // A failing run is quarantined (reported, the other mixes still
-// complete, exit 3) unless -failfast is given. -metrics FILE writes the
-// full cumulative metrics hierarchy (per-bank, per-controller, per-task
-// counters) of every completed run as JSON keyed "slot|mix". -journal
-// FILE keeps each completed run in FILE (appended and fsynced) and
-// answers the runs already recorded there, so rerunning an interrupted
-// multi-mix invocation with the same -journal finishes it with
-// identical output. SIGINT cancels gracefully: in-flight runs finish
-// and are recorded.
+// complete, exit 3). -metrics FILE writes the full cumulative metrics
+// hierarchy (per-bank, per-controller, per-task counters) of every
+// completed run as JSON keyed "slot|mix". -journal FILE keeps each
+// completed run in FILE (appended and fsynced) and answers the runs
+// already recorded there, so rerunning an interrupted multi-mix
+// invocation with the same -journal finishes it with identical output;
+// what opening FILE dropped is reported in one line on stderr. SIGINT
+// cancels gracefully: in-flight runs finish and are recorded.
 package main
 
 import (
@@ -56,7 +56,6 @@ func main() {
 		mode     = flag.String("mode", "exact", "simulation tier: exact (event-driven engine) or approx (analytical model: instant, calibrated bundles and Table 2 mixes only)")
 		jobs     = flag.Int("j", 0, "parallel runs when several mixes are given (0 = all CPUs)")
 
-		failfast    = flag.Bool("failfast", false, "abort on the first failed run instead of quarantining it")
 		journalPath = flag.String("journal", "", "keep completed runs in FILE and answer the runs already recorded there (empty = no journaling)")
 		metricsPath = flag.String("metrics", "", "write a JSON metrics snapshot per run to FILE (full per-bank/per-task hierarchy)")
 		tlPath      = flag.String("timeline", "", "write a Perfetto-loadable timeline (Chrome trace-event JSON) per run to FILE; with several mixes each run writes FILE.<slot> (runs answered from -journal have no live system and write none)")
@@ -118,9 +117,14 @@ func main() {
 	// each other.
 	var store *harness.CellStore
 	if *journalPath != "" {
-		if store, err = harness.OpenCellStore(*journalPath); err != nil {
+		s, dropped, err := harness.OpenCellStore(*journalPath)
+		if err != nil {
 			fatal(err)
 		}
+		if d := dropped.String(); d != "" {
+			fmt.Fprintf(os.Stderr, "refsim: %s: dropped %s\n", *journalPath, d)
+		}
+		store = s
 	}
 	fp := fmt.Sprintf("v4 mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
 		*mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
@@ -204,11 +208,7 @@ func main() {
 			Run:  run,
 		}
 	}
-	opts := runner.Options[*refsched.Report]{
-		Parallelism: *jobs,
-		FailFast:    *failfast,
-	}
-	batch, err := runner.RunBatch(ctx, runJobs, opts)
+	batch, err := runner.RunBatch(ctx, runJobs, runner.Options[*refsched.Report]{Parallelism: *jobs})
 	if err != nil {
 		if errors.Is(err, context.Canceled) && store != nil {
 			fmt.Fprintf(os.Stderr, "refsim: interrupted; completed runs are recorded in %s — rerun with the same -journal to finish\n", *journalPath)

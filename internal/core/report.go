@@ -83,7 +83,7 @@ type Report struct {
 	// per pick_next_task call (unit-width buckets); mass at or beyond
 	// η is the fallback regime. Cumulative over the whole run, like
 	// SchedStats.
-	SchedSkips     metrics.HistValue    `json:"sched_skips_per_pick"`
+	SchedSkips     stats.HistogramView  `json:"sched_skips_per_pick"`
 	AllocStats     buddy.PartitionStats `json:"alloc_stats"`
 	IdleQuanta     uint64               `json:"idle_quanta"`
 	TotalQuanta    uint64               `json:"total_quanta"`

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,17 +38,17 @@ type CellStore struct {
 	// that continued from a checkpoint instead of recomputing.
 	Resumes *atomic.Uint64
 
-	// log, when non-nil, holds the reports on record at OpenCellStore
-	// and receives every report the store computes; logMu serializes
-	// the appends, which the journal requires.
+	// log, when non-nil, receives every report the store computes.
 	log     *journal.Journal
 	logPath string
-	logMu   sync.Mutex
 
-	mu      sync.Mutex
-	snaps   map[string]*core.SystemState
-	reports map[string]*core.Report
-	order   []string // keys of reports, oldest first
+	mu sync.Mutex
+	// recorded holds the raw records that were on record in the log at
+	// OpenCellStore, each until Answer first decodes it into reports.
+	recorded map[string]json.RawMessage
+	snaps    map[string]*core.SystemState
+	reports  map[string]*core.Report
+	order    []string // keys of reports, oldest first
 }
 
 // cellLogFormat is the fingerprint of every CellStore log. A record is
@@ -62,13 +63,15 @@ const cellLogFormat = "cellstore v1"
 // store computes is appended with fsync before Answer returns it, so
 // the file, open from the first append on, needs no closing. An absent
 // file opens empty. A torn final record, which a kill mid-append leaves
-// behind, is dropped; other damage is an error naming the file.
-func OpenCellStore(path string) (*CellStore, error) {
-	log, err := journal.Open(path, cellLogFormat)
+// behind, and the entries of a log under another format are dropped
+// and reported in the Discarded; other damage is an error naming the
+// file.
+func OpenCellStore(path string) (*CellStore, journal.Discarded, error) {
+	log, recorded, dropped, err := journal.Open(path, cellLogFormat)
 	if err != nil {
-		return nil, err
+		return nil, dropped, err
 	}
-	return &CellStore{log: log, logPath: path}, nil
+	return &CellStore{log: log, logPath: path, recorded: recorded}, dropped, nil
 }
 
 // maxStoredReports bounds a CellStore's finished reports. A report is
@@ -110,10 +113,27 @@ func (c *CellStore) PutSnapshot(key string, st *core.SystemState) {
 	c.snaps[key] = st
 }
 
+// report returns the report the store holds for key, decoding the
+// record on record for it in the log the first time it is asked for,
+// or nil. A record that no longer decodes is treated as absent, so its
+// cell simply runs again.
 func (c *CellStore) report(key string) *core.Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reports[key]
+	if rep := c.reports[key]; rep != nil {
+		return rep
+	}
+	raw, ok := c.recorded[key]
+	if !ok {
+		return nil
+	}
+	delete(c.recorded, key)
+	rep := new(core.Report)
+	if json.Unmarshal(raw, rep) != nil {
+		return nil
+	}
+	c.keep(key, rep)
+	return rep
 }
 
 // finish stores key's report, dropping the oldest past
@@ -122,6 +142,11 @@ func (c *CellStore) report(key string) *core.Report {
 func (c *CellStore) finish(key string, rep *core.Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.keep(key, rep)
+}
+
+// keep is finish with c.mu held.
+func (c *CellStore) keep(key string, rep *core.Report) {
 	if c.reports == nil {
 		c.reports = make(map[string]*core.Report)
 	}
@@ -146,22 +171,12 @@ func (c *CellStore) Answer(key string, compute func() (*core.Report, error)) (*c
 	if rep := c.report(key); rep != nil {
 		return rep, nil
 	}
-	if c.log != nil {
-		var rep core.Report
-		if c.log.Lookup(key, &rep) {
-			c.finish(key, &rep)
-			return &rep, nil
-		}
-	}
 	rep, err := compute()
 	if err != nil {
 		return nil, err
 	}
 	if c.log != nil {
-		c.logMu.Lock()
-		err = c.log.Record(key, rep, true)
-		c.logMu.Unlock()
-		if err != nil {
+		if err := c.log.Record(key, rep, true); err != nil {
 			return nil, fmt.Errorf("harness: recording cell in %s: %w", c.logPath, err)
 		}
 	}

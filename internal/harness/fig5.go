@@ -46,8 +46,10 @@ func Fig5(p Params) (*Result, error) {
 			return out, nil
 		}
 	}
-	b, err := runner.RunBatch(p.ctx(), jobs,
-		runner.Options[[]float64]{Parallelism: p.Parallelism, FailFast: true})
+	b, err := runner.RunBatch(p.ctx(), jobs, runner.Options[[]float64]{Parallelism: p.Parallelism})
+	if err == nil {
+		err = b.Err()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -68,10 +68,6 @@ type Params struct {
 	// graceful. The serving daemon sets it per job to enforce request
 	// deadlines and watchdog kills.
 	HardCtx context.Context
-	// FailFast aborts a sweep on its first failed cell (old pipeline
-	// semantics). The default quarantines failed cells into the
-	// Result's failure summary and completes the rest of the grid.
-	FailFast bool
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector

@@ -40,7 +40,7 @@ func fig10ChaosKeys(p Params) []string {
 // ends.
 func openStore(t *testing.T, path string) *CellStore {
 	t.Helper()
-	s, err := OpenCellStore(path)
+	s, _, err := OpenCellStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func openStore(t *testing.T, path string) *CellStore {
 // loggedCells counts the cells on record in the CellStore log at path.
 func loggedCells(t *testing.T, path string) int {
 	t.Helper()
-	jnl, err := journal.Open(path, cellLogFormat)
+	_, entries, _, err := journal.Open(path, cellLogFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return jnl.Len()
+	return len(entries)
 }
 
 // chaosSeedFaulting returns an injector seed whose fault placement hits
@@ -116,12 +116,6 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 		}
 	}
 
-	// Fail-fast restores abort semantics on the same faults.
-	p.FailFast = true
-	_, _, err = Fig10(p, false)
-	if err == nil {
-		t.Fatal("FailFast run did not abort on injected faults")
-	}
 }
 
 // TestFig10JournalResumeByteIdentical is the resume acceptance: an

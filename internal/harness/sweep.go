@@ -45,8 +45,8 @@ func (p Params) ctx() context.Context {
 // the cell with.
 //
 // This is the pipeline's fault boundary. A cell that fails or panics is
-// captured as a typed *runner.CellError and quarantined (unless
-// Params.FailFast restores abort-on-first-error semantics). Every cell
+// captured as a typed *runner.CellError and quarantined, and the rest
+// of the sweep completes. Every cell
 // is answered through the store (see runCell), so a cell on record in a
 // logged store is decoded instead of re-run — JSON round-trips float64
 // exactly, so a resumed sweep renders byte-identical tables.
@@ -56,7 +56,7 @@ func (p Params) ctx() context.Context {
 // never interleave.
 //
 // The error is non-nil only when the sweep did not run to completion:
-// cancellation or a fail-fast failure.
+// it was cancelled.
 func (p Params) runCells(figID string, cells []runner.Cell) (map[runner.Cell]*core.Report, []*runner.CellError, error) {
 	jobs := make([]runner.Job[*core.Report], len(cells))
 	for i, c := range cells {
@@ -70,10 +70,7 @@ func (p Params) runCells(figID string, cells []runner.Cell) (map[runner.Cell]*co
 		jobs[i] = runner.Job[*core.Report]{Cell: c, Run: run}
 	}
 
-	ropts := runner.Options[*core.Report]{
-		Parallelism: p.Parallelism,
-		FailFast:    p.FailFast,
-	}
+	ropts := runner.Options[*core.Report]{Parallelism: p.Parallelism}
 	if p.Verbose {
 		ropts.OnDone = func(_ int, c runner.Cell, rep *core.Report) {
 			bundle := c.Bundle

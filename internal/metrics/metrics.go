@@ -7,16 +7,15 @@
 // lazy first-use in the daemon) takes locks and may reflect over
 // structs; the measurement hot path never touches the registry at all —
 // a registered counter is a plain uint64 the owning layer increments
-// directly (c.Stats.Reads++, or Counter.Inc on a handle), so
-// instrumenting an event costs exactly one integer add and zero
-// allocations. Reading happens through Registry.Snapshot, which
-// evaluates every registered source once; the measurement interval is
-// expressed as snapshot(end).Diff(snapshot(warmup)) instead of
-// scattered per-layer reset logic.
+// directly (c.Stats.Reads++), so instrumenting an event costs exactly
+// one integer add and zero allocations. Reading happens through
+// Registry.Snapshot, which evaluates every registered source once; the
+// measurement interval is expressed as snapshot(end).Diff(snapshot(warmup))
+// instead of scattered per-layer reset logic.
 //
-// Adding a new measurement is one registration line: either bind an
-// existing uint64 field (CounterPtr / Struct) or mint a fresh handle
-// (Counter) and increment it from the hot path.
+// Adding a new measurement is one registration line binding an existing
+// uint64 field (CounterPtr / Struct), or a loader func (CounterFunc)
+// for state other goroutines write.
 package metrics
 
 import (
@@ -60,7 +59,7 @@ type entry struct {
 	kind    Kind
 	counter func() uint64
 	gauge   func() float64
-	hist    func() HistValue
+	hist    func() stats.HistogramView
 }
 
 // Registry holds the registered metric sources of one system (a
@@ -100,23 +99,6 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Counter is a monotonically increasing scalar handle for call sites
-// that do not already keep their own uint64 field. Inc and Add are the
-// hot-path operations: a single integer add, no locks, no allocations.
-// A Counter must only be written from one goroutine (like the rest of
-// the simulator's counters); concurrent writers should register a
-// CounterFunc over an atomic instead.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // Scope is a name prefix within a registry; scopes nest with '.'
 // separators and cost nothing to create.
 type Scope struct {
@@ -146,13 +128,6 @@ func (s Scope) full(name string) string {
 	return s.prefix + "." + name
 }
 
-// Counter registers and returns a fresh counter handle.
-func (s Scope) Counter(name string) *Counter {
-	c := &Counter{}
-	s.CounterPtr(name, &c.v)
-	return c
-}
-
 // CounterPtr registers an existing uint64 as a counter; the owner keeps
 // incrementing the field directly, the registry only reads it at
 // snapshot time. This is how the per-layer stat structs are migrated
@@ -180,7 +155,5 @@ func (s Scope) Histogram(name string, h *stats.Histogram) {
 // HistogramFunc registers a histogram read through fn; use it when the
 // histogram needs a lock held around View.
 func (s Scope) HistogramFunc(name string, fn func() stats.HistogramView) {
-	s.reg.register(entry{name: s.full(name), kind: KindHistogram, hist: func() HistValue {
-		return histValue(fn())
-	}})
+	s.reg.register(entry{name: s.full(name), kind: KindHistogram, hist: fn})
 }

@@ -7,67 +7,13 @@ import (
 	"refsched/internal/stats"
 )
 
-// HistValue is the snapshot of one histogram: bucket i covers
-// [i*Width, (i+1)*Width), Over counts observations beyond the last
-// bucket.
-type HistValue struct {
-	Width  uint64   `json:"width"`
-	Counts []uint64 `json:"counts"`
-	Over   uint64   `json:"over"`
-	Count  uint64   `json:"count"`
-	Sum    uint64   `json:"sum"`
-	Max    uint64   `json:"max"`
-}
-
-// histValue converts a stats view into the snapshot form.
-// View converts back to the stats-package form, so snapshot values can
-// be folded into a live histogram via stats.Histogram.Merge (the
-// service aggregates per-cell report histograms this way).
-func (h HistValue) View() stats.HistogramView {
-	return stats.HistogramView{Width: h.Width, Counts: h.Counts, Over: h.Over,
-		Count: h.Count, Sum: h.Sum, Max: h.Max}
-}
-
-func histValue(v stats.HistogramView) HistValue {
-	return HistValue{Width: v.Width, Counts: v.Counts, Over: v.Over,
-		Count: v.Count, Sum: v.Sum, Max: v.Max}
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h HistValue) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Percentile returns an upper bound for the p-th percentile at bucket
-// resolution, mirroring stats.Histogram.Percentile.
-func (h HistValue) Percentile(p float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			return uint64(i+1) * h.Width
-		}
-	}
-	return h.Max
-}
-
 // Snapshot is a point-in-time read of every registered metric, grouped
 // by kind. It marshals to stable JSON (Go sorts map keys), so a dumped
 // snapshot is diffable across runs and round-trips losslessly.
 type Snapshot struct {
-	Counters   map[string]uint64    `json:"counters"`
-	Gauges     map[string]float64   `json:"gauges,omitempty"`
-	Histograms map[string]HistValue `json:"histograms,omitempty"`
+	Counters   map[string]uint64              `json:"counters"`
+	Gauges     map[string]float64             `json:"gauges,omitempty"`
+	Histograms map[string]stats.HistogramView `json:"histograms,omitempty"`
 }
 
 // Snapshot reads every registered source once. Non-finite gauge values
@@ -92,7 +38,7 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[e.name] = v
 		case KindHistogram:
 			if s.Histograms == nil {
-				s.Histograms = map[string]HistValue{}
+				s.Histograms = map[string]stats.HistogramView{}
 			}
 			s.Histograms[e.name] = e.hist()
 		}
@@ -108,7 +54,7 @@ func (s Snapshot) Gauge(name string) float64 { return s.Gauges[name] }
 
 // Histogram returns the named histogram's value (zero value when
 // absent).
-func (s Snapshot) Histogram(name string) HistValue { return s.Histograms[name] }
+func (s Snapshot) Histogram(name string) stats.HistogramView { return s.Histograms[name] }
 
 // Diff returns the measurement interval s − base: counters and
 // histogram buckets subtract (a name missing from base counts from
@@ -126,10 +72,10 @@ func (s Snapshot) Diff(base Snapshot) Snapshot {
 		}
 	}
 	if s.Histograms != nil {
-		d.Histograms = make(map[string]HistValue, len(s.Histograms))
+		d.Histograms = make(map[string]stats.HistogramView, len(s.Histograms))
 		for name, h := range s.Histograms {
 			b := base.Histograms[name]
-			dh := HistValue{Width: h.Width, Over: h.Over - b.Over,
+			dh := stats.HistogramView{Width: h.Width, Over: h.Over - b.Over,
 				Count: h.Count - b.Count, Sum: h.Sum - b.Sum, Max: h.Max}
 			dh.Counts = make([]uint64, len(h.Counts))
 			copy(dh.Counts, h.Counts)

@@ -175,44 +175,6 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBatchFailFast: the first failure stops the batch. With one
-// worker the short-circuit is exact — job 1 fails, job 2 never starts
-// — while a two-worker run, whose other worker may legitimately finish
-// every trivial job before the failure lands, pins the error's
-// identity.
-func TestRunBatchFailFast(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 2} {
-		var started atomic.Int64
-		jobs := make([]Job[int], 1000)
-		for i := range jobs {
-			i := i
-			jobs[i].Run = func() (int, error) {
-				started.Add(1)
-				if i == 1 {
-					return 0, boom
-				}
-				return i, nil
-			}
-		}
-		b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: workers, FailFast: true})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
-		}
-		var ce *CellError
-		if !errors.As(err, &ce) || ce.Index != 1 {
-			t.Fatalf("workers=%d: err = %v, want *CellError for index 1", workers, err)
-		}
-		if b == nil || len(b.Failed) != 1 {
-			t.Fatalf("workers=%d: fail-fast batch must report the one failed cell", workers)
-		}
-		if workers == 1 && (started.Load() != 2 || b.Skipped != 998) {
-			t.Errorf("fail-fast did not short-circuit the batch: started %d, skipped %d; want 2 and 998",
-				started.Load(), b.Skipped)
-		}
-	}
-}
-
 func TestRunBatchOnDoneIndexed(t *testing.T) {
 	// OnDone receives the batch index, so callers keying results by an
 	// index-derived key never collide even when Cell metadata repeats

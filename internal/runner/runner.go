@@ -12,8 +12,8 @@
 //
 // The pool has the failure semantics of a real job scheduler. A failing
 // or panicking cell is captured as a typed *CellError (cell identity,
-// seed, original panic value, goroutine stack) and — unless FailFast is
-// set — quarantined so the rest of the batch still completes. A cell is
+// seed, original panic value, goroutine stack) and quarantined so the
+// rest of the batch still completes. A cell is
 // never retried: it is deterministic, so a cell that fails once fails
 // again. Cancelling the batch context lets in-flight cells finish and
 // skips the rest, so completed work is preserved: the harness keeps
@@ -25,7 +25,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -112,14 +111,10 @@ func (e *CellError) Unwrap() error {
 func (e *CellError) Panicked() bool { return e.PanicValue != nil }
 
 // Options configures a batch run. The zero value means: GOMAXPROCS
-// workers, quarantine failures (no fail-fast), no progress callback.
+// workers, no progress callback.
 type Options[T any] struct {
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// FailFast restores serial semantics: the first failure (by batch
-	// index, matching what an in-order serial run would hit first)
-	// cancels the batch instead of being quarantined.
-	FailFast bool
 	// OnDone, if non-nil, is invoked once per successful cell from a
 	// single collector goroutine — in completion order, never
 	// concurrently — for progress reporting. The first argument is the
@@ -137,8 +132,7 @@ type Batch[T any] struct {
 	OK []bool
 	// Failed lists quarantined cells in batch-index order.
 	Failed []*CellError
-	// Skipped counts jobs never started because the batch was cancelled
-	// (or a fail-fast failure occurred).
+	// Skipped counts jobs never started because the batch was cancelled.
 	Skipped int
 }
 
@@ -164,17 +158,15 @@ func Parallelism(j int) int {
 	return j
 }
 
-// RunBatch executes jobs across a bounded worker pool with the failure
-// semantics selected by opts. It returns a non-nil *Batch even on
+// RunBatch executes jobs across a bounded worker pool, quarantining
+// every cell that fails or panics. It returns a non-nil *Batch even on
 // error, so completed results remain usable (e.g. for printing a
 // partial run).
 //
 // The returned error is non-nil only when the batch did not run to
-// completion: ctx was cancelled (the context error is returned after
-// in-flight cells finish) or FailFast stopped it (the lowest-indexed
-// *CellError is returned, and a fail-fast panic is re-raised with the
-// *CellError as the panic value). Quarantined failures in a completed
-// batch are reported via Batch.Failed / Batch.Err, not the error.
+// completion: ctx was cancelled, and the context error is returned
+// after in-flight cells finish. Quarantined failures are reported via
+// Batch.Failed / Batch.Err, not the error.
 //
 // Determinism: each job runs exactly once with no shared state, so
 // results are independent of parallelism and completion order.
@@ -195,7 +187,6 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 	cellErrs := make([]*CellError, n)
 	var next atomic.Int64
 	next.Store(-1)
-	var bail atomic.Bool // set by fail-fast failure; skips unstarted jobs
 
 	// Collector goroutine: serializes OnDone callbacks. The buffer holds
 	// every possible completion so workers never block on it.
@@ -219,14 +210,11 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 			defer wg.Done()
 			for {
 				i := int(next.Add(1))
-				if i >= n || bail.Load() || ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil {
 					return
 				}
 				if ce := runCell(jobs, b.Results, i); ce != nil {
 					cellErrs[i] = ce
-					if opts.FailFast {
-						bail.Store(true)
-					}
 					continue
 				}
 				b.OK[i] = true
@@ -255,19 +243,6 @@ func RunBatch[T any](ctx context.Context, jobs []Job[T], opts Options[T]) (*Batc
 	}
 	b.Skipped -= len(b.Failed)
 
-	if opts.FailFast {
-		if err := b.Err(); err != nil {
-			var ce *CellError
-			if errors.As(err, &ce) && ce.Panicked() {
-				// Preserve pre-quarantine semantics: a panicking cell
-				// under fail-fast crashes the batch — but with the typed
-				// *CellError carrying the original panic value and stack,
-				// not a flattened string.
-				panic(ce)
-			}
-			return b, err
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return b, fmt.Errorf("runner: batch cancelled after %d/%d cells: %w",
 			n-b.Skipped-len(b.Failed), n, err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -22,7 +21,7 @@ func TestRunIndexAddressedResults(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = job(i)
 		}
-		b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par, FailFast: true})
+		b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -35,7 +34,7 @@ func TestRunIndexAddressedResults(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	b, err := RunBatch[int](context.Background(), nil, Options[int]{Parallelism: 4, FailFast: true})
+	b, err := RunBatch[int](context.Background(), nil, Options[int]{Parallelism: 4})
 	if err != nil || len(b.Results) != 0 {
 		t.Fatalf("empty run = %v, %v", b.Results, err)
 	}
@@ -58,33 +57,15 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 				}
 			}
 		}
-		_, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par, FailFast: true})
-		// Job 11 may be skipped after job 3 fails, but whenever both
-		// fail the lower index must win — matching serial order.
-		if !errors.Is(err, errLow) {
+		b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: par})
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		// Both fail whatever the completion order; the lower index must
+		// win — matching serial order.
+		if err := b.Err(); !errors.Is(err, errLow) {
 			t.Fatalf("par=%d: err = %v, want %v", par, err, errLow)
 		}
-	}
-}
-
-func TestRunSkipsAfterFailure(t *testing.T) {
-	var started atomic.Int64
-	jobs := make([]Job[int], 1000)
-	for i := range jobs {
-		i := i
-		jobs[i].Run = func() (int, error) {
-			started.Add(1)
-			if i == 0 {
-				return 0, errors.New("boom")
-			}
-			return i, nil
-		}
-	}
-	if _, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: 2, FailFast: true}); err == nil {
-		t.Fatal("expected error")
-	}
-	if n := started.Load(); n == 1000 {
-		t.Error("failure did not short-circuit remaining jobs")
 	}
 }
 
@@ -123,19 +104,19 @@ func TestRunPanicIdentifiesCell(t *testing.T) {
 		{Cell: Cell{Mix: "WL-9", Density: "32Gb", Bundle: "codesign"},
 			Run: func() (int, error) { panic("kaboom") }},
 	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("job panic was swallowed")
+	b, err := RunBatch(context.Background(), jobs, Options[int]{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Err() == nil {
+		t.Fatal("job panic was swallowed")
+	}
+	msg := b.Err().Error()
+	for _, want := range []string{"WL-9", "kaboom"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q missing %q", msg, want)
 		}
-		msg := fmt.Sprint(p)
-		for _, want := range []string{"WL-9", "kaboom"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic %q missing %q", msg, want)
-			}
-		}
-	}()
-	RunBatch(context.Background(), jobs, Options[int]{Parallelism: 2, FailFast: true})
+	}
 }
 
 func TestParallelismNormalization(t *testing.T) {

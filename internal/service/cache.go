@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"encoding/json"
+	"sort"
 	"sync"
 
 	"refsched/internal/journal"
@@ -14,10 +15,10 @@ import (
 // costs a map lookup and zero rendering.
 //
 // With a journal (refschedd -journal) the cache is durable: it warms
-// from the journal's entries, Put appends each new result to the
-// journal under the same lock (unsynced — a crash loses at most the
-// last few results, never the file), and Close compacts the journal to
-// the live entries as one JSON object.
+// from the entries the journal replayed, and is then their only holder;
+// Put appends each new result to the journal (unsynced — a crash loses
+// at most the last few results, never the file), and Close compacts the
+// journal to the live entries as one JSON object.
 //
 // Values are shared, not copied: callers must treat a returned slice
 // as immutable.
@@ -54,21 +55,23 @@ type cacheEntry struct {
 }
 
 // NewCache builds a cache bounded to budget bytes (<= 0 selects the
-// default, 64 MiB). A non-nil jnl warms the cache from its entries, in
-// key order, and receives every later Put.
-func NewCache(budget int64, jnl *journal.Journal) *Cache {
+// default, 64 MiB), warmed from the entries jnl replayed, inserted in
+// key order. A non-nil jnl receives every later Put.
+func NewCache(budget int64, jnl *journal.Journal, warm map[string]json.RawMessage) *Cache {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	c := &Cache{budget: budget, order: list.New(), entries: map[string]*list.Element{}}
-	if jnl != nil {
-		jnl.Each(func(key string, raw json.RawMessage) {
-			var body string
-			if json.Unmarshal(raw, &body) == nil && body != "" {
-				c.insert(key, []byte(body))
-			}
-		})
-		c.jnl = jnl
+	c := &Cache{budget: budget, order: list.New(), entries: map[string]*list.Element{}, jnl: jnl}
+	keys := make([]string, 0, len(warm))
+	for k := range warm {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		var body string
+		if json.Unmarshal(warm[k], &body) == nil && body != "" {
+			c.insert(k, []byte(body))
+		}
 	}
 	return c
 }

@@ -38,7 +38,7 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 				fm.refreshCommands.Add(rep.RefreshCommands)
 				fm.refreshStalledReads.Add(rep.RefreshStalledReads)
 				s.figMu.Lock()
-				fm.skips.Merge(rep.SchedSkips.View())
+				fm.skips.Merge(rep.SchedSkips)
 				s.figMu.Unlock()
 			}
 			j.cellDone(c)

@@ -24,6 +24,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -192,17 +193,20 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	var jnl *journal.Journal
+	var warm map[string]json.RawMessage
 	if cfg.JournalPath != "" {
+		var dropped journal.Discarded
 		var err error
-		if jnl, err = journal.Open(cfg.JournalPath, cacheJournalFingerprint); err != nil {
+		if jnl, warm, dropped, err = journal.Open(cfg.JournalPath, cacheJournalFingerprint); err != nil {
 			return nil, fmt.Errorf("service: warming cache: %w", err)
 		}
+		logDiscarded(cfg.Logger, "cache journal", cfg.JournalPath, dropped)
 	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		queue:    newJobQueue(cfg.QueueDepth),
-		cache:    NewCache(cfg.CacheBytes, jnl),
+		cache:    NewCache(cfg.CacheBytes, jnl, warm),
 		gate:     newPriorityGate(cfg.CellSlots),
 		tenants:  newTenantAdmission(cfg.Tenant),
 		brown:    newBrownout(),
@@ -233,6 +237,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.wal, pending = wal, p
+		logDiscarded(s.log, "job wal", cfg.WALPath, journal.Discarded{Torn: wal.torn > 0})
 	}
 	s.registerMetrics()
 	s.replayWAL(pending)
@@ -260,6 +265,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	go s.resilienceLoop()
 	return s, nil
+}
+
+// logDiscarded logs what opening a journal file dropped, if anything.
+func logDiscarded(log *slog.Logger, what, path string, d journal.Discarded) {
+	if s := d.String(); s != "" {
+		log.Warn(what+" dropped records", "file", path, "dropped", s)
+	}
 }
 
 // replayWAL re-admits the previous process's acknowledged-but-

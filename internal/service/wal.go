@@ -2,44 +2,47 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"refsched/internal/journal"
 )
 
-// The job WAL is the acknowledged-work ledger, a journal.Log of one
-// record per accepted job and per job that reached a terminal state.
-// The accept record is fsynced before the HTTP layer acknowledges the
-// job (202), so a SIGKILL at any instant leaves every acknowledged but
-// unfinished job on durable record; a restarted daemon replays those
-// back onto its queue with their original ids, tenants, priorities and
-// absolute deadlines — the soak drill's "zero acknowledged-job loss".
+// The job WAL is the acknowledged-work ledger: a journal under its own
+// fingerprint whose entries are the accepted jobs still pending, keyed
+// by job id. An accept is a record of the job; it is fsynced before the
+// HTTP layer acknowledges the job (202), so a SIGKILL at any instant
+// leaves every acknowledged but unfinished job on durable record, and a
+// restarted daemon replays those back onto its queue with their
+// original ids, tenants, priorities and absolute deadlines — the soak
+// drill's "zero acknowledged-job loss".
 //
-// Done records are appended without fsync: losing one to a crash only
-// means the job is re-run once on restart (its result lands in the same
-// cache entry), never that an acknowledgement is broken. Replay drops a
-// torn final record (its accept was never acknowledged) and refuses
-// damage before it, which would hide accepts. The file is compacted to
-// the pending set on every open and close, so it stays proportional to
+// A job that reaches a terminal state is deleted from the ledger by a
+// null record, appended without fsync: losing one to a crash only means
+// the job is re-run once on restart (its result lands in the same cache
+// entry), never that an acknowledgement is broken. Opening drops a torn
+// final record (its accept was never acknowledged) and refuses damage
+// before it, which would hide accepts. The file is compacted to the
+// pending set on every open and close, so it stays proportional to
 // in-flight work, not daemon lifetime.
 
-// walRecord is one WAL line.
+// walFingerprint binds the job WAL's record format.
+const walFingerprint = "refschedd-wal v1"
+
+// walRecord is an accepted job, the value of its ledger entry.
 type walRecord struct {
-	Op         string     `json:"op"` // "accept" | "done"
-	ID         string     `json:"id"`
+	ID         string     `json:"-"` // the entry's key
 	Tenant     string     `json:"tenant,omitempty"`
-	Req        *Request   `json:"req,omitempty"`
+	Req        *Request   `json:"req"`
 	DeadlineAt *time.Time `json:"deadline_at,omitempty"`
 }
 
 // jobWAL is the open ledger.
 type jobWAL struct {
 	path string
-	log  *journal.Log
+	jnl  *journal.Journal
 
 	accepts atomic.Uint64
 	dones   atomic.Uint64
@@ -51,68 +54,50 @@ type jobWAL struct {
 }
 
 // openWAL loads the ledger at path, compacts it to the pending set, and
-// returns the still-pending accepts for replay.
+// returns the still-pending accepts in acceptance order for replay. A
+// file that is not empty and is not a job WAL journal — an earlier
+// release's ledger among them — is refused, never discarded: its
+// records are acknowledged jobs.
 func openWAL(path string) (*jobWAL, []walRecord, error) {
-	pending, torn, err := reduceWAL(path)
+	jnl, entries, dropped, err := journal.Open(path, walFingerprint)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("service: job wal: %w (a ledger an earlier release wrote must be drained by that release first)", err)
 	}
-	log, err := journal.OpenLog(path)
-	if err != nil {
-		return nil, nil, err
+	if dropped.Foreign {
+		return nil, nil, fmt.Errorf("service: job wal %s is a journal of another kind, not a job WAL", path)
 	}
-	w := &jobWAL{path: path, log: log, recovered: uint64(len(pending))}
-	if torn {
+	pending := make([]walRecord, 0, len(entries))
+	for id, raw := range entries {
+		rec := walRecord{ID: id}
+		if json.Unmarshal(raw, &rec) != nil || rec.Req == nil {
+			return nil, nil, fmt.Errorf("service: job wal %s: entry %q is not an accepted job", path, id)
+		}
+		pending = append(pending, rec)
+	}
+	// Ids are minted and accepted under jobsMu, so their sequence
+	// numbers are the acceptance order.
+	sort.Slice(pending, func(a, b int) bool {
+		_, sa, _ := splitJobID(pending[a].ID)
+		_, sb, _ := splitJobID(pending[b].ID)
+		if sa != sb {
+			return sa < sb
+		}
+		return pending[a].ID < pending[b].ID
+	})
+	if err := jnl.Compact(entries); err != nil {
+		return nil, nil, fmt.Errorf("service: job wal: %w", err)
+	}
+	w := &jobWAL{path: path, jnl: jnl, recovered: uint64(len(pending))}
+	if dropped.Torn {
 		w.torn = 1
 	}
 	return w, pending, nil
 }
 
-// reduceWAL replays the ledger, reduces it to the accepts without a
-// matching done (in acceptance order), and atomically rewrites it to
-// just those.
-func reduceWAL(path string) (pending []walRecord, torn bool, err error) {
-	var accepts []walRecord
-	done := map[string]bool{}
-	torn, err = journal.Replay(path, func(raw json.RawMessage) error {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return err
-		}
-		switch {
-		case rec.Op == "accept" && rec.ID != "" && rec.Req != nil:
-			accepts = append(accepts, rec)
-		case rec.Op == "done" && rec.ID != "":
-			done[rec.ID] = true
-		default:
-			return errors.New("not a job WAL record")
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, false, fmt.Errorf("service: job wal: %w", err)
-	}
-	for _, rec := range accepts {
-		if !done[rec.ID] {
-			pending = append(pending, rec)
-		}
-	}
-	return pending, torn, journal.Replace(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, rec := range pending {
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // appendAccept makes a job acceptance durable. It must return before
 // the job is acknowledged to the client.
 func (w *jobWAL) appendAccept(rec walRecord) error {
-	rec.Op = "accept"
-	if err := w.log.Append(rec, true); err != nil {
+	if err := w.jnl.Record(rec.ID, rec, true); err != nil {
 		w.ioErrs.Add(1)
 		return err
 	}
@@ -120,10 +105,10 @@ func (w *jobWAL) appendAccept(rec walRecord) error {
 	return nil
 }
 
-// appendDone records a terminal state. Unsynced by design: see the
-// comment at the top of this file.
+// appendDone deletes a job that reached a terminal state from the
+// ledger. Unsynced by design: see the comment at the top of this file.
 func (w *jobWAL) appendDone(id string) error {
-	if err := w.log.Append(walRecord{Op: "done", ID: id}, false); err != nil {
+	if err := w.jnl.Record(id, nil, false); err != nil {
 		w.ioErrs.Add(1)
 		return err
 	}
@@ -134,9 +119,12 @@ func (w *jobWAL) appendDone(id string) error {
 // close compacts the ledger to whatever is still pending (empty after a
 // clean drain) and closes it.
 func (w *jobWAL) close() error {
-	if err := w.log.Close(); err != nil {
+	if err := w.jnl.Close(); err != nil {
 		return err
 	}
-	_, _, err := reduceWAL(w.path)
-	return err
+	jnl, entries, _, err := journal.Open(w.path, walFingerprint)
+	if err != nil {
+		return fmt.Errorf("service: job wal: %w", err)
+	}
+	return jnl.Compact(entries)
 }

@@ -2,13 +2,16 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"refsched/internal/cluster"
+	"refsched/internal/journal"
 )
 
 // TestJobWALRecovery is the crash-consistency contract end to end: a
@@ -44,7 +47,7 @@ func TestJobWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"accept","id":"job-9`); err != nil {
+	if _, err := f.WriteString(`{"key":"job-000009","value":{"tenant":"t`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -80,12 +83,12 @@ func TestJobWALRecovery(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	pending, torn, err := reduceWAL(path)
+	_, left, dropped, err := journal.Open(path, walFingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 0 || torn {
-		t.Fatalf("after clean shutdown pending/torn = %d/%v, want 0/false", len(pending), torn)
+	if len(left) != 0 || dropped.Torn {
+		t.Fatalf("after clean shutdown pending/torn = %d/%v, want 0/false", len(left), dropped.Torn)
 	}
 }
 
@@ -126,5 +129,70 @@ func TestJobWALRecoveryNodeIDs(t *testing.T) {
 	}
 	if id := out["id"].(string); id != "job-n0-000013" {
 		t.Fatalf("fresh job id = %q, want job-n0-000013", id)
+	}
+}
+
+// TestJobWALReplaysInSequenceOrder: the pending jobs come back in the
+// order of the sequence numbers in their ids, which is the order they
+// were accepted in, also where that differs from the ids' string order.
+func TestJobWALReplaysInSequenceOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	w, _, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"job-999998", "job-999999", "job-1000000", "job-1000001", "job-1000002"}
+	for i, id := range ids {
+		req := cellReq(uint64(i))
+		if err := w.appendAccept(walRecord{ID: id, Req: &req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.appendDone("job-1000001"); err != nil {
+		t.Fatal(err)
+	}
+	// A kill: the ledger is reopened without a close.
+	_, pending, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range pending {
+		got = append(got, rec.ID)
+	}
+	if want := "[job-999998 job-999999 job-1000000 job-1000002]"; fmt.Sprint(got) != want {
+		t.Fatalf("replay order %v, want %s", got, want)
+	}
+}
+
+// TestJobWALRefusesForeignFile: a ledger file that is not empty and is
+// not a job WAL journal — an earlier release's accept/done ledger, or a
+// journal of another kind — is refused with an error naming it and
+// left as it was, never discarded; an empty file, which is what an
+// earlier release leaves after a clean drain, opens.
+func TestJobWALRefusesForeignFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"one accept":    `{"op":"accept","id":"job-000001","req":{"figure":"fig10"}}` + "\n",
+		"accept + done": `{"op":"accept","id":"job-000001","req":{"figure":"fig10"}}` + "\n" + `{"op":"done","id":"job-000001"}` + "\n",
+		"cache journal": `{"fingerprint":"refschedd-cache-v1","entries":{}}` + "\n",
+	} {
+		path := filepath.Join(dir, "jobs.wal")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := openWAL(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: openWAL err = %v, want a refusal naming %s", name, err, path)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != content {
+			t.Fatalf("%s: the refused ledger was changed (err %v)", name, err)
+		}
+	}
+	path := filepath.Join(dir, "drained.wal")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, pending, err := openWAL(path); err != nil || len(pending) != 0 {
+		t.Fatalf("empty ledger: %d pending, err %v", len(pending), err)
 	}
 }

@@ -1,63 +1,13 @@
-// Package stats provides the counters and summary statistics used across
-// the simulator: scalar counters, running means, histograms, and the
-// workload-level aggregates the paper reports (harmonic-mean IPC, average
-// memory access latency).
+// Package stats provides the summary statistics used across the
+// simulator: histograms, the workload-level aggregates the paper
+// reports (harmonic-mean IPC), and the text tables figures print.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Mean accumulates a running mean without storing samples. Non-finite
-// samples (NaN, ±Inf) are dropped rather than recorded — one poisoned
-// sample would otherwise turn every later Value into NaN — and counted
-// in Dropped.
-type Mean struct {
-	n       uint64
-	sum     float64
-	dropped uint64
-}
-
-// Add records one sample; NaN/Inf samples are dropped and counted.
-func (m *Mean) Add(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		m.dropped++
-		return
-	}
-	m.n++
-	m.sum += v
-}
-
-// AddN records a pre-aggregated batch of n samples summing to sum; a
-// non-finite sum drops the whole batch (counted as n drops).
-func (m *Mean) AddN(n uint64, sum float64) {
-	if math.IsNaN(sum) || math.IsInf(sum, 0) {
-		m.dropped += n
-		return
-	}
-	m.n += n
-	m.sum += sum
-}
-
-// Dropped returns how many samples were rejected as non-finite.
-func (m *Mean) Dropped() uint64 { return m.dropped }
-
-// Count returns the number of samples recorded.
-func (m *Mean) Count() uint64 { return m.n }
-
-// Sum returns the total of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Value returns the mean, or 0 for an empty accumulator.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
 
 // Histogram is a fixed-width-bucket latency histogram with an overflow
 // bucket; bucket i covers [i*Width, (i+1)*Width).
@@ -112,22 +62,29 @@ func (h *Histogram) Dropped() uint64 { return h.dropped }
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// HistogramView is a copied, export-friendly snapshot of a histogram's
-// state (the registry reads histograms through it).
+// HistogramView is the value of a histogram: bucket i covers
+// [i*Width, (i+1)*Width), and Over counts observations beyond the last
+// bucket. It is what the metrics registry snapshots, what a report
+// carries, and what a checkpoint stores.
 type HistogramView struct {
-	Width  uint64
-	Counts []uint64
-	Over   uint64
-	Count  uint64
-	Sum    uint64
-	Max    uint64
+	Width  uint64   `json:"width"`
+	Counts []uint64 `json:"counts"`
+	Over   uint64   `json:"over"`
+	Count  uint64   `json:"count"`
+	Sum    uint64   `json:"sum"`
+	Max    uint64   `json:"max"`
 }
 
 // View copies the histogram's current state.
 func (h *Histogram) View() HistogramView {
-	counts := make([]uint64, len(h.buckets))
-	copy(counts, h.buckets)
-	return HistogramView{Width: h.Width, Counts: counts, Over: h.over,
+	v := h.view()
+	v.Counts = append([]uint64(nil), v.Counts...)
+	return v
+}
+
+// view is View sharing the histogram's buckets.
+func (h *Histogram) view() HistogramView {
+	return HistogramView{Width: h.Width, Counts: h.buckets, Over: h.over,
 		Count: h.n, Sum: h.sum, Max: h.max}
 }
 
@@ -185,34 +142,41 @@ func (h *Histogram) SetState(st HistogramState) {
 }
 
 // Mean returns the mean observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
+func (h *Histogram) Mean() float64 { return h.view().Mean() }
 
 // Max returns the largest observation seen.
 func (h *Histogram) Max() uint64 { return h.max }
 
 // Percentile returns an upper bound for the p-th percentile (0 < p <= 100)
 // at bucket resolution.
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.n == 0 {
+func (h *Histogram) Percentile(p float64) uint64 { return h.view().Percentile(p) }
+
+// Mean returns the mean observation, or 0 when empty.
+func (v HistogramView) Mean() float64 {
+	if v.Count == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(p / 100 * float64(h.n)))
+	return float64(v.Sum) / float64(v.Count)
+}
+
+// Percentile returns an upper bound for the p-th percentile (0 < p <= 100)
+// at bucket resolution.
+func (v HistogramView) Percentile(p float64) uint64 {
+	if v.Count == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(p / 100 * float64(v.Count)))
 	if target == 0 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.buckets {
+	for i, c := range v.Counts {
 		cum += c
 		if cum >= target {
-			return uint64(i+1) * h.Width
+			return uint64(i+1) * v.Width
 		}
 	}
-	return h.max
+	return v.Max
 }
 
 // HarmonicMean returns the harmonic mean of vs; zero or empty inputs
@@ -257,20 +221,6 @@ type Table struct {
 // AddRow appends a row of already-formatted cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row formatting each value with %v, floats as %.3f.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Header))
@@ -304,15 +254,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in sorted order; convenience for
-// deterministic report printing.
-func SortedKeys(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

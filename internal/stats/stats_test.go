@@ -1,28 +1,12 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	m.Add(2)
-	m.Add(4)
-	m.Add(6)
-	if m.Value() != 4 || m.Count() != 3 || m.Sum() != 12 {
-		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.Count(), m.Sum())
-	}
-	m.AddN(3, 12)
-	if m.Value() != 4 {
-		t.Fatalf("after AddN mean=%v, want 4", m.Value())
-	}
-}
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(10, 10)
@@ -128,7 +112,7 @@ func TestGeoMean(t *testing.T) {
 func TestTableFormatting(t *testing.T) {
 	tb := Table{Header: []string{"name", "value"}}
 	tb.AddRow("x", "1")
-	tb.AddRowf("longer-name", 3.14159)
+	tb.AddRow("longer-name", fmt.Sprintf("%.3f", 3.14159))
 	s := tb.String()
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 4 {
@@ -140,42 +124,6 @@ func TestTableFormatting(t *testing.T) {
 	// All rows align to the same width.
 	if len(lines[0]) != len(lines[1]) {
 		t.Fatalf("header and separator widths differ:\n%s", s)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}
-
-func TestMeanDropsNonFinite(t *testing.T) {
-	var m Mean
-	m.Add(2)
-	m.Add(math.NaN())
-	m.Add(math.Inf(1))
-	m.Add(math.Inf(-1))
-	m.Add(4)
-	if m.Count() != 2 || m.Value() != 3 {
-		t.Fatalf("count=%d value=%v, want 2 and 3", m.Count(), m.Value())
-	}
-	if m.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", m.Dropped())
-	}
-}
-
-func TestMeanAddNDropsNonFiniteBatch(t *testing.T) {
-	var m Mean
-	m.AddN(5, 50)
-	m.AddN(7, math.NaN())
-	m.AddN(2, math.Inf(1))
-	if m.Count() != 5 || m.Sum() != 50 {
-		t.Fatalf("count=%d sum=%v, want 5 and 50", m.Count(), m.Sum())
-	}
-	if m.Dropped() != 9 {
-		t.Fatalf("dropped = %d, want all 9 batch samples", m.Dropped())
 	}
 }
 
