@@ -366,16 +366,44 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	runEvents(b, 1, func(int) sim.Time { return 1 }, func() {})
 }
 
-// BenchmarkCacheAccess measures hierarchy probe throughput on a hot set.
+// BenchmarkCacheAccess measures hierarchy access throughput on a
+// seeded, miss-heavy stream: three accesses in four touch a line of an
+// 8 MB region (eight times L2), the rest a 16 KB hot set that L1 holds,
+// and a third are writes, so fills evict dirty victims at both levels.
+// One pass over the stream warms the hierarchy before timing starts.
 func BenchmarkCacheAccess(b *testing.B) {
 	cfg := config.Default(config.Density32Gb, 64)
 	h, err := cache.NewHierarchy(cfg.L1, cfg.L2)
 	if err != nil {
 		b.Fatal(err)
 	}
+	type access struct {
+		addr  uint64
+		write bool
+	}
+	stream := make([]access, 1<<16)
+	r := sim.NewRand(1)
+	for i := range stream {
+		span := uint64(8 << 20)
+		if r.Uint64n(4) == 0 {
+			span = 16 << 10
+		}
+		stream[i] = access{addr: r.Uint64n(span) &^ 7, write: r.Uint64n(3) == 0}
+	}
+	for _, a := range stream {
+		h.Access(a.addr, a.write)
+	}
+	l2 := h.L2.Stats
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i%512)*64, i%7 == 0)
+		a := stream[i%len(stream)]
+		h.Access(a.addr, a.write)
+	}
+	b.StopTimer()
+	if n := h.L2.Stats.Accesses - l2.Accesses; n > 0 {
+		b.ReportMetric(float64(h.L2.Stats.Writebacks-l2.Writebacks)/float64(b.N), "dirty-evictions/op")
+		b.ReportMetric(float64(h.L2.Stats.Misses-l2.Misses)/float64(b.N), "l2-misses/op")
 	}
 }
 

@@ -23,7 +23,8 @@ type Outcome struct {
 	// Level == LevelMemory.
 	MissLineAddr uint64
 	// Writebacks lists dirty line addresses displaced all the way to
-	// DRAM by this access (0 or 1 entries in this two-level hierarchy).
+	// DRAM by this access. It aliases the hierarchy's scratch space, so
+	// it is valid only until the next access.
 	Writebacks []uint64
 }
 
@@ -37,8 +38,9 @@ type Hierarchy struct {
 	l1Lat uint64
 	l2Lat uint64
 
-	// wbScratch avoids a per-access allocation for the common case.
-	wbScratch [1]uint64
+	// wbScratch backs Outcome.Writebacks: an access writes back at most
+	// an L1 victim that L2 no longer holds and a dirty L2 victim.
+	wbScratch [2]uint64
 }
 
 // NewHierarchy builds the two-level stack from the system config.
@@ -66,35 +68,38 @@ func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
 		return Outcome{Level: LevelL1, HitCycles: h.l1Lat}
 	}
 
-	out := Outcome{HitCycles: h.l1Lat}
+	out := Outcome{HitCycles: h.l1Lat + h.l2Lat}
+	wbs := h.wbScratch[:0]
 	l2hit := h.L2.Lookup(line, false)
 
 	// Allocate in L1; a dirty L1 victim lands in L2 (it must be there —
-	// inclusive — but MarkDirty tolerates its absence after races with
-	// L2 evictions by treating it as a DRAM write-back).
+	// inclusive — but MarkDirty tolerates its absence by treating it as
+	// a DRAM write-back).
 	if v, ok := h.L1.Fill(line, write); ok && v.Dirty {
 		if !h.L2.MarkDirty(v.Addr) {
-			out.Writebacks = append(h.wbScratch[:0], v.Addr)
+			wbs = append(wbs, v.Addr)
 		}
 	}
 
 	if l2hit {
 		out.Level = LevelL2
-		out.HitCycles += h.l2Lat
+		out.Writebacks = wbs
 		return out
 	}
 
 	// L2 miss: allocate; dirty L2 victims drain to DRAM, and the victim
-	// is back-invalidated from L1 to preserve inclusion.
+	// is back-invalidated from L1 to preserve inclusion. The victim may
+	// be the L1 victim that MarkDirty just dirtied: Fill reads its dirty
+	// bit now, not as it stood at the probe.
 	if v, ok := h.L2.Fill(line, false); ok {
 		dirtyInL1, _ := h.L1.Invalidate(v.Addr)
 		if v.Dirty || dirtyInL1 {
-			out.Writebacks = append(out.Writebacks, v.Addr)
+			wbs = append(wbs, v.Addr)
 		}
 	}
 	out.Level = LevelMemory
-	out.HitCycles += h.l2Lat
 	out.MissLineAddr = line
+	out.Writebacks = wbs
 	return out
 }
 

@@ -1,41 +1,44 @@
 package cache
 
 // State is the serializable content of one cache level: every line's
-// tag/valid/dirty/LRU word plus the per-set counters and stats. Geometry
-// (sets, ways, line size) is not part of the state — a restore target
-// must be built from the same config, and SetState enforces the sizes.
+// tag, each set's LRU order and valid and dirty masks, and the stats.
+// Geometry (sets, ways, line size) is not part of the state — a restore
+// target must be built from the same config, and SetState enforces the
+// sizes.
 type State struct {
-	Tags    []uint64
-	Valid   []bool
-	Dirty   []bool
-	Stamp   []uint64
-	Counter []uint64
-	Stats   Stats
+	Tags  []uint32
+	Order []uint64
+	Valid []uint16
+	Dirty []uint16
+	Stats Stats
 }
 
 // State captures a deep copy of the cache content.
 func (c *Cache) State() State {
-	return State{
-		Tags:    append([]uint64(nil), c.tags...),
-		Valid:   append([]bool(nil), c.valid...),
-		Dirty:   append([]bool(nil), c.dirty...),
-		Stamp:   append([]uint64(nil), c.stamp...),
-		Counter: append([]uint64(nil), c.counter...),
-		Stats:   c.Stats,
+	st := State{
+		Tags:  append([]uint32(nil), c.tags...),
+		Order: make([]uint64, len(c.meta)),
+		Valid: make([]uint16, len(c.meta)),
+		Dirty: make([]uint16, len(c.meta)),
+		Stats: c.Stats,
 	}
+	for i, m := range c.meta {
+		st.Order[i], st.Valid[i], st.Dirty[i] = m.order, m.valid, m.dirty
+	}
+	return st
 }
 
 // SetState restores cache content captured from an identically
 // configured cache.
 func (c *Cache) SetState(st State) {
-	if len(st.Tags) != len(c.tags) || len(st.Counter) != len(c.counter) {
+	if len(st.Tags) != len(c.tags) || len(st.Order) != len(c.meta) ||
+		len(st.Valid) != len(c.meta) || len(st.Dirty) != len(c.meta) {
 		panic("cache: snapshot geometry mismatch")
 	}
 	copy(c.tags, st.Tags)
-	copy(c.valid, st.Valid)
-	copy(c.dirty, st.Dirty)
-	copy(c.stamp, st.Stamp)
-	copy(c.counter, st.Counter)
+	for i := range c.meta {
+		c.meta[i] = setMeta{order: st.Order[i], valid: st.Valid[i], dirty: st.Dirty[i]}
+	}
 	c.Stats = st.Stats
 }
 

@@ -33,7 +33,12 @@ import (
 // Version 2 stores the buddy allocator sparsely: the count of
 // never-split max-order blocks plus the metadata of the blocks a run
 // touched, instead of four arrays over every page frame.
-const SnapshotVersion = 2
+//
+// Version 3 stores each cache level as 32-bit tags plus one LRU-order
+// word and valid and dirty masks per set, in place of per-line valid,
+// dirty and stamp arrays and per-set counters, and drops the unused
+// IssueAt and FinishAt of queued memory requests.
+const SnapshotVersion = 3
 
 var snapshotMagic = [4]byte{'R', 'S', 'N', 'P'}
 

@@ -124,9 +124,9 @@ func TestSoftPartitionConfinesPages(t *testing.T) {
 			continue // fall-back pages legitimately escape the mask
 		}
 		for g := 0; g < total; g++ {
-			if !task.Ent.Mask.Has(g) && task.AS.PagesOnBank(g) > 0 {
-				t.Errorf("task %d has %d pages on excluded bank %d",
-					task.ID(), task.AS.PagesOnBank(g), g)
+			if !task.Ent.Mask.Has(g) && task.AS.BankOccupancy(g) > 0 {
+				t.Errorf("task %d has %.3f of its pages on excluded bank %d",
+					task.ID(), task.AS.BankOccupancy(g), g)
 			}
 		}
 	}

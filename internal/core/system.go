@@ -140,6 +140,9 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 		}
 		s.Cores = append(s.Cores, cpu.NewCore(i, s.Eng, (*memoryPath)(s), hier, cfg.BaseCPI, cfg.MLP, cfg.ROB))
 	}
+	if err := checkAddressWidth(cfg); err != nil {
+		return nil, err
+	}
 
 	// OS: buddy + partition allocator, VM, scheduler.
 	bud, err := buddy.New(s.Mapper.TotalPages())
@@ -167,6 +170,25 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	s.registerMetrics()
 	s.Eng.SetExec(s.execPayload)
 	return s, nil
+}
+
+// checkAddressWidth refuses a machine whose physical addresses do not
+// fit the simulator's 32-bit fields: a page table entry holds a page
+// frame number (plus one), and a cache tag holds an address divided by
+// the bytes one cache way spans (sets × line size). With Table 1's
+// geometry both allow just under 2^44 bytes (16 TiB). Build runs it
+// once, after the caches have validated their shapes, so the hot path
+// never repeats it.
+func checkAddressWidth(cfg config.System) error {
+	span := cfg.Mem.RowBytes
+	for _, l := range []config.CacheConfig{cfg.L1, cfg.L2} {
+		span = min(span, l.Sets()*l.LineBytes)
+	}
+	if capacity := cfg.Mem.TotalCapacity(); capacity/span >= 1<<32 {
+		return fmt.Errorf("core: %d bytes of physical memory exceed the %d that 32-bit page frames and cache tags address",
+			capacity, span<<32-1)
+	}
+	return nil
 }
 
 // execPayload is the machine's single event dispatcher: every layer
@@ -321,6 +343,13 @@ func (s *System) RunWindows(warmupW, measureW int) (*Report, error) {
 // memoryPath adapts System to cpu.Memory, routing by channel.
 type memoryPath System
 
+// NewRequest implements cpu.Memory: the channel's controller supplies
+// the request.
+func (m *memoryPath) NewRequest(addr uint64) *mc.Request {
+	coord := m.Mapper.Decode(addr)
+	return m.MCs[coord.Channel].NewRequest(addr, coord)
+}
+
 // SubmitRead implements cpu.Memory.
 func (m *memoryPath) SubmitRead(r *mc.Request) bool {
 	return m.MCs[r.Coord.Channel].SubmitRead(r)
@@ -336,6 +365,3 @@ func (m *memoryPath) SubmitWrite(r *mc.Request) bool {
 
 // WhenWriteSpace implements cpu.Memory.
 func (m *memoryPath) WhenWriteSpace(ch int, r *mc.Request) { m.MCs[ch].WhenWriteSpace(r) }
-
-// Decode implements cpu.Memory.
-func (m *memoryPath) Decode(addr uint64) dram.Coord { return m.Mapper.Decode(addr) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"refsched/internal/config"
@@ -73,5 +74,21 @@ func TestSmokeCoDesign(t *testing.T) {
 	t.Logf("alloc: %+v", rep.AllocStats)
 	if rep.SchedStats.EligiblePicks == 0 {
 		t.Error("refresh-aware scheduler never found an eligible task")
+	}
+}
+
+// TestBuildRefusesUnaddressableMemory checks the one-time bound behind
+// the 32-bit page frames and cache tags: with Table 1's geometry a
+// machine must hold less than 2^44 bytes.
+func TestBuildRefusesUnaddressableMemory(t *testing.T) {
+	cfg := testConfig(config.Density32Gb, config.RefreshAllBank)
+	per := cfg.Mem.TotalCapacity() / uint64(cfg.Mem.Channels)
+	cfg.Mem.Channels = int(1 << 44 / per)
+	if _, err := Build(cfg, testMix(), Options{}); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("Build of a %d-byte machine = %v, want the address-width error", cfg.Mem.TotalCapacity(), err)
+	}
+	cfg.Mem.Channels--
+	if err := checkAddressWidth(cfg); err != nil {
+		t.Fatalf("a %d-byte machine was refused: %v", cfg.Mem.TotalCapacity(), err)
 	}
 }

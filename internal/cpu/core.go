@@ -17,7 +17,6 @@ package cpu
 
 import (
 	"refsched/internal/cache"
-	"refsched/internal/dram"
 	"refsched/internal/mc"
 	"refsched/internal/sim"
 	"refsched/internal/workload"
@@ -72,11 +71,15 @@ type Task interface {
 // WhenSpace registrations hand over the rejected request itself (not a
 // retry callback) so controller back-pressure state is serializable.
 type Memory interface {
+	// NewRequest returns a cleared request for the line at addr with its
+	// DRAM coordinates decoded. The memory system reuses the request
+	// once it has issued it, so the caller must not keep it after
+	// submitting it.
+	NewRequest(addr uint64) *mc.Request
 	SubmitRead(r *mc.Request) bool
 	WhenReadSpace(channel int, r *mc.Request)
 	SubmitWrite(r *mc.Request) bool
 	WhenWriteSpace(channel int, r *mc.Request)
-	Decode(addr uint64) dram.Coord
 }
 
 // miss tracks one outstanding LLC miss.
@@ -109,7 +112,7 @@ type Core struct {
 	instrs     uint64 // retired since task start (ROB run-ahead bookkeeping)
 	cpiAccum   uint64 // fixed-point fractional-cycle accumulator
 
-	outstanding []*miss
+	outstanding []miss
 	missSeq     uint64 // last issued miss id
 	waiting     bool
 	barrier     bool // waiting for ALL outstanding misses (dependent access)
@@ -237,9 +240,9 @@ func (c *Core) performAccess(acc workload.Access) {
 	// dependence, MLP and ROB limits.
 	c.task.Stats().LLCMisses++
 	c.localTime += sim.Time(out.HitCycles)
-	m := &miss{instrAtIssue: c.instrs, store: acc.Write}
-	c.outstanding = append(c.outstanding, m)
-	c.submitRead(out.MissLineAddr, m)
+	c.missSeq++
+	c.outstanding = append(c.outstanding, miss{id: c.missSeq, instrAtIssue: c.instrs, store: acc.Write})
+	c.submitRead(out.MissLineAddr, c.missSeq)
 
 	if acc.Dependent {
 		c.waiting = true
@@ -257,7 +260,7 @@ func (c *Core) performAccess(acc workload.Access) {
 func (c *Core) drainCompleted() {
 	n := 0
 	for n < len(c.outstanding) && c.outstanding[n].completed {
-		m := c.outstanding[n]
+		m := &c.outstanding[n]
 		if m.completeAt > c.localTime {
 			c.task.Stats().MemStall += uint64(m.completeAt - c.localTime)
 			c.localTime = m.completeAt
@@ -277,8 +280,8 @@ func (c *Core) limitsOK() bool {
 	if len(c.outstanding) >= c.mlp {
 		return false
 	}
-	for _, m := range c.outstanding {
-		if !m.store && !m.completed {
+	for i := range c.outstanding {
+		if m := &c.outstanding[i]; !m.store && !m.completed {
 			return c.instrs-m.instrAtIssue < c.rob
 		}
 	}
@@ -296,9 +299,9 @@ func (c *Core) limitsOK() bool {
 // miss struct.
 func (c *Core) MissComplete(id, epoch uint64) {
 	var m *miss
-	for _, x := range c.outstanding {
-		if x.id == id {
-			m = x
+	for i := range c.outstanding {
+		if c.outstanding[i].id == id {
+			m = &c.outstanding[i]
 			break
 		}
 	}
@@ -323,33 +326,28 @@ func (c *Core) MissComplete(id, epoch uint64) {
 	c.loop()
 }
 
-// submitRead schedules the miss's DRAM read at the core's local time.
+// submitRead schedules miss id's DRAM read at the core's local time.
 // The payload captures everything the submission needs (address, task,
 // miss id, epoch) at schedule time: the core runs ahead, so by the time
 // the event fires the task binding may already have changed.
-func (c *Core) submitRead(lineAddr uint64, m *miss) {
-	c.missSeq++
-	m.id = c.missSeq
+func (c *Core) submitRead(lineAddr, id uint64) {
 	at := c.localTime
 	if now := c.eng.Now(); at < now {
 		at = now
 	}
 	c.eng.SchedulePAt(at, sim.Payload{Kind: sim.KindCPUSubmitRead,
-		A: uint64(c.ID), B: lineAddr, C: m.id, D: c.epoch,
+		A: uint64(c.ID), B: lineAddr, C: id, D: c.epoch,
 		E: uint64(int64(c.task.ID()) + 1)})
 }
 
 // FireSubmitRead materializes a deferred read submission. The request
-// is rebuilt from the payload words (Decode is pure, so re-decoding the
-// address is exact); a full queue parks the request on the controller's
-// waiter list for automatic resubmission.
+// is rebuilt from the payload words (decoding is pure, so re-decoding
+// the address is exact); a full queue parks the request on the
+// controller's waiter list for automatic resubmission.
 func (c *Core) FireSubmitRead(p sim.Payload) {
-	req := &mc.Request{
-		Addr:   p.B,
-		Coord:  c.mem.Decode(p.B),
-		TaskID: int(int64(p.E) - 1),
-		Owner:  mc.Owner{Valid: true, Core: c.ID, Miss: p.C, Epoch: p.D},
-	}
+	req := c.mem.NewRequest(p.B)
+	req.TaskID = int(int64(p.E) - 1)
+	req.Owner = mc.Owner{Valid: true, Core: c.ID, Miss: p.C, Epoch: p.D}
 	if !c.mem.SubmitRead(req) {
 		c.mem.WhenReadSpace(req.Coord.Channel, req)
 	}
@@ -367,11 +365,8 @@ func (c *Core) submitWriteback(lineAddr uint64) {
 
 // FireSubmitWrite materializes a deferred posted-write submission.
 func (c *Core) FireSubmitWrite(p sim.Payload) {
-	req := &mc.Request{
-		Addr:   p.B,
-		Coord:  c.mem.Decode(p.B),
-		TaskID: int(int64(p.E) - 1),
-	}
+	req := c.mem.NewRequest(p.B)
+	req.TaskID = int(int64(p.E) - 1)
 	if !c.mem.SubmitWrite(req) {
 		c.mem.WhenWriteSpace(req.Coord.Channel, req)
 	}

@@ -71,6 +71,9 @@ type fakeMem struct {
 	readWaiters []*mc.Request
 }
 
+func (m *fakeMem) NewRequest(addr uint64) *mc.Request {
+	return &mc.Request{Addr: addr, Coord: dram.Coord{Bank: int(addr>>12) & 7, Row: addr >> 15}}
+}
 func (m *fakeMem) SubmitRead(r *mc.Request) bool {
 	if m.rejectReads {
 		return false
@@ -86,9 +89,6 @@ func (m *fakeMem) SubmitWrite(r *mc.Request) bool {
 	return true
 }
 func (m *fakeMem) WhenWriteSpace(int, *mc.Request) {}
-func (m *fakeMem) Decode(addr uint64) dram.Coord {
-	return dram.Coord{Bank: int(addr>>12) & 7, Row: addr >> 15}
-}
 
 func newTestCore(t *testing.T, mem Memory, mlp int) *Core {
 	t.Helper()

@@ -83,7 +83,7 @@ func (c *Core) RestoreState(st CoreState, task Task, onEnd func(c *Core, at sim.
 	c.onQuantumEnd = onEnd
 	c.outstanding = c.outstanding[:0]
 	for _, m := range st.Outstanding {
-		c.outstanding = append(c.outstanding, &miss{id: m.ID,
+		c.outstanding = append(c.outstanding, miss{id: m.ID,
 			completed: m.Completed, store: m.Store,
 			completeAt: m.CompleteAt, instrAtIssue: m.InstrAtIssue})
 	}

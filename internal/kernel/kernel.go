@@ -149,6 +149,10 @@ type Kernel struct {
 	tl        *timeline.Recorder
 	lastSkips []uint64
 
+	// onEnd is onQuantumEnd bound once: taking a method value allocates,
+	// and every dispatch hands the callback to a core.
+	onEnd func(*cpu.Core, sim.Time)
+
 	Stats Stats
 }
 
@@ -163,7 +167,7 @@ func New(eng *sim.Engine, cfg *config.System, alloc *buddy.PartitionAllocator, m
 	default:
 		picker = sched.NewRR(len(cores))
 	}
-	return &Kernel{
+	k := &Kernel{
 		eng:      eng,
 		cfg:      cfg,
 		alloc:    alloc,
@@ -175,6 +179,8 @@ func New(eng *sim.Engine, cfg *config.System, alloc *buddy.PartitionAllocator, m
 		runStart: make([]sim.Time, len(cores)),
 		lastTask: make([]*Task, len(cores)),
 	}
+	k.onEnd = k.onQuantumEnd
+	return k
 }
 
 // SetTimeline installs a timeline recorder for the per-core CPU
@@ -367,7 +373,7 @@ func (k *Kernel) Exec(p sim.Payload) {
 	case sim.KindKernelDispatch:
 		k.dispatch(k.cores[p.A], p.B)
 	case sim.KindKernelRunTask:
-		k.cores[p.A].Run(k.tasks[p.B], p.C, k.onQuantumEnd)
+		k.cores[p.A].Run(k.tasks[p.B], p.C, k.onEnd)
 	case sim.KindKernelWake:
 		t := k.tasks[p.A]
 		t.Sleeps++

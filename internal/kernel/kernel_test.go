@@ -27,7 +27,7 @@ func (nullMem) SubmitRead(r *mc.Request) bool   { return true }
 func (nullMem) WhenReadSpace(int, *mc.Request)  {}
 func (nullMem) SubmitWrite(r *mc.Request) bool  { return true }
 func (nullMem) WhenWriteSpace(int, *mc.Request) {}
-func (nullMem) Decode(addr uint64) dram.Coord   { return dram.Coord{} }
+func (nullMem) NewRequest(uint64) *mc.Request   { return new(mc.Request) }
 
 func rig(t *testing.T, cfg config.System, ncores int, planner refresh.SlotPlanner) (*Kernel, *sim.Engine) {
 	t.Helper()
@@ -234,8 +234,8 @@ func TestTranslateFaultsAndMaps(t *testing.T) {
 	if paddr2 != paddr+8 {
 		t.Fatalf("offsets inconsistent: %#x vs %#x", paddr, paddr2)
 	}
-	if task.AS.Resident() != 1 {
-		t.Fatalf("resident = %d", task.AS.Resident())
+	if task.AS.Faults() != 1 {
+		t.Fatalf("faults = %d", task.AS.Faults())
 	}
 }
 

@@ -326,7 +326,9 @@ func (s *RR) PickNext(cpu int, _ buddy.BankMask) *Entity {
 	s.stats.Picks++
 	s.skips.Add(0) // the baseline never passes a task over
 	e := q[0]
-	s.queues[cpu] = q[1:]
+	// Shift rather than reslice, so the queue keeps its capacity and
+	// Enqueue stops allocating.
+	s.queues[cpu] = append(q[:0], q[1:]...)
 	e.onRQ = false
 	return e
 }

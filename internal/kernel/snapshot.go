@@ -147,5 +147,5 @@ func (k *Kernel) SetState(st State) error {
 // restore path can re-install it on cores whose quantum was in flight
 // at checkpoint time.
 func (k *Kernel) QuantumEndHandler() func(*cpu.Core, sim.Time) {
-	return k.onQuantumEnd
+	return k.onEnd
 }

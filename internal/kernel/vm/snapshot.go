@@ -1,8 +1,8 @@
 package vm
 
 // State is the serializable state of an address space. The page table
-// is a plain vpn->pfn map: lookup behaviour depends only on membership,
-// never on iteration order, so a map round-trip is exact.
+// is stored as a vpn->pfn map of the resident pages: lookup behaviour
+// depends only on membership, so the round trip is exact.
 type State struct {
 	Pages        map[uint64]uint64
 	PerBankPages []uint64
@@ -11,9 +11,11 @@ type State struct {
 
 // State captures the address space for checkpointing.
 func (as *AddressSpace) State() State {
-	pages := make(map[uint64]uint64, len(as.pages))
-	for k, v := range as.pages {
-		pages[k] = v
+	pages := make(map[uint64]uint64, as.faults)
+	for vpn, f := range as.frames {
+		if f != 0 {
+			pages[uint64(vpn)] = uint64(f - 1)
+		}
 	}
 	per := make([]uint64, len(as.perBankPages))
 	copy(per, as.perBankPages)
@@ -23,9 +25,13 @@ func (as *AddressSpace) State() State {
 // SetState restores a captured state. The address space must have been
 // built with the same page size and mapper geometry.
 func (as *AddressSpace) SetState(st State) {
-	as.pages = make(map[uint64]uint64, len(st.Pages))
-	for k, v := range st.Pages {
-		as.pages[k] = v
+	var n uint64
+	for vpn := range st.Pages {
+		n = max(n, vpn+1)
+	}
+	as.frames = make([]uint32, n)
+	for vpn, pfn := range st.Pages {
+		as.frames[vpn] = uint32(pfn + 1)
 	}
 	copy(as.perBankPages, st.PerBankPages)
 	as.faults = st.Faults

@@ -1,29 +1,26 @@
 package vm
 
 import (
+	"errors"
 	"testing"
 
 	"refsched/internal/config"
 	"refsched/internal/dram"
-	"refsched/internal/kernel/buddy"
+	"refsched/internal/sim"
 )
 
-func rig(t *testing.T) (*AddressSpace, *buddy.PartitionAllocator, *dram.Mapper) {
+func rig(t *testing.T) (*AddressSpace, *dram.Mapper) {
 	t.Helper()
 	cfg := config.Default(config.Density8Gb, 1)
 	mapper, err := dram.NewMapper(cfg.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bud, err := buddy.New(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewAddressSpace(4096, mapper), buddy.NewPartitionAllocator(bud, mapper), mapper
+	return NewAddressSpace(4096, mapper), mapper
 }
 
 func TestLookupMapRoundTrip(t *testing.T) {
-	as, _, _ := rig(t)
+	as, _ := rig(t)
 	if _, ok := as.Lookup(0x12345); ok {
 		t.Fatal("unmapped lookup succeeded")
 	}
@@ -40,19 +37,19 @@ func TestLookupMapRoundTrip(t *testing.T) {
 	if !ok || got2 != 77<<12 {
 		t.Fatalf("offset lookup = %#x", got2)
 	}
-	if as.Resident() != 1 || as.Faults() != 1 {
-		t.Fatalf("resident=%d faults=%d", as.Resident(), as.Faults())
+	if as.Faults() != 1 {
+		t.Fatalf("faults=%d", as.Faults())
 	}
 }
 
 func TestBankAccounting(t *testing.T) {
-	as, _, mapper := rig(t)
+	as, mapper := rig(t)
 	// Map three pages on known banks.
 	as.Map(0x1000, 0) // pfn 0 -> bank 0
 	as.Map(0x2000, 1) // pfn 1 -> bank 1
 	as.Map(0x3000, 17)
 	b0 := mapper.PageGlobalBank(0)
-	if as.PagesOnBank(b0) == 0 {
+	if as.BankOccupancy(b0) == 0 {
 		t.Fatal("bank 0 occupancy not recorded")
 	}
 	sum := 0.0
@@ -64,33 +61,51 @@ func TestBankAccounting(t *testing.T) {
 	}
 }
 
-func TestReleaseAll(t *testing.T) {
-	as, alloc, _ := rig(t)
-	last := -1
-	for i := uint64(0); i < 50; i++ {
-		pfn, _, ok := alloc.AllocPageFor(0, &last)
-		if !ok {
-			t.Fatal("alloc failed")
+// TestStateRoundTrip checks that a restored page table translates
+// exactly as the captured one, including pages past the first fault's
+// vpn and below it.
+func TestStateRoundTrip(t *testing.T) {
+	as, mapper := rig(t)
+	vaddrs := []uint64{0x500000, 0x101000, 0x7ff000, 0x102000}
+	for i, v := range vaddrs {
+		as.Map(v, uint64(10+i))
+	}
+	back := NewAddressSpace(4096, mapper)
+	back.SetState(as.State())
+	for v := uint64(0); v < 0x900000; v += 0x1000 {
+		want, wantOK := as.Lookup(v + 8)
+		got, ok := back.Lookup(v + 8)
+		if got != want || ok != wantOK {
+			t.Fatalf("Lookup(%#x) = %#x,%v after restore, want %#x,%v", v+8, got, ok, want, wantOK)
 		}
-		as.Map(i*4096, pfn)
 	}
-	free := alloc.Buddy().NrFree()
-	as.ReleaseAll(alloc)
-	if as.Resident() != 0 {
-		t.Fatal("pages left resident")
-	}
-	if alloc.Buddy().NrFree() != free+50 {
-		t.Fatalf("frames not returned: %d -> %d", free, alloc.Buddy().NrFree())
-	}
-	for g := 0; g < 16; g++ {
-		if as.PagesOnBank(g) != 0 {
-			t.Fatalf("bank %d occupancy leaked", g)
-		}
+	if back.Faults() != 4 || back.BankOccupancy(mapper.PageGlobalBank(10)) != as.BankOccupancy(mapper.PageGlobalBank(10)) {
+		t.Fatal("restored accounting differs")
 	}
 }
 
+// TestMapBeyondReachFaults checks that a page past MaxPages fails the
+// run with a typed sim.Fault instead of growing the table.
+func TestMapBeyondReachFaults(t *testing.T) {
+	as, _ := rig(t)
+	defer func() {
+		f, ok := recover().(sim.Fault)
+		if !ok {
+			t.Fatalf("Map past the reach did not raise a sim.Fault")
+		}
+		var re *RangeError
+		if !errors.As(f, &re) || re.VAddr != 0x7fff00001234 {
+			t.Fatalf("fault = %v", f)
+		}
+		if len(as.frames) != 0 {
+			t.Fatalf("table grew to %d entries", len(as.frames))
+		}
+	}()
+	as.Map(0x7fff00001234, 1)
+}
+
 func TestEmptyOccupancy(t *testing.T) {
-	as, _, _ := rig(t)
+	as, _ := rig(t)
 	if as.BankOccupancy(0) != 0 {
 		t.Fatal("empty address space has nonzero occupancy")
 	}

@@ -83,6 +83,11 @@ type Controller struct {
 	readWaiters  []*Request
 	writeWaiters []*Request
 
+	// free holds issued requests for NewRequest to reuse. It is not
+	// checkpointed: NewRequest clears what it hands out, so which
+	// request it reuses makes no difference.
+	free []*Request
+
 	// tracer, when set, observes every accepted demand request
 	// (cycle, line address, write, task).
 	tracer func(cycle, addr uint64, write bool, task int)
@@ -146,6 +151,23 @@ func (c *Controller) SetTimeline(rec *timeline.Recorder, pid int32) {
 
 // Channel returns the managed DRAM channel.
 func (c *Controller) Channel() *dram.Channel { return c.ch }
+
+// NewRequest returns a cleared request for the line at addr, which
+// coord locates on this controller's channel. It reuses a request this
+// controller has issued when there is one, so a steady stream of
+// submissions allocates nothing.
+func (c *Controller) NewRequest(addr uint64, coord dram.Coord) *Request {
+	var r *Request
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+		*r = Request{}
+	} else {
+		r = new(Request)
+	}
+	r.Addr, r.Coord = addr, coord
+	return r
+}
 
 // CanAcceptRead reports whether the read queue has space.
 func (c *Controller) CanAcceptRead() bool { return len(c.readQ) < c.cfg.ReadQueue }
@@ -526,8 +548,6 @@ func (c *Controller) earliestRetry(now sim.Time) sim.Time {
 func (c *Controller) issue(r *Request, plan *dram.AccessPlan, q *[]*Request, idx int, now sim.Time) {
 	c.ch.Commit(r.Coord, *plan)
 	c.gen++
-	r.IssueAt = plan.Start
-	r.FinishAt = plan.DataEnd
 	if !r.Write {
 		c.trackOcc()
 		c.perBankQueued[r.Coord.GlobalBank(c.ch.BanksPerRank)]--
@@ -551,6 +571,7 @@ func (c *Controller) issue(r *Request, plan *dram.AccessPlan, q *[]*Request, idx
 		Kind: sim.KindMCComplete, A: uint64(c.ch.ID),
 		B: owner, C: r.Owner.Miss, D: r.Owner.Epoch,
 	})
+	c.free = append(c.free, r)
 	c.notifyWaiters()
 }
 

@@ -22,6 +22,9 @@ type rig struct {
 
 	onDone   map[uint64]func(finish sim.Time)
 	nextMiss uint64
+	// done records every completion event in execution order, owned or
+	// not, by its miss word.
+	done []completion
 	// fs holds the funcs a test schedules with at; a KindNone payload
 	// carries its index.
 	fs []func()
@@ -59,6 +62,7 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 		case pl.Kind == sim.KindNone:
 			r.fs[pl.A]()
 		case pl.Kind == sim.KindMCComplete:
+			r.done = append(r.done, completion{at: r.eng.Now(), miss: pl.C})
 			if pl.B != 0 {
 				if fn := r.onDone[pl.C]; fn != nil {
 					fn(r.eng.Now())
@@ -71,6 +75,12 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 		}
 	})
 	return r
+}
+
+// completion is one completion event the rig executed.
+type completion struct {
+	at   sim.Time
+	miss uint64
 }
 
 // at schedules fn as an event at absolute time t.
@@ -261,6 +271,56 @@ func TestRefreshStallAccounting(t *testing.T) {
 	}
 }
 
+// TestNewRequestReusesIssuedRequests checks that NewRequest hands out
+// the requests the controller has issued, and that a reused request
+// carries nothing from its last use: no stall mark, bypass count,
+// owner words, task or arrival time.
+func TestNewRequestReusesIssuedRequests(t *testing.T) {
+	r := newRig(t, config.RefreshAllBank)
+	issued := map[*Request]bool{}
+	submit := func(bank int, row uint64) *Request {
+		req := r.mc.NewRequest(row<<6, dram.Coord{Rank: 0, Bank: bank, Row: row})
+		req.TaskID = 3
+		req.Owner = Owner{Valid: true, Core: 1, Miss: r.miss(func(sim.Time) {}), Epoch: 7}
+		if !r.mc.SubmitRead(req) {
+			t.Fatal("read queue unexpectedly full")
+		}
+		issued[req] = true
+		return req
+	}
+	// Open row 1 of bank 0, then queue a conflict ahead of a row hit:
+	// the hit bypasses the conflict.
+	submit(0, 1)
+	r.eng.RunUntil(1000)
+	conflict := submit(0, 2)
+	submit(0, 1)
+	r.eng.RunUntil(2000)
+	if conflict.bypasses == 0 {
+		t.Fatal("the row hit did not bypass the conflict")
+	}
+	// A read that arrives while rank 0 refreshes is marked stalled.
+	interval := sim.Time(r.mc.Policy().Interval())
+	r.eng.RunUntil(interval + 1)
+	stalled := submit(1, 5)
+	r.eng.RunUntil(interval + sim.Time(r.tm.TRFCab) + 1000)
+	if r.mc.Stats.Reads != 4 || !stalled.RefreshStalled {
+		t.Fatalf("issued %d reads, stall mark %v; want 4, true", r.mc.Stats.Reads, stalled.RefreshStalled)
+	}
+	// Submissions reused requests issued before them, so fewer than four
+	// requests exist; every one of them is free again.
+	for i, n := 0, len(issued); i < n; i++ {
+		coord := dram.Coord{Rank: 1, Bank: i, Row: 9}
+		req := r.mc.NewRequest(0x1000+uint64(i), coord)
+		if !issued[req] {
+			t.Fatalf("NewRequest %d did not reuse one of the %d issued requests", i, len(issued))
+		}
+		delete(issued, req)
+		if want := (Request{Addr: 0x1000 + uint64(i), Coord: coord}); *req != want {
+			t.Fatalf("reused request = %+v, want %+v", *req, want)
+		}
+	}
+}
+
 func TestRefreshTicksKeepComing(t *testing.T) {
 	r := newRig(t, config.RefreshPerBankRR)
 	r.eng.RunUntil(sim.Time(r.tm.TREFIab * 2))
@@ -308,15 +368,9 @@ func TestLatencyStats(t *testing.T) {
 	r := newRig(t, config.RefreshNone)
 	r.read(t, 0, 0, 1)
 	r.runIdle()
-	want := float64(r.tm.TRCD + r.tm.TCL + r.tm.TBL)
-	if got := r.mc.Stats.AvgReadLatency(); got != want {
-		t.Fatalf("avg latency = %v, want %v", got, want)
-	}
-}
-
-func TestRequestLatencyHelper(t *testing.T) {
-	req := &Request{Arrive: 100, FinishAt: 350}
-	if req.Latency() != 250 {
-		t.Fatalf("Latency = %d", req.Latency())
+	s := r.mc.Stats
+	if s.Reads != 1 || s.ReadLatencySum != r.tm.TRCD+r.tm.TCL+r.tm.TBL || s.ReadQueueDelaySum != 0 {
+		t.Fatalf("reads %d, latency sum %d, queue delay sum %d; want 1, %d, 0",
+			s.Reads, s.ReadLatencySum, s.ReadQueueDelaySum, r.tm.TRCD+r.tm.TCL+r.tm.TBL)
 	}
 }

@@ -71,9 +71,10 @@ func (p *grantingPauser) PausePenalty() uint64 {
 // TestIssueEngineMatchesRescan drives the controller and the reference
 // engine that rescans on every try-issue event (rescan_test.go) through
 // the same seeded request streams, and requires the same schedule:
-// every request's issue and finish cycle and stall mark, and at the end
-// the controller and policy stats, every bank's stats, the number of
-// engine events and the checkpointable controller state.
+// every completion event's cycle, in order, and every request's stall
+// mark, and at the end the controller and policy stats (whose sums
+// cover every issue cycle), every bank's stats, the number of engine
+// events and the checkpointable controller state.
 func TestIssueEngineMatchesRescan(t *testing.T) {
 	for _, tc := range issueDiffCases {
 		tc := tc
@@ -133,7 +134,11 @@ func (r *rig) evaluate() {
 // every request has finished: bursts of reads and writes to three
 // banks, arriving faster than the banks serve them so queues fill and
 // back-pressure waiters form (up to a bounded backlog), separated by
-// idle gaps. It returns every request in submission order.
+// idle gaps. It returns every request in submission order. Each
+// request's Owner.Miss is its 1-based submission index (a write's Owner
+// is not Valid), so completion events name the request they finish.
+// The requests are built here rather than by NewRequest, so the
+// controller never reuses them and their stall marks stay readable.
 //
 // A stale try-issue event that lands on the cycle of a submission or a
 // refresh tick is rare, so drive also evaluates directly just before
@@ -168,13 +173,14 @@ func (r *rig) drive(seed int64) []*Request {
 				Row: uint64(rng.Intn(16)),
 			}}
 			reqs = append(reqs, req)
+			req.Owner.Miss = uint64(len(reqs))
 			if writes || rng.Intn(4) == 0 {
 				if !r.mc.SubmitWrite(req) {
 					r.mc.WhenWriteSpace(req)
 				}
 				continue
 			}
-			req.Owner = Owner{Valid: true, Miss: uint64(len(reqs))}
+			req.Owner.Valid = true
 			if !r.mc.SubmitRead(req) {
 				r.mc.WhenReadSpace(req)
 			}
@@ -210,6 +216,8 @@ func (r *rig) drive(seed int64) []*Request {
 	for i := 0; i < 100 && r.mc.ReadQueueLen()+r.mc.WriteQueueLen()+len(r.mc.readWaiters)+len(r.mc.writeWaiters) > 0; i++ {
 		r.eng.RunUntil(r.eng.Now() + sim.Time(r.tm.TREFIab))
 	}
+	// The last issued requests' completion events are still pending.
+	r.eng.RunUntil(r.eng.Now() + sim.Time(r.tm.TREFIab))
 	return reqs
 }
 
@@ -218,14 +226,25 @@ func compareIssueRuns(t *testing.T, seed int64, want, got *rig, wantReqs, gotReq
 	if len(wantReqs) != len(gotReqs) {
 		t.Fatalf("seed %d: %d requests submitted, reference %d", seed, len(gotReqs), len(wantReqs))
 	}
-	for i, w := range wantReqs {
-		g := gotReqs[i]
-		if w.FinishAt == 0 {
-			t.Fatalf("seed %d: reference request %d never finished", seed, i)
+	if len(want.done) != len(wantReqs) {
+		t.Fatalf("seed %d: reference completed %d of %d requests", seed, len(want.done), len(wantReqs))
+	}
+	for i, w := range want.done {
+		if i >= len(got.done) || got.done[i] != w {
+			var g completion
+			if i < len(got.done) {
+				g = got.done[i]
+			}
+			t.Fatalf("seed %d: completion %d finished request %d at %d; reference request %d at %d",
+				seed, i, g.miss, g.at, w.miss, w.at)
 		}
-		if g.IssueAt != w.IssueAt || g.FinishAt != w.FinishAt || g.RefreshStalled != w.RefreshStalled {
-			t.Fatalf("seed %d: request %d issued %d, finished %d, stalled %v; reference %d, %d, %v",
-				seed, i, g.IssueAt, g.FinishAt, g.RefreshStalled, w.IssueAt, w.FinishAt, w.RefreshStalled)
+	}
+	if len(got.done) != len(want.done) {
+		t.Fatalf("seed %d: %d completions, reference %d", seed, len(got.done), len(want.done))
+	}
+	for i, w := range wantReqs {
+		if g := gotReqs[i]; g.RefreshStalled != w.RefreshStalled {
+			t.Fatalf("seed %d: request %d stalled %v, reference %v", seed, i, g.RefreshStalled, w.RefreshStalled)
 		}
 	}
 	if got.mc.Stats != want.mc.Stats {

@@ -14,6 +14,9 @@ import (
 )
 
 // Request is one memory transaction (a 64-byte line read or write).
+// Once a controller has issued a request it reuses it for a later one
+// (see Controller.NewRequest): nothing may hold a request past its
+// issue. Its completion event carries the Owner words instead.
 type Request struct {
 	Addr  uint64
 	Coord dram.Coord
@@ -24,9 +27,6 @@ type Request struct {
 
 	// Arrive is when the request entered the controller queue.
 	Arrive sim.Time
-	// IssueAt / FinishAt are filled in by the controller.
-	IssueAt  sim.Time
-	FinishAt sim.Time
 	// RefreshStalled is set if the request ever waited on a
 	// refresh-busy bank.
 	RefreshStalled bool
@@ -50,9 +50,6 @@ type Owner struct {
 	Miss  uint64
 	Epoch uint64
 }
-
-// Latency returns the queue-to-data latency in cycles.
-func (r *Request) Latency() uint64 { return uint64(r.FinishAt - r.Arrive) }
 
 // Stats aggregates controller-level counters.
 type Stats struct {
@@ -79,12 +76,4 @@ type Stats struct {
 	// queue (back-pressure events).
 	QueueFullReadStalls  uint64
 	QueueFullWriteStalls uint64
-}
-
-// AvgReadLatency returns mean read latency in cycles.
-func (s *Stats) AvgReadLatency() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadLatencySum) / float64(s.Reads)
 }

@@ -15,8 +15,6 @@ type RequestState struct {
 	Write          bool
 	TaskID         int
 	Arrive         sim.Time
-	IssueAt        sim.Time
-	FinishAt       sim.Time
 	RefreshStalled bool
 	Owner          Owner
 	Bypasses       int
@@ -56,8 +54,7 @@ func packRequests(reqs []*Request) []RequestState {
 	for i, r := range reqs {
 		out[i] = RequestState{
 			Addr: r.Addr, Coord: r.Coord, Write: r.Write, TaskID: r.TaskID,
-			Arrive: r.Arrive, IssueAt: r.IssueAt, FinishAt: r.FinishAt,
-			RefreshStalled: r.RefreshStalled, Owner: r.Owner,
+			Arrive: r.Arrive, RefreshStalled: r.RefreshStalled, Owner: r.Owner,
 			Bypasses: r.bypasses,
 		}
 	}
@@ -69,8 +66,7 @@ func unpackRequests(sts []RequestState) []*Request {
 	for i, st := range sts {
 		out[i] = &Request{
 			Addr: st.Addr, Coord: st.Coord, Write: st.Write, TaskID: st.TaskID,
-			Arrive: st.Arrive, IssueAt: st.IssueAt, FinishAt: st.FinishAt,
-			RefreshStalled: st.RefreshStalled, Owner: st.Owner,
+			Arrive: st.Arrive, RefreshStalled: st.RefreshStalled, Owner: st.Owner,
 			bypasses: st.Bypasses,
 		}
 	}

@@ -115,8 +115,8 @@ func (s *Server) execute(j *job) {
 		if body, ok := s.cache.Get(j.key); ok {
 			s.cacheHits.Add(1)
 			j.tl.Instant(tlPidService, tlTidJob, "cache-hit", j.sinceUS())
-			s.finishJob(j, JobDone, body, nil, nil, true)
 			s.observeLatency(j.figure, time.Since(t0))
+			s.finishJob(j, JobDone, body, nil, nil, true)
 			return
 		}
 	}
@@ -130,8 +130,8 @@ func (s *Server) execute(j *job) {
 			j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
 				Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidJob,
 				Name: "remote-cache-hit", StrName: "peer", Str: peer})
-			s.finishJob(j, JobDone, body, nil, nil, true)
 			s.observeLatency(j.figure, time.Since(t0))
+			s.finishJob(j, JobDone, body, nil, nil, true)
 			return
 		}
 	}
@@ -196,18 +196,14 @@ func (s *Server) execute(j *job) {
 		Pid: tlPidService, Tid: tlTidJob, Name: "run " + j.figure,
 		Arg1Name: "quarantined", Arg1: int64(len(failures)),
 		StrName: "req", Str: j.reqID})
-	switch {
-	case j.killed() != nil:
-		// The watchdog's verdict wins the classification: whatever error
-		// the cancellation produced downstream, the story is the kill.
-		s.finishJob(j, JobFailed, nil, failures, j.killed(), false)
-	case (err != nil || len(failures) > 0) && j.preemptRequested() && !j.pastDeadline():
+	killed := j.killed()
+	if killed == nil && (err != nil || len(failures) > 0) && j.preemptRequested() && !j.pastDeadline() {
 		// A preemption request landed and the run unwound (cells abort
 		// with errPreempted at their next boundary; the soft cancel skips
 		// the rest). The job is not finished — its snapshots are in the
 		// store, so it goes back on the queue and resumes from them. If
 		// the run beat the request to completion (err and failures both
-		// clean), the preemption was a no-op and the later cases classify
+		// clean), the preemption was a no-op and the cases below classify
 		// the finished result as usual.
 		s.preemptions.Add(1)
 		j.tl.Instant(tlPidService, tlTidJob, "preempted", j.sinceUS())
@@ -216,6 +212,15 @@ func (s *Server) execute(j *job) {
 			"job", j.id, "figure", j.figure,
 			"duration_ms", float64(time.Since(t0).Microseconds())/1000)
 		return
+	}
+	// The latency sample lands before finishJob wakes the job's
+	// waiters, so a /statsz read right after the response counts it.
+	s.observeLatency(j.figure, time.Since(t0))
+	switch {
+	case killed != nil:
+		// The watchdog's verdict wins the classification: whatever error
+		// the cancellation produced downstream, the story is the kill.
+		s.finishJob(j, JobFailed, nil, failures, killed, false)
 	case (err != nil || len(failures) > 0) && j.pastDeadline():
 		// The deadline elapsed mid-run and the cancellation unwound the
 		// sweep — either as a batch-level error or as per-cell failures
@@ -237,7 +242,6 @@ func (s *Server) execute(j *job) {
 		s.cachePut(j.key, body)
 		s.finishJob(j, JobDone, body, nil, nil, false)
 	}
-	s.observeLatency(j.figure, time.Since(t0))
 	st := j.snapshot()
 	s.log.Info("job finished",
 		"job", j.id, "figure", j.figure, "state", st.State,
