@@ -42,21 +42,24 @@ staticcheck:
 # vet, staticcheck, the short test suite, every golden figure (-short
 # skips six of the eight, among them the deep-queue fig4, the adaptive
 # and OOO fig14 and the pausing and subarray ext1; all eight take ~5 s)
-# rendered plainly and again after every exact cell was preempted at
-# its second checkpoint boundary and resumed (~15 s),
+# rendered plainly, again from its memo alone, and again after every
+# exact cell was preempted at its second checkpoint boundary and
+# resumed (~5 s),
 # then the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via
 # TestEngineScheduleIsAllocationFree — and the serving daemon) and over
-# the harness's CellStore tests (the store a sweep's workers share; the
-# whole harness suite is too slow for the race list) and over core's
+# the harness's CellStore tests (the store and result memo a sweep's
+# workers share; the whole harness suite is too slow for the race list) and over core's
 # checkpoint/resume contract tests (a 32 Gb cell; its snapshots stay
 # small because the page allocator stores only the memory a cell
 # touched), the daemon smoke
 # drill (the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0)
 # with its durability twin (SIGKILL after a sweep, then a warm restart
-# on the same -journal answers it as a hit with zero simulations), the
+# on the same -journal answers it as a hit with zero simulations) and
+# its one-file twin (a daemon warmed from an experiments -journal log
+# serves that run's fig10 bytes without simulating a cell), the
 # on-disk checkpoint drill (checkpoint-smoke, ~2 s), the cross-figure
 # reuse drill (reuse-smoke, a few seconds), the kill-and-resume drill
 # (resume-smoke, a few seconds), and finally the refbench
@@ -73,7 +76,7 @@ ci:
 	$(GO) test -race -timeout 10m ./internal/runner/ ./internal/chaos/ ./internal/journal/ ./internal/sim/ ./internal/service/ ./internal/timeline/ ./internal/cluster/ ./cmd/refload/
 	$(GO) test -race -count=1 -run 'TestCellStore' ./internal/harness/
 	$(GO) test -race -count=1 -run 'TestCheckpointResumeByteIdentical|TestResumeWithFurtherCheckpoints' ./internal/core/
-	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart' ./cmd/refschedd/
+	$(GO) test -count=1 -run 'TestDaemonSmoke|TestDaemonKillWarmRestart|TestCLIJournalWarmsDaemon' ./cmd/refschedd/
 	$(MAKE) checkpoint-smoke
 	$(MAKE) reuse-smoke
 	$(MAKE) resume-smoke

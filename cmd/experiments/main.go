@@ -20,15 +20,15 @@
 // Failure semantics are those of a real job scheduler. A failing or
 // panicking cell is quarantined into the figure's failure-summary table
 // and the rest of the sweep completes (the process then exits 3). With
-// -journal FILE the run's cell store keeps every cell it computes in
-// FILE, appended and fsynced as the cell finishes, and answers the
-// cells already on record there — after a crash or Ctrl-C, rerunning
-// with the same -journal finishes the remainder and renders output
-// byte-identical to an uninterrupted run. What opening FILE dropped (a
-// torn final record, or the entries of a file in another format) is
-// reported in one line on stderr. SIGINT cancels gracefully: in-flight
-// cells finish and are recorded, the rest are skipped. The -chaos-*
-// flags deterministically inject faults for failure drills.
+// -journal FILE the run's result memo is kept in FILE: every cell the
+// run computes is appended and fsynced as it finishes, and the cells on
+// record there are answered from it — after a crash or Ctrl-C,
+// rerunning with the same -journal finishes the remainder and renders
+// output byte-identical to an uninterrupted run. What opening FILE
+// dropped is reported in one line on stderr; a failed append names FILE
+// there and exits 3 after the figures. SIGINT cancels gracefully:
+// in-flight cells finish and are recorded, the rest are skipped. The
+// -chaos-* flags deterministically inject faults for failure drills.
 package main
 
 import (
@@ -91,8 +91,9 @@ func main() {
 	p.Mode = *mode
 	p.Verbose = *verbose
 	p.Parallelism = *jobs
+	var memo *harness.Memo
 	if *journalPath != "" {
-		store, dropped, err := harness.OpenCellStore(*journalPath)
+		m, dropped, err := harness.OpenMemo(*journalPath, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
@@ -100,7 +101,8 @@ func main() {
 		if d := dropped.String(); d != "" {
 			fmt.Fprintf(os.Stderr, "experiments: %s: dropped %s\n", *journalPath, d)
 		}
-		p.Store = store
+		memo = m
+		p.Store = &harness.CellStore{Memo: memo}
 	}
 	if *chaosFrac > 0 {
 		mode, err := chaos.ParseMode(*chaosMode)
@@ -164,6 +166,12 @@ func main() {
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Second))
 	if quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d cell(s) quarantined; see the failure-summary tables above\n", quarantined)
+	}
+	if memo != nil && memo.Err() != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v; later cells are not on record\n", memo.Err())
+		os.Exit(3)
+	}
+	if quarantined > 0 {
 		os.Exit(3)
 	}
 }

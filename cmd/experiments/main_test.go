@@ -73,3 +73,37 @@ func TestJournalDropsAreReported(t *testing.T) {
 		t.Fatalf("over an earlier format, stdout differs from a clean run:\n%s\nclean:\n%s", stdout, clean)
 	}
 }
+
+// TestJournalFailedAppendExits3: a -journal FILE the run cannot append
+// to stops the journaling, not the run. The figures print as a clean
+// run prints them, stderr names FILE, and the process exits 3.
+func TestJournalFailedAppendExits3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the experiments binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-quick", "-mixes", "WL-6", "-scale", "1024", "-windows", "1", "fig12"}
+	clean, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "missing-dir", "cells.json")
+	cmd := exec.Command(bin, append([]string{"-journal", log}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
+		t.Fatalf("exit %v, want 3\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), log) {
+		t.Fatalf("stderr does not name %s:\n%s", log, stderr.String())
+	}
+	body := func(b []byte) string { s, _, _ := strings.Cut(string(b), "total:"); return s }
+	if body(out) != body(clean) {
+		t.Fatalf("stdout differs from a clean run:\n%s\nclean:\n%s", out, clean)
+	}
+}

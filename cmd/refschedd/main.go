@@ -2,7 +2,8 @@
 // daemon: simulation-as-a-service over HTTP/JSON on top of the same
 // harness the batch CLIs use, with a bounded prioritized job queue,
 // single-flight dedup of identical in-flight requests, and a
-// byte-budget LRU result cache keyed by the parameter fingerprint.
+// byte-budget LRU result memo keyed by the parameter fingerprint, which
+// every job asks for its cells before it simulates any.
 //
 // API:
 //
@@ -45,7 +46,9 @@
 // -job-wal makes acknowledged jobs crash durable: a SIGKILLed daemon
 // replays them on restart under their original ids.
 //
-// -journal appends every result to a file as it is cached, so the next
+// -journal appends every result to a file, fsynced, as it is kept —
+// each simulated cell as well as each rendered figure, in the format of
+// experiments -journal, whose logs warm the daemon too — so the next
 // start, after a drain or a SIGKILL, serves it instantly. SIGINT and
 // SIGTERM drain: in-flight jobs get -drain to finish before they are
 // aborted, then the journal is compacted to one JSON object. What
@@ -97,7 +100,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "jobs executing concurrently (0 = default 2)")
 		queueDepth = flag.Int("queue-depth", 0, "queued-job bound before 429 (0 = default 64)")
 		cacheMB    = flag.Int64("cache-mb", 0, "result cache budget in MiB (0 = default 64)")
-		journal    = flag.String("journal", "", "append every cached result here and warm from it on start; compacted on shutdown")
+		journal    = flag.String("journal", "", "append every result here, fsynced, and warm from it on start; compacted on shutdown")
 		jobWAL     = flag.String("job-wal", "", "acknowledged-job write-ahead log; accepted jobs survive a crash and replay on restart")
 		drain      = flag.Duration("drain", 0, "how long shutdown waits for in-flight jobs (0 = default 30s)")
 

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"refsched/internal/metrics"
 )
 
 // TestDaemonSmoke is the end-to-end drill `make ci` runs: build the
@@ -152,6 +154,79 @@ func TestDaemonKillWarmRestart(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("drained journal's %d entries lack the fig10 body", len(stored.Entries))
+	}
+}
+
+// TestCLIJournalWarmsDaemon: experiments -journal and refschedd
+// -journal keep one kind of file. A log an experiments fig10 run wrote
+// warms a daemon started on it with the same preset: GET fig10 returns
+// the CLI's bytes, and the daemon simulates none of its cells.
+func TestCLIJournalWarmsDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the experiments and daemon binaries")
+	}
+	dir := t.TempDir()
+	cliBin, daemonBin := filepath.Join(dir, "experiments"), filepath.Join(dir, "refschedd")
+	for bin, pkg := range map[string]string{cliBin: "../experiments", daemonBin: "."} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	preset := []string{"-quick", "-scale", "4096", "-mixes", "WL-6", "-windows", "1"}
+	journal := filepath.Join(dir, "results.json")
+	cmd := exec.Command(cliBin, append(append([]string{}, preset...), "-journal", journal, "fig10")...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("experiments: %v", err)
+	}
+	cli, _, _ := strings.Cut(string(out), "total:")
+
+	portFile := filepath.Join(dir, "port")
+	daemon := exec.Command(daemonBin, append(preset, "-addr", "127.0.0.1:0", "-port-file", portFile, "-journal", journal)...)
+	daemon.Stderr = os.Stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	defer daemon.Process.Kill()
+	base := waitReady(t, portFile, exited)
+
+	if got := getFigure(t, base, "fig10", "miss"); got != cli {
+		t.Fatalf("the daemon's fig10 differs from the CLI's:\n%s\nCLI:\n%s", got, cli)
+	}
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParsePrometheusText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, sm := range samples {
+		if sm.Name == "refschedd_figure_cells" && sm.Labels["figure"] == "fig10" {
+			found = true
+			if sm.Value != 0 {
+				t.Fatalf("the daemon simulated %v of fig10's cells, want 0", sm.Value)
+			}
+		}
+	}
+	if !found {
+		t.Fatal(`/metricsz has no refschedd_figure_cells{figure="fig10"} sample`)
+	}
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon exited non-zero after SIGTERM: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
 	}
 }
 

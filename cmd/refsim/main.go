@@ -16,11 +16,12 @@
 // complete, exit 3). -metrics FILE writes the full cumulative metrics
 // hierarchy (per-bank, per-controller, per-task counters) of every
 // completed run as JSON keyed "slot|mix". -journal FILE keeps each
-// completed run in FILE (appended and fsynced) and answers the runs
-// already recorded there, so rerunning an interrupted multi-mix
-// invocation with the same -journal finishes it with identical output;
-// what opening FILE dropped is reported in one line on stderr. SIGINT
-// cancels gracefully: in-flight runs finish and are recorded.
+// completed run in FILE (fsynced, as experiments -journal does) and
+// answers the runs already recorded there, so rerunning an interrupted
+// multi-mix invocation with the same -journal finishes it with
+// identical output; what opening FILE dropped is reported on stderr,
+// and a failed append names FILE there and exits 3. SIGINT cancels
+// gracefully: in-flight runs finish and are recorded.
 package main
 
 import (
@@ -115,16 +116,16 @@ func main() {
 	// followed by the run's slot and mix (runs may repeat a mix).
 	// v4: the mode knob landed; approx and exact runs must never answer
 	// each other.
-	var store *harness.CellStore
+	var memo *harness.Memo
 	if *journalPath != "" {
-		s, dropped, err := harness.OpenCellStore(*journalPath)
+		m, dropped, err := harness.OpenMemo(*journalPath, 0)
 		if err != nil {
 			fatal(err)
 		}
 		if d := dropped.String(); d != "" {
 			fmt.Fprintf(os.Stderr, "refsim: %s: dropped %s\n", *journalPath, d)
 		}
-		store = s
+		memo = m
 	}
 	fp := fmt.Sprintf("v4 mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
 		*mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
@@ -198,10 +199,10 @@ func main() {
 			}
 			return rep, err
 		}
-		if store != nil {
+		if memo != nil {
 			key := fmt.Sprintf("%s|%d|%s", fp, i, mixes[i].Name)
 			compute := run
-			run = func() (*refsched.Report, error) { return store.Answer(key, compute) }
+			run = func() (*refsched.Report, error) { return memo.Answer(key, compute) }
 		}
 		runJobs[i] = runner.Job[*refsched.Report]{
 			Cell: runner.Cell{Mix: mixes[i].Name, Density: fmt.Sprintf("%dGb", *density), Bundle: *policy, Seed: *seed},
@@ -210,7 +211,7 @@ func main() {
 	}
 	batch, err := runner.RunBatch(ctx, runJobs, runner.Options[*refsched.Report]{Parallelism: *jobs})
 	if err != nil {
-		if errors.Is(err, context.Canceled) && store != nil {
+		if errors.Is(err, context.Canceled) && memo != nil {
 			fmt.Fprintf(os.Stderr, "refsim: interrupted; completed runs are recorded in %s — rerun with the same -journal to finish\n", *journalPath)
 			os.Exit(130)
 		}
@@ -226,10 +227,14 @@ func main() {
 			fatal(err)
 		}
 	}
+	for _, ce := range batch.Failed {
+		fmt.Fprintf(os.Stderr, "refsim: quarantined: %v\n", ce)
+	}
+	if memo != nil && memo.Err() != nil {
+		fmt.Fprintf(os.Stderr, "refsim: %v; later runs are not on record\n", memo.Err())
+		os.Exit(3)
+	}
 	if len(batch.Failed) > 0 {
-		for _, ce := range batch.Failed {
-			fmt.Fprintf(os.Stderr, "refsim: quarantined: %v\n", ce)
-		}
 		os.Exit(3)
 	}
 }

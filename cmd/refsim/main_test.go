@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"refsched/internal/metrics"
@@ -77,5 +79,38 @@ func TestMetricsDump(t *testing.T) {
 	if back.Counter("engine.events") != snap.Counter("engine.events") ||
 		len(back.Counters) != len(snap.Counters) {
 		t.Fatal("snapshot does not round-trip")
+	}
+}
+
+// TestJournalFailedAppendExits3: a -journal FILE refsim cannot append
+// to stops the journaling, not the run. The report prints as a clean
+// run prints it, stderr names FILE, and the process exits 3.
+func TestJournalFailedAppendExits3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the refsim binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "refsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-mix", "WL-6", "-scale", "4096", "-measure", "1", "-footprint-scale", "0.01"}
+	clean, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "missing-dir", "runs.json")
+	cmd := exec.Command(bin, append([]string{"-journal", log}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
+		t.Fatalf("exit %v, want 3\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), log) {
+		t.Fatalf("stderr does not name %s:\n%s", log, stderr.String())
+	}
+	if !bytes.Equal(out, clean) {
+		t.Fatalf("stdout differs from a clean run:\n%s\nclean:\n%s", out, clean)
 	}
 }

@@ -72,11 +72,13 @@ type CellObserver func(CellEvent)
 // failures and overflow beyond remote capacity — run locally through
 // the job's own Run.
 //
-// The merge is byte-identical to a local run: a remote cell returns its
+// RunCells sees only the cells the coordinator's memo could not
+// answer; a peer answers a cell from its own memo when it holds it. The
+// merge is byte-identical to a local run: a remote cell returns its
 // core.Report as JSON, which round-trips float64 exactly (the same
-// invariant a logged CellStore relies on), and results land at their
-// submission index like any RunBatch. Determinism is preserved because
-// a dispatched cell is re-created from its coordinates with the
+// invariant the harness's result memo relies on), and results land at
+// their submission index like any RunBatch. Determinism is preserved
+// because a dispatched cell is re-created from its coordinates with the
 // identical seed, and a failed dispatch falls back to the identical
 // local closure.
 //

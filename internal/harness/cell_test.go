@@ -117,14 +117,23 @@ func TestCellRejectsBadAddresses(t *testing.T) {
 	}
 }
 
+// countRuns returns a CellRunner that adds the number of cells each
+// sweep hands it to *ran: the cells its memo could not answer.
+func countRuns(ran *int) CellRunner {
+	return func(ctx context.Context, _ string, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
+		*ran += len(jobs)
+		return runner.RunBatch(ctx, jobs, opts)
+	}
+}
+
 // TestCellStoreResumesPreemptedCell walks one cell of each kind a
 // figure runs — a policy bundle, a bank-confined fig4 cell, an ext1
 // comparator and its subarray-level refresh, and fig15 machines —
 // through the store's three outcomes: a run preempted at its second
 // checkpoint boundary leaves its snapshot under the spec's Key; the
 // next run resumes that snapshot to a report byte-identical to an
-// undisturbed run; a third run is answered from the stored report
-// without simulating.
+// undisturbed run; a third run is answered from the memo without
+// computing.
 func TestCellStoreResumesPreemptedCell(t *testing.T) {
 	for _, bundle := range []string{
 		"codesign", "confine1", "pausing", "perbank-salp8",
@@ -134,6 +143,7 @@ func TestCellStoreResumesPreemptedCell(t *testing.T) {
 		t.Run(bundle, func(t *testing.T) {
 			p := tinyParams()
 			p.Parallelism = 1
+			p.Store = &CellStore{}
 			ref, err := RunCell(p, "WL-6", "32Gb", bundle, false)
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +155,8 @@ func TestCellStoreResumesPreemptedCell(t *testing.T) {
 
 			errPreempt := errors.New("preempted")
 			var resumes atomic.Uint64
-			boundaries := 0
+			boundaries, ran := 0, 0
+			p.CellRunner = countRuns(&ran)
 			p.Store = &CellStore{Resumes: &resumes, Preempt: func() error {
 				if boundaries++; boundaries == 2 {
 					return errPreempt
@@ -184,18 +195,23 @@ func TestCellStoreResumesPreemptedCell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again != rep || boundaries != polled {
-				t.Fatal("third run simulated instead of returning the stored report")
+			if ran != 2 || boundaries != polled {
+				t.Fatalf("third run computed instead of answering from the memo (%d runs)", ran)
+			}
+			if got, _ := json.Marshal(again); string(got) != string(want) {
+				t.Fatal("the memo answered with a different report")
 			}
 		})
 	}
 }
 
-// TestCellStoreConcurrentUse drives one store from several goroutines
-// at once, as a sweep's workers do.
+// TestCellStoreConcurrentUse drives one store and its journaled memo
+// from several goroutines at once, as a daemon's concurrent jobs do.
 func TestCellStoreConcurrentUse(t *testing.T) {
 	var resumes atomic.Uint64
-	store := &CellStore{Resumes: &resumes}
+	path := filepath.Join(t.TempDir(), "results.json")
+	store := openStore(t, path)
+	store.Resumes = &resumes
 	const workers, rounds = 8, 100
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -207,9 +223,12 @@ func TestCellStoreConcurrentUse(t *testing.T) {
 				if store.TakeSnapshot(key) == nil {
 					t.Errorf("%s: saved snapshot not found", key)
 				}
-				store.finish(key, &core.Report{})
-				if store.report(key) == nil {
-					t.Errorf("%s: finished report not found", key)
+				if i%10 != 0 {
+					continue // an fsync per Put: ten per worker suffice
+				}
+				store.memo().Put(key, ReportBody(&core.Report{Events: uint64(i)}))
+				if rep := store.memo().report(key); rep == nil || rep.Events != uint64(i) {
+					t.Errorf("%s: recorded report not found", key)
 				}
 			}
 		}(fmt.Sprint("cell", g))
@@ -218,6 +237,12 @@ func TestCellStoreConcurrentUse(t *testing.T) {
 	if got := resumes.Load(); got != workers*rounds {
 		t.Fatalf("resumes = %d, want %d", got, workers*rounds)
 	}
+	if err := store.Memo.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := loggedCells(t, path); n != workers {
+		t.Fatalf("the log holds %d results, want %d", n, workers)
+	}
 }
 
 // resetProcessStore empties the process-wide store, so a test starts
@@ -225,61 +250,56 @@ func TestCellStoreConcurrentUse(t *testing.T) {
 func resetProcessStore() {
 	processStore.mu.Lock()
 	defer processStore.mu.Unlock()
-	processStore.snaps, processStore.reports, processStore.order = nil, nil, nil
+	processStore.snaps, processStore.Memo = nil, nil
 }
 
 // TestCellStoreReusesCellsAcrossFigures: sweeps run without a Store
 // share the process-wide one, so a figure reuses the cells an earlier
 // figure simulated. Fig10's all-bank and per-bank cells are Fig3's
-// 64 ms cells: they come back as the very reports Fig3 got, Fig10's
-// co-design cells are simulated, and Fig10 and Fig11 render the bytes
-// of a run under a store of its own.
+// 64 ms cells: they are answered from the memo without reaching the
+// CellRunner, only Fig10's co-design cells are simulated, and Fig10 and
+// Fig11 render the bytes of a run under a store of its own.
 func TestCellStoreReusesCellsAcrossFigures(t *testing.T) {
 	resetProcessStore()
 	t.Cleanup(resetProcessStore)
 	p := tinyParams()
-	got := map[string]map[string]*core.Report{} // figure → cell key → report
+	got := map[string]map[string]bool{} // figure → keys of the cells it ran
 	p.CellRunner = func(ctx context.Context, figID string, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
-		got[figID] = map[string]*core.Report{}
-		opts.OnDone = func(_ int, c runner.Cell, rep *core.Report) { got[figID][p.Spec(c).Key()] = rep }
+		got[figID] = map[string]bool{}
+		for _, j := range jobs {
+			got[figID][p.Spec(j.Cell).Key()] = true
+		}
 		return runner.RunBatch(ctx, jobs, opts)
 	}
 	if _, err := Fig3(p); err != nil {
 		t.Fatal(err)
 	}
-	stored := len(processStore.reports)
+	stored := processStore.memo().Stats().Entries
 	if stored != len(got["fig3"]) {
-		t.Fatalf("the store holds %d reports after fig3's %d cells", stored, len(got["fig3"]))
+		t.Fatalf("the memo holds %d results after fig3's %d cells", stored, len(got["fig3"]))
 	}
 	r10, r11, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	fig3Reports := map[*core.Report]bool{}
-	for _, rep := range got["fig3"] {
-		fig3Reports[rep] = true
-	}
-	shared, fresh := 0, 0
-	for key, rep := range got["fig10"] {
-		if prev, ok := got["fig3"][key]; ok {
+	shared := 0
+	for _, key := range fig10Keys(p) {
+		switch {
+		case got["fig3"][key] && got["fig10"][key]:
+			t.Errorf("%s: fig10 simulated a cell fig3 already ran", key)
+		case got["fig3"][key]:
 			shared++
-			if rep != prev {
-				t.Errorf("%s: fig10 simulated a cell fig3 already ran", key)
-			}
-			continue
-		}
-		fresh++
-		if fig3Reports[rep] {
-			t.Errorf("%s: fig10 was answered with a report of another cell", key)
+		case !got["fig10"][key]:
+			t.Errorf("%s: fig10 neither simulated the cell nor had it from fig3", key)
 		}
 	}
 	// WL-6 × {16, 24, 32 Gb} × {allbank, perbank} shared; × codesign fresh.
-	if shared != 6 || fresh != 3 {
+	if fresh := len(got["fig10"]); shared != 6 || fresh != 3 {
 		t.Fatalf("fig10 shared %d cells with fig3 and ran %d fresh, want 6 and 3", shared, fresh)
 	}
-	if n := len(processStore.reports); n != stored+fresh {
-		t.Fatalf("the store holds %d reports after fig10, want %d", n, stored+fresh)
+	if n := processStore.memo().Stats().Entries; n != stored+3 {
+		t.Fatalf("the memo holds %d results after fig10, want %d", n, stored+3)
 	}
 
 	own := tinyParams()
@@ -293,72 +313,62 @@ func TestCellStoreReusesCellsAcrossFigures(t *testing.T) {
 	}
 }
 
-// TestCellStoreDropsOldestPastCap: the store keeps maxStoredReports
-// finished reports. One more drops the oldest, whose cell the next run
-// simulates again to the same bytes, and every other report is still
-// answered.
+// TestCellStoreDropsOldestPastCap: a store's memo keeps the reports
+// that fit its byte budget. One result more drops the least recently
+// used, whose cell the next run simulates again to the same bytes,
+// while a cell still held is answered without computing.
 func TestCellStoreDropsOldestPastCap(t *testing.T) {
-	resetProcessStore()
-	t.Cleanup(resetProcessStore)
 	p := tinyParams()
-	oldest, err := RunCell(p, "WL-6", "32Gb", "allbank", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := RunCell(p, "WL-6", "32Gb", "perbank", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filler := make([]*core.Report, maxStoredReports-1)
-	for i := range filler[:len(filler)-1] {
-		filler[i] = &core.Report{}
-		processStore.finish(fmt.Sprint("filler", i), filler[i])
-	}
-
-	// At the cap the oldest report is still held.
-	if n := len(processStore.reports); n != maxStoredReports {
-		t.Fatalf("the store holds %d reports, want %d", n, maxStoredReports)
-	}
-	if again, err := RunCell(p, "WL-6", "32Gb", "allbank", false); err != nil || again != oldest {
-		t.Fatalf("at the cap the oldest cell was not answered from the store (err %v)", err)
+	size := int64(0)
+	want := map[string][]byte{}
+	for _, b := range []string{"allbank", "perbank"} {
+		p.Store = &CellStore{}
+		rep, err := RunCell(p, "WL-6", "32Gb", b, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := p.Cell("WL-6", "32Gb", b, false)
+		want[b] = ReportBody(rep)
+		size += entrySize(spec.Key(), want[b])
 	}
 
-	// One past the cap it is dropped, and the rest are kept.
-	last := len(filler) - 1
-	filler[last] = &core.Report{}
-	processStore.finish(fmt.Sprint("filler", last), filler[last])
-	if n := len(processStore.reports); n != maxStoredReports {
-		t.Fatalf("the store holds %d reports, want %d", n, maxStoredReports)
-	}
-	if again, err := RunCell(p, "WL-6", "32Gb", "perbank", false); err != nil || again != next {
-		t.Fatalf("the second-oldest cell was not answered from the store (err %v)", err)
-	}
-	for i, rep := range filler {
-		if processStore.report(fmt.Sprint("filler", i)) != rep {
-			t.Fatalf("filler%d was dropped", i)
+	ran := 0
+	p.CellRunner = countRuns(&ran)
+	memo := NewMemo(size) // room for exactly the two cells
+	p.Store = &CellStore{Memo: memo}
+	for _, b := range []string{"allbank", "perbank", "allbank"} {
+		if _, err := RunCell(p, "WL-6", "32Gb", b, false); err != nil {
+			t.Fatal(err)
 		}
 	}
-	again, err := RunCell(p, "WL-6", "32Gb", "allbank", false)
+	if st := memo.Stats(); ran != 2 || st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("within the budget: %d runs, %d results held, %d evicted; want 2, 2, 0", ran, st.Entries, st.Evictions)
+	}
+
+	// allbank was asked last, so one byte past the budget drops perbank.
+	memo.Put("x", nil)
+	if _, err := RunCell(p, "WL-6", "32Gb", "allbank", false); err != nil || ran != 2 {
+		t.Fatalf("a held cell was computed past the budget (err %v, %d runs)", err, ran)
+	}
+	rep, err := RunCell(p, "WL-6", "32Gb", "perbank", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again == oldest {
-		t.Fatal("the oldest report was answered past the cap")
+	if ran != 3 {
+		t.Fatalf("%d runs, want the dropped cell simulated again", ran)
 	}
-	a, _ := json.Marshal(again)
-	o, _ := json.Marshal(oldest)
-	if string(a) != string(o) {
+	if !bytes.Equal(ReportBody(rep), want["perbank"]) {
 		t.Fatal("the dropped cell simulated again to different bytes")
 	}
 }
 
-// TestCellStoreReopenedLogAnswersFig10: a store reopened on the log of
+// TestCellStoreReopenedLogAnswersFig10: a memo reopened on the log of
 // a finished fig10 run answers every fig10 cell without computing it,
-// and Fig10 rendered through such a store prints the bytes of the run
+// and Fig10 rendered through such a memo prints the bytes of the run
 // that wrote the log and appends nothing to it.
 func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
 	p := tinyParams()
-	p.Parallelism = 4 // workers append to the log concurrently
+	p.Parallelism = 4
 	path := filepath.Join(t.TempDir(), "cells.json")
 	p.Store = openStore(t, path)
 	clean10, clean11, err := Fig10(p, false)
@@ -376,17 +386,22 @@ func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
 
 	reopened := openStore(t, path)
 	for _, key := range keys {
-		if _, err := reopened.Answer(key, func() (*core.Report, error) {
+		if _, err := reopened.Memo.Answer(key, func() (*core.Report, error) {
 			return nil, errors.New("computed instead of answered from the log")
 		}); err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 	}
 
+	ran := 0
+	p.CellRunner = countRuns(&ran)
 	p.Store = openStore(t, path)
 	r10, r11, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ran != 0 {
+		t.Fatalf("fig10 over its log simulated %d cells", ran)
 	}
 	if r10.String() != clean10.String() || r11.String() != clean11.String() {
 		t.Errorf("fig10/fig11 from the log differ from the run that wrote it:\n%s%s\nclean:\n%s%s", r10, r11, clean10, clean11)
@@ -397,7 +412,7 @@ func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
 }
 
 // TestCellStoreLogsApproxCells: an approx cell answered through a store
-// with a log is on record there, so a store reopened on the log answers
+// with a log is on record there, so a memo reopened on the log answers
 // it with the same report without predicting it again.
 func TestCellStoreLogsApproxCells(t *testing.T) {
 	p := tinyParams()
@@ -412,7 +427,7 @@ func TestCellStoreLogsApproxCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := openStore(t, path).Answer(spec.Key(), func() (*core.Report, error) {
+	got, err := openStore(t, path).Memo.Answer(spec.Key(), func() (*core.Report, error) {
 		return nil, errors.New("the approx cell is not on record")
 	})
 	if err != nil {
@@ -425,27 +440,46 @@ func TestCellStoreLogsApproxCells(t *testing.T) {
 	}
 }
 
-// TestCellStoreFailedAppendFailsRun: a report the store cannot append
-// to its log fails its cell, and so the run, with an error naming the
-// log file; it is not served as if it were on record.
+// TestCellStoreFailedAppendFailsRun: a result the memo cannot append
+// to its log is still kept and served, so the sweep renders in full,
+// but Err names the log file, which is what makes the CLIs exit 3; and
+// no append follows the failed one, so a damaged log ends in at most
+// one torn record.
 func TestCellStoreFailedAppendFailsRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "missing-dir", "cells.json")
+	dir := filepath.Join(t.TempDir(), "missing-dir")
+	path := filepath.Join(dir, "cells.json")
+	memo, _, err := OpenMemo(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := tinyParams()
 	p.Mode = ModeApprox
-	p.Store = openStore(t, path)
-	if _, err := RunCell(p, "WL-6", "32Gb", "codesign", false); err == nil || !strings.Contains(err.Error(), path) {
-		t.Fatalf("RunCell err = %v, want a failure naming %s", err, path)
+	p.Store = &CellStore{Memo: memo}
+	if _, err := RunCell(p, "WL-6", "32Gb", "codesign", false); err != nil {
+		t.Fatalf("a failed append failed the cell: %v", err)
+	}
+	first := memo.Err()
+	if first == nil || !strings.Contains(first.Error(), path) {
+		t.Fatalf("Err() = %v, want a failure naming %s", first, path)
+	}
+
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
 	r10, _, err := Fig10(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(fig10Keys(p)); len(r10.Failed) != want {
-		t.Fatalf("%d of fig10's %d cells failed, want all:\n%s", len(r10.Failed), want, r10)
+	if len(r10.Failed) != 0 {
+		t.Fatalf("fig10 quarantined cells after a failed append:\n%s", r10)
 	}
-	for _, f := range r10.Failed {
-		if !strings.Contains(f.Err.Error(), path) {
-			t.Errorf("cell %s failed with %v, which does not name %s", f.Cell, f.Err, path)
-		}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a result was appended after the failed append (stat err %v)", err)
+	}
+	if memo.Err() != first {
+		t.Fatalf("Err() changed from %v to %v", first, memo.Err())
+	}
+	if n := memo.Stats().Entries; n != len(fig10Keys(p)) {
+		t.Fatalf("the memo holds %d results, want fig10's %d", n, len(fig10Keys(p)))
 	}
 }

@@ -127,9 +127,9 @@ func ParseDensity(s string) (config.Density, error) {
 
 // CellSpec is one cell's identity: its coordinates in the evaluation
 // grid (Table 2 mix × density × bundle × retention regime) and every
-// Params knob that changes its simulated result. Key names the cell for
-// a sweep journal, the serving daemon's result cache and single-flight
-// index, and a CellStore; the JSON form travels as a fanned-out cluster
+// Params knob that changes its simulated result. Key names the cell in
+// a Memo, and so in a result journal, and in the serving daemon's
+// single-flight index; the JSON form travels as a fanned-out cluster
 // cell. Params.Cell and Params.Spec build one.
 type CellSpec struct {
 	Mix     string `json:"mix"`
@@ -215,7 +215,7 @@ func (c CellSpec) Key() string {
 
 // RunCell simulates one fully addressed cell — mix × density × bundle,
 // optionally at >85C retention — through the same fault boundary as the
-// figure sweeps (quarantine, chaos, the journal, the store and the
+// figure sweeps (quarantine, chaos, the store and its memo, and the
 // injected CellRunner all apply), so a daemon serving single-cell jobs
 // gets identical semantics to whole-figure jobs. The sweep is the
 // one-cell figure "cell"; the coordinates are validated as by Cell.

@@ -71,28 +71,24 @@ type Params struct {
 	// Chaos, when non-nil, deterministically injects faults into a
 	// fraction of cells (tests and failure drills only).
 	Chaos *chaos.Injector
-	// Store answers every cell: it returns the reports it holds or has
-	// on record in its log, resumes exact cells it holds a snapshot
-	// for, and polls its Preempt at each checkpoint boundary (see
-	// CellStore). Nil means the process-wide store, which has no log,
-	// never preempts, and lets a figure reuse the cells an earlier
-	// figure in the same process simulated. A store opened on a file
-	// (OpenCellStore) is how an interrupted run is finished: a rerun on
-	// the same file answers the cells already on record. It is absent
-	// from Fingerprint, because a resumed cell's report is
-	// byte-identical to an uninterrupted one. The serving daemon's
-	// preempt-and-resume path lives here.
+	// Store holds the run's state (see CellStore). Nil means the
+	// process-wide store, whose memo lets a figure reuse the cells an
+	// earlier figure in the same process simulated. A store on a memo
+	// opened on a file (OpenMemo) is how an interrupted run is
+	// finished. It is absent from Fingerprint, because a resumed cell's
+	// report is byte-identical to an uninterrupted one.
 	Store *CellStore
 
 	// CellRunner, when non-nil, replaces the direct runner.RunBatch
-	// call that executes a sweep's enumerated cells. It is the hook the
-	// serving daemon uses to wrap every figure driver without forking
-	// them: counting executions, wrapping each job's Run in a global
-	// priority gate across concurrent jobs, and streaming per-cell
-	// progress by decorating opts.OnDone. Implementations must preserve
-	// RunBatch's contract (index-addressed results; OnDone called from
-	// one goroutine) — delegating to runner.RunBatch after wrapping the
-	// jobs and adjusting opts is the intended shape.
+	// call that executes the cells a sweep's memo cannot answer. It is
+	// the hook the serving daemon uses to wrap every figure driver
+	// without forking them: counting executions, wrapping each job's
+	// Run in a global priority gate across concurrent jobs, and
+	// streaming per-cell progress by decorating opts.OnDone.
+	// Implementations must preserve RunBatch's contract (index-addressed
+	// results; OnDone, which records each report in the memo, called
+	// from one goroutine) — delegating to runner.RunBatch after wrapping
+	// the jobs and adjusting opts is the intended shape.
 	CellRunner CellRunner
 }
 
@@ -283,15 +279,11 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 	return cfg
 }
 
-// runCell answers one sweep cell from its coordinates through p's
-// store, or the process-wide store when p.Store is nil, under its
-// CellSpec.Key. A cell the store cannot answer is computed: on the
-// approx tier it is predicted, otherwise it runs exact (see runExact).
-// Bank-confined cells always run exact, and an exact cell whose HardCtx
-// has ended fails at once, before the store is asked. A machine bundle
-// tiles the mix to the machine's task count. Verbose progress lines are
-// emitted by the sweep collector (see sweep.go), not here, so that
-// parallel workers never interleave output.
+// runCell computes one sweep cell the memo could not answer: on the
+// approx tier it is predicted, otherwise it runs exact under p's store
+// (see runExact). Bank-confined cells always run exact, and an exact
+// cell whose HardCtx has ended fails at once. A machine bundle tiles
+// the mix to the machine's task count.
 func (p Params) runCell(c runner.Cell) (*core.Report, error) {
 	mix, d, b, err := p.resolveCell(c.Mix, c.Density, c.Bundle)
 	if err != nil {
@@ -301,26 +293,25 @@ func (p Params) runCell(c runner.Cell) (*core.Report, error) {
 	if sc := b.machine; sc != nil {
 		mix = workload.MixFor(mix, sc.cores, sc.ratio)
 	}
-	store := p.Store
-	if store == nil {
-		store = &processStore
-	}
-	key := p.Spec(c).Key()
 	if p.Mode == ModeApprox && b.confine == 0 {
-		return store.Answer(key, func() (*core.Report, error) {
-			rep, err := approx.Predict(cfg, mix)
-			if err != nil {
-				return nil, cellError(mix, cfg, err)
-			}
-			return rep, nil
-		})
+		rep, err := approx.Predict(cfg, mix)
+		if err != nil {
+			return nil, cellError(mix, cfg, err)
+		}
+		return rep, nil
 	}
 	if p.HardCtx != nil && p.HardCtx.Err() != nil {
 		return nil, cellError(mix, cfg, p.HardCtx.Err())
 	}
-	return store.Answer(key, func() (*core.Report, error) {
-		return p.runExact(store, cfg, mix, b.confine, key)
-	})
+	return p.runExact(p.store(), cfg, mix, b.confine, p.Spec(c).Key())
+}
+
+// store returns the run's CellStore: p.Store, or the process-wide one.
+func (p Params) store() *CellStore {
+	if p.Store != nil {
+		return p.Store
+	}
+	return &processStore
 }
 
 // cellError names the cell err came from by mix, density and refresh

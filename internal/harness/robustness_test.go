@@ -36,26 +36,26 @@ func fig10ChaosKeys(p Params) []string {
 	return keys
 }
 
-// openStore opens a CellStore logged at path, closed when the test
-// ends.
+// openStore returns a CellStore on a memo logged at path, closed when
+// the test ends.
 func openStore(t *testing.T, path string) *CellStore {
 	t.Helper()
-	s, _, err := OpenCellStore(path)
+	m, _, err := OpenMemo(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := s.log.Close(); err != nil {
+		if err := m.Close(); err != nil {
 			t.Error(err)
 		}
 	})
-	return s
+	return &CellStore{Memo: m}
 }
 
-// loggedCells counts the cells on record in the CellStore log at path.
+// loggedCells counts the results on record in the memo log at path.
 func loggedCells(t *testing.T, path string) int {
 	t.Helper()
-	_, entries, _, err := journal.Open(path, cellLogFormat)
+	_, entries, _, err := journal.Open(path, resultFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,17 @@ func chaosSeedFaulting(t *testing.T, keys []string, frac float64, mode chaos.Mod
 // TestFig10ChaosQuarantine is the headline robustness acceptance: a
 // fig10 sweep with ~20% permanently-failing cells must still complete,
 // list the quarantined cells in its failure-summary table, and keep
-// every healthy row correct.
+// every healthy row correct. The sweep runs over a memo that already
+// holds every fig10 cell, and the faulted cells fail all the same.
 func TestFig10ChaosQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
 	p := tinyParams()
+	p.Store = &CellStore{}
+	if _, _, err := Fig10(p, false); err != nil {
+		t.Fatal(err)
+	}
 	keys := fig10ChaosKeys(p)
 	seed := chaosSeedFaulting(t, keys, 0.2, chaos.ModeError, 1)
 
@@ -99,8 +104,14 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos must quarantine, not abort: %v", err)
 	}
-	if len(r10.Failed) == 0 {
-		t.Fatal("no cells quarantined despite injected permanent faults")
+	faulted := 0
+	for _, k := range keys {
+		if _, ok := p.Chaos.Faulted(k); ok {
+			faulted++
+		}
+	}
+	if len(r10.Failed) != faulted {
+		t.Fatalf("%d cells quarantined, want the %d chaos faults", len(r10.Failed), faulted)
 	}
 	out := r10.String()
 	if !strings.Contains(out, "quarantined") {
@@ -246,9 +257,13 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 // TestFig4HardCtxAbortsConfinementCells: a hard-cancelled fig4 sweep
 // fails every cell with the context error, the custom bank-mask
 // confinement cells as well as the all-bank baselines, each error
-// naming its cell.
+// naming its cell, even when its memo holds every cell.
 func TestFig4HardCtxAbortsConfinementCells(t *testing.T) {
 	p := tinyParams() // Mixes = WL-6
+	p.Store = &CellStore{}
+	if _, err := Fig4(p); err != nil { // the memo holds every cell
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.HardCtx = ctx

@@ -39,48 +39,68 @@ func (p Params) ctx() context.Context {
 	return context.Background()
 }
 
-// runCells executes a sweep's cells across Params.Parallelism workers
-// and returns the reports keyed by cell, plus the quarantined failures.
-// A figure looks a report up with the same p.cell call it enumerated
-// the cell with.
+// runCells answers a sweep's cells and returns the reports keyed by
+// cell, plus the quarantined failures. A figure looks a report up with
+// the same p.cell call it enumerated the cell with.
 //
-// This is the pipeline's fault boundary. A cell that fails or panics is
-// captured as a typed *runner.CellError and quarantined, and the rest
-// of the sweep completes. Every cell
-// is answered through the store (see runCell), so a cell on record in a
-// logged store is decoded instead of re-run — JSON round-trips float64
-// exactly, so a resumed sweep renders byte-identical tables.
-// Cells share no mutable state and results are collected by submission
-// index, so the returned map is identical to a serial in-order run;
-// Verbose lines go through the runner's single collector goroutine and
-// never interleave.
+// The memo of p's store is asked once per cell; only the cells it
+// cannot answer become jobs for the CellRunner, and each report a job
+// returns (computed, resumed or a peer's) is recorded as its cell
+// completes. A cell chaos faults, and every cell of a sweep whose
+// HardCtx has ended, skip the memo, so that what fails does not depend
+// on what it holds.
 //
-// The error is non-nil only when the sweep did not run to completion:
-// it was cancelled.
+// This is the pipeline's fault boundary: a cell that fails or panics
+// is quarantined as a typed *runner.CellError, and the rest of the
+// sweep completes. Results are collected by submission index, so the
+// map is identical to a serial in-order run. The error is non-nil only
+// when the sweep was cancelled.
 func (p Params) runCells(figID string, cells []runner.Cell) (map[runner.Cell]*core.Report, []*runner.CellError, error) {
-	jobs := make([]runner.Job[*core.Report], len(cells))
-	for i, c := range cells {
+	memo := p.store().memo()
+	ask := p.HardCtx == nil || p.HardCtx.Err() == nil
+	verbose := func(c runner.Cell, rep *core.Report) {
+		if !p.Verbose {
+			return
+		}
+		bundle := c.Bundle
+		if c.Hot {
+			bundle += "/hot"
+		}
+		fmt.Printf("  ran %-6s %-5s %-10s hIPC=%.4f lat=%.0f stalled=%.4f\n",
+			c.Mix, c.Density, bundle, rep.HarmonicIPC, rep.AvgMemLatency, rep.RefreshStalledFrac)
+	}
+
+	out := make(map[runner.Cell]*core.Report, len(cells))
+	var jobs []runner.Job[*core.Report]
+	for _, c := range cells {
+		key := p.Spec(c).Key()
+		chaosKey := figID + "|" + key
+		_, faulted := p.Chaos.Faulted(chaosKey)
+		if ask && !faulted {
+			if rep := memo.report(key); rep != nil {
+				out[c] = rep
+				verbose(c, rep)
+				continue
+			}
+		}
 		run := func() (*core.Report, error) { return p.runCell(c) }
-		if p.Chaos != nil {
+		if faulted {
 			// HardCtx (deadline/watchdog cancellation) interrupts chaos
 			// stalls, so a killed job terminates within its bound
 			// instead of waiting out every injected sleep.
-			run = chaos.WrapContext(p.Chaos, figID+"|"+p.Spec(c).Key(), p.HardCtx, run)
+			run = chaos.WrapContext(p.Chaos, chaosKey, p.HardCtx, run)
 		}
-		jobs[i] = runner.Job[*core.Report]{Cell: c, Run: run}
+		jobs = append(jobs, runner.Job[*core.Report]{Cell: c, Run: run})
+	}
+	if len(jobs) == 0 {
+		return out, nil, p.ctx().Err()
 	}
 
-	ropts := runner.Options[*core.Report]{Parallelism: p.Parallelism}
-	if p.Verbose {
-		ropts.OnDone = func(_ int, c runner.Cell, rep *core.Report) {
-			bundle := c.Bundle
-			if c.Hot {
-				bundle += "/hot"
-			}
-			fmt.Printf("  ran %-6s %-5s %-10s hIPC=%.4f lat=%.0f stalled=%.4f\n",
-				c.Mix, c.Density, bundle, rep.HarmonicIPC, rep.AvgMemLatency, rep.RefreshStalledFrac)
-		}
-	}
+	ropts := runner.Options[*core.Report]{Parallelism: p.Parallelism,
+		OnDone: func(_ int, c runner.Cell, rep *core.Report) {
+			memo.Put(p.Spec(c).Key(), ReportBody(rep))
+			verbose(c, rep)
+		}}
 	execute := p.CellRunner
 	if execute == nil {
 		execute = func(ctx context.Context, _ string, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
@@ -88,10 +108,9 @@ func (p Params) runCells(figID string, cells []runner.Cell) (map[runner.Cell]*co
 		}
 	}
 	batch, err := execute(p.ctx(), figID, jobs, ropts)
-	out := make(map[runner.Cell]*core.Report, len(cells))
-	for i, c := range cells {
+	for i, j := range jobs {
 		if batch.OK[i] {
-			out[c] = batch.Results[i]
+			out[j.Cell] = batch.Results[i]
 		}
 	}
 	return out, batch.Failed, err

@@ -10,12 +10,13 @@
 // float64 encoding is exact, so a resumed sweep renders byte-identical
 // tables to an uninterrupted run.
 //
-// Three files use it, each under its own fingerprint: the log of a
-// harness.CellStore (experiments -journal and refsim -journal), which
-// holds finished cells under their CellSpec keys; the serving daemon's
-// result cache; and the daemon's job WAL, whose entries are the
-// acknowledged jobs still pending, each deleted by a null record when
-// the job finishes.
+// Two formats remain, each under its own fingerprint. A results
+// journal keeps a harness.Memo: finished results as their served
+// bodies, a sweep cell under its CellSpec key and a daemon's rendered
+// figure under its figure key. experiments -journal, refsim -journal
+// and refschedd -journal all write one, so a file one of them wrote
+// warms the others. The daemon's job WAL holds the acknowledged jobs
+// still pending, each deleted by a null record when the job finishes.
 //
 // A Journal keeps no entries. Open hands the live entries, and what it
 // discarded, to its caller, which keeps each result in one place of its
@@ -210,7 +211,7 @@ func (j *Journal) open() error {
 
 // Compact atomically replaces the file with a header alone, holding
 // entries and indented as earlier releases wrote it. The daemon
-// compacts its result cache this way on shutdown, leaving one JSON
+// compacts its result memo this way on shutdown, leaving one JSON
 // object on disk, and its job WAL to the jobs still pending.
 func (j *Journal) Compact(entries map[string]json.RawMessage) error {
 	j.mu.Lock()

@@ -17,7 +17,8 @@
 // never retried: it is deterministic, so a cell that fails once fails
 // again. Cancelling the batch context lets in-flight cells finish and
 // skips the rest, so completed work is preserved: the harness keeps
-// every finished cell in its CellStore, from which a rerun answers it.
+// every finished cell in its result memo, from which a rerun answers
+// it.
 // The pool's only concurrency bound is its worker count; a scheduler
 // sharing a budget across concurrent batches wraps each Job's Run, as
 // the serving daemon's priority gate does.

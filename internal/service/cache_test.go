@@ -3,20 +3,25 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"refsched/internal/harness"
 	"refsched/internal/journal"
 )
+
+// The daemon's result cache is the harness.Memo every job's sweep
+// shares; these tests pin the LRU behaviour the daemon relies on.
 
 // TestCacheLRUEvictsOldestFirst fills the cache past its byte budget
 // and checks that the oldest (least recently used) fingerprints fall
 // out first while the newest stay resident.
 func TestCacheLRUEvictsOldestFirst(t *testing.T) {
 	// Each entry: 4-byte key + 96-byte body = 100 bytes; budget holds 5.
-	c := NewCache(500, nil, nil)
+	c := harness.NewMemo(500)
 	body := make([]byte, 96)
 	for i := 0; i < 8; i++ {
 		c.Put(fmt.Sprintf("k%03d", i), body)
@@ -43,7 +48,7 @@ func TestCacheLRUEvictsOldestFirst(t *testing.T) {
 // TestCacheGetPromotes: touching an old entry saves it from the next
 // eviction.
 func TestCacheGetPromotes(t *testing.T) {
-	c := NewCache(300, nil, nil) // holds 3 x (4+96)-byte entries
+	c := harness.NewMemo(300) // holds 3 x (4+96)-byte entries
 	body := make([]byte, 96)
 	c.Put("k000", body)
 	c.Put("k001", body)
@@ -58,7 +63,7 @@ func TestCacheGetPromotes(t *testing.T) {
 }
 
 func TestCacheHitRatio(t *testing.T) {
-	c := NewCache(1<<20, nil, nil)
+	c := harness.NewMemo(1 << 20)
 	c.Put("a", []byte("body"))
 	c.Get("a")
 	c.Get("a")
@@ -75,7 +80,7 @@ func TestCacheHitRatio(t *testing.T) {
 // TestCacheRejectsOversizedBody: a value bigger than the whole budget
 // is not cached (and does not wipe the cache to make room).
 func TestCacheRejectsOversizedBody(t *testing.T) {
-	c := NewCache(100, nil, nil)
+	c := harness.NewMemo(100)
 	c.Put("small", make([]byte, 10))
 	c.Put("huge", make([]byte, 1000))
 	if c.Contains("huge") {
@@ -88,7 +93,7 @@ func TestCacheRejectsOversizedBody(t *testing.T) {
 
 // TestCacheUpdateAdjustsBytes: replacing a body re-accounts its size.
 func TestCacheUpdateAdjustsBytes(t *testing.T) {
-	c := NewCache(1<<20, nil, nil)
+	c := harness.NewMemo(1 << 20)
 	c.Put("k", make([]byte, 100))
 	c.Put("k", make([]byte, 10))
 	st := c.Stats()
@@ -103,8 +108,19 @@ func TestCacheUpdateAdjustsBytes(t *testing.T) {
 func TestCacheWarmsInKeyOrder(t *testing.T) {
 	body := strings.Repeat("x", 95)
 	raw, _ := json.Marshal(body)
-	warm := map[string]json.RawMessage{"zeta": raw, "alpha": raw, "mid": raw, "beta": raw}
-	c := NewCache(200, nil, warm) // holds 2 x (4+95)-byte entries
+	path := filepath.Join(t.TempDir(), "cache.journal.json")
+	var file strings.Builder
+	file.WriteString(`{"fingerprint":"results v1","entries":{}}` + "\n")
+	for _, k := range []string{"zeta", "alpha", "mid", "beta"} {
+		fmt.Fprintf(&file, `{"key":%q,"value":%s}`+"\n", k, raw)
+	}
+	if err := os.WriteFile(path, []byte(file.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := harness.OpenMemo(path, 200) // holds 2 x (4+95)-byte entries
+	if err != nil {
+		t.Fatal(err)
+	}
 	for key, want := range map[string]bool{"alpha": false, "beta": false, "mid": true, "zeta": true} {
 		if c.Contains(key) != want {
 			t.Errorf("Contains(%q) = %v, want %v", key, !want, want)
@@ -121,7 +137,7 @@ func TestCacheWarmHoldsOneCopy(t *testing.T) {
 	}
 	const n, size = 5000, 4000
 	path := filepath.Join(t.TempDir(), "cache.journal.json")
-	jnl, _, _, err := journal.Open(path, cacheJournalFingerprint)
+	jnl, _, _, err := journal.Open(path, "results v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +168,12 @@ func TestCacheWarmHoldsOneCopy(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
-// warmFrom opens the cache journal at path and warms a cache from it,
-// returning only the cache.
-func warmFrom(t *testing.T, path string) *Cache {
+// warmFrom opens a memo on the cache journal at path.
+func warmFrom(t *testing.T, path string) *harness.Memo {
 	t.Helper()
-	jnl, warm, _, err := journal.Open(path, cacheJournalFingerprint)
+	m, _, err := harness.OpenMemo(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCache(0, jnl, warm)
+	return m
 }

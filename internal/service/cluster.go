@@ -264,8 +264,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	// Contains-first mirrors execute's re-check so probes for keys this
 	// node never computed do not distort the local miss counter.
-	if s.cache.Contains(key) {
-		if body, ok := s.cache.Get(key); ok {
+	if s.memo.Contains(key) {
+		if body, ok := s.memo.Get(key); ok {
 			s.cluster.CacheServed.Add(1)
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			w.Write(body)
@@ -305,12 +305,14 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 	p.Ctx = r.Context()
 	p.HardCtx = r.Context()
 	p.CellRunner = s.remoteCellRunner(cr.Priority)
-	// The cell runs under a store of its own: an exact cell (a
-	// bank-confined cell runs exact on either tier) checkpoints, so a
-	// node that starts draining mid-cell yields at its next boundary and
-	// ships the partial progress back (see the snapshot response below)
-	// instead of discarding it.
-	p.Store = &harness.CellStore{Preempt: func() error {
+	// The cell is answered from this node's memo when it holds the
+	// cell, and recorded there when it simulates. It runs under a store
+	// of its own: an exact cell (a bank-confined cell runs exact on
+	// either tier) checkpoints, so a node that starts draining mid-cell
+	// yields at its next boundary and ships the partial progress back
+	// (see the snapshot response below) instead of discarding it.
+	defer s.logMemoErr()
+	p.Store = &harness.CellStore{Memo: s.memo, Preempt: func() error {
 		if s.draining.Load() || r.Context().Err() != nil {
 			return errPreempted
 		}

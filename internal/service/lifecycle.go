@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -15,7 +14,8 @@ import (
 )
 
 // cellRunner is the harness hook that ties a figure sweep to this
-// daemon: it counts executions, publishes per-cell progress through
+// daemon. It sees only the cells the memo could not answer: it counts
+// executions and simulated cells, publishes per-cell progress through
 // the job's event hub (reusing the runner's OnDone collector), and
 // wraps every cell that runs here in the global priority gate and a
 // timeline lane.
@@ -95,6 +95,7 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 func (s *Server) execute(j *job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
+	defer s.logMemoErr()
 
 	// A job whose deadline lapsed while it sat queued is shed before it
 	// burns a worker: the typed expiry is its terminal answer.
@@ -108,11 +109,11 @@ func (s *Server) execute(j *job) {
 	j.setRunning()
 	t0 := time.Now()
 
-	// A completed identical job may have filled the cache while this
+	// A completed identical job may have filled the memo while this
 	// one sat queued. (Contains first so the common just-enqueued miss
 	// does not double-count in the cache stats.)
-	if s.cache.Contains(j.key) {
-		if body, ok := s.cache.Get(j.key); ok {
+	if s.memo.Contains(j.key) {
+		if body, ok := s.memo.Get(j.key); ok {
 			s.cacheHits.Add(1)
 			j.tl.Instant(tlPidService, tlTidJob, "cache-hit", j.sinceUS())
 			s.observeLatency(j.figure, time.Since(t0))
@@ -126,7 +127,7 @@ func (s *Server) execute(j *job) {
 	// miss here is a plain hit.
 	if s.cluster.Enabled() {
 		if body, peer, ok := s.remoteCacheLookup(j.key); ok {
-			s.cachePut(j.key, body)
+			s.memo.Put(j.key, body)
 			j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
 				Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidJob,
 				Name: "remote-cache-hit", StrName: "peer", Str: peer})
@@ -171,9 +172,12 @@ func (s *Server) execute(j *job) {
 		var rep *core.Report
 		rep, err = harness.RunCell(p, c.Mix, c.Density, c.Bundle, c.Hot)
 		if err == nil {
-			var raw []byte
-			raw, err = json.MarshalIndent(rep, "", " ")
-			body = append(raw, '\n')
+			// The sweep kept the body under this job's key, unless it
+			// outgrew the memo's whole budget.
+			var ok bool
+			if body, ok = s.memo.Body(j.key); !ok {
+				body = harness.ReportBody(rep)
+			}
 		}
 		var ce *runner.CellError
 		if errors.As(err, &ce) {
@@ -239,7 +243,9 @@ func (s *Server) execute(j *job) {
 		// cells should be re-attempted by the next request.
 		s.finishJob(j, JobQuarantined, body, failures, nil, false)
 	default:
-		s.cachePut(j.key, body)
+		if j.req.Cell == nil {
+			s.memo.Put(j.key, body)
+		}
 		s.finishJob(j, JobDone, body, nil, nil, false)
 	}
 	st := j.snapshot()
@@ -248,11 +254,12 @@ func (s *Server) execute(j *job) {
 		"cells", st.CellsDone, "duration_ms", float64(time.Since(t0).Microseconds())/1000)
 }
 
-// cachePut caches a computed result. A failed journal append costs
-// durability, not service: it is logged and the result is served.
-func (s *Server) cachePut(key string, body []byte) {
-	if err := s.cache.Put(key, body); err != nil {
-		s.log.Error("cache journal append failed", "key", key, "err", err.Error())
+// logMemoErr logs the memo's failed journal append, once. It costs
+// durability, not service: results are still kept and served, but no
+// longer journaled.
+func (s *Server) logMemoErr() {
+	if err := s.memo.Err(); err != nil && s.memoErrLogged.CompareAndSwap(false, true) {
+		s.log.Error("cache journal append failed; later results are not journaled", "err", err.Error())
 	}
 }
 
@@ -261,8 +268,8 @@ func (s *Server) cachePut(key string, body []byte) {
 // keeps answering status polls) and keeps its tenant hold and WAL
 // record — it was admitted once and is still in flight, just not on a
 // worker. Cell progress resets because the next run re-enumerates the
-// sweep; completed cells answer instantly from the store's reports and
-// the mid-cell snapshots resume the interrupted ones. Only a queue
+// sweep; completed cells answer instantly from the memo and the
+// mid-cell snapshots resume the interrupted ones. Only a queue
 // that closed for draining can refuse, turning the preemption into a
 // terminal failure.
 func (s *Server) requeuePreempted(j *job) {
@@ -465,19 +472,18 @@ func (s *Server) enqueue(req Request, rid string, adm admitContext) (j *job, ded
 		walAccepted: recovered,
 	}
 	j.hub.drops = &s.eventDrops
-	// Every job's exact cells run under the checkpoint driver and a
-	// store of the job's own, never the process-wide one; an approx job
-	// has exact cells too (fig4's bank-confined ones). The store's poll
-	// is where a preemption request takes effect. The leg structure is
-	// invisible — a checkpointed cell's report is byte-identical to a
-	// plain run's.
-	j.params.Store = &harness.CellStore{Preempt: j.pollPreempt, Resumes: &s.preemptResumes}
+	// Every job's cells are answered from the daemon's one memo, and its
+	// exact cells run under the checkpoint driver and a store of the
+	// job's own; an approx job has exact cells too (fig4's bank-confined
+	// ones). The store's poll is where a preemption request takes
+	// effect.
+	j.params.Store = &harness.CellStore{Memo: s.memo, Preempt: j.pollPreempt, Resumes: &s.preemptResumes}
 	s.enqueued.Add(1)
 
 	// Already computed: answer without a queue trip. No WAL record is
 	// needed — the result is handed back synchronously in the same
 	// exchange that acknowledges the job.
-	if cached, hit = s.cache.Get(key); hit {
+	if cached, hit = s.memo.Get(key); hit {
 		s.cacheHits.Add(1)
 		j.tl.Instant(tlPidService, tlTidJob, "cache-hit", j.sinceUS())
 		s.jobs[j.id] = j

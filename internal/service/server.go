@@ -12,10 +12,10 @@
 // additionally subject to the daemon's global cell gate
 // (highest-priority job first), taken in the CellRunner's per-cell
 // wrapper, and per-cell progress streaming.
-// Rendered results land in a byte-budget LRU cache keyed by the
-// harness parameter fingerprint and, with a journal, are appended to it
-// as they are cached, so a restarted daemon starts warm even after a
-// SIGKILL. Identical in-flight requests coalesce onto one job
+// Results, cells and rendered figures alike, land in one byte-budget
+// LRU memo (harness.Memo) that every job asks before it simulates and,
+// with a journal, are fsynced to it as they are kept, so a restarted
+// daemon starts warm even after a SIGKILL. Identical in-flight requests coalesce onto one job
 // (single-flight), so N concurrent requests for an uncached figure
 // cost exactly one simulation. Admission control caps queue depth
 // (HTTP 429 + Retry-After), and graceful shutdown drains in-flight
@@ -24,7 +24,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,11 +42,6 @@ import (
 	"refsched/internal/runner"
 	"refsched/internal/timeline"
 )
-
-// cacheJournalFingerprint binds the persisted cache snapshot format.
-// Request keys embed their own parameter fingerprints, so this only
-// versions the snapshot encoding itself.
-const cacheJournalFingerprint = "refschedd-cache-v1"
 
 // finishedRetain bounds how many finished jobs stay addressable via
 // GET /v1/jobs/{id}; beyond it the oldest are forgotten (their results
@@ -69,11 +63,11 @@ type Config struct {
 	// (default GOMAXPROCS via runner.Parallelism; <0 disables the
 	// gate).
 	CellSlots int
-	// CacheBytes bounds the result cache (default 64 MiB).
+	// CacheBytes bounds the result memo (default 64 MiB).
 	CacheBytes int64
-	// JournalPath, when non-empty, makes the result cache durable:
-	// startup warms it from this journal, every cached result is
-	// appended to it, and shutdown compacts it.
+	// JournalPath, when non-empty, makes the result memo durable:
+	// startup warms it from this journal, every result it keeps is
+	// appended to it with fsync, and shutdown compacts it.
 	JournalPath string
 	// WALPath, when non-empty, enables the job WAL: every accepted job
 	// is fsynced to this ledger before it is acknowledged, and a
@@ -125,12 +119,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the daemon: an http.Handler plus the queue, workers,
-// cache, and single-flight index behind it.
+// result memo, and single-flight index behind it.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	queue   *jobQueue
-	cache   *Cache
+	memo    *harness.Memo
 	gate    *priorityGate
 	tenants *tenantAdmission
 	brown   *brownout
@@ -169,8 +163,10 @@ type Server struct {
 	cluster   *cluster.Cluster
 	clusterTL *timeline.Recorder
 
+	memoErrLogged atomic.Bool // the memo's failed append was logged
+
 	// Counters behind /statsz and /metricsz. The atomics are the write
-	// targets; reg reads them (plus the queue, cache, and per-figure
+	// targets; reg reads them (plus the queue, memo, and per-figure
 	// state) at snapshot time, so both endpoints are projections of one
 	// registry snapshot.
 	enqueued, dedupHits, cacheHits atomic.Uint64
@@ -188,16 +184,15 @@ type Server struct {
 	figs                           map[string]*figureMetrics
 }
 
-// New builds a Server, warms its cache from the journal (if
+// New builds a Server, warms its memo from the journal (if
 // configured), and starts its workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var jnl *journal.Journal
-	var warm map[string]json.RawMessage
+	memo := harness.NewMemo(cfg.CacheBytes)
 	if cfg.JournalPath != "" {
 		var dropped journal.Discarded
 		var err error
-		if jnl, warm, dropped, err = journal.Open(cfg.JournalPath, cacheJournalFingerprint); err != nil {
+		if memo, dropped, err = harness.OpenMemo(cfg.JournalPath, cfg.CacheBytes); err != nil {
 			return nil, fmt.Errorf("service: warming cache: %w", err)
 		}
 		logDiscarded(cfg.Logger, "cache journal", cfg.JournalPath, dropped)
@@ -206,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		queue:    newJobQueue(cfg.QueueDepth),
-		cache:    NewCache(cfg.CacheBytes, jnl, warm),
+		memo:     memo,
 		gate:     newPriorityGate(cfg.CellSlots),
 		tenants:  newTenantAdmission(cfg.Tenant),
 		brown:    newBrownout(),
@@ -330,7 +325,7 @@ func splitJobID(id string) (node string, seq uint64, ok bool) {
 // running jobs get until the drain deadline (or ctx) to finish, then
 // every job still running is aborted — unstarted cells are skipped and
 // in-flight cells stop at their next run-leg boundary (chaos stalls at
-// once). Finally the result cache's journal is compacted to the live
+// once). Finally the result memo's journal is compacted to the live
 // entries. It returns nil when everything drained and persisted.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
@@ -363,7 +358,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			errs = append(errs, err)
 		}
 	}
-	if err := s.cache.Close(); err != nil {
+	if err := s.memo.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("service: persisting cache: %w", err))
 	}
 	return errors.Join(errs...)

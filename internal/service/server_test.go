@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -489,12 +490,37 @@ func TestDrainPersistsCacheAndWarmRestart(t *testing.T) {
 	}
 }
 
+// TestFigureCountersCountSimulatedCells: a figure's counters add only
+// the cells its jobs simulate. After fig10, fig14's all-bank, per-bank
+// and co-design cells are answered from the daemon's memo, so fig14's
+// job simulates, and counts, only the two cells fig10 lacks: its OOO
+// per-bank and Adaptive Refresh cells.
+func TestFigureCountersCountSimulatedCells(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	for _, fig := range []string{"fig10", "fig14"} {
+		if resp, body := get(t, ts, "/v1/figures/"+fig); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", fig, resp.StatusCode, body)
+		}
+	}
+	snap := s.MetricsSnapshot()
+	// One mix: fig10 is 3 densities x 3 bundles, fig14 5 bundles at 32 Gb.
+	for fig, want := range map[string]uint64{"fig10": 9, "fig14": 2} {
+		if got := snap.Counter("figure[" + fig + "].cells"); got != want {
+			t.Errorf("%s counted %d cells, want %d", fig, got, want)
+		}
+	}
+	if got := s.simulations.Load(); got != 2 {
+		t.Errorf("simulations = %d, want one batch per figure", got)
+	}
+}
+
 // TestCacheJournalSurvivesKill: a computed result is appended to the
-// journal as it is cached, so a daemon that never drains (a SIGKILL)
+// journal as it is kept, so a daemon that never drains (a SIGKILL)
 // still leaves it for the next start. The next start's drain compacts
-// the journal to one JSON object in exactly the indented form earlier
-// releases wrote — the file refbench's storedCells decodes — and that
-// form warms a third start.
+// the journal to one JSON object holding the figure and each of its
+// cells — the file refbench's storedCells decodes — and that form warms
+// a third start. A file under the daemon's earlier cache format is
+// dropped instead.
 func TestCacheJournalSurvivesKill(t *testing.T) {
 	want := expectedFig10(t)
 	path := filepath.Join(t.TempDir(), "cache.journal.json")
@@ -523,7 +549,8 @@ func TestCacheJournalSurvivesKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The drained file is one JSON value, decoded as storedCells does.
+	// The drained file is one JSON value, decoded as storedCells does:
+	// fig10's body and its nine cells' reports.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -534,36 +561,57 @@ func TestCacheJournalSurvivesKill(t *testing.T) {
 	if err := json.Unmarshal(data, &stored); err != nil {
 		t.Fatalf("drained journal is not one JSON value: %v", err)
 	}
-	if len(stored.Entries) != 1 {
-		t.Fatalf("drained journal holds %d entries, want fig10 alone", len(stored.Entries))
-	}
-	for _, b := range stored.Entries {
-		if b != string(want) {
-			t.Fatal("drained journal holds a different fig10 body")
+	figures, cells := 0, 0
+	for key, b := range stored.Entries {
+		switch {
+		case strings.HasPrefix(key, "cell|") && strings.HasPrefix(b, "{"):
+			cells++
+		case b == string(want):
+			figures++
+		default:
+			t.Errorf("drained journal holds an unexpected entry %q", key)
 		}
 	}
+	if figures != 1 || cells != 9 {
+		t.Fatalf("drained journal holds %d figures and %d cells, want fig10 and its 9", figures, cells)
+	}
 
-	// Byte for byte what earlier releases' shutdown wrote.
-	legacy := struct {
+	// Byte for byte the journal's single-object form.
+	compact := struct {
 		Fingerprint string                     `json:"fingerprint"`
 		Entries     map[string]json.RawMessage `json:"entries"`
-	}{Fingerprint: cacheJournalFingerprint, Entries: map[string]json.RawMessage{}}
+	}{Fingerprint: "results v1", Entries: map[string]json.RawMessage{}}
 	for k, b := range stored.Entries {
-		legacy.Entries[k], _ = json.Marshal(b)
+		compact.Entries[k], _ = json.Marshal(b)
 	}
-	old, err := json.MarshalIndent(legacy, "", " ")
+	one, err := json.MarshalIndent(compact, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, append(old, '\n')) {
-		t.Fatalf("drained journal differs from the earlier single-object form:\n%s", data)
-	}
-	if err := os.WriteFile(path, append(old, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(data, append(one, '\n')) {
+		t.Fatalf("drained journal differs from the single-object form:\n%s", data)
 	}
 	s3, ts3 := newTestServer(t, func(c *Config) { c.JournalPath = path })
 	if resp, _ := get(t, ts3, "/v1/figures/fig10"); resp.Header.Get("X-Cache") != "hit" || s3.simulations.Load() != 0 {
-		t.Fatalf("earlier-format journal: X-Cache = %q, simulations = %d", resp.Header.Get("X-Cache"), s3.simulations.Load())
+		t.Fatalf("drained journal: X-Cache = %q, simulations = %d", resp.Header.Get("X-Cache"), s3.simulations.Load())
+	}
+
+	compact.Fingerprint = "refschedd-cache-v1"
+	old, _ := json.MarshalIndent(compact, "", " ")
+	oldPath := filepath.Join(t.TempDir(), "old.journal.json")
+	if err := os.WriteFile(oldPath, append(old, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer // warnings only, all logged by New
+	_, ts4 := newTestServer(t, func(c *Config) {
+		c.JournalPath = oldPath
+		c.Logger = slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	})
+	if !strings.Contains(logged.String(), "dropped=\"10 entries under another format\"") {
+		t.Fatalf("the dropped earlier-format entries were not logged:\n%s", logged.String())
+	}
+	if resp, _ := get(t, ts4, "/v1/figures/fig10"); resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("earlier-format journal: X-Cache = %q, want miss", resp.Header.Get("X-Cache"))
 	}
 }
 
@@ -800,9 +848,9 @@ func TestMetricszEndpoint(t *testing.T) {
 		t.Error("missing queue_depth gauge")
 	}
 
-	// Cache state: one stored entry, one hit, one miss.
-	if v := mustSample("refschedd_cache_entries", nil); v != 1 {
-		t.Errorf("cache_entries = %v, want 1", v)
+	// Cache state: the figure and its 9 cells stored, one hit, one miss.
+	if v := mustSample("refschedd_cache_entries", nil); v != 10 {
+		t.Errorf("cache_entries = %v, want 10", v)
 	}
 	if v := mustSample("refschedd_cache_hits", nil); v < 1 {
 		t.Errorf("cache_hits = %v, want >= 1", v)

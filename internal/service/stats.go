@@ -8,6 +8,7 @@ import (
 
 	"refsched/internal/buildinfo"
 	"refsched/internal/cluster"
+	"refsched/internal/harness"
 	"refsched/internal/metrics"
 	"refsched/internal/stats"
 )
@@ -93,13 +94,13 @@ func (s *Server) registerMetrics() {
 	}
 
 	c := root.Sub("cache")
-	c.CounterFunc("hits", func() uint64 { return s.cache.Stats().Hits })
-	c.CounterFunc("misses", func() uint64 { return s.cache.Stats().Misses })
-	c.CounterFunc("evictions", func() uint64 { return s.cache.Stats().Evictions })
-	c.GaugeFunc("entries", func() float64 { return float64(s.cache.Stats().Entries) })
-	c.GaugeFunc("bytes", func() float64 { return float64(s.cache.Stats().Bytes) })
-	c.GaugeFunc("budget_bytes", func() float64 { return float64(s.cache.Stats().Budget) })
-	c.GaugeFunc("hit_ratio", func() float64 { return s.cache.Stats().HitRatio })
+	c.CounterFunc("hits", func() uint64 { return s.memo.Stats().Hits })
+	c.CounterFunc("misses", func() uint64 { return s.memo.Stats().Misses })
+	c.CounterFunc("evictions", func() uint64 { return s.memo.Stats().Evictions })
+	c.GaugeFunc("entries", func() float64 { return float64(s.memo.Stats().Entries) })
+	c.GaugeFunc("bytes", func() float64 { return float64(s.memo.Stats().Bytes) })
+	c.GaugeFunc("budget_bytes", func() float64 { return float64(s.memo.Stats().Budget) })
+	c.GaugeFunc("hit_ratio", func() float64 { return s.memo.Stats().HitRatio })
 
 	root.GaugeFunc("uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 
@@ -264,7 +265,7 @@ type Stats struct {
 		EventsDropped       uint64 `json:"events_dropped"`
 	} `json:"resilience"`
 	Simulations uint64                  `json:"simulations"`
-	Cache       CacheStats              `json:"cache"`
+	Cache       harness.MemoStats       `json:"cache"`
 	Figures     map[string]LatencyStats `json:"figures"`
 	// Cluster is the node's membership/forwarding/fan-out block; nil
 	// (omitted) on single-node daemons, keeping their /statsz payload
@@ -324,7 +325,7 @@ func projectStats(snap metrics.Snapshot) Stats {
 	st.Resilience.HTTPPanics = snap.Counter("http.panics")
 	st.Resilience.EventsDropped = snap.Counter("events.dropped")
 	st.Simulations = snap.Counter("simulations")
-	st.Cache = CacheStats{
+	st.Cache = harness.MemoStats{
 		Hits:      snap.Counter("cache.hits"),
 		Misses:    snap.Counter("cache.misses"),
 		Evictions: snap.Counter("cache.evictions"),

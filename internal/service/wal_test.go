@@ -175,7 +175,7 @@ func TestJobWALRefusesForeignFile(t *testing.T) {
 	for name, content := range map[string]string{
 		"one accept":    `{"op":"accept","id":"job-000001","req":{"figure":"fig10"}}` + "\n",
 		"accept + done": `{"op":"accept","id":"job-000001","req":{"figure":"fig10"}}` + "\n" + `{"op":"done","id":"job-000001"}` + "\n",
-		"cache journal": `{"fingerprint":"refschedd-cache-v1","entries":{}}` + "\n",
+		"cache journal": `{"fingerprint":"results v1","entries":{}}` + "\n",
 	} {
 		path := filepath.Join(dir, "jobs.wal")
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
