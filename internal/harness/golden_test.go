@@ -48,6 +48,7 @@ var goldenFigures = []struct {
 	{"fig5", true},
 	{"fig10", false},
 	{"fig12", false},
+	{"fig13", false},
 	{"fig14", true},
 	{"fig15", true},
 	{"ext1", true},
