@@ -40,8 +40,8 @@ staticcheck:
 
 # The merge gate: gofmt (any file `gofmt -l` lists fails it), build,
 # vet, staticcheck, the short test suite, every golden figure (-short
-# skips six of the eight, among them the deep-queue fig4, the adaptive
-# and OOO fig14 and the pausing and subarray ext1; all eight take ~5 s)
+# skips six of the nine, among them the deep-queue fig4, the adaptive
+# and OOO fig14 and the pausing and subarray ext1; all nine take ~5 s)
 # rendered plainly, again from its memo alone, and again after every
 # exact cell was preempted at its second checkpoint boundary and
 # resumed (~5 s),

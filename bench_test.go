@@ -41,58 +41,34 @@ func benchParams() harness.Params {
 	}
 }
 
+// benchFigure regenerates one experiments target per iteration through
+// harness.RunFigure, each iteration under a store of its own.
+func benchFigure(b *testing.B, name string) {
+	p := benchParams()
+	for i := 0; i < b.N; i++ {
+		p.Store = &harness.CellStore{}
+		if _, err := harness.RunFigure(name, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTable1Config regenerates Table 1 (configuration rendering —
 // trivially fast; exists so every table has a bench target).
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table1(benchParams()) == nil {
-			b.Fatal("no table")
-		}
-	}
-}
+func BenchmarkTable1Config(b *testing.B) { benchFigure(b, "table1") }
 
 // BenchmarkTable2Workloads regenerates Table 2.
-func BenchmarkTable2Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table2Result() == nil {
-			b.Fatal("no table")
-		}
-	}
-}
+func BenchmarkTable2Workloads(b *testing.B) { benchFigure(b, "table2") }
 
-// BenchmarkFig3RefreshDegradation regenerates Figure 3 and reports the
-// 32 Gb / 64 ms all-bank degradation.
-func BenchmarkFig3RefreshDegradation(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Fig3(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkFig3RefreshDegradation regenerates Figure 3.
+func BenchmarkFig3RefreshDegradation(b *testing.B) { benchFigure(b, "fig3") }
 
 // BenchmarkFig4BankConfinement regenerates Figure 4.
-func BenchmarkFig4BankConfinement(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Fig4(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig4BankConfinement(b *testing.B) { benchFigure(b, "fig4") }
 
 // BenchmarkFig5CapacityFit regenerates Figure 5 (allocator capacity
 // study over the SPEC footprint table).
-func BenchmarkFig5CapacityFit(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig5(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig5CapacityFit(b *testing.B) { benchFigure(b, "fig5") }
 
 // BenchmarkFig10CoDesignIPC regenerates Figures 10+11 and reports the
 // co-design IPC gain over all-bank at 32 Gb as a custom metric.
@@ -121,61 +97,21 @@ func BenchmarkFig11MemLatency(b *testing.B) {
 }
 
 // BenchmarkFig12FGRModes regenerates Figure 12.
-func BenchmarkFig12FGRModes(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Fig12(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig12FGRModes(b *testing.B) { benchFigure(b, "fig12") }
 
 // BenchmarkFig13LowRetention regenerates Figure 13 (32 ms retention).
-func BenchmarkFig13LowRetention(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, _, err := harness.Fig10(p, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig13LowRetention(b *testing.B) { benchFigure(b, "fig13") }
 
 // BenchmarkFig14PriorWork regenerates Figure 14 (OOO per-bank, AR).
-func BenchmarkFig14PriorWork(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Fig14(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig14PriorWork(b *testing.B) { benchFigure(b, "fig14") }
 
 // BenchmarkFig15Sensitivity regenerates Figure 15 (cores x
 // consolidation x DIMM sweep).
-func BenchmarkFig15Sensitivity(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Fig15(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig15Sensitivity(b *testing.B) { benchFigure(b, "fig15") }
 
 // BenchmarkExt1Extensions regenerates the beyond-paper extension
 // comparison (Elastic, Pausing, RAIDR, subarray-level refresh).
-func BenchmarkExt1Extensions(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		p.Store = &harness.CellStore{}
-		if _, err := harness.Extensions(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkExt1Extensions(b *testing.B) { benchFigure(b, "ext1") }
 
 func mustRun(b *testing.B, p harness.Params, pol config.RefreshPolicy, codesign bool, mix workload.Mix) *core.Report {
 	b.Helper()
@@ -290,14 +226,14 @@ func BenchmarkFig10Parallel(b *testing.B) {
 		p.Parallelism = 1
 		p.Store = &harness.CellStore{}
 		t0 := time.Now()
-		if _, _, err := harness.Fig10(p, false); err != nil {
+		if _, err := harness.RunFigure("fig10", p); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		p.Parallelism = runtime.NumCPU()
 		p.Store = &harness.CellStore{}
 		t0 = time.Now()
-		if _, _, err := harness.Fig10(p, false); err != nil {
+		if _, err := harness.RunFigure("fig10", p); err != nil {
 			b.Fatal(err)
 		}
 		parallel := time.Since(t0)

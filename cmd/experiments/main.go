@@ -2,9 +2,13 @@
 //
 // Usage:
 //
-//	experiments [flags] [fig3 fig4 fig5 fig10 fig12 fig13 fig14 fig15 table1 table2 | all]
+//	experiments [flags] [target ... | all]
 //
-// With no arguments it runs everything at the default fidelity
+// The targets are table1, table2, fig3, fig4, fig5, fig10, fig12,
+// fig13, fig14, fig15 and ext1, run in that order by "all"; fig11 names
+// fig10 (which prints Figs. 10 and 11) and extensions names ext1. -h
+// lists them from the harness's target table. With no arguments it
+// runs everything at the default fidelity
 // (scale 64, full footprints, all ten mixes). -quick switches to a fast
 // preset for smoke runs. -mode=approx answers sweep cells from the
 // analytical model instead of the event-driven engine — a whole figure
@@ -67,6 +71,11 @@ func main() {
 
 		cpuprofile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to FILE")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: experiments [flags] [target ... | all]\ntargets, in the order all runs them: %s\n",
+			strings.Join(harness.FigureNames(), " "))
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if *version {
@@ -176,17 +185,18 @@ func main() {
 	}
 }
 
-// runTarget runs one CLI target through harness.RunFigure — the same
-// dispatch point the serving daemon uses, which is what keeps a served
-// figure byte-identical to this CLI's output — and returns how many of
-// its sweep cells were quarantined. Partial results (e.g. an "all" run
-// interrupted midway) are still printed before the error is returned.
+// runTarget runs one CLI target through harness.RunFigure and prints it
+// with harness.Render — the daemon's dispatch point and renderer, which
+// is what keeps a served figure byte-identical to this CLI's output —
+// and returns how many of its sweep cells were quarantined. Partial
+// results (e.g. an "all" run interrupted midway) are still printed
+// before the error is returned.
 func runTarget(target string, p harness.Params) (int, error) {
 	rs, err := harness.RunFigure(target, p)
 	quarantined := 0
 	for _, r := range rs {
 		quarantined += len(r.Failed)
-		fmt.Println(r)
 	}
+	os.Stdout.Write(harness.Render(rs))
 	return quarantined, err
 }

@@ -131,20 +131,15 @@ func (in *Injector) Faulted(key string) (Mode, bool) {
 	return mode, true
 }
 
-// Wrap returns run with the injector's fault (if any) for key applied
-// in front of it. The wrapped closure stays deterministic: a cell that
-// is not faulted runs the original closure unchanged.
-func Wrap[T any](in *Injector, key string, run func() (T, error)) func() (T, error) {
-	return WrapContext(in, key, nil, run)
-}
-
-// WrapContext is Wrap with a cancellation context for the stall mode:
-// a stalled cell sleeps on a timer but aborts early — returning the
+// WrapContext returns run with the injector's fault (if any) for key
+// applied in front of it. The wrapped closure stays deterministic: a
+// cell that is not faulted runs the original closure unchanged. A
+// stalled cell sleeps on a timer but aborts early — returning the
 // context error instead of the cell's result — when ctx ends. That is
 // what lets a watchdog or deadline terminate a chaos-stalled job
 // within its bound instead of waiting out the full stall. A nil ctx
-// stalls uninterruptibly, like Wrap. Fault placement is unchanged:
-// ctx affects only how a stall ends, never which cells fault.
+// stalls uninterruptibly. Fault placement is unchanged: ctx affects
+// only how a stall ends, never which cells fault.
 func WrapContext[T any](in *Injector, key string, ctx context.Context, run func() (T, error)) func() (T, error) {
 	if in == nil {
 		return run

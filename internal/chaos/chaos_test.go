@@ -30,7 +30,7 @@ func TestNewOffWhenFracZero(t *testing.T) {
 	if _, ok := in.Faulted("k"); ok {
 		t.Error("nil injector faulted a cell")
 	}
-	run := Wrap(in, "k", func() (int, error) { return 7, nil })
+	run := WrapContext(in, "k", nil, func() (int, error) { return 7, nil })
 	if v, err := run(); v != 7 || err != nil {
 		t.Error("nil injector must pass the closure through unchanged")
 	}
@@ -76,7 +76,7 @@ func TestFaultPlacementDeterministic(t *testing.T) {
 
 func TestWrapErrorModePermanent(t *testing.T) {
 	in := New(Config{Seed: 1, Frac: 1, Mode: ModeError})
-	run := Wrap(in, "cell", func() (int, error) { return 1, nil })
+	run := WrapContext(in, "cell", nil, func() (int, error) { return 1, nil })
 	for i := 0; i < 3; i++ {
 		var ie *InjectedError
 		if _, err := run(); !errors.As(err, &ie) || ie.Key != "cell" {
@@ -87,7 +87,7 @@ func TestWrapErrorModePermanent(t *testing.T) {
 
 func TestWrapPanicMode(t *testing.T) {
 	in := New(Config{Seed: 1, Frac: 1, Mode: ModePanic})
-	run := Wrap(in, "cell", func() (int, error) { return 1, nil })
+	run := WrapContext(in, "cell", nil, func() (int, error) { return 1, nil })
 	defer func() {
 		p := recover()
 		ip, ok := p.(*InjectedPanic)
@@ -114,7 +114,7 @@ func TestChaosWithRunnerQuarantinesPermanent(t *testing.T) {
 		}
 		jobs[i] = runner.Job[int]{
 			Cell: runner.Cell{Mix: key},
-			Run:  Wrap(in, key, func() (int, error) { return i, nil }),
+			Run:  WrapContext(in, key, nil, func() (int, error) { return i, nil }),
 		}
 	}
 	if wantFail == 0 {
@@ -128,7 +128,7 @@ func TestChaosWithRunnerQuarantinesPermanent(t *testing.T) {
 		t.Fatalf("Failed = %d cells, want %d", len(b.Failed), wantFail)
 	}
 	for _, ce := range b.Failed {
-		if ce.Panicked() {
+		if ce.PanicValue != nil {
 			if _, ok := ce.PanicValue.(*InjectedPanic); !ok {
 				t.Errorf("cell %d panic value = %#v, want *InjectedPanic", ce.Index, ce.PanicValue)
 			}

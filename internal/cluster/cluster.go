@@ -230,9 +230,6 @@ func (c *Cluster) Members() []Member { return append([]Member(nil), c.cfg.Peers.
 // Owner returns the ring owner of key, ignoring liveness.
 func (c *Cluster) Owner(key string) string { return c.ring.owner(key) }
 
-// Preference returns key's full ownership order, ignoring liveness.
-func (c *Cluster) Preference(key string) []string { return c.ring.preference(key) }
-
 // RouteOwner resolves where a request for key should be handled: the
 // first alive node in the key's ownership order. It returns the local
 // member (and self=true) when that node is this one — or when every

@@ -200,7 +200,7 @@ func TestRouteOwnerSkipsDownNodes(t *testing.T) {
 		t.Fatalf("RouteOwner still targets down node %s", remote)
 	}
 	want := ""
-	for _, id := range c.Preference(key) {
+	for _, id := range c.ring.preference(key) {
 		if id != remote {
 			want = id
 			break

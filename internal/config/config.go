@@ -125,7 +125,6 @@ type CacheConfig struct {
 	Ways       int
 	LineBytes  uint64
 	HitLatency uint64 // cycles
-	MSHRs      int    // outstanding misses supported (0 = unbounded)
 }
 
 // Sets returns the number of sets.
@@ -326,10 +325,10 @@ func Default(d Density, scale uint64) System {
 		MLP:        8,
 		BaseCPI:    0.5,
 		L1: CacheConfig{
-			SizeBytes: 32 * 1024, Ways: 4, LineBytes: 64, HitLatency: 2, MSHRs: 8,
+			SizeBytes: 32 * 1024, Ways: 4, LineBytes: 64, HitLatency: 2,
 		},
 		L2: CacheConfig{
-			SizeBytes: 1024 * 1024, Ways: 16, LineBytes: 64, HitLatency: 20, MSHRs: 16,
+			SizeBytes: 1024 * 1024, Ways: 16, LineBytes: 64, HitLatency: 20,
 		},
 		Mem: MemConfig{
 			Channels:        1,

@@ -271,14 +271,14 @@ func TestCellStoreReusesCellsAcrossFigures(t *testing.T) {
 		}
 		return runner.RunBatch(ctx, jobs, opts)
 	}
-	if _, err := Fig3(p); err != nil {
+	if _, err := fig3(p); err != nil {
 		t.Fatal(err)
 	}
 	stored := processStore.memo().Stats().Entries
 	if stored != len(got["fig3"]) {
 		t.Fatalf("the memo holds %d results after fig3's %d cells", stored, len(got["fig3"]))
 	}
-	r10, r11, err := Fig10(p, false)
+	rs, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestCellStoreReusesCellsAcrossFigures(t *testing.T) {
 
 	own := tinyParams()
 	own.Store = &CellStore{}
-	o10, o11, err := Fig10(own, false)
+	owned, err := fig10(own)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r10.String() != o10.String() || r11.String() != o11.String() {
-		t.Errorf("fig10/fig11 after fig3 differ from a run under its own store:\n%s%s\nown store:\n%s%s", r10, r11, o10, o11)
+	if a, b := Render(rs), Render(owned); !bytes.Equal(a, b) {
+		t.Errorf("fig10/fig11 after fig3 differ from a run under its own store:\n%s\nown store:\n%s", a, b)
 	}
 }
 
@@ -371,7 +371,7 @@ func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
 	p.Parallelism = 4
 	path := filepath.Join(t.TempDir(), "cells.json")
 	p.Store = openStore(t, path)
-	clean10, clean11, err := Fig10(p, false)
+	clean, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,15 +396,15 @@ func TestCellStoreReopenedLogAnswersFig10(t *testing.T) {
 	ran := 0
 	p.CellRunner = countRuns(&ran)
 	p.Store = openStore(t, path)
-	r10, r11, err := Fig10(p, false)
+	rs, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ran != 0 {
 		t.Fatalf("fig10 over its log simulated %d cells", ran)
 	}
-	if r10.String() != clean10.String() || r11.String() != clean11.String() {
-		t.Errorf("fig10/fig11 from the log differ from the run that wrote it:\n%s%s\nclean:\n%s%s", r10, r11, clean10, clean11)
+	if a, b := Render(rs), Render(clean); !bytes.Equal(a, b) {
+		t.Errorf("fig10/fig11 from the log differ from the run that wrote it:\n%s\nclean:\n%s", a, b)
 	}
 	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, logged) {
 		t.Fatalf("rendering fig10 from its log changed the log (err %v)", err)
@@ -466,12 +466,12 @@ func TestCellStoreFailedAppendFailsRun(t *testing.T) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	r10, _, err := Fig10(p, false)
+	rs, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r10.Failed) != 0 {
-		t.Fatalf("fig10 quarantined cells after a failed append:\n%s", r10)
+	if len(rs[0].Failed) != 0 {
+		t.Fatalf("fig10 quarantined cells after a failed append:\n%s", rs[0])
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a result was appended after the failed append (stat err %v)", err)

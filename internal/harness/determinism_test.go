@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -57,24 +58,18 @@ func TestFig10ParallelDeterminism(t *testing.T) {
 	// byte-identical.
 	p.Parallelism = 1
 	p.Store = &CellStore{}
-	s10, s11, err := Fig10(p, false)
+	serial, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Parallelism = 8
 	p.Store = &CellStore{}
-	p10, p11, err := Fig10(p, false)
+	parallel, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s10, p10) {
-		t.Errorf("fig10 differs:\nserial:\n%s\nparallel:\n%s", s10, p10)
-	}
-	if !reflect.DeepEqual(s11, p11) {
-		t.Errorf("fig11 differs:\nserial:\n%s\nparallel:\n%s", s11, p11)
-	}
-	if s10.String() != p10.String() {
-		t.Error("fig10 rendered output is not byte-identical")
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("fig10/fig11 differ:\nserial:\n%s\nparallel:\n%s", Render(serial), Render(parallel))
 	}
 }
 
@@ -86,16 +81,16 @@ func TestFig5ParallelDeterminism(t *testing.T) {
 	}
 	p := tinyParams()
 	p.Parallelism = 1
-	serial, err := Fig5(p)
+	serial, err := fig5(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Parallelism = 8
-	parallel, err := Fig5(p)
+	parallel, err := fig5(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.String() != parallel.String() {
-		t.Errorf("fig5 output differs:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	if a, b := Render(serial), Render(parallel); !bytes.Equal(a, b) {
+		t.Errorf("fig5 output differs:\nserial:\n%s\nparallel:\n%s", a, b)
 	}
 }

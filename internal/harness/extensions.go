@@ -5,14 +5,14 @@ import (
 	"refsched/internal/runner"
 )
 
-// Extensions runs the beyond-the-paper comparison (experiment "ext1"):
-// the three related-work mechanisms the paper discusses but does not
-// simulate — Elastic Refresh, Refresh Pausing, and retention-aware
-// RAIDR — plus the Section 7 hardware direction of subarray-level
-// per-bank refresh (SALP), all against per-bank refresh and the
-// co-design at 32 Gb. It reports both the IPC gain over all-bank
-// refresh and refresh's share of DRAM energy (RAIDR's selling point).
-func Extensions(p Params) (*Result, error) {
+// ext1 runs the beyond-the-paper comparison: the three related-work
+// mechanisms the paper discusses but does not simulate — Elastic
+// Refresh, Refresh Pausing, and retention-aware RAIDR — plus the
+// Section 7 hardware direction of subarray-level per-bank refresh
+// (SALP), all against per-bank refresh and the co-design at 32 Gb. It
+// reports both the IPC gain over all-bank refresh and refresh's share
+// of DRAM energy (RAIDR's selling point).
+func ext1(p Params) ([]*Result, error) {
 	r := &Result{
 		ID:    "ext1",
 		Title: "Extensions: related-work mechanisms and subarray refresh at 32Gb (vs all-bank)",
@@ -48,11 +48,7 @@ func Extensions(p Params) (*Result, error) {
 				// Quarantined cell: this mix drops out of the means.
 				continue
 			}
-			g := 0.0
-			if ipc := base.HarmonicIPC; ipc > 0 {
-				g = rep.HarmonicIPC/ipc - 1
-			}
-			gains = append(gains, g)
+			gains = append(gains, gain(rep, base))
 			stalls = append(stalls, rep.RefreshStalledFrac)
 			energies = append(energies, rep.RefreshEnergyFrac)
 		}
@@ -66,5 +62,5 @@ func Extensions(p Params) (*Result, error) {
 		"elastic/pausing/raidr are the paper's Section 7 related work, rebuilt as comparators;",
 		"perbank-salp8 is the Section 7 future-work direction: per-bank refresh at subarray granularity;",
 		"raidr assumes an (optimistic) synthetic retention profile — its energy column is its selling point")
-	return r, nil
+	return []*Result{r}, nil
 }

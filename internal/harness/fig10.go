@@ -34,14 +34,21 @@ func (p Params) mainResults(highTemp bool) (map[runner.Cell]*core.Report, []*run
 	return p.runCells(figID, cells)
 }
 
-// Fig10 regenerates Figure 10 (IPC improvement of per-bank refresh and
+// fig10 regenerates Figure 10 (IPC improvement of per-bank refresh and
 // the co-design, normalized to all-bank refresh, per workload and
-// density) and Figure 11 (average memory access latency). Set highTemp
-// for Figure 13's 32 ms retention variant.
-func Fig10(p Params, highTemp bool) (*Result, *Result, error) {
+// density) and Figure 11 (average memory access latency).
+func fig10(p Params) ([]*Result, error) { return p.mainFigures(false) }
+
+// fig13 regenerates Figure 13, fig10's grid at 32 ms retention, and its
+// latency table.
+func fig13(p Params) ([]*Result, error) { return p.mainFigures(true) }
+
+// mainFigures renders the Figure 10/11 grid, or Figure 13's at 32 ms
+// retention when highTemp is set.
+func (p Params) mainFigures(highTemp bool) ([]*Result, error) {
 	reps, failed, err := p.mainResults(highTemp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	id10, id11 := "fig10", "fig11"
@@ -79,11 +86,7 @@ func Fig10(p Params, highTemp bool) (*Result, *Result, error) {
 				complete = false
 				break
 			}
-			gpb, gcd := 0.0, 0.0
-			if ab.HarmonicIPC > 0 {
-				gpb = pb.HarmonicIPC/ab.HarmonicIPC - 1
-				gcd = cd.HarmonicIPC/ab.HarmonicIPC - 1
-			}
+			gpb, gcd := gain(pb, ab), gain(cd, ab)
 			rowPB[d], rowCD[d] = gpb, gcd
 			row10 = append(row10, pct(gpb), pct(gcd))
 			row11 = append(row11,
@@ -116,5 +119,5 @@ func Fig10(p Params, highTemp bool) (*Result, *Result, error) {
 			"paper: low-MPKI mixes (WL-2/3/4) see no improvement")
 	}
 	r10.Failed = failed
-	return r10, r11, nil
+	return []*Result{r10, r11}, nil
 }

@@ -22,11 +22,11 @@ var scenarios = []scenario{
 
 var scenarioBundles = []bundle{bundleAllBank, bundlePerBank, bundleCoDesign}
 
-// Fig15 regenerates Figure 15: sensitivity of the co-design's gains to
+// fig15 regenerates Figure 15: sensitivity of the co-design's gains to
 // core count, consolidation ratio, and DIMMs per channel. Each cell is
 // the mean IPC improvement over all-bank refresh across the selected
 // mixes (tiled to the scenario's task count).
-func Fig15(p Params) (*Result, error) {
+func fig15(p Params) ([]*Result, error) {
 	r := &Result{
 		ID:    "fig15",
 		Title: "Sensitivity: mean IPC improvement over all-bank refresh",
@@ -78,5 +78,5 @@ func Fig15(p Params) (*Result, error) {
 	}
 	r.Notes = append(r.Notes,
 		"paper: co-design +14.2%/11.2%/8.9% over all-bank at 1:2 (32/24/16Gb); gains persist for quad-core and improve with 2 DIMMs")
-	return r, nil
+	return []*Result{r}, nil
 }

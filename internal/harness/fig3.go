@@ -5,12 +5,12 @@ import (
 	"refsched/internal/runner"
 )
 
-// Fig3 regenerates Figure 3: performance degradation due to refresh
+// fig3 regenerates Figure 3: performance degradation due to refresh
 // (relative to an ideal refresh-free system) for all-bank and per-bank
 // refresh across device densities, at both 64 ms and 32 ms retention.
 // Each cell is the mean degradation of harmonic-mean IPC over the
 // selected workload mixes.
-func Fig3(p Params) (*Result, error) {
+func fig3(p Params) ([]*Result, error) {
 	r := &Result{
 		ID:    "fig3",
 		Title: "Performance degradation due to refresh (vs no-refresh ideal)",
@@ -62,5 +62,5 @@ func Fig3(p Params) (*Result, error) {
 	r.Notes = append(r.Notes,
 		"paper: 64ms all-bank degradation grows 5.4%->17.2% and per-bank 0.24%->9.8% from 8Gb to 32Gb;",
 		"paper: 32ms all-bank reaches 34.8% and per-bank 20.3% at 32Gb")
-	return r, nil
+	return []*Result{r}, nil
 }

@@ -6,13 +6,13 @@ import (
 	"refsched/internal/runner"
 )
 
-// Fig4 regenerates Figure 4: the BLP-vs-tRFC trade-off. Each task is
+// fig4 regenerates Figure 4: the BLP-vs-tRFC trade-off. Each task is
 // confined to k of the 8 banks per rank with refresh entirely
 // eliminated, and IPC is normalized to the task-uses-all-8-banks
 // configuration *with* all-bank refresh at each density. Values above
 // 1.0 mean that giving up bank-level parallelism is worth it if doing
 // so removes all refresh overhead.
-func Fig4(p Params) (*Result, error) {
+func fig4(p Params) ([]*Result, error) {
 	r := &Result{
 		ID:    "fig4",
 		Title: "IPC of k-bank confinement without refresh, normalized to 8 banks with all-bank refresh",
@@ -58,7 +58,7 @@ func Fig4(p Params) (*Result, error) {
 	r.Notes = append(r.Notes,
 		"paper: >=4 banks per task beats the 8-bank all-bank-refresh baseline for 16/24/32Gb;",
 		"paper: at 8Gb (low tRFC) confinement is not worth it")
-	return r, nil
+	return []*Result{r}, nil
 }
 
 // confineBanks are the banks per rank Figure 4 confines each task to.

@@ -10,13 +10,13 @@ import (
 	"refsched/internal/workload"
 )
 
-// Fig5 regenerates Figure 5: the fraction of each application's
+// fig5 regenerates Figure 5: the fraction of each application's
 // reference-input footprint that fits on a single DRAM bank, per device
 // density. As the paper does, it exercises the modified buddy allocator
 // directly: pages are requested with a possible-banks vector of
 // {bank 0}; once bank 0 is exhausted the allocator falls back to other
 // banks, and the on-bank-0 fraction is reported.
-func Fig5(p Params) (*Result, error) {
+func fig5(p Params) ([]*Result, error) {
 	r := &Result{
 		ID:    "fig5",
 		Title: "Fraction of footprint that fits on one bank (via allocator fall-back)",
@@ -71,7 +71,7 @@ func Fig5(p Params) (*Result, error) {
 	r.Table.AddRow(avg...)
 	r.Notes = append(r.Notes,
 		"paper: on average 68% of footprints fit a single bank at 8Gb, rising with density")
-	return r, nil
+	return []*Result{r}, nil
 }
 
 // singleBankFraction allocates a footprint preferring bank 0 and

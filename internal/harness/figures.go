@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,67 +14,90 @@ import (
 	"refsched/internal/workload"
 )
 
-// FigureNames lists the CLI targets RunFigure accepts, in the order
-// cmd/experiments documents them. "all" (every target in sequence) is
-// accepted by RunFigure but deliberately absent here: the list is what
-// services enumerate as individually addressable figures.
+// figure is one CLI target: the name it is run and served under, the
+// aliases that name it too, and the driver that renders it.
+type figure struct {
+	name    string
+	aliases []string
+	run     func(Params) ([]*Result, error)
+}
+
+// figures is the target table, in the paper's order, which is the
+// order "all" runs it in. FigureNames, RunFigure and CanonicalFigure
+// all read it.
+var figures = []figure{
+	{name: "table1", run: table1},
+	{name: "table2", run: table2},
+	{name: "fig3", run: fig3},
+	{name: "fig4", run: fig4},
+	{name: "fig5", run: fig5},
+	{name: "fig10", aliases: []string{"fig11"}, run: fig10},
+	{name: "fig12", run: fig12.run},
+	{name: "fig13", run: fig13},
+	{name: "fig14", run: fig14.run},
+	{name: "fig15", run: fig15},
+	{name: "ext1", aliases: []string{"extensions"}, run: ext1},
+}
+
+// FigureNames lists the targets in table order: the figures services
+// enumerate as individually addressable. RunFigure also takes the
+// aliases and "all".
 func FigureNames() []string {
-	return []string{
-		"table1", "table2",
-		"fig3", "fig4", "fig5", "fig10", "fig12", "fig13", "fig14", "fig15",
-		"ext1",
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
+	return names
 }
 
-// RunFigure runs one named CLI target and returns its rendered
-// results — one Result for most targets, two for the paired figures
-// (fig10 also yields fig11; fig13 its latency table). It is the single
-// dispatch point shared by cmd/experiments and the serving daemon, so
-// a figure served over HTTP is produced by exactly the code path the
-// batch CLI prints.
+// CanonicalFigure returns the target a name runs — a target's own name,
+// the target an alias names, or "all" — so that every name of one
+// computation shares a cache entry. ok is false for a name RunFigure
+// rejects.
+func CanonicalFigure(name string) (canonical string, ok bool) {
+	if name == "all" {
+		return name, true
+	}
+	for _, f := range figures {
+		if f.name == name || slices.Contains(f.aliases, name) {
+			return f.name, true
+		}
+	}
+	return "", false
+}
+
+// RunFigure runs a target, an alias, or "all" (every target in table
+// order) and returns its results: one Result for most targets, two for
+// fig10 (with fig11) and fig13 (with its latency table). When a target
+// of "all" fails, the results before it come back with the error.
+// cmd/experiments and the serving daemon run figures only through it.
 func RunFigure(name string, p Params) ([]*Result, error) {
-	switch name {
-	case "all":
-		return All(p)
-	case "table1":
-		return []*Result{Table1(p)}, nil
-	case "table2":
-		return []*Result{Table2Result()}, nil
-	case "fig3":
-		return one(Fig3(p))
-	case "fig4":
-		return one(Fig4(p))
-	case "fig5":
-		return one(Fig5(p))
-	case "fig10", "fig11":
-		r10, r11, err := Fig10(p, false)
-		if err != nil {
-			return nil, err
-		}
-		return []*Result{r10, r11}, nil
-	case "fig12":
-		return one(Fig12(p))
-	case "fig13":
-		r13, r13lat, err := Fig10(p, true)
-		if err != nil {
-			return nil, err
-		}
-		return []*Result{r13, r13lat}, nil
-	case "fig14":
-		return one(Fig14(p))
-	case "fig15":
-		return one(Fig15(p))
-	case "ext1", "extensions":
-		return one(Extensions(p))
+	canonical, ok := CanonicalFigure(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown target %q", name)
 	}
-	return nil, fmt.Errorf("unknown target %q", name)
+	var out []*Result
+	for _, f := range figures {
+		if canonical == "all" || f.name == canonical {
+			rs, err := f.run(p)
+			out = append(out, rs...)
+			if err != nil {
+				return out, err
+			}
+		}
+	}
+	return out, nil
 }
 
-func one(r *Result, err error) ([]*Result, error) {
-	if err != nil {
-		return nil, err
+// Render renders results as cmd/experiments prints them, each result
+// followed by a blank line. A figure the daemon serves is these bytes.
+func Render(rs []*Result) []byte {
+	var b bytes.Buffer
+	for _, r := range rs {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
 	}
-	return []*Result{r}, nil
+	return b.Bytes()
 }
 
 // bundles is the bundle table: every bundle a figure prints, by name,

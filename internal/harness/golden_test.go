@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -54,21 +53,6 @@ var goldenFigures = []struct {
 	{"ext1", true},
 }
 
-// render renders a figure's results as cmd/experiments prints them.
-func render(t *testing.T, name string, p Params) string {
-	t.Helper()
-	rs, err := RunFigure(name, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, r := range rs {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // TestGoldenFigures renders each figure under a store of its own, so
 // every cell simulates, and then a second time through the same memo,
 // which must answer every cell without computing it and print the same
@@ -84,11 +68,11 @@ func TestGoldenFigures(t *testing.T) {
 			t.Parallel()
 			p := goldenParams()
 			p.Store = &CellStore{}
-			got := render(t, f.name, p)
+			got := rendered(t, f.name, p)
 			if f.name != "fig5" {
 				ran := 0
 				p.CellRunner = countRuns(&ran)
-				if again := render(t, f.name, p); again != got || ran != 0 {
+				if again := rendered(t, f.name, p); again != got || ran != 0 {
 					t.Errorf("%s rendered through its memo computed %d cells and printed:\n%s\nfirst render:\n%s",
 						f.name, ran, again, got)
 				}
@@ -194,7 +178,7 @@ func TestPreemptedGoldenFigures(t *testing.T) {
 				t.Errorf("first pass quarantined %d cells, want all %d", failed, len(ran))
 			}
 
-			if got := render(t, f.name, p); got != string(want) {
+			if got := rendered(t, f.name, p); got != string(want) {
 				t.Errorf("%s resumed from preemption diverged from golden:\n--- got ---\n%s\n--- want ---\n%s",
 					f.name, got, want)
 			}

@@ -1,8 +1,10 @@
 // Package harness drives the paper's experiments: for every table and
 // figure in the evaluation it builds the right systems, runs them, and
-// prints the same rows/series the paper reports. Each figure has a
-// FigN function returning a Result; cmd/experiments is a thin CLI over
-// them and bench_test.go wraps them as testing.B benchmarks.
+// prints the same rows/series the paper reports. One table (figures.go)
+// lists every target with its aliases and its driver; RunFigure runs a
+// target and Render prints its results. cmd/experiments, the serving
+// daemon and bench_test.go's figure benchmarks run figures through
+// them.
 package harness
 
 import (
@@ -161,14 +163,7 @@ func (r *Result) String() string {
 		var ft stats.Table
 		ft.Header = []string{"cell", "seed", "kind", "error"}
 		for _, f := range r.Failed {
-			kind := "error"
-			detail := ""
-			if f.Panicked() {
-				kind = "panic"
-				detail = fmt.Sprint(f.PanicValue)
-			} else if f.Err != nil {
-				detail = f.Err.Error()
-			}
+			kind, detail := f.Cause()
 			ft.AddRow(f.Cell.String(), fmt.Sprint(f.Cell.Seed), kind, detail)
 		}
 		b.WriteString(ft.String())
@@ -318,6 +313,15 @@ func (p Params) store() *CellStore {
 // policy.
 func cellError(mix workload.Mix, cfg config.System, err error) error {
 	return fmt.Errorf("%s/%s/%s: %w", mix.Name, cfg.Mem.Density, cfg.Refresh.Policy, err)
+}
+
+// gain is rep's IPC gain over base's: the ratio of their harmonic-mean
+// IPCs less one, or 0 when base retired nothing.
+func gain(rep, base *core.Report) float64 {
+	if base.HarmonicIPC > 0 {
+		return rep.HarmonicIPC/base.HarmonicIPC - 1
+	}
+	return 0
 }
 
 // pct formats a ratio as a percentage string.

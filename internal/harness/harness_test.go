@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,6 +19,73 @@ func tinyParams() Params {
 		MeasureWindows: 1,
 		Mixes:          []string{"WL-6"},
 		Seed:           1,
+	}
+}
+
+// runFigure runs a target, failing the test on error.
+func runFigure(t *testing.T, name string, p Params) []*Result {
+	t.Helper()
+	rs, err := RunFigure(name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// rendered is a target's output as cmd/experiments prints it.
+func rendered(t *testing.T, name string, p Params) string {
+	t.Helper()
+	return string(Render(runFigure(t, name, p)))
+}
+
+// TestFigureAliases: an alias renders its target's bytes, and a name
+// the target table lacks is refused, by RunFigure and CanonicalFigure
+// alike.
+func TestFigureAliases(t *testing.T) {
+	p := tinyParams()
+	p.Store = &CellStore{}
+	for alias, target := range map[string]string{"fig11": "fig10", "extensions": "ext1"} {
+		if got, want := rendered(t, alias, p), rendered(t, target, p); got != want {
+			t.Errorf("%s rendered:\n%s\nwant %s's bytes:\n%s", alias, got, target, want)
+		}
+		if c, ok := CanonicalFigure(alias); c != target || !ok {
+			t.Errorf("CanonicalFigure(%q) = %q, %t; want %q", alias, c, ok, target)
+		}
+	}
+	rs, err := RunFigure("fig11b", p)
+	if rs != nil || err == nil || err.Error() != `unknown target "fig11b"` {
+		t.Errorf("RunFigure(fig11b) = %v, %v; want the unknown-target error", rs, err)
+	}
+	if c, ok := CanonicalFigure("fig11b"); ok {
+		t.Errorf("CanonicalFigure(fig11b) = %q, true", c)
+	}
+}
+
+// TestRunAllStopsAtFailingTarget: "all" runs the table in order and,
+// when a target fails, returns the results of the targets before it
+// with the error. A cancelled sweep fails fig3, the first target that
+// runs cells.
+func TestRunAllStopsAtFailingTarget(t *testing.T) {
+	p := tinyParams()
+	p.Store = &CellStore{}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Ctx = ctx
+	rs, err := RunFigure("all", p)
+	if !errors.Is(err, context.Canceled) || len(rs) != 2 || rs[0].ID != "table1" || rs[1].ID != "table2" {
+		t.Fatalf("RunFigure(all) under a cancelled sweep = %d results, %v; want table1 and table2 with context.Canceled", len(rs), err)
+	}
+}
+
+// TestRenderMatchesCLIFormat guards the framing the byte-identical
+// guarantee depends on: each result as fmt.Println prints it.
+func TestRenderMatchesCLIFormat(t *testing.T) {
+	r := &Result{ID: "x", Title: "t"}
+	r.Table.Header = []string{"a"}
+	r.Table.AddRow("1")
+	got := Render([]*Result{r, r})
+	if want := fmt.Sprintf("%v\n%v\n", r, r); string(got) != want {
+		t.Fatalf("Render framing drifted:\n%q\nvs\n%q", got, want)
 	}
 }
 
@@ -44,8 +114,7 @@ func TestConfigForBundles(t *testing.T) {
 }
 
 func TestTable1Renders(t *testing.T) {
-	r := Table1(tinyParams())
-	s := r.String()
+	s := rendered(t, "table1", tinyParams())
 	for _, want := range []string{"FR-FCFS", "32Gb", "tREFIab", "timeslice"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table1 missing %q:\n%s", want, s)
@@ -54,8 +123,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	r := Table2Result()
-	s := r.String()
+	s := rendered(t, "table2", tinyParams())
 	for _, want := range []string{"WL-1", "WL-10", "mcf(8)", "H+L"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table2 missing %q", want)
@@ -67,10 +135,7 @@ func TestFig5Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocator sweeps are slow")
 	}
-	r, err := Fig5(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFigure(t, "fig5", tinyParams())[0]
 	if len(r.Table.Rows) < 30 {
 		t.Fatalf("fig5 rows = %d", len(r.Table.Rows))
 	}
@@ -85,10 +150,7 @@ func TestFig3Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
-	r, err := Fig3(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFigure(t, "fig3", tinyParams())[0]
 	// 4 densities x 2 temps.
 	if len(r.Table.Rows) != 8 {
 		t.Fatalf("fig3 rows = %d", len(r.Table.Rows))
@@ -99,10 +161,8 @@ func TestFig10Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
-	r10, r11, err := Fig10(tinyParams(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runFigure(t, "fig10", tinyParams())
+	r10, r11 := rs[0], rs[1]
 	if len(r10.Table.Rows) != 2 { // WL-6 + average
 		t.Fatalf("fig10 rows = %d", len(r10.Table.Rows))
 	}
@@ -115,10 +175,7 @@ func TestFig14Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
-	r, err := Fig14(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFigure(t, "fig14", tinyParams())[0]
 	if len(r.Table.Header) != 5 {
 		t.Fatalf("fig14 header = %v", r.Table.Header)
 	}
@@ -128,10 +185,7 @@ func TestExtensionsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
-	r, err := Extensions(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFigure(t, "ext1", tinyParams())[0]
 	if len(r.Table.Rows) != 7 {
 		t.Fatalf("ext1 rows = %d, want 7 policies", len(r.Table.Rows))
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -93,17 +94,18 @@ func TestFig10ChaosQuarantine(t *testing.T) {
 	}
 	p := tinyParams()
 	p.Store = &CellStore{}
-	if _, _, err := Fig10(p, false); err != nil {
+	if _, err := fig10(p); err != nil {
 		t.Fatal(err)
 	}
 	keys := fig10ChaosKeys(p)
 	seed := chaosSeedFaulting(t, keys, 0.2, chaos.ModeError, 1)
 
 	p.Chaos = chaos.New(chaos.Config{Seed: seed, Frac: 0.2, Mode: chaos.ModeError})
-	r10, _, err := Fig10(p, false)
+	rs, err := fig10(p)
 	if err != nil {
 		t.Fatalf("chaos must quarantine, not abort: %v", err)
 	}
+	r10 := rs[0]
 	faulted := 0
 	for _, k := range keys {
 		if _, ok := p.Chaos.Faulted(k); ok {
@@ -144,7 +146,7 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	p := tinyParams()
 	p.Parallelism = 1
 	p.Store = &CellStore{}
-	clean10, clean11, err := Fig10(p, false)
+	clean, err := fig10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +161,11 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	p1.Parallelism = 4
 	p1.Store = openStore(t, path)
 	p1.Chaos = chaos.New(chaos.Config{Seed: seed, Frac: 0.3, Mode: chaos.ModeError})
-	r10, _, err := Fig10(p1, false)
+	rs, err := fig10(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	missing := len(r10.Failed)
+	missing := len(rs[0].Failed)
 	if missing == 0 {
 		t.Fatal("pass 1 quarantined nothing — test vacuous")
 	}
@@ -179,18 +181,15 @@ func TestFig10JournalResumeByteIdentical(t *testing.T) {
 	p2 := p
 	p2.Parallelism = 4
 	p2.Store = openStore(t, path)
-	res10, res11, err := Fig10(p2, false)
+	resumed, err := fig10(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res10.Failed) != 0 {
-		t.Fatalf("resume still quarantined cells: %v", res10.Failed)
+	if len(resumed[0].Failed) != 0 {
+		t.Fatalf("resume still quarantined cells: %v", resumed[0].Failed)
 	}
-	if res10.String() != clean10.String() {
-		t.Errorf("resumed fig10 not byte-identical:\nclean:\n%s\nresumed:\n%s", clean10, res10)
-	}
-	if res11.String() != clean11.String() {
-		t.Errorf("resumed fig11 not byte-identical:\nclean:\n%s\nresumed:\n%s", clean11, res11)
+	if a, b := Render(clean), Render(resumed); !bytes.Equal(a, b) {
+		t.Errorf("resumed fig10/fig11 not byte-identical:\nclean:\n%s\nresumed:\n%s", a, b)
 	}
 	if n := loggedCells(t, path); n != len(keys) {
 		t.Fatalf("after the resume the log has %d cells, want %d", n, len(keys))
@@ -205,7 +204,7 @@ func TestFig10CancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.Ctx = ctx
-	_, _, err := Fig10(p, false)
+	_, err := fig10(p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -226,8 +225,8 @@ func TestFig5HonoursContexts(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := tinyParams()
 			set(&p)
-			if r, err := Fig5(p); !errors.Is(err, context.Canceled) {
-				t.Fatalf("Fig5 returned a table: %t, err %v; want context.Canceled", r != nil, err)
+			if rs, err := fig5(p); !errors.Is(err, context.Canceled) {
+				t.Fatalf("fig5 returned a table: %t, err %v; want context.Canceled", rs != nil, err)
 			}
 		})
 	}
@@ -261,16 +260,17 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 func TestFig4HardCtxAbortsConfinementCells(t *testing.T) {
 	p := tinyParams() // Mixes = WL-6
 	p.Store = &CellStore{}
-	if _, err := Fig4(p); err != nil { // the memo holds every cell
+	if _, err := fig4(p); err != nil { // the memo holds every cell
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.HardCtx = ctx
-	r, err := Fig4(p)
+	rs, err := fig4(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	// 4 densities × (1 baseline + 4 confinement cells).
 	if len(r.Failed) != 20 {
 		t.Fatalf("%d cells failed, want all 20:\n%s", len(r.Failed), r)
@@ -292,10 +292,11 @@ func TestFig4HardCtxAbortsConfinementCells(t *testing.T) {
 func TestEmptyMeanRendersDash(t *testing.T) {
 	p := QuickParams()
 	p.Mode = ModeApprox
-	ext, err := Extensions(p)
+	rs, err := ext1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ext := rs[0]
 	uncovered := map[string]bool{"elastic": true, "pausing": true, "raidr": true, "perbank-salp8": true}
 	for _, row := range ext.Table.Rows {
 		for _, v := range row[1:] {
@@ -304,11 +305,10 @@ func TestEmptyMeanRendersDash(t *testing.T) {
 			}
 		}
 	}
-	fig12, err := Fig12(p)
-	if err != nil {
+	if rs, err = fig12.run(p); err != nil {
 		t.Fatal(err)
 	}
-	if got := fig12.Table.Rows[len(fig12.Table.Rows)-1]; !reflect.DeepEqual(got, []string{"average", "-", "-", "-"}) {
+	if got := rs[0].Table.Rows[len(rs[0].Table.Rows)-1]; !reflect.DeepEqual(got, []string{"average", "-", "-", "-"}) {
 		t.Errorf("fig12 average row = %q, want every column -", got)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"refsched/internal/workload"
 )
 
-// Table1 renders the evaluated configuration (the paper's Table 1) as
+// table1 renders the evaluated configuration (the paper's Table 1) as
 // derived from an actual config instance, so the printed values are the
 // ones the simulator really uses.
-func Table1(p Params) *Result {
+func table1(p Params) ([]*Result, error) {
 	cfg := config.Default(config.Density32Gb, p.Scale)
 	r := &Result{ID: "table1", Title: "Evaluated configuration"}
 	r.Table.Header = []string{"parameter", "value"}
@@ -36,12 +36,12 @@ func Table1(p Params) *Result {
 	add("timeslice", fmt.Sprintf("%d cycles (%.0fms / scale %d)", cfg.Timeslice(), cfg.OS.TimesliceMS, cfg.Scale))
 	add("OS scheduler", "RR baseline / CFS co-design")
 	add("allocator", "buddy baseline / soft-partitioning co-design")
-	return r
+	return []*Result{r}, nil
 }
 
-// Table2Result renders the workload mixes (the paper's Table 2),
+// table2 renders the workload mixes (the paper's Table 2),
 // annotated with the modeled per-benchmark footprints.
-func Table2Result() *Result {
+func table2(Params) ([]*Result, error) {
 	r := &Result{ID: "table2", Title: "Workload mixes (dual-core, 1:4 consolidation)"}
 	r.Table.Header = []string{"mix", "benchmarks", "MPKI class"}
 	for _, m := range workload.Table2() {
@@ -58,66 +58,5 @@ func Table2Result() *Result {
 		b, _ := workload.Get(name)
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: class %s, footprint %s", b.Name, b.Class, byteSize(b.Footprint)))
 	}
-	return r
-}
-
-// All runs every experiment and returns the results in paper order.
-func All(p Params) ([]*Result, error) {
-	var out []*Result
-	out = append(out, Table1(p), Table2Result())
-
-	f3, err := Fig3(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f3)
-
-	f4, err := Fig4(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f4)
-
-	f5, err := Fig5(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f5)
-
-	f10, f11, err := Fig10(p, false)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f10, f11)
-
-	f12, err := Fig12(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f12)
-
-	f13, f13lat, err := Fig10(p, true)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f13, f13lat)
-
-	f14, err := Fig14(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f14)
-
-	f15, err := Fig15(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, f15)
-
-	ext, err := Extensions(p)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, ext)
-	return out, nil
+	return []*Result{r}, nil
 }

@@ -226,9 +226,6 @@ func (c *Controller) WhenReadSpace(r *Request) { c.readWaiters = append(c.readWa
 // frees.
 func (c *Controller) WhenWriteSpace(r *Request) { c.writeWaiters = append(c.writeWaiters, r) }
 
-// QueuedWrites returns the current write-queue depth.
-func (c *Controller) QueuedWrites() int { return len(c.writeQ) }
-
 // --- refresh.QueueView ---
 
 // OutstandingToBank implements refresh.QueueView.

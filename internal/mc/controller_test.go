@@ -229,9 +229,9 @@ func TestWriteDrainWatermarks(t *testing.T) {
 		t.Fatalf("drain episodes = %d, want 1", r.mc.Stats.WriteDrains)
 	}
 	r.runIdle()
-	if r.mc.QueuedWrites() != 0 {
+	if r.mc.WriteQueueLen() != 0 {
 		// With no read traffic the opportunistic path empties it fully.
-		t.Fatalf("writes left = %d", r.mc.QueuedWrites())
+		t.Fatalf("writes left = %d", r.mc.WriteQueueLen())
 	}
 	if r.mc.Stats.Writes != uint64(r.cfg.Mem.WriteHighWater) {
 		t.Fatalf("writes issued = %d", r.mc.Stats.Writes)

@@ -94,8 +94,8 @@ func TestRunBatchPanicPreservesValueAndStack(t *testing.T) {
 		t.Fatalf("Failed = %v, want exactly the panicking cell", b.Failed)
 	}
 	ce := b.Failed[0]
-	if !ce.Panicked() {
-		t.Fatal("Panicked() = false for a panicking cell")
+	if kind, _ := ce.Cause(); kind != "panic" {
+		t.Fatalf("Cause() kind = %q for a panicking cell", kind)
 	}
 	// The original value survives with its concrete type — not a
 	// fmt.Sprintf flattening.
@@ -198,6 +198,23 @@ func TestRunBatchOnDoneIndexed(t *testing.T) {
 	for i, v := range got {
 		if v != i*3 {
 			t.Errorf("OnDone(%d) = %d, want %d", i, v, i*3)
+		}
+	}
+}
+
+// TestCellErrorCause: a quarantined cell's kind and detail, as failure
+// tables and job statuses print them.
+func TestCellErrorCause(t *testing.T) {
+	for _, c := range []struct {
+		ce           *CellError
+		kind, detail string
+	}{
+		{&CellError{Err: errors.New("boom")}, "error", "boom"},
+		{&CellError{PanicValue: 42}, "panic", "42"},
+		{&CellError{}, "error", ""},
+	} {
+		if kind, detail := c.ce.Cause(); kind != c.kind || detail != c.detail {
+			t.Errorf("Cause() = %q, %q; want %q, %q", kind, detail, c.kind, c.detail)
 		}
 	}
 }

@@ -108,8 +108,18 @@ func (e *CellError) Unwrap() error {
 	return nil
 }
 
-// Panicked reports whether the cell failed by panicking.
-func (e *CellError) Panicked() bool { return e.PanicValue != nil }
+// Cause names how the cell failed, as failure tables and the daemon's
+// job status print it: kind "panic" with the panic value, or "error"
+// with the error's text ("" when there is none).
+func (e *CellError) Cause() (kind, detail string) {
+	switch {
+	case e.PanicValue != nil:
+		return "panic", fmt.Sprint(e.PanicValue)
+	case e.Err != nil:
+		return "error", e.Err.Error()
+	}
+	return "error", ""
+}
 
 // Options configures a batch run. The zero value means: GOMAXPROCS
 // workers, no progress callback.

@@ -108,8 +108,8 @@ func (s *Server) routeCluster(w http.ResponseWriter, r *http.Request, ri reqInfo
 		}
 		return s.forward(w, r, ri, m, body)
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/figures/"):
-		name := canonicalFigure(strings.TrimPrefix(r.URL.Path, "/v1/figures/"))
-		if !validFigure(name) {
+		name, ok := harness.CanonicalFigure(strings.TrimPrefix(r.URL.Path, "/v1/figures/"))
+		if !ok {
 			return false
 		}
 		m, self := s.cluster.RouteOwner(figureKey(name, s.cfg.Params))

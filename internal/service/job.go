@@ -26,9 +26,10 @@ const (
 
 // newJobTimeline builds a job's always-on recorder. Timestamps are
 // wall-clock microseconds since the job was created. The ring is
-// deliberately small (events beyond it drop oldest-first): a job's
-// event count is a handful of request/job spans plus two per simulated
-// cell, and up to finishedRetain finished jobs stay resident.
+// bounded (events beyond it drop oldest-first) and grows only as events
+// arrive: a job's event count is a handful of request/job spans plus
+// two per simulated cell, a cache hit records two or three, and up to
+// finishedRetain finished jobs stay resident.
 func newJobTimeline(id string) *timeline.Recorder {
 	rec := timeline.NewRecorder(nil, 1024)
 	rec.SetProcessName(tlPidService, "refschedd")
@@ -165,17 +166,8 @@ type CellFailure struct {
 }
 
 func cellFailure(ce *runner.CellError) CellFailure {
-	f := CellFailure{
-		Cell: ce.Cell.String(),
-		Seed: ce.Cell.Seed,
-		Kind: "error",
-	}
-	if ce.Panicked() {
-		f.Kind = "panic"
-		f.Detail = fmt.Sprint(ce.PanicValue)
-	} else if ce.Err != nil {
-		f.Detail = ce.Err.Error()
-	}
+	f := CellFailure{Cell: ce.Cell.String(), Seed: ce.Cell.Seed}
+	f.Kind, f.Detail = ce.Cause()
 	return f
 }
 

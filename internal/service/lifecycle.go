@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -191,7 +190,7 @@ func (s *Server) execute(j *job) {
 			for _, r := range rs {
 				failures = append(failures, r.Failed...)
 			}
-			body = renderResults(rs)
+			body = harness.Render(rs)
 		}
 	}
 
@@ -322,45 +321,6 @@ func (s *Server) finishJob(j *job, state JobState, body []byte, failures []*runn
 	}
 }
 
-// renderResults renders figure results exactly as cmd/experiments
-// prints them (fmt.Println per result), which is what makes a served
-// figure byte-identical to the batch CLI's output.
-func renderResults(rs []*harness.Result) []byte {
-	var b bytes.Buffer
-	for _, r := range rs {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
-}
-
-// canonicalFigure normalizes the CLI target aliases so every alias of
-// one computation shares a cache entry.
-func canonicalFigure(name string) string {
-	switch name {
-	case "fig11":
-		return "fig10"
-	case "extensions":
-		return "ext1"
-	}
-	return name
-}
-
-// validFigure reports whether name is a servable target (aliases
-// included).
-func validFigure(name string) bool {
-	name = canonicalFigure(name)
-	if name == "all" {
-		return true
-	}
-	for _, n := range harness.FigureNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // admitContext carries enqueue's admission inputs: who is asking
 // (tenant), any absolute deadline already computed, and — for WAL
 // replay only — the original job id to preserve (which also bypasses
@@ -377,12 +337,13 @@ type admitContext struct {
 // under. enqueue and the cluster router both use it, so a request is
 // routed under the key it is cached under.
 func (s *Server) resolve(req Request) (figure string, p harness.Params, key string, err error) {
+	figure, known := harness.CanonicalFigure(req.Figure)
 	switch {
 	case (req.Figure == "") == (req.Cell == nil):
 		return "", p, "", errors.New("request needs exactly one of figure or cell")
 	case req.DeadlineMS < 0:
 		return "", p, "", errors.New("deadline_ms must be positive")
-	case req.Cell == nil && !validFigure(req.Figure):
+	case req.Cell == nil && !known:
 		return "", p, "", fmt.Errorf("unknown figure %q (want one of %v or all)", req.Figure, harness.FigureNames())
 	}
 	p = req.Params.apply(s.cfg.Params)
@@ -393,7 +354,6 @@ func (s *Server) resolve(req Request) (figure string, p harness.Params, key stri
 			p.Mode, harness.ModeExact, harness.ModeApprox)
 	}
 	if req.Cell == nil {
-		figure = canonicalFigure(req.Figure)
 		return figure, p, figureKey(figure, p), nil
 	}
 	spec, err := p.Cell(req.Cell.Mix, req.Cell.Density, req.Cell.Bundle, req.Cell.Hot)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -72,7 +71,7 @@ func expectedFig10(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig10Expected = renderResults(rs)
+		fig10Expected = harness.Render(rs)
 	})
 	return fig10Expected
 }
@@ -164,6 +163,30 @@ func TestFigureByteIdenticalOnMissAndHit(t *testing.T) {
 	resp3, body3 := get(t, ts, "/v1/figures/fig11")
 	if resp3.Header.Get("X-Cache") != "hit" || !bytes.Equal(body3, want) {
 		t.Fatal("fig11 alias should hit fig10's cache entry")
+	}
+}
+
+// TestFigureNamesFromTable: the daemon takes its figure names from the
+// harness's target table. It serves fig13 with the bytes cmd/experiments
+// prints, and answers 400 for a name the table lacks, even one a figure
+// renders under (fig13-lat is fig13's second table, not a target).
+func TestFigureNamesFromTable(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	rs, err := harness.RunFigure("fig13", tinyParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := get(t, ts, "/v1/figures/fig13")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, harness.Render(rs)) {
+		t.Fatalf("fig13: status %d, body:\n%s\nwant:\n%s", resp.StatusCode, body, harness.Render(rs))
+	}
+	for _, name := range []string{"fig13-lat", "fig16"} {
+		if resp, body := get(t, ts, "/v1/figures/"+name); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s = %d: %s", name, resp.StatusCode, body)
+		}
+		if resp, out := postJob(t, ts, Request{Figure: name}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d: %v", name, resp.StatusCode, out)
+		}
 	}
 }
 
@@ -762,19 +785,6 @@ func TestCellBodyIsReportJSON(t *testing.T) {
 }
 
 func u64(v uint64) *uint64 { return &v }
-
-// TestRenderMatchesCLIFormat guards the exact Println framing the
-// byte-identical guarantee depends on.
-func TestRenderMatchesCLIFormat(t *testing.T) {
-	r := &harness.Result{ID: "x", Title: "t"}
-	r.Table.Header = []string{"a"}
-	r.Table.AddRow("1")
-	got := renderResults([]*harness.Result{r, r})
-	want := fmt.Sprintf("%v\n%v\n", r, r)
-	if string(got) != want {
-		t.Fatalf("renderResults framing drifted:\n%q\nvs\n%q", got, want)
-	}
-}
 
 // TestMetricszEndpoint drives a figure through the daemon twice (one
 // computed, one cache hit) and validates /metricsz end to end: the body

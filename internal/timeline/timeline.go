@@ -2,9 +2,11 @@
 // emits Chrome trace-event JSON, loadable in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 //
-// The recorder is a fixed-capacity ring of value-type events guarded
-// by a mutex: emitting never allocates, and when the ring fills the
-// oldest events are overwritten (the drop count is reported). The
+// The recorder is a bounded ring of value-type events guarded by a
+// mutex. It grows by append up to its capacity, so a recorder that
+// holds a few events costs a few events; once full, emitting never
+// allocates and overwrites the oldest event (the drop count is
+// reported). The
 // intended disabled path is a nil *Recorder check at every
 // instrumentation site, so an un-attached simulation pays a single
 // predictable branch per would-be event and zero allocations.
@@ -51,8 +53,8 @@ const (
 	PhaseMeta    = 'M' // metadata: process_name / thread_name
 )
 
-// Event is one trace event. It is a fixed-size value type so the ring
-// buffer never allocates on emit: up to two integer args and one
+// Event is one trace event. It is a fixed-size value type so a full
+// ring never allocates on emit: up to two integer args and one
 // string arg ride in dedicated slots (an empty arg name means the
 // slot is unused). Name strings are expected to be static or
 // pre-existing (interned) so that emitting does not allocate either.
@@ -85,27 +87,28 @@ type metaEvent struct {
 // quick-preset measurement window.
 const DefaultCap = 1 << 17
 
-// Recorder accumulates events into a fixed ring. It is safe for
+// Recorder accumulates events into a bounded ring. It is safe for
 // concurrent use; the simulator drives it from one goroutine, the
 // service from many.
 type Recorder struct {
-	mu      sync.Mutex
-	w       io.Writer // Flush target; may be nil (WriteTo-only use)
-	ring    []Event
-	next    int
-	wrapped bool
-	dropped uint64
-	meta    []metaEvent
+	mu       sync.Mutex
+	w        io.Writer // Flush target; may be nil (WriteTo-only use)
+	ring     []Event   // grows by append to capacity, then wraps
+	capacity int
+	next     int // once the ring is full, the index of its oldest event
+	dropped  uint64
+	meta     []metaEvent
 }
 
-// NewRecorder returns a recorder with the given ring capacity
-// (DefaultCap if capacity <= 0). w is the Flush target and may be nil
-// when the caller serves the trace itself via WriteTo.
+// NewRecorder returns a recorder holding at most capacity events
+// (DefaultCap if capacity <= 0). The ring is not allocated up front: it
+// grows as events arrive. w is the Flush target and may be nil when the
+// caller serves the trace itself via WriteTo.
 func NewRecorder(w io.Writer, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Recorder{w: w, ring: make([]Event, capacity)}
+	return &Recorder{w: w, capacity: capacity}
 }
 
 // SetProcessName names the (pid) track group in trace viewers.
@@ -123,17 +126,15 @@ func (r *Recorder) SetThreadName(pid, tid int32, name string) {
 }
 
 // Emit records one event, overwriting the oldest if the ring is full.
-// It never allocates.
+// Only a ring still growing to its capacity allocates.
 func (r *Recorder) Emit(e Event) {
 	r.mu.Lock()
-	if r.wrapped {
+	if len(r.ring) < r.capacity {
+		r.ring = append(r.ring, e)
+	} else {
+		r.ring[r.next] = e
+		r.next = (r.next + 1) % r.capacity
 		r.dropped++
-	}
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrapped = true
 	}
 	r.mu.Unlock()
 }
@@ -152,10 +153,7 @@ func (r *Recorder) Instant(pid, tid int32, name string, ts uint64) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wrapped {
-		return len(r.ring)
-	}
-	return r.next
+	return len(r.ring)
 }
 
 // Dropped reports how many events were overwritten after the ring
@@ -186,12 +184,8 @@ func (r *Recorder) Flush() error {
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	events := make([]Event, 0, len(r.ring))
-	if r.wrapped {
-		events = append(events, r.ring[r.next:]...)
-		events = append(events, r.ring[:r.next]...)
-	} else {
-		events = append(events, r.ring[:r.next]...)
-	}
+	events = append(events, r.ring[r.next:]...)
+	events = append(events, r.ring[:r.next]...)
 	meta := append([]metaEvent(nil), r.meta...)
 	r.mu.Unlock()
 

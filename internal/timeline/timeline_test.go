@@ -160,19 +160,42 @@ func TestCheckMonotone(t *testing.T) {
 	}
 }
 
-// TestEmitDoesNotAllocate pins the enabled-path emit at zero
-// allocations: the ring holds value-type events and the strings are
-// interned by the caller, so tracing costs a mutex and a copy.
+// TestEmitDoesNotAllocate pins the enabled-path emit into a full ring
+// at zero allocations: the ring holds value-type events and the strings
+// are interned by the caller, so tracing costs a mutex and a copy. The
+// ring is filled first, since one still growing allocates as it
+// appends.
 func TestEmitDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(nil, 1024)
 	e := Event{Ph: PhaseSpan, Ts: 1, Dur: 2, Pid: 1, Tid: 3, Name: "refresh",
 		Arg1Name: "rows", Arg1: 8}
+	for r.Len() < 1024 {
+		r.Emit(e)
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Emit(e)
 		r.Instant(1, 3, "skip", 9)
 	})
 	if allocs != 0 {
 		t.Fatalf("emit allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRingGrowsOnDemand: a recorder holding a few events has not grown
+// to its capacity, and one filled to it holds exactly its capacity.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r := NewRecorder(nil, 1024)
+	for i := 0; i < 3; i++ {
+		r.Instant(1, 0, "e", uint64(i))
+	}
+	if got := cap(r.ring); got >= 1024 {
+		t.Fatalf("a ring holding 3 events has grown to %d, want well below its capacity of 1024", got)
+	}
+	for i := 0; i < 2000; i++ {
+		r.Instant(1, 0, "e", uint64(i))
+	}
+	if r.Len() != 1024 || r.Dropped() != 2003-1024 {
+		t.Fatalf("Len %d, Dropped %d; want 1024 and %d", r.Len(), r.Dropped(), 2003-1024)
 	}
 }
 
