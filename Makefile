@@ -40,11 +40,10 @@ staticcheck:
 
 # The merge gate: gofmt (any file `gofmt -l` lists fails it), build,
 # vet, staticcheck, the short test suite, every golden figure (-short
-# skips six of the nine, among them the deep-queue fig4, the adaptive
-# and OOO fig14 and the pausing and subarray ext1; all nine take ~5 s)
-# rendered plainly, again from its memo alone, and again after every
-# exact cell was preempted at its second checkpoint boundary and
-# resumed (~5 s),
+# checks eight of the nine and skips only fig5, whose page-by-page
+# allocation takes ~5 s of the ~6 s all nine take) rendered plainly,
+# again from its memo alone, and again after every exact cell was
+# preempted at its second checkpoint boundary and resumed (~5 s),
 # then the race detector over the concurrency-bearing packages (the worker
 # pool, the fault injector, the journal, the event engine — which also
 # guards the hot path's 0 allocs/op via

@@ -97,6 +97,10 @@ func main() {
 		p.MeasureWindows = *windows
 	}
 	p.Seed = *seed
+	if err := harness.CheckMode(*mode); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	p.Mode = *mode
 	p.Verbose = *verbose
 	p.Parallelism = *jobs

@@ -107,3 +107,30 @@ func TestJournalFailedAppendExits3(t *testing.T) {
 		t.Fatalf("stdout differs from a clean run:\n%s\nclean:\n%s", out, clean)
 	}
 }
+
+// TestUnknownModeExits2: a -mode that names no simulation tier is flag
+// misuse. The process exits 2 with a message naming the mode before any
+// cell runs, so stdout stays empty.
+func TestUnknownModeExits2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the experiments binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-quick", "-mixes", "WL-6", "-mode", "bogus", "-v", "fig10")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("exit %v, want 2\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown mode "bogus"`) {
+		t.Fatalf("stderr does not name the mode:\n%s", stderr.String())
+	}
+	if len(out) != 0 {
+		t.Fatalf("stdout is not empty:\n%s", out)
+	}
+}

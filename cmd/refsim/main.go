@@ -71,9 +71,10 @@ func main() {
 		return
 	}
 
-	switch *mode {
-	case "exact":
-	case "approx":
+	if err := harness.CheckMode(*mode); err != nil {
+		fatal(err)
+	}
+	if *mode == harness.ModeApprox {
 		// The analytical model has no live system to observe.
 		if *metricsPath != "" || *tlPath != "" {
 			fatal(errors.New("-mode=approx has no event loop: -metrics and -timeline require -mode=exact"))
@@ -81,8 +82,6 @@ func main() {
 		if *ckptPath != "" {
 			fatal(errors.New("-mode=approx has no event loop: -checkpoint requires -mode=exact"))
 		}
-	default:
-		fatal(fmt.Errorf("unknown -mode %q (want exact or approx)", *mode))
 	}
 	if *ckptPath != "" && *tlPath != "" {
 		fatal(errors.New("-checkpoint is incompatible with -timeline (an observed run cannot snapshot)"))

@@ -264,14 +264,14 @@ func TestCellRequestWireForm(t *testing.T) {
 		{
 			CellRequest{CellSpec: harness.CellSpec{Mix: "WL-6", Density: "32Gb", Bundle: "codesign", Hot: true,
 				Scale: 4096, FootprintScale: 0.01, WarmupWindows: 1, MeasureWindows: 2, Seed: 7},
-				Fig: "fig10", Origin: "n0", ReqID: "req-1", Priority: 3},
-			`{"mix":"WL-6","density":"32Gb","bundle":"codesign","hot":true,"scale":4096,"footprint_scale":0.01,"warmup_windows":1,"measure_windows":2,"seed":7,"fig":"fig10","origin":"n0","req_id":"req-1","priority":3}`,
+				Origin: "n0", Priority: 3},
+			`{"mix":"WL-6","density":"32Gb","bundle":"codesign","hot":true,"scale":4096,"footprint_scale":0.01,"warmup_windows":1,"measure_windows":2,"seed":7,"origin":"n0","priority":3}`,
 		},
 		{
 			CellRequest{CellSpec: harness.CellSpec{Mix: "WL-1", Density: "8Gb", Bundle: "allbank",
 				Scale: 256, FootprintScale: 0.05, WarmupWindows: 1, MeasureWindows: 1, Seed: 1, Mode: harness.ModeApprox},
-				Fig: "fig3", Origin: "a"},
-			`{"mix":"WL-1","density":"8Gb","bundle":"allbank","hot":false,"scale":256,"footprint_scale":0.05,"warmup_windows":1,"measure_windows":1,"seed":1,"mode":"approx","fig":"fig3","origin":"a","priority":0}`,
+				Origin: "a"},
+			`{"mix":"WL-1","density":"8Gb","bundle":"allbank","hot":false,"scale":256,"footprint_scale":0.05,"warmup_windows":1,"measure_windows":1,"seed":1,"mode":"approx","origin":"a","priority":0}`,
 		},
 	} {
 		got, err := json.Marshal(c.cr)
@@ -288,5 +288,18 @@ func TestCellRequestWireForm(t *testing.T) {
 		if back != c.cr {
 			t.Errorf("round trip = %+v, want %+v", back, c.cr)
 		}
+	}
+	// An older build also sent the coordinating figure and request id;
+	// its cells still decode to the same request.
+	old := `{"mix":"WL-6","density":"32Gb","bundle":"codesign","hot":true,"scale":4096,"footprint_scale":0.01,"warmup_windows":1,"measure_windows":2,"seed":7,"fig":"fig10","origin":"n0","req_id":"req-1","priority":3}`
+	var back CellRequest
+	if err := json.Unmarshal([]byte(old), &back); err != nil {
+		t.Fatal(err)
+	}
+	want := CellRequest{CellSpec: harness.CellSpec{Mix: "WL-6", Density: "32Gb", Bundle: "codesign", Hot: true,
+		Scale: 4096, FootprintScale: 0.01, WarmupWindows: 1, MeasureWindows: 2, Seed: 7},
+		Origin: "n0", Priority: 3}
+	if back != want {
+		t.Errorf("older wire form decodes to %+v, want %+v", back, want)
 	}
 }

@@ -22,10 +22,8 @@ import (
 type CellRequest struct {
 	harness.CellSpec
 
-	Fig      string `json:"fig"`              // coordinating sweep, for logs/timeline
-	Origin   string `json:"origin"`           // coordinating node id
-	ReqID    string `json:"req_id,omitempty"` // coordinating request id, for trace joins
-	Priority int    `json:"priority"`         // coordinating job priority, honoured by the remote gate
+	Origin   string `json:"origin"`   // coordinating node id
+	Priority int    `json:"priority"` // coordinating job priority, honoured by the remote gate
 }
 
 // CellSnapshotHeader marks a /v1/cells failure response whose body is
@@ -59,7 +57,6 @@ type CellEvent struct {
 	Lane       int // global fan-out lane: peer index × per-peer cap + slot
 	Start, End time.Time
 	OK         bool
-	Err        error
 }
 
 // CellObserver receives one CellEvent per remote dispatch attempt. It
@@ -88,7 +85,7 @@ type CellObserver func(CellEvent)
 // of fan-out), so it runs outside the job's Run; whatever budget the
 // caller imposes by wrapping Run (the daemon's priority gate) applies
 // only to the cells that run here.
-func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, reqID string, priority int, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report], obs CellObserver) (*runner.Batch[*core.Report], error) {
+func (c *Cluster) RunCells(ctx context.Context, p harness.Params, priority int, jobs []runner.Job[*core.Report], opts runner.Options[*core.Report], obs CellObserver) (*runner.Batch[*core.Report], error) {
 	if !c.FanoutEnabled() || p.Mode == harness.ModeApprox {
 		// Approx cells cost microseconds; a network round-trip per cell
 		// would be pure overhead.
@@ -99,7 +96,7 @@ func (c *Cluster) RunCells(ctx context.Context, figID string, p harness.Params, 
 	for i, j := range jobs {
 		local, cell := j.Run, j.Cell
 		spec := p.Spec(cell)
-		cr := CellRequest{CellSpec: spec, Fig: figID, Origin: c.self.ID, ReqID: reqID, Priority: priority}
+		cr := CellRequest{CellSpec: spec, Origin: c.self.ID, Priority: priority}
 		wrapped[i] = j
 		wrapped[i].Run = func() (*core.Report, error) {
 			if pr, lane := c.acquireSlot(); pr != nil {
@@ -169,7 +166,7 @@ func (c *Cluster) runRemoteCell(ctx context.Context, p *peer, cr CellRequest, ce
 	start := time.Now()
 	defer func() {
 		if obs != nil {
-			obs(CellEvent{Cell: cell, Peer: p.id, Lane: lane, Start: start, End: time.Now(), OK: err == nil, Err: err})
+			obs(CellEvent{Cell: cell, Peer: p.id, Lane: lane, Start: start, End: time.Now(), OK: err == nil})
 		}
 	}()
 

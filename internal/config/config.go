@@ -212,13 +212,10 @@ type OSConfig struct {
 
 // System is the top-level simulated machine description.
 type System struct {
-	Name string
-
 	// Cores and per-core microarchitecture.
 	Cores      int
 	CPUFreqGHz float64
 	ROB        int
-	IssueWidth int
 	// MLP bounds outstanding LLC misses per core (MSHR-limited).
 	MLP int
 	// BaseCPI is the average non-memory cost per instruction in cycles.
@@ -317,11 +314,9 @@ func (s *System) Validate() error {
 // allocation, round-robin scheduling, at the given density and scale.
 func Default(d Density, scale uint64) System {
 	return System{
-		Name:       "table1",
 		Cores:      2,
 		CPUFreqGHz: 3.2,
 		ROB:        128,
-		IssueWidth: 8,
 		MLP:        8,
 		BaseCPI:    0.5,
 		L1: CacheConfig{

@@ -247,8 +247,8 @@ func (s *System) registerMetrics() {
 	}
 
 	schedScope := root.Sub("sched")
-	schedScope.Struct(s.Kernel.Picker().Stats())
-	schedScope.Histogram("skips_per_pick", s.Kernel.Picker().SkipHistogram())
+	schedScope.Struct(s.Kernel.Scheduler().Stats())
+	schedScope.Histogram("skips_per_pick", s.Kernel.Scheduler().SkipHistogram())
 	root.Sub("alloc").Struct(&s.Kernel.Allocator().Stats)
 	root.Sub("kernel").Struct(&s.Kernel.Stats)
 }

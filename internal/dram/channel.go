@@ -9,7 +9,6 @@ import (
 // (rank, bank) plus the shared data bus.
 type Channel struct {
 	ID           int
-	Ranks        int
 	BanksPerRank int
 	Timing       *Timing
 	// ClosedPage auto-precharges after every access (row-policy
@@ -29,7 +28,6 @@ func NewChannel(id int, mem config.MemConfig, tm *Timing) *Channel {
 	}
 	return &Channel{
 		ID:           id,
-		Ranks:        mem.Ranks(),
 		BanksPerRank: mem.BanksPerRank,
 		Timing:       tm,
 		ClosedPage:   mem.ClosedPage,

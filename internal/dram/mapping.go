@@ -125,6 +125,3 @@ func (m *Mapper) BanksPerRank() int { return m.banksPerRank }
 
 // Ranks exposes the per-channel rank count.
 func (m *Mapper) Ranks() int { return m.ranks }
-
-// Channels exposes the channel count.
-func (m *Mapper) Channels() int { return m.channels }

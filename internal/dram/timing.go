@@ -35,7 +35,6 @@ type Timing struct {
 
 	// Geometry needed for refresh bookkeeping.
 	RowsPerBank uint64
-	RowBytes    uint64
 }
 
 // TimingFrom derives the cycle-domain timing set from a system config.
@@ -58,7 +57,6 @@ func TimingFrom(cfg *config.System) Timing {
 		TREFW:   cfg.TREFW(),
 
 		RowsPerBank: cfg.Mem.RowsPerBank(),
-		RowBytes:    cfg.Mem.RowBytes,
 	}
 }
 

@@ -184,7 +184,7 @@ func (p Params) Cell(mixName, density, bundleName string, highTemp bool) (CellSp
 // resolveCell is Cell's validation: it checks p's Mode and looks a
 // cell's coordinates up.
 func (p Params) resolveCell(mixName, density, bundleName string) (workload.Mix, config.Density, bundle, error) {
-	if err := p.checkMode(); err != nil {
+	if err := CheckMode(p.Mode); err != nil {
 		return workload.Mix{}, 0, bundle{}, err
 	}
 	ms := selectMixes([]string{mixName})

@@ -36,21 +36,21 @@ func goldenParams() Params {
 }
 
 // goldenFigures are the drivers under equivalence lock; "slow" ones are
-// skipped under -short (mirroring the existing per-figure test gates)
-// but always run in the full tier-1 suite.
+// skipped under -short but always run in the full tier-1 suite. Only
+// fig5, which allocates every footprint page by page, takes seconds.
 var goldenFigures = []struct {
 	name string
 	slow bool
 }{
-	{"fig3", true},
-	{"fig4", true},
+	{"fig3", false},
+	{"fig4", false},
 	{"fig5", true},
 	{"fig10", false},
 	{"fig12", false},
 	{"fig13", false},
-	{"fig14", true},
-	{"fig15", true},
-	{"ext1", true},
+	{"fig14", false},
+	{"fig15", false},
+	{"ext1", false},
 }
 
 // TestGoldenFigures renders each figure under a store of its own, so

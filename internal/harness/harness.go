@@ -114,13 +114,15 @@ func (p Params) mode() string {
 	return p.Mode
 }
 
-// checkMode rejects a Mode that names no simulation tier.
-func (p Params) checkMode() error {
-	switch p.Mode {
+// CheckMode rejects a Params.Mode that names no simulation tier ("" is
+// exact). Every sweep and cell checks it; the CLIs and the daemon call
+// it too, to refuse a bad mode before anything runs.
+func CheckMode(mode string) error {
+	switch mode {
 	case "", ModeExact, ModeApprox:
 		return nil
 	}
-	return fmt.Errorf("harness: unknown mode %q (want %q or %q)", p.Mode, ModeExact, ModeApprox)
+	return fmt.Errorf("harness: unknown mode %q (want %q or %q)", mode, ModeExact, ModeApprox)
 }
 
 // DefaultParams is the full-fidelity configuration used for
@@ -268,7 +270,6 @@ func (p Params) configFor(d config.Density, b bundle, highTemp bool) config.Syst
 		cfg.Cores = sc.cores
 		cfg.Mem.DIMMsPerChannel = sc.dimms
 		cfg.OS.BanksPerTask = sc.banksPerTask
-		cfg.Name = "fig15-" + sc.name
 	}
 	cfg.Seed = p.Seed
 	return cfg

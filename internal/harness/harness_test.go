@@ -147,9 +147,6 @@ func TestFig5Small(t *testing.T) {
 }
 
 func TestFig3Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
 	r := runFigure(t, "fig3", tinyParams())[0]
 	// 4 densities x 2 temps.
 	if len(r.Table.Rows) != 8 {
@@ -158,9 +155,6 @@ func TestFig3Tiny(t *testing.T) {
 }
 
 func TestFig10Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
 	rs := runFigure(t, "fig10", tinyParams())
 	r10, r11 := rs[0], rs[1]
 	if len(r10.Table.Rows) != 2 { // WL-6 + average
@@ -172,9 +166,6 @@ func TestFig10Tiny(t *testing.T) {
 }
 
 func TestFig14Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
 	r := runFigure(t, "fig14", tinyParams())[0]
 	if len(r.Table.Header) != 5 {
 		t.Fatalf("fig14 header = %v", r.Table.Header)
@@ -182,9 +173,6 @@ func TestFig14Tiny(t *testing.T) {
 }
 
 func TestExtensionsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
 	r := runFigure(t, "ext1", tinyParams())[0]
 	if len(r.Table.Rows) != 7 {
 		t.Fatalf("ext1 rows = %d, want 7 policies", len(r.Table.Rows))

@@ -16,8 +16,10 @@ func table1(p Params) ([]*Result, error) {
 	r.Table.Header = []string{"parameter", "value"}
 	add := func(k, v string) { r.Table.AddRow(k, v) }
 
-	add("cores", fmt.Sprintf("%d @ %.1fGHz, OoO, %d-wide, ROB %d, MLP %d",
-		cfg.Cores, cfg.CPUFreqGHz, cfg.IssueWidth, cfg.ROB, cfg.MLP))
+	// The issue width is the paper's: the core model takes its
+	// throughput from BaseCPI and has no width to print.
+	add("cores", fmt.Sprintf("%d @ %.1fGHz, OoO, 8-wide, ROB %d, MLP %d",
+		cfg.Cores, cfg.CPUFreqGHz, cfg.ROB, cfg.MLP))
 	add("L1D", fmt.Sprintf("%dKB %d-way, %d-cycle hit", cfg.L1.SizeBytes/1024, cfg.L1.Ways, cfg.L1.HitLatency))
 	add("L2", fmt.Sprintf("%dMB per core %d-way, %d-cycle hit, %dB lines",
 		cfg.L2.SizeBytes/(1024*1024), cfg.L2.Ways, cfg.L2.HitLatency, cfg.L2.LineBytes))

@@ -86,7 +86,7 @@ func TestEtaFallbackWhenEligibleTasksSleep(t *testing.T) {
 	k.Start()
 	eng.RunUntil(sim.Time(cfg.Timeslice() * 64))
 
-	st := k.Picker().Stats()
+	st := k.Scheduler().Stats()
 	if st.Picks == 0 {
 		t.Fatal("nothing scheduled")
 	}

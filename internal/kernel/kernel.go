@@ -129,7 +129,7 @@ type Kernel struct {
 	eng     *sim.Engine
 	cfg     *config.System
 	alloc   *buddy.PartitionAllocator
-	picker  sched.Picker
+	sched   *sched.Scheduler
 	planner refresh.SlotPlanner // non-nil only for the co-design schedule
 	mapper  *dram.Mapper
 
@@ -160,18 +160,18 @@ type Kernel struct {
 // nil; refresh awareness then degrades to plain scheduling (avoid = 0),
 // mirroring hardware without an exposed refresh schedule.
 func New(eng *sim.Engine, cfg *config.System, alloc *buddy.PartitionAllocator, mapper *dram.Mapper, cores []*cpu.Core, planner refresh.SlotPlanner) *Kernel {
-	var picker sched.Picker
+	var sc *sched.Scheduler
 	switch cfg.OS.Scheduler {
 	case config.SchedCFS:
-		picker = sched.NewCFS(len(cores), cfg.OS.EtaThresh, true)
+		sc = sched.NewCFS(len(cores), cfg.OS.EtaThresh, true)
 	default:
-		picker = sched.NewRR(len(cores))
+		sc = sched.NewRR(len(cores))
 	}
 	k := &Kernel{
 		eng:      eng,
 		cfg:      cfg,
 		alloc:    alloc,
-		picker:   picker,
+		sched:    sc,
 		planner:  planner,
 		mapper:   mapper,
 		cores:    cores,
@@ -192,8 +192,8 @@ func (k *Kernel) SetTimeline(rec *timeline.Recorder) {
 	}
 }
 
-// Picker exposes the scheduler (for stats and tests).
-func (k *Kernel) Picker() sched.Picker { return k.picker }
+// Scheduler exposes the scheduler (for stats and tests).
+func (k *Kernel) Scheduler() *sched.Scheduler { return k.sched }
 
 // Allocator exposes the partition allocator.
 func (k *Kernel) Allocator() *buddy.PartitionAllocator { return k.alloc }
@@ -285,7 +285,7 @@ func (k *Kernel) AssignMasks() {
 // on every core. Call once, at time zero, after AddTask/AssignMasks.
 func (k *Kernel) Start() {
 	for i, t := range k.tasks {
-		k.picker.Enqueue(i%len(k.cores), t.Ent)
+		k.sched.Enqueue(i%len(k.cores), t.Ent)
 	}
 	for _, c := range k.cores {
 		k.dispatch(c, k.eng.Now())
@@ -325,9 +325,9 @@ func (k *Kernel) dispatch(c *cpu.Core, now sim.Time) {
 	avoid := k.avoidMask(now, end)
 	var skippedBefore uint64
 	if k.tl != nil {
-		skippedBefore = k.picker.Stats().SkippedCandidates
+		skippedBefore = k.sched.Stats().SkippedCandidates
 	}
-	ent := k.picker.PickNext(c.ID, avoid)
+	ent := k.sched.PickNext(c.ID, avoid)
 	if ent == nil {
 		// Idle until the next boundary.
 		k.Stats.IdleQuanta++
@@ -341,7 +341,7 @@ func (k *Kernel) dispatch(c *cpu.Core, now sim.Time) {
 	k.runStart[c.ID] = now
 	k.lastTask[c.ID] = task
 	if k.tl != nil {
-		skipped := k.picker.Stats().SkippedCandidates - skippedBefore
+		skipped := k.sched.Stats().SkippedCandidates - skippedBefore
 		k.lastSkips[c.ID] = skipped
 		if skipped > 0 {
 			k.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant, Ts: uint64(now),
@@ -377,10 +377,10 @@ func (k *Kernel) Exec(p sim.Payload) {
 	case sim.KindKernelWake:
 		t := k.tasks[p.A]
 		t.Sleeps++
-		if min := k.picker.MinVruntime(int(p.B)); t.Ent.Vruntime < min {
+		if min := k.sched.MinVruntime(int(p.B)); t.Ent.Vruntime < min {
 			t.Ent.Vruntime = min
 		}
-		k.picker.Enqueue(int(p.B), t.Ent)
+		k.sched.Enqueue(int(p.B), t.Ent)
 	default:
 		panic("kernel: unexpected payload kind")
 	}
@@ -403,11 +403,11 @@ func (k *Kernel) onQuantumEnd(c *cpu.Core, at sim.Time) {
 				Arg1Name: "task", Arg1: int64(t.id),
 				Arg2Name: "skipped", Arg2: int64(k.lastSkips[c.ID])})
 		}
-		k.picker.Put(t.Ent, ran)
+		k.sched.Put(t.Ent, ran)
 		k.maybeSleep(t, at)
 	}
 	k.Stats.LoadBalances++
-	k.picker.LoadBalance()
+	k.sched.LoadBalance()
 	k.dispatch(c, at)
 }
 
@@ -424,7 +424,7 @@ func (k *Kernel) maybeSleep(t *Task, at sim.Time) {
 	}
 	t.quantaSinceSleep = 0
 	cpuID := t.Ent.CPU()
-	k.picker.Dequeue(t.Ent)
+	k.sched.Dequeue(t.Ent)
 	k.Stats.SleepEpisodes++
 	wake := at + sim.Time(t.SleepForCycles)
 	k.eng.SchedulePAt(wake, sim.Payload{Kind: sim.KindKernelWake,

@@ -10,28 +10,36 @@ import (
 	"refsched/internal/kernel/buddy"
 )
 
-// refCFS is the property test's reference: each runqueue is a set of
-// entities, sorted by (vruntime, task id) whenever it is read, and every
-// decision is made over that sorted list.
-type refCFS struct {
+// refQueues is the property test's reference: each runqueue is a set of
+// entities, put in queue order whenever it is read — (vruntime, task id)
+// order for CFS, arrival order for round-robin (fifo) — and every
+// decision is made over that ordered list. It counts its decisions as
+// the scheduler's Stats do, and sums the skips each pick records.
+type refQueues struct {
 	queues     [][]*Entity
+	fifo       bool
 	eta        int
 	bestEffort bool
+
+	stats   Stats
+	skipSum uint64
 }
 
-// sorted returns cpu's queue in (vruntime, task id) order.
-func (r *refCFS) sorted(cpu int) []*Entity {
+// ordered returns cpu's queue in queue order.
+func (r *refQueues) ordered(cpu int) []*Entity {
 	q := append([]*Entity(nil), r.queues[cpu]...)
-	sort.Slice(q, func(i, j int) bool {
-		if q[i].Vruntime != q[j].Vruntime {
-			return q[i].Vruntime < q[j].Vruntime
-		}
-		return q[i].TaskID < q[j].TaskID
-	})
+	if !r.fifo {
+		sort.Slice(q, func(i, j int) bool {
+			if q[i].Vruntime != q[j].Vruntime {
+				return q[i].Vruntime < q[j].Vruntime
+			}
+			return q[i].TaskID < q[j].TaskID
+		})
+	}
 	return q
 }
 
-func (r *refCFS) remove(cpu int, e *Entity) {
+func (r *refQueues) remove(cpu int, e *Entity) {
 	for i, x := range r.queues[cpu] {
 		if x == e {
 			r.queues[cpu] = append(r.queues[cpu][:i], r.queues[cpu][i+1:]...)
@@ -40,20 +48,24 @@ func (r *refCFS) remove(cpu int, e *Entity) {
 	}
 }
 
-// pick is Algorithm 3 over the sorted queue: the first of at most η
+// pick takes the head under round-robin, whatever avoid is. Under CFS it
+// is Algorithm 3 over the sorted queue: the first of at most η
 // candidates with no data on an avoided bank; failing that, the
 // minimum-occupancy candidate in best-effort mode, else the leftmost.
-func (r *refCFS) pick(cpu int, avoid buddy.BankMask) *Entity {
-	q := r.sorted(cpu)
+func (r *refQueues) pick(cpu int, avoid buddy.BankMask) *Entity {
+	q := r.ordered(cpu)
 	if len(q) == 0 {
 		return nil
 	}
+	r.stats.Picks++
 	pick := q[0]
-	if avoid != 0 {
+	if avoid != 0 && !r.fifo {
 		var best *Entity
 		bestOcc := 2.0
 		found := false
+		examined := 0
 		for i := 0; i < len(q) && i < r.eta; i++ {
+			examined++
 			if q[i].Mask&avoid == 0 {
 				pick, found = q[i], true
 				break
@@ -70,17 +82,28 @@ func (r *refCFS) pick(cpu int, avoid buddy.BankMask) *Entity {
 				}
 			}
 		}
-		if !found && best != nil {
+		switch {
+		case found:
+			r.stats.EligiblePicks++
+			r.stats.SkippedCandidates += uint64(examined - 1)
+			r.skipSum += uint64(examined - 1)
+		case best != nil:
 			pick = best
+			r.stats.BestEffortPicks++
+			r.stats.SkippedCandidates += uint64(examined - 1)
+			r.skipSum += uint64(examined - 1)
+		default:
+			r.stats.FallbackPicks++
+			r.skipSum += uint64(examined)
 		}
 	}
 	r.remove(cpu, pick)
 	return pick
 }
 
-// balance moves the last entity of the first longest queue to the first
-// shortest queue until their lengths differ by at most one.
-func (r *refCFS) balance() {
+// balance moves the last entity of the first longest queue to the tail
+// of the first shortest queue until their lengths differ by at most one.
+func (r *refQueues) balance() {
 	for {
 		lo, hi := 0, 0
 		for i, q := range r.queues {
@@ -94,25 +117,40 @@ func (r *refCFS) balance() {
 		if len(r.queues[hi])-len(r.queues[lo]) <= 1 {
 			return
 		}
-		q := r.sorted(hi)
+		q := r.ordered(hi)
 		e := q[len(q)-1]
 		r.remove(hi, e)
 		r.queues[lo] = append(r.queues[lo], e)
+		r.stats.Migrations++
 	}
 }
 
 // TestCFSRunqueueOrderProperty drives random operation sequences
 // through CFS and the sorted reference, and after every step requires
-// each runqueue, its length and its minimum vruntime, and every picked
-// task to match.
-func TestCFSRunqueueOrderProperty(t *testing.T) {
+// each runqueue, its minimum vruntime, the decision counters and every
+// picked task to match.
+func TestCFSRunqueueOrderProperty(t *testing.T) { checkRunqueueOrder(t, false) }
+
+// TestRRRunqueueOrderProperty runs the same sequences through
+// round-robin and the FIFO reference, so the shared Dequeue, Put,
+// LoadBalance and State/SetState are checked under a FIFO order too,
+// and PickNext must take the head whatever it is asked to avoid.
+func TestRRRunqueueOrderProperty(t *testing.T) { checkRunqueueOrder(t, true) }
+
+func checkRunqueueOrder(t *testing.T, fifo bool) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ncpu := 1 + rng.Intn(4)
 		eta := 1 + rng.Intn(4)
 		bestEffort := rng.Intn(2) == 0
-		s := NewCFS(ncpu, eta, bestEffort)
-		ref := &refCFS{queues: make([][]*Entity, ncpu), eta: eta, bestEffort: bestEffort}
+		newScheduler := func() *Scheduler {
+			if fifo {
+				return NewRR(ncpu)
+			}
+			return NewCFS(ncpu, eta, bestEffort)
+		}
+		s := newScheduler()
+		ref := &refQueues{queues: make([][]*Entity, ncpu), fifo: fifo, eta: eta, bestEffort: bestEffort}
 
 		es := make([]*Entity, 1+rng.Intn(16))
 		for i := range es {
@@ -201,20 +239,17 @@ func TestCFSRunqueueOrderProperty(t *testing.T) {
 				}
 			case op == 5: // checkpoint round trip
 				st := s.State()
-				s = NewCFS(ncpu, eta, bestEffort)
+				s = newScheduler()
 				s.SetState(st, func(id int) *Entity { return es[id] })
 			}
 
 			for cpu := 0; cpu < ncpu; cpu++ {
-				want := ref.sorted(cpu)
+				want := ref.ordered(cpu)
 				if got := s.queues[cpu]; !sameEntities(got, want) {
 					t.Fatalf("seed %d step %d: cpu %d queue %v, want %v", seed, step, cpu, ids(got), ids(want))
 				}
-				if got := s.NrRunning(cpu); got != len(want) {
-					t.Fatalf("seed %d step %d: NrRunning(%d) = %d, want %d", seed, step, cpu, got, len(want))
-				}
 				wantMin := uint64(0)
-				if len(want) > 0 {
+				if len(want) > 0 && !fifo {
 					wantMin = want[0].Vruntime
 				}
 				if got := s.MinVruntime(cpu); got != wantMin {
@@ -229,6 +264,13 @@ func TestCFSRunqueueOrderProperty(t *testing.T) {
 			}
 			if got := s.State().PerCPU; !reflect.DeepEqual(got, stateOf(ref)) {
 				t.Fatalf("seed %d step %d: State().PerCPU = %v, want %v", seed, step, got, stateOf(ref))
+			}
+			if got := *s.Stats(); got != ref.stats {
+				t.Fatalf("seed %d step %d: Stats() = %+v, want %+v", seed, step, got, ref.stats)
+			}
+			if v := s.SkipHistogram().View(); v.Count != ref.stats.Picks || v.Sum != ref.skipSum {
+				t.Fatalf("seed %d step %d: skip histogram count %d sum %d, want %d and %d",
+					seed, step, v.Count, v.Sum, ref.stats.Picks, ref.skipSum)
 			}
 		}
 	}
@@ -282,10 +324,10 @@ func name(e *Entity) string {
 }
 
 // stateOf is the State().PerCPU the reference implies.
-func stateOf(r *refCFS) [][]int {
+func stateOf(r *refQueues) [][]int {
 	per := make([][]int, len(r.queues))
 	for cpu := range r.queues {
-		for _, e := range r.sorted(cpu) {
+		for _, e := range r.ordered(cpu) {
 			per[cpu] = append(per[cpu], e.TaskID)
 		}
 	}

@@ -29,8 +29,8 @@ func TestCFSPicksLowestVruntime(t *testing.T) {
 	if es[1].OnRunqueue() {
 		t.Fatal("picked entity still on runqueue")
 	}
-	if s.NrRunning(0) != 2 {
-		t.Fatalf("NrRunning = %d", s.NrRunning(0))
+	if len(s.queues[0]) != 2 {
+		t.Fatalf("queue length = %d", len(s.queues[0]))
 	}
 }
 
@@ -154,7 +154,7 @@ func TestCFSLoadBalance(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no migrations")
 	}
-	if d := s.NrRunning(0) - s.NrRunning(1); d < -1 || d > 1 {
+	if d := len(s.queues[0]) - len(s.queues[1]); d < -1 || d > 1 {
 		t.Fatalf("imbalance %d after balance", d)
 	}
 	if s.Stats().Migrations != uint64(moved) {
@@ -167,7 +167,7 @@ func TestCFSDequeue(t *testing.T) {
 	e := &Entity{TaskID: 0}
 	s.Enqueue(0, e)
 	s.Dequeue(e)
-	if e.OnRunqueue() || s.NrRunning(0) != 0 {
+	if e.OnRunqueue() || len(s.queues[0]) != 0 {
 		t.Fatal("dequeue failed")
 	}
 	s.Dequeue(e) // idempotent
@@ -210,7 +210,7 @@ func TestRRLoadBalance(t *testing.T) {
 	s.LoadBalance()
 	max, min := 0, 99
 	for c := 0; c < 3; c++ {
-		n := s.NrRunning(c)
+		n := len(s.queues[c])
 		if n > max {
 			max = n
 		}
@@ -230,7 +230,7 @@ func TestRRDequeueMiddle(t *testing.T) {
 		s.Enqueue(0, e)
 	}
 	s.Dequeue(es[1])
-	if s.NrRunning(0) != 2 {
+	if len(s.queues[0]) != 2 {
 		t.Fatal("dequeue failed")
 	}
 	if got := s.PickNext(0, 0); got != es[0] {

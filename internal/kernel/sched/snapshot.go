@@ -19,44 +19,21 @@ type State struct {
 // dequeued and therefore not re-placed by State restore.
 func (e *Entity) Place(cpu int) { e.cpu = cpu }
 
-// taskIDs lists each queue's task IDs in queue order.
-func taskIDs(queues [][]*Entity) [][]int {
-	per := make([][]int, len(queues))
-	for i, q := range queues {
+// State captures queue membership and counters for checkpointing.
+func (s *Scheduler) State() State {
+	per := make([][]int, len(s.queues))
+	for i, q := range s.queues {
 		for _, e := range q {
 			per[i] = append(per[i], e.TaskID)
 		}
 	}
-	return per
+	return State{PerCPU: per, Stats: s.stats, Skips: s.skips.State()}
 }
 
-// State implements Picker.
-func (s *CFS) State() State {
-	return State{PerCPU: taskIDs(s.queues), Stats: s.stats, Skips: s.skips.State()}
-}
-
-// SetState implements Picker: rebuild each runqueue by re-inserting the
-// resolved entities in serialized order.
-func (s *CFS) SetState(st State, resolve func(taskID int) *Entity) {
-	for i := range s.queues {
-		s.queues[i] = nil
-	}
-	for cpu, ids := range st.PerCPU {
-		for _, id := range ids {
-			s.Enqueue(cpu, resolve(id))
-		}
-	}
-	s.stats = st.Stats
-	s.skips.SetState(st.Skips)
-}
-
-// State implements Picker.
-func (s *RR) State() State {
-	return State{PerCPU: taskIDs(s.queues), Stats: s.stats, Skips: s.skips.State()}
-}
-
-// SetState implements Picker.
-func (s *RR) SetState(st State, resolve func(taskID int) *Entity) {
+// SetState restores a captured state, rebuilding each runqueue by
+// re-enqueueing the entities resolve returns for the serialized task
+// IDs, in serialized order.
+func (s *Scheduler) SetState(st State, resolve func(taskID int) *Entity) {
 	for i := range s.queues {
 		s.queues[i] = nil
 	}

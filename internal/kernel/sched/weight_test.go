@@ -65,7 +65,8 @@ func TestMinVruntime(t *testing.T) {
 	if s.MinVruntime(0) != 300 {
 		t.Fatalf("min = %d", s.MinVruntime(0))
 	}
-	var rr RR
+	rr := NewRR(1)
+	rr.Enqueue(0, &Entity{TaskID: 2, Vruntime: 300})
 	if rr.MinVruntime(0) != 0 {
 		t.Fatal("RR min should be 0")
 	}

@@ -59,7 +59,7 @@ func (k *Kernel) State() (State, error) {
 	st := State{
 		RunStart:  append([]sim.Time(nil), k.runStart...),
 		LastTask:  make([]int, len(k.lastTask)),
-		Sched:     k.picker.State(),
+		Sched:     k.sched.State(),
 		Stats:     k.Stats,
 		Buddy:     k.alloc.Buddy().State(),
 		Partition: k.alloc.State(),
@@ -128,7 +128,7 @@ func (k *Kernel) SetState(st State) error {
 	}
 	// Queue re-insertion re-Places every enqueued entity; the loop above
 	// already placed the off-queue (running or sleeping) ones.
-	k.picker.SetState(st.Sched, func(id int) *sched.Entity { return k.tasks[id].Ent })
+	k.sched.SetState(st.Sched, func(id int) *sched.Entity { return k.tasks[id].Ent })
 	copy(k.runStart, st.RunStart)
 	for i, id := range st.LastTask {
 		if id == 0 {

@@ -149,9 +149,6 @@ func (c *Controller) SetTimeline(rec *timeline.Recorder, pid int32) {
 	c.tlPid = pid
 }
 
-// Channel returns the managed DRAM channel.
-func (c *Controller) Channel() *dram.Channel { return c.ch }
-
 // NewRequest returns a cleared request for the line at addr, which
 // coord locates on this controller's channel. It reuses a request this
 // controller has issued when there is one, so a steady stream of

@@ -96,7 +96,6 @@ func (f *FGR) Next(sim.Time, QueueView) Target {
 // blocking episodes) when the channel is lightly loaded, re-evaluating
 // once per epoch.
 type Adaptive struct {
-	g        Geometry
 	one      *FGR
 	four     *FGR
 	cur      *FGR
@@ -118,7 +117,6 @@ func NewAdaptive(g Geometry, epoch uint64, highUtil float64) *Adaptive {
 		highUtil = 0.5
 	}
 	a := &Adaptive{
-		g:        g,
 		one:      mustFGR(g, 1),
 		four:     mustFGR(g, 4),
 		epoch:    epoch,

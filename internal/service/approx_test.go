@@ -95,13 +95,17 @@ func TestFigureFidelityBadValue(t *testing.T) {
 }
 
 // TestJobModeOverrideValidated: a bad mode in POST /v1/jobs params is a
-// client error, not a failed job.
+// client error, not a failed job, and the body carries the harness's
+// own message.
 func TestJobModeOverrideValidated(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	mode := "aprox"
-	resp, _ := postJob(t, ts, Request{Figure: "fig10", Params: &ParamOverrides{Mode: &mode}})
+	resp, out := postJob(t, ts, Request{Figure: "fig10", Params: &ParamOverrides{Mode: &mode}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if want := harness.CheckMode(mode).Error(); out["error"] != want {
+		t.Fatalf("error = %q, want %q", out["error"], want)
 	}
 }
 

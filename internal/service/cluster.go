@@ -362,25 +362,12 @@ func (s *Server) handleCellExec(w http.ResponseWriter, r *http.Request) {
 
 // remoteCellRunner is the CellRunner for cells executed on behalf of a
 // peer: simulation counting plus the local priority gate at the
-// coordinating job's priority, taken in a wrapper around each cell as
-// cellRunner does — remote cells wait their turn exactly like local
-// ones.
+// coordinating job's priority, taken around each cell as cellRunner
+// takes it — remote cells wait their turn exactly like local ones.
 func (s *Server) remoteCellRunner(priority int) harness.CellRunner {
 	return func(ctx context.Context, _ string, rjobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
 		s.simulations.Add(1)
-		for i := range rjobs {
-			run := rjobs[i].Run
-			rjobs[i].Run = func() (*core.Report, error) {
-				if s.gate != nil {
-					release, err := s.gate.acquire(ctx, priority)
-					if err != nil {
-						return nil, err
-					}
-					defer release()
-				}
-				return run()
-			}
-		}
+		s.gateCells(ctx, priority, rjobs, nil)
 		return runner.RunBatch(ctx, rjobs, opts)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // wraps every cell that runs here in the global priority gate and a
 // timeline lane.
 func (s *Server) cellRunner(j *job) harness.CellRunner {
-	return func(ctx context.Context, figID string, rjobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
+	return func(ctx context.Context, _ string, rjobs []runner.Job[*core.Report], opts runner.Options[*core.Report]) (*runner.Batch[*core.Report], error) {
 		s.simulations.Add(1)
 		j.setCells(len(rjobs))
 		fm := s.figMetrics(j.figure)
@@ -43,8 +43,7 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 			j.cellDone(c)
 		}
 		// Each cell first waits for a gate slot at the job's priority
-		// (a cancelled wait fails the cell with the context error) and
-		// marks its admission on the timeline. It then runs on an
+		// and marks its admission on the timeline. It then runs on an
 		// exclusive timeline lane for its whole execution, so lane
 		// timestamps are monotone by construction; the span carries the
 		// creating request's id for correlation with the HTTP request
@@ -53,17 +52,6 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 			cell := rjobs[i].Cell
 			run := rjobs[i].Run
 			rjobs[i].Run = func() (*core.Report, error) {
-				if s.gate != nil {
-					t0 := j.sinceUS()
-					release, err := s.gate.acquire(ctx, j.priority)
-					if err != nil {
-						return nil, err
-					}
-					defer release()
-					j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
-						Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidGate,
-						Name: "admitted", Arg1Name: "wait_us", Arg1: int64(j.sinceUS() - t0)})
-				}
 				lane := j.acquireLane()
 				t0 := j.sinceUS()
 				rep, err := run()
@@ -76,6 +64,11 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 				return rep, err
 			}
 		}
+		s.gateCells(ctx, j.priority, rjobs, func(wait time.Duration) {
+			j.tl.Emit(timeline.Event{Ph: timeline.PhaseInstant,
+				Ts: j.sinceUS(), Pid: tlPidService, Tid: tlTidGate,
+				Name: "admitted", Arg1Name: "wait_us", Arg1: wait.Microseconds()})
+		})
 		if s.cluster.FanoutEnabled() {
 			// Cells fan out to peers with spare capacity; the rest (and
 			// every failed dispatch) run here through the gated wrapper
@@ -83,10 +76,35 @@ func (s *Server) cellRunner(j *job) harness.CellRunner {
 			// so the rendered figure is byte-identical to a single-node
 			// run.
 			j.tl.SetProcessName(tlPidRemote, "remote cells")
-			return s.cluster.RunCells(ctx, figID, j.params, j.reqID, j.priority,
+			return s.cluster.RunCells(ctx, j.params, j.priority,
 				rjobs, opts, s.remoteCellObserver(j))
 		}
 		return runner.RunBatch(ctx, rjobs, opts)
+	}
+}
+
+// gateCells makes each cell of rjobs wait for a slot of the daemon's
+// priority gate at priority, and hold it while the cell runs; a
+// cancelled wait fails the cell with the context error. admitted, when
+// not nil, is told how long each cell waited once it holds its slot.
+func (s *Server) gateCells(ctx context.Context, priority int, rjobs []runner.Job[*core.Report], admitted func(wait time.Duration)) {
+	if s.gate == nil {
+		return
+	}
+	for i := range rjobs {
+		run := rjobs[i].Run
+		rjobs[i].Run = func() (*core.Report, error) {
+			t0 := time.Now()
+			release, err := s.gate.acquire(ctx, priority)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			if admitted != nil {
+				admitted(time.Since(t0))
+			}
+			return run()
+		}
 	}
 }
 
@@ -347,11 +365,8 @@ func (s *Server) resolve(req Request) (figure string, p harness.Params, key stri
 		return "", p, "", fmt.Errorf("unknown figure %q (want one of %v or all)", req.Figure, harness.FigureNames())
 	}
 	p = req.Params.apply(s.cfg.Params)
-	switch p.Mode {
-	case "", harness.ModeExact, harness.ModeApprox:
-	default:
-		return "", p, "", fmt.Errorf("unknown mode %q (want %q or %q)",
-			p.Mode, harness.ModeExact, harness.ModeApprox)
+	if err := harness.CheckMode(p.Mode); err != nil {
+		return "", p, "", err
 	}
 	if req.Cell == nil {
 		return figure, p, figureKey(figure, p), nil
