@@ -51,8 +51,8 @@ staticcheck:
 # the harness's CellStore tests (the store and result memo a sweep's
 # workers share; the whole harness suite is too slow for the race list) and over core's
 # checkpoint/resume contract tests (a 32 Gb cell; its snapshots stay
-# small because the page allocator stores only the memory a cell
-# touched), the daemon smoke
+# small because the page allocator's state is one count of the pages
+# it handed out), the daemon smoke
 # drill (the real binary on an ephemeral port, /healthz, a
 # figure round-trip through the cache, and a SIGTERM drain to exit 0)
 # with its durability twin (SIGKILL after a sweep, then a warm restart

@@ -343,19 +343,18 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkBuddyAllocFree measures allocator page churn.
-func BenchmarkBuddyAllocFree(b *testing.B) {
+// BenchmarkBuddyAllocPage measures handing out one page frame,
+// starting over on a fresh allocator when memory runs out.
+func BenchmarkBuddyAllocPage(b *testing.B) {
 	a, err := buddy.New(1 << 16)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, ok := a.AllocPage()
-		if !ok {
-			b.Fatal("exhausted")
+		if _, ok := a.AllocPage(); !ok {
+			a, _ = buddy.New(1 << 16)
 		}
-		a.FreePage(p)
 	}
 }
 

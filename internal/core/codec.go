@@ -38,7 +38,12 @@ import (
 // word and valid and dirty masks per set, in place of per-line valid,
 // dirty and stamp arrays and per-set counters, and drops the unused
 // IssueAt and FinishAt of queued memory requests.
-const SnapshotVersion = 3
+//
+// Version 4 stores the page allocator as the one count of pages it has
+// handed out (its frame order is fixed), in place of buddy free lists
+// and the metadata of every split max-order block, and drops each
+// task's unused scheduling weight.
+const SnapshotVersion = 4
 
 var snapshotMagic = [4]byte{'R', 'S', 'N', 'P'}
 

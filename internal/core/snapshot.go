@@ -145,8 +145,8 @@ func Restore(st *SystemState, opt Options) (*System, error) {
 // byte-identical to an uncheckpointed run of the same cell.
 //
 // This is the error boundary of the simulation: typed sim.Fault values
-// unwinding out of the event loop (out-of-memory demand paging, invalid
-// buddy frees, past-scheduled events) and a cancelled Options.Ctx are
+// unwinding out of the event loop (out-of-memory demand paging and
+// past-scheduled events) and a cancelled Options.Ctx are
 // converted into returned errors tagged with the cell's identity, so a
 // faulting cell degrades into a failed run the sweep pipeline can
 // quarantine. Panics with non-Fault values are genuine programmer

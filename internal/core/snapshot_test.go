@@ -161,8 +161,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFirstSnapshotIsSparse: the allocator snapshots only the memory a
-// cell touched, so the first checkpoint of the 32 Gb cell of
+// TestFirstSnapshotIsSparse: the page allocator snapshots as one count
+// and the page tables and per-bank stashes hold only the memory a cell
+// touched, so the first checkpoint of the 32 Gb cell of
 // TestCheckpointResumeByteIdentical (8M page frames) stays small.
 func TestFirstSnapshotIsSparse(t *testing.T) {
 	cfg := testConfig(config.Density32Gb, config.RefreshAllBank)

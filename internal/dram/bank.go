@@ -134,9 +134,6 @@ func (b *Bank) ReadyAt() sim.Time {
 	return b.readyAt
 }
 
-// Refreshing reports whether the bank is refresh-busy at time t.
-func (b *Bank) Refreshing(t sim.Time) bool { return t < b.refUntil }
-
 // AccessPlan describes the timing of one planned read or write.
 type AccessPlan struct {
 	Start     sim.Time // command issue time

@@ -172,8 +172,10 @@ func TestBankRefreshBlocksAccess(t *testing.T) {
 	if end != 1000+tm.TRFCpb {
 		t.Fatalf("refresh end = %d", end)
 	}
-	if !b.Refreshing(1000) || !b.Refreshing(end-1) || b.Refreshing(end) {
-		t.Fatal("Refreshing() window wrong")
+	// The bank is monolithic, so every row is blocked for exactly the
+	// refresh window.
+	if !b.RefreshingRow(3, 1000) || !b.RefreshingRow(3, end-1) || b.RefreshingRow(3, end) {
+		t.Fatal("RefreshingRow() window wrong")
 	}
 	p := b.PlanAccess(1000, 0, 3, false, tm)
 	if p.Start < end {
@@ -219,10 +221,10 @@ func TestChannelRefreshRankBlocksAllBanks(t *testing.T) {
 	ch := NewChannel(0, cfg.Mem, tm)
 	end := ch.RefreshRank(500, 0, tm.TRFCab, 64)
 	for bk := 0; bk < cfg.Mem.BanksPerRank; bk++ {
-		if !ch.BankAt(0, bk).Refreshing(end - 1) {
+		if !ch.BankAt(0, bk).RefreshingRow(0, end-1) {
 			t.Fatalf("rank-0 bank %d not refreshing", bk)
 		}
-		if ch.BankAt(1, bk).Refreshing(end - 1) {
+		if ch.BankAt(1, bk).RefreshingRow(0, end-1) {
 			t.Fatalf("rank-1 bank %d wrongly refreshing", bk)
 		}
 	}

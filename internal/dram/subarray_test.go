@@ -63,7 +63,7 @@ func TestMonolithicBankFallsBackToBankRefresh(t *testing.T) {
 	tm, _ := testTiming(t)
 	b := NewBank()
 	end := b.StartSubarrayRefresh(0, 2, tm.TRFCpb, 64, tm)
-	if !b.Refreshing(end - 1) {
+	if !b.RefreshingRow(12345, end-1) {
 		t.Fatal("monolithic fallback did not refresh the bank")
 	}
 	if b.SubarrayOf(12345) != 0 {

@@ -2,159 +2,31 @@ package buddy
 
 import (
 	"testing"
-	"testing/quick"
 
 	"refsched/internal/config"
 	"refsched/internal/dram"
 )
 
-func TestNewSeedsAllFree(t *testing.T) {
-	for _, n := range []uint64{1, 7, 64, 1000, 4096} {
-		a, err := New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.NrFree() != n {
-			t.Fatalf("New(%d): NrFree = %d", n, a.NrFree())
-		}
-		if err := a.CheckInvariants(); err != nil {
-			t.Fatalf("New(%d): %v", n, err)
-		}
-	}
-	if _, err := New(0); err == nil {
-		t.Fatal("New(0) accepted")
-	}
-}
-
-func TestAllocFreeRoundTrip(t *testing.T) {
-	a, _ := New(1024)
-	pfn, ok := a.AllocBlock(3) // 8 pages
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	if a.NrFree() != 1024-8 {
-		t.Fatalf("NrFree = %d", a.NrFree())
-	}
-	a.FreeBlock(pfn, 3)
-	if a.NrFree() != 1024 {
-		t.Fatalf("after free NrFree = %d", a.NrFree())
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCoalescingRestoresMaxBlocks(t *testing.T) {
-	a, _ := New(1 << MaxOrder) // exactly one max block
-	// Fragment fully into order-0 pages.
-	var pages []uint64
-	for {
-		p, ok := a.AllocPage()
-		if !ok {
-			break
-		}
-		pages = append(pages, p)
-	}
-	if len(pages) != 1<<MaxOrder {
-		t.Fatalf("allocated %d pages", len(pages))
-	}
-	// Free all: buddies must merge back to a single max-order block.
-	for _, p := range pages {
-		a.FreePage(p)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if pfn, ok := a.AllocBlock(MaxOrder); !ok || pfn != 0 {
-		t.Fatalf("max block not restored: pfn=%d ok=%v", pfn, ok)
-	}
-}
-
+// TestExhaustionAndRecovery takes every frame of a one-block memory,
+// each exactly once, and then finds none left.
 func TestExhaustionAndRecovery(t *testing.T) {
-	a, _ := New(256)
-	var pages []uint64
+	a, _ := New(1024)
+	seen := map[uint64]bool{}
 	for {
 		p, ok := a.AllocPage()
 		if !ok {
 			break
 		}
-		pages = append(pages, p)
-	}
-	if uint64(len(pages)) != 256 || a.NrFree() != 0 {
-		t.Fatalf("exhaustion: %d pages, %d free", len(pages), a.NrFree())
-	}
-	if _, ok := a.AllocPage(); ok {
-		t.Fatal("alloc succeeded with zero free")
-	}
-	// Uniqueness.
-	seen := map[uint64]bool{}
-	for _, p := range pages {
-		if seen[p] {
-			t.Fatalf("pfn %d allocated twice", p)
+		if p >= 1024 || seen[p] {
+			t.Fatalf("pfn %d out of range or allocated twice", p)
 		}
 		seen[p] = true
 	}
-	for _, p := range pages {
-		a.FreePage(p)
+	if len(seen) != 1024 {
+		t.Fatalf("exhaustion after %d pages, want 1024", len(seen))
 	}
-	if a.NrFree() != 256 {
-		t.Fatal("free pages not restored")
-	}
-}
-
-func TestDoubleFreePanics(t *testing.T) {
-	a, _ := New(64)
-	p, _ := a.AllocPage()
-	a.FreePage(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
-		}
-	}()
-	a.FreePage(p)
-}
-
-// TestRandomOpsKeepInvariants drives random alloc/free sequences and
-// checks full metadata consistency after each batch.
-func TestRandomOpsKeepInvariants(t *testing.T) {
-	type step struct {
-		Alloc bool
-		Order uint8
-	}
-	f := func(steps []step) bool {
-		a, err := New(2048)
-		if err != nil {
-			return false
-		}
-		type block struct {
-			pfn   uint64
-			order int
-		}
-		var live []block
-		for _, s := range steps {
-			if s.Alloc || len(live) == 0 {
-				o := int(s.Order) % 5
-				if pfn, ok := a.AllocBlock(o); ok {
-					live = append(live, block{pfn, o})
-				}
-			} else {
-				b := live[len(live)-1]
-				live = live[:len(live)-1]
-				a.FreeBlock(b.pfn, b.order)
-			}
-		}
-		if a.CheckInvariants() != nil {
-			return false
-		}
-		// Conservation.
-		var livePages uint64
-		for _, b := range live {
-			livePages += 1 << uint(b.order)
-		}
-		return a.NrFree()+livePages == 2048
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
+	if _, ok := a.AllocPage(); ok {
+		t.Fatal("alloc succeeded with zero free")
 	}
 }
 
@@ -251,31 +123,43 @@ func TestPartitionFallbackWhenBanksExhausted(t *testing.T) {
 	}
 }
 
+// TestPartitionConservation: every page taken from the cursor is
+// either handed to the task or stashed on its own bank's list, once,
+// and the counters account for both.
 func TestPartitionConservation(t *testing.T) {
-	alloc, _ := partitionRig(t)
+	alloc, mapper := partitionRig(t)
 	mask := BankMask(0).Set(3)
 	last := -1
-	var pfns []uint64
+	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		pfn, _, ok := alloc.AllocPageFor(mask, &last)
 		if !ok {
 			t.Fatal("alloc failed")
 		}
-		pfns = append(pfns, pfn)
+		if seen[pfn] {
+			t.Fatalf("pfn %d handed out twice", pfn)
+		}
+		seen[pfn] = true
 	}
-	total := alloc.Buddy().NrFree() + alloc.CachedPages() + uint64(len(pfns))
-	if total != 4096 {
-		t.Fatalf("conservation: free+cached+live = %d, want 4096", total)
+	var stashed uint64
+	for g, l := range alloc.perBank {
+		for _, pfn := range l {
+			if seen[uint64(pfn)] {
+				t.Fatalf("pfn %d both handed out and stashed", pfn)
+			}
+			if b := mapper.PageGlobalBank(uint64(pfn)); b != g {
+				t.Fatalf("pfn %d of bank %d stashed on bank %d", pfn, b, g)
+			}
+			seen[uint64(pfn)] = true
+		}
+		stashed += uint64(len(l))
 	}
-	for _, p := range pfns {
-		alloc.FreePage(p)
+	if got := alloc.Buddy().allocated; got != 100+stashed {
+		t.Fatalf("conservation: cursor handed out %d, want 100 live + %d stashed", got, stashed)
 	}
-	alloc.FreeCached()
-	if alloc.Buddy().NrFree() != 4096 {
-		t.Fatalf("after teardown NrFree = %d", alloc.Buddy().NrFree())
-	}
-	if err := alloc.Buddy().CheckInvariants(); err != nil {
-		t.Fatal(err)
+	st := alloc.Stats
+	if st.BuddyHits+st.CacheHits != 100 || st.Stashed-st.CacheHits != stashed || st.Fallbacks != 0 {
+		t.Fatalf("stats %+v disagree with 100 live and %d stashed pages", st, stashed)
 	}
 }
 
@@ -298,16 +182,20 @@ func TestPartitionEmptyMaskMeansAllBanks(t *testing.T) {
 func TestPartitionCacheHitPath(t *testing.T) {
 	alloc, _ := partitionRig(t)
 	// Allocating on bank 3 stashes pages for other banks; a later
-	// request for bank 0 must be served from the cache.
+	// request for bank 0 must be served from the stash.
 	last := -1
 	alloc.AllocPageFor(BankMask(0).Set(3), &last)
-	if alloc.CachedPages() == 0 {
-		t.Fatal("no pages stashed")
+	stashed := len(alloc.perBank[0])
+	if stashed == 0 {
+		t.Fatal("no page stashed for bank 0")
 	}
-	before := alloc.Stats.CacheHits
+	before, taken := alloc.Stats.CacheHits, alloc.Buddy().allocated
 	last2 := -1
 	alloc.AllocPageFor(BankMask(0).Set(0), &last2)
-	if alloc.Stats.CacheHits != before+1 {
+	if alloc.Stats.CacheHits != before+1 || len(alloc.perBank[0]) != stashed-1 {
 		t.Fatal("cache hit path not taken")
+	}
+	if alloc.Buddy().allocated != taken {
+		t.Fatal("a cache hit took a page from the cursor")
 	}
 }

@@ -29,7 +29,7 @@ type PartitionStats struct {
 	// CacheHits served straight from a per-bank free list (line 15 of
 	// Algorithm 2).
 	CacheHits uint64 `json:"cache_hits"`
-	// BuddyHits popped from the buddy free list and matching the
+	// BuddyHits taken from the buddy allocator and matching the
 	// round-robin target bank (line 27).
 	BuddyHits uint64 `json:"buddy_hits"`
 	// Stashed pages diverted into per-bank free lists (line 33).
@@ -43,8 +43,9 @@ type PartitionStats struct {
 
 // PartitionAllocator implements the paper's Algorithm 2: a bank-aware
 // page allocator layered on the buddy allocator. It keeps a cache of
-// per-bank free lists so a page on a wanted bank is found without
-// repeatedly traversing the buddy lists, and it rotates consecutive
+// per-bank free lists holding the pages it drew for other banks, so a
+// later request for such a bank is served without drawing again from
+// the buddy allocator, and it rotates consecutive
 // allocations for a task across the task's allowed banks (round-robin on
 // lastAllocedBank) to preserve bank-level parallelism.
 //
@@ -61,12 +62,12 @@ type PartitionAllocator struct {
 	// fit in 32 bits because New caps the frame count below 2^31.
 	perBank [][]uint32
 
-	// stashBudget bounds how many mismatched pages one allocation may
-	// divert into the cache before giving up on a target bank.
-	stashBudget int
-
 	Stats PartitionStats
 }
+
+// stashBudget bounds how many mismatched pages one allocation may
+// divert into the cache before giving up on a target bank.
+const stashBudget = 256
 
 // NewPartitionAllocator wraps a buddy allocator with Algorithm 2. The
 // mapper's channels may hold at most 64 banks, the width of a BankMask.
@@ -76,30 +77,17 @@ func NewPartitionAllocator(b *Allocator, mapper *dram.Mapper) *PartitionAllocato
 		panic("buddy: a BankMask covers at most 64 banks per channel")
 	}
 	return &PartitionAllocator{
-		buddy:       b,
-		mapper:      mapper,
-		perBank:     make([][]uint32, n),
-		stashBudget: 256,
+		buddy:   b,
+		mapper:  mapper,
+		perBank: make([][]uint32, n),
 	}
 }
 
-// Banks returns the number of global banks tracked.
-func (p *PartitionAllocator) Banks() int { return len(p.perBank) }
-
-// TotalPages returns the frame count of the underlying buddy allocator.
+// TotalPages returns the frame count of the underlying page allocator.
 func (p *PartitionAllocator) TotalPages() uint64 { return p.buddy.TotalPages() }
 
-// Buddy exposes the underlying buddy allocator.
+// Buddy exposes the underlying page allocator.
 func (p *PartitionAllocator) Buddy() *Allocator { return p.buddy }
-
-// CachedPages returns how many pages sit in per-bank caches.
-func (p *PartitionAllocator) CachedPages() uint64 {
-	var n uint64
-	for _, l := range p.perBank {
-		n += uint64(len(l))
-	}
-	return n
-}
 
 // popBank serves a page from the per-bank cache.
 func (p *PartitionAllocator) popBank(g int) (uint64, bool) {
@@ -116,7 +104,7 @@ func (p *PartitionAllocator) popBank(g int) (uint64, bool) {
 // their banks' caches, until a page on target bank g emerges or the
 // stash budget / memory is exhausted.
 func (p *PartitionAllocator) fillBank(g int) (uint64, bool) {
-	for i := 0; i < p.stashBudget; i++ {
+	for i := 0; i < stashBudget; i++ {
 		pfn, ok := p.buddy.AllocPage()
 		if !ok {
 			return 0, false
@@ -176,19 +164,4 @@ func (p *PartitionAllocator) AllocPageFor(mask BankMask, last *int) (pfn uint64,
 	}
 	p.Stats.Failures++
 	return 0, false, false
-}
-
-// FreePage returns a page to the buddy allocator (per-bank caches hold
-// only never-handed-out pages, so frees always go straight down).
-func (p *PartitionAllocator) FreePage(pfn uint64) { p.buddy.FreePage(pfn) }
-
-// FreeCached drains every per-bank cache back into the buddy allocator
-// (used at teardown and by tests to verify conservation).
-func (p *PartitionAllocator) FreeCached() {
-	for g, l := range p.perBank {
-		for _, pfn := range l {
-			p.buddy.FreePage(uint64(pfn))
-		}
-		p.perBank[g] = nil
-	}
 }

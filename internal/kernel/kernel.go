@@ -50,12 +50,6 @@ type Task struct {
 	pAcc    workload.Access
 }
 
-// SetNice sets the task's scheduling priority (Linux nice semantics,
-// -20 highest to +19 lowest). Takes effect from the next enqueue.
-func (t *Task) SetNice(nice int) {
-	t.Ent.Weight = sched.NiceToWeight(nice)
-}
-
 // ID implements cpu.Task.
 func (t *Task) ID() int { return t.id }
 
@@ -163,7 +157,7 @@ func New(eng *sim.Engine, cfg *config.System, alloc *buddy.PartitionAllocator, m
 	var sc *sched.Scheduler
 	switch cfg.OS.Scheduler {
 	case config.SchedCFS:
-		sc = sched.NewCFS(len(cores), cfg.OS.EtaThresh, true)
+		sc = sched.NewCFS(len(cores), cfg.OS.EtaThresh)
 	default:
 		sc = sched.NewRR(len(cores))
 	}

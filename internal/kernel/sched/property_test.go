@@ -16,10 +16,9 @@ import (
 // decision is made over that ordered list. It counts its decisions as
 // the scheduler's Stats do, and sums the skips each pick records.
 type refQueues struct {
-	queues     [][]*Entity
-	fifo       bool
-	eta        int
-	bestEffort bool
+	queues [][]*Entity
+	fifo   bool
+	eta    int
 
 	stats   Stats
 	skipSum uint64
@@ -51,7 +50,8 @@ func (r *refQueues) remove(cpu int, e *Entity) {
 // pick takes the head under round-robin, whatever avoid is. Under CFS it
 // is Algorithm 3 over the sorted queue: the first of at most η
 // candidates with no data on an avoided bank; failing that, the
-// minimum-occupancy candidate in best-effort mode, else the leftmost.
+// minimum-occupancy candidate among those reporting occupancy, else the
+// leftmost.
 func (r *refQueues) pick(cpu int, avoid buddy.BankMask) *Entity {
 	q := r.ordered(cpu)
 	if len(q) == 0 {
@@ -70,7 +70,7 @@ func (r *refQueues) pick(cpu int, avoid buddy.BankMask) *Entity {
 				pick, found = q[i], true
 				break
 			}
-			if r.bestEffort {
+			if q[i].Occupancy != nil {
 				occ := 0.0
 				for g := 0; g < 64; g++ {
 					if avoid.Has(g) {
@@ -142,15 +142,14 @@ func checkRunqueueOrder(t *testing.T, fifo bool) {
 		rng := rand.New(rand.NewSource(seed))
 		ncpu := 1 + rng.Intn(4)
 		eta := 1 + rng.Intn(4)
-		bestEffort := rng.Intn(2) == 0
 		newScheduler := func() *Scheduler {
 			if fifo {
 				return NewRR(ncpu)
 			}
-			return NewCFS(ncpu, eta, bestEffort)
+			return NewCFS(ncpu, eta)
 		}
 		s := newScheduler()
-		ref := &refQueues{queues: make([][]*Entity, ncpu), fifo: fifo, eta: eta, bestEffort: bestEffort}
+		ref := &refQueues{queues: make([][]*Entity, ncpu), fifo: fifo, eta: eta}
 
 		es := make([]*Entity, 1+rng.Intn(16))
 		for i := range es {
@@ -162,10 +161,14 @@ func checkRunqueueOrder(t *testing.T, fifo bool) {
 				TaskID: i,
 				// A small vruntime range makes (vruntime) ties common,
 				// so the task-id tie-break is exercised.
-				Vruntime:  uint64(rng.Intn(8)),
-				Weight:    []uint64{0, 512, 2048}[rng.Intn(3)],
-				Mask:      buddy.BankMask(rng.Uint64() & 0xffff),
-				Occupancy: func(g int) float64 { return occ[g%16] },
+				Vruntime: uint64(rng.Intn(8)),
+				Mask:     buddy.BankMask(rng.Uint64() & 0xffff),
+			}
+			// A task without occupancy is left out of the best-effort
+			// choice; with none among the examined, η falls back to the
+			// leftmost.
+			if rng.Intn(2) == 0 {
+				es[i].Occupancy = func(g int) float64 { return occ[g%16] }
 			}
 		}
 		where := map[*Entity]int{} // enqueued entity → its cpu
@@ -221,7 +224,7 @@ func checkRunqueueOrder(t *testing.T, fifo bool) {
 				e := running[i]
 				running = append(running[:i], running[i+1:]...)
 				ran := uint64(rng.Intn(3000))
-				want := e.Vruntime + ran*NiceZeroWeight/weightOf(e)
+				want := e.Vruntime + ran
 				s.Put(e, ran)
 				if e.Vruntime != want {
 					t.Fatalf("seed %d step %d: Put charged task %d to vruntime %d, want %d",

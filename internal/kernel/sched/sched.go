@@ -15,13 +15,11 @@ import (
 type Entity struct {
 	TaskID   int
 	Vruntime uint64
-	// Weight is the CFS load weight (0 means nice-0, i.e. 1024);
-	// vruntime advances inversely to it, so heavier tasks get more CPU.
-	Weight uint64
 	// Mask is the task's possible_banks_vector.
 	Mask buddy.BankMask
 	// Occupancy returns the fraction of the task's resident pages on a
-	// global bank (best-effort scheduling input); may be nil.
+	// global bank (best-effort scheduling input); may be nil, which
+	// leaves the task out of the best-effort choice.
 	Occupancy func(globalBank int) float64
 
 	cpu  int
@@ -40,9 +38,11 @@ type Stats struct {
 	// EligiblePicks picked a task whose mask excludes every avoided
 	// bank (the refresh-aware success path).
 	EligiblePicks uint64 `json:"eligible_picks"`
-	// FallbackPicks hit the η threshold and took the leftmost task.
+	// FallbackPicks hit the η threshold with no examined candidate
+	// reporting occupancy and took the leftmost task.
 	FallbackPicks uint64 `json:"fallback_picks"`
-	// BestEffortPicks chose the minimum-occupancy candidate.
+	// BestEffortPicks hit the η threshold and chose the
+	// minimum-occupancy candidate.
 	BestEffortPicks uint64 `json:"best_effort_picks"`
 	// SkippedCandidates counts tasks passed over by Algorithm 3.
 	SkippedCandidates uint64 `json:"skipped_candidates"`
@@ -80,11 +80,9 @@ type Scheduler struct {
 	cfs bool
 	// Eta is the fairness threshold η from Algorithm 3: the maximum
 	// number of candidates examined before falling back to the
-	// leftmost task. 1 disables refresh awareness.
+	// best-effort (Section 5.4.1) or leftmost task. 1 disables refresh
+	// awareness.
 	Eta int
-	// BestEffort switches the η fallback from "leftmost task" to
-	// "minimum occupancy on the avoided banks" (Section 5.4.1).
-	BestEffort bool
 
 	stats Stats
 	skips *stats.Histogram
@@ -92,8 +90,8 @@ type Scheduler struct {
 
 // NewCFS builds a CFS scheduler with ncpu runqueues ordered by vruntime
 // and Algorithm 3's refresh-aware pick.
-func NewCFS(ncpu, eta int, bestEffort bool) *Scheduler {
-	return &Scheduler{queues: make([][]*Entity, ncpu), cfs: true, Eta: eta, BestEffort: bestEffort,
+func NewCFS(ncpu, eta int) *Scheduler {
+	return &Scheduler{queues: make([][]*Entity, ncpu), cfs: true, Eta: eta,
 		skips: stats.NewHistogram(1, skipHistBuckets)}
 }
 
@@ -150,7 +148,8 @@ func excludes(e *Entity, avoid buddy.BankMask) bool {
 // head and ignores avoid. CFS runs Algorithm 3: walk the runqueue
 // leftmost-first; pick the first task with no data on the banks being
 // refreshed next quantum; after η candidates give up and take the
-// leftmost (or the best-effort minimum-occupancy candidate).
+// best-effort one, the examined candidate with the least occupancy of
+// the avoided banks, or the leftmost when none reports occupancy.
 func (s *Scheduler) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 	q := s.queues[cpu]
 	if len(q) == 0 {
@@ -175,7 +174,7 @@ func (s *Scheduler) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 			pick = e
 			break
 		}
-		if s.BestEffort && e.Occupancy != nil {
+		if e.Occupancy != nil {
 			occ := 0.0
 			for g := 0; g < 64; g++ {
 				if avoid.Has(g) {
@@ -196,7 +195,7 @@ func (s *Scheduler) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 		s.stats.EligiblePicks++
 		s.stats.SkippedCandidates += uint64(count - 1)
 		s.skips.Add(uint64(count - 1))
-	case s.BestEffort && best != nil:
+	case best != nil:
 		pick = best
 		s.stats.BestEffortPicks++
 		s.stats.SkippedCandidates += uint64(count - 1)
@@ -216,9 +215,9 @@ func (s *Scheduler) PickNext(cpu int, avoid buddy.BankMask) *Entity {
 }
 
 // Put re-enqueues e on its cpu after it ran for ran cycles, charging
-// its weighted vruntime. Round-robin never reads vruntime.
+// them to its vruntime. Round-robin never reads vruntime.
 func (s *Scheduler) Put(e *Entity, ran uint64) {
-	e.Vruntime += chargeVruntime(e, ran)
+	e.Vruntime += ran
 	s.Enqueue(e.cpu, e)
 }
 

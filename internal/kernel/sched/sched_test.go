@@ -15,7 +15,7 @@ func entities(n int) []*Entity {
 }
 
 func TestCFSPicksLowestVruntime(t *testing.T) {
-	s := NewCFS(1, 4, false)
+	s := NewCFS(1, 4)
 	es := entities(3)
 	es[0].Vruntime = 300
 	es[1].Vruntime = 100
@@ -35,7 +35,7 @@ func TestCFSPicksLowestVruntime(t *testing.T) {
 }
 
 func TestCFSPutChargesVruntime(t *testing.T) {
-	s := NewCFS(1, 4, false)
+	s := NewCFS(1, 4)
 	es := entities(2)
 	s.Enqueue(0, es[0])
 	s.Enqueue(0, es[1])
@@ -53,7 +53,7 @@ func TestCFSPutChargesVruntime(t *testing.T) {
 }
 
 func TestCFSAlgorithm3PicksEligible(t *testing.T) {
-	s := NewCFS(1, 4, false)
+	s := NewCFS(1, 4)
 	banksAll := buddy.AllBanks(16)
 	es := entities(3)
 	// Task 0 is leftmost but has data on bank 5; task 1 excludes it.
@@ -77,7 +77,7 @@ func TestCFSAlgorithm3PicksEligible(t *testing.T) {
 }
 
 func TestCFSEtaFallbackToLeftmost(t *testing.T) {
-	s := NewCFS(1, 2, false) // eta = 2
+	s := NewCFS(1, 2) // eta = 2
 	banksAll := buddy.AllBanks(16)
 	es := entities(4)
 	for i, e := range es {
@@ -96,7 +96,7 @@ func TestCFSEtaFallbackToLeftmost(t *testing.T) {
 }
 
 func TestCFSEtaOneDisablesRefreshAwareness(t *testing.T) {
-	s := NewCFS(1, 1, false)
+	s := NewCFS(1, 1)
 	banksAll := buddy.AllBanks(16)
 	es := entities(2)
 	es[0].Vruntime = 1
@@ -112,7 +112,7 @@ func TestCFSEtaOneDisablesRefreshAwareness(t *testing.T) {
 }
 
 func TestCFSBestEffortMinOccupancy(t *testing.T) {
-	s := NewCFS(1, 4, true)
+	s := NewCFS(1, 4)
 	banksAll := buddy.AllBanks(16)
 	es := entities(3)
 	occ := []float64{0.5, 0.1, 0.3}
@@ -138,14 +138,14 @@ func TestCFSBestEffortMinOccupancy(t *testing.T) {
 }
 
 func TestCFSEmptyQueue(t *testing.T) {
-	s := NewCFS(2, 4, false)
+	s := NewCFS(2, 4)
 	if s.PickNext(0, 0) != nil {
 		t.Fatal("empty queue returned an entity")
 	}
 }
 
 func TestCFSLoadBalance(t *testing.T) {
-	s := NewCFS(2, 4, false)
+	s := NewCFS(2, 4)
 	es := entities(6)
 	for _, e := range es {
 		s.Enqueue(0, e) // all on CPU 0
@@ -163,7 +163,7 @@ func TestCFSLoadBalance(t *testing.T) {
 }
 
 func TestCFSDequeue(t *testing.T) {
-	s := NewCFS(1, 4, false)
+	s := NewCFS(1, 4)
 	e := &Entity{TaskID: 0}
 	s.Enqueue(0, e)
 	s.Dequeue(e)
@@ -244,7 +244,7 @@ func TestRRDequeueMiddle(t *testing.T) {
 // TestCFSFairnessUnderRefreshAwareness: with group-staggered masks (the
 // co-design assignment), long-run CPU time stays balanced across tasks.
 func TestCFSFairnessUnderRefreshAwareness(t *testing.T) {
-	s := NewCFS(1, 8, false)
+	s := NewCFS(1, 8)
 	all := buddy.AllBanks(16)
 	// 4 tasks, 4 groups: task i excludes banks {2i, 2i+1} in both ranks.
 	es := entities(4)
@@ -281,7 +281,7 @@ func TestCFSFairnessUnderRefreshAwareness(t *testing.T) {
 // examined candidate (the mass the raw SkippedCandidates counter
 // deliberately excludes).
 func TestCFSSkipHistogram(t *testing.T) {
-	s := NewCFS(1, 2, false) // eta = 2
+	s := NewCFS(1, 2) // eta = 2
 	all := buddy.AllBanks(16)
 	es := entities(3)
 	for i, e := range es {
@@ -311,7 +311,7 @@ func TestCFSSkipHistogram(t *testing.T) {
 // TestCFSSkipHistogramEligible: an eligible pick that walked past one
 // conflicting candidate lands in bucket 1 and bumps the raw counter.
 func TestCFSSkipHistogramEligible(t *testing.T) {
-	s := NewCFS(1, 4, false)
+	s := NewCFS(1, 4)
 	all := buddy.AllBanks(16)
 	es := entities(2)
 	es[0].Vruntime = 1
@@ -346,5 +346,26 @@ func TestRRSkipHistogram(t *testing.T) {
 	v := s.SkipHistogram().View()
 	if v.Count != 2 || v.Counts[0] != 2 || v.Sum != 0 {
 		t.Fatalf("histogram = %+v, want two zero samples", v)
+	}
+}
+
+// TestMinVruntime: MinVruntime tracks the leftmost task under CFS and
+// is 0 under round-robin.
+func TestMinVruntime(t *testing.T) {
+	s := NewCFS(1, 4)
+	if s.MinVruntime(0) != 0 {
+		t.Fatal("empty queue min should be 0")
+	}
+	a := &Entity{TaskID: 0, Vruntime: 500}
+	b := &Entity{TaskID: 1, Vruntime: 300}
+	s.Enqueue(0, a)
+	s.Enqueue(0, b)
+	if s.MinVruntime(0) != 300 {
+		t.Fatalf("min = %d", s.MinVruntime(0))
+	}
+	rr := NewRR(1)
+	rr.Enqueue(0, &Entity{TaskID: 2, Vruntime: 300})
+	if rr.MinVruntime(0) != 0 {
+		t.Fatal("RR min should be 0")
 	}
 }

@@ -6,8 +6,8 @@ import "refsched/internal/stats"
 // membership in queue order (FIFO order for round-robin; ascending
 // (vruntime, task) order for CFS, where re-insertion reproduces the
 // same order), plus decision counters. Entity fields
-// themselves (vruntime, weight, mask) are owned and serialized by the
-// kernel's task state.
+// themselves (vruntime, mask) are owned and serialized by the kernel's
+// task state.
 type State struct {
 	PerCPU [][]int
 	Stats  Stats

@@ -16,7 +16,6 @@ import (
 // and page table.
 type TaskState struct {
 	Vruntime uint64
-	Weight   uint64
 	Mask     buddy.BankMask
 	// CPU is the runqueue the task last belonged to (meaningful for
 	// running and sleeping tasks, which are off-queue at checkpoint).
@@ -76,7 +75,6 @@ func (k *Kernel) State() (State, error) {
 		}
 		st.Tasks = append(st.Tasks, TaskState{
 			Vruntime:         t.Ent.Vruntime,
-			Weight:           t.Ent.Weight,
 			Mask:             t.Ent.Mask,
 			CPU:              t.Ent.CPU(),
 			LastAllocedBank:  t.lastAllocedBank,
@@ -106,7 +104,6 @@ func (k *Kernel) SetState(st State) error {
 	for i, ts := range st.Tasks {
 		t := k.tasks[i]
 		t.Ent.Vruntime = ts.Vruntime
-		t.Ent.Weight = ts.Weight
 		t.Ent.Mask = ts.Mask
 		t.Ent.Place(ts.CPU)
 		t.lastAllocedBank = ts.LastAllocedBank

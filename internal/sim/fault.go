@@ -4,8 +4,8 @@ import "fmt"
 
 // Fault is the marker interface for typed simulation-fault values.
 //
-// Components deep inside the event loop (the engine, the kernel, the
-// buddy allocator) cannot return errors through their hot-path
+// Components deep inside the event loop (the engine, the kernel and
+// its page tables) cannot return errors through their hot-path
 // signatures, so a detected fault unwinds as a panic carrying a typed
 // value implementing Fault. The core run API recovers these at its
 // boundary and converts them into ordinary returned errors, so one bad
