@@ -112,9 +112,9 @@ func main() {
 
 	// The journal keys a run by a fingerprint of every flag that changes
 	// a report, so a record of another configuration never answers it,
-	// followed by the run's slot and mix (runs may repeat a mix).
-	// v4: the mode knob landed; approx and exact runs must never answer
-	// each other.
+	// followed by the run's slot and mix (runs may repeat a mix). It
+	// starts with the model version the harness's cell keys carry; the
+	// mode is in it so approx and exact runs never answer each other.
 	var memo *harness.Memo
 	if *journalPath != "" {
 		m, dropped, err := harness.OpenMemo(*journalPath, 0)
@@ -126,8 +126,8 @@ func main() {
 		}
 		memo = m
 	}
-	fp := fmt.Sprintf("v4 mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
-		*mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
+	fp := fmt.Sprintf("v%d mode=%s density=%d policy=%s codesign=%t hot=%t scale=%d warm=%d meas=%d fp=%g seed=%d bench=%q",
+		harness.ModelVersion, *mode, *density, *policy, *codesign, *hot, *scale, *warmup, *measure, *fpScale, *seed, *benchCSV)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

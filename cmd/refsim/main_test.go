@@ -27,7 +27,7 @@ func TestMetricsDump(t *testing.T) {
 
 	dump := filepath.Join(dir, "metrics.json")
 	cmd := exec.Command(bin,
-		"-mix", "WL-6", "-density", "8", "-policy", "allbank",
+		"-mix", "WL-6", "-density", "8", "-policy", "adaptive",
 		"-scale", "4096", "-warmup", "1", "-measure", "1",
 		"-footprint-scale", "0.01", "-metrics", dump)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -48,11 +48,13 @@ func TestMetricsDump(t *testing.T) {
 	}
 
 	// The cumulative hierarchy must be populated end to end: engine,
-	// controller, bank, task, and OS layers.
+	// controller (with the counter only the adaptive policy keeps),
+	// bank, task, and OS layers.
 	for _, name := range []string{
 		"engine.events",
 		"mc[0].reads",
 		"mc[0].refresh.decisions",
+		"mc[0].refresh.mode_switches",
 		"mc[0].bank[0].refresh_busy_cycles",
 		"task[0].instructions",
 		"sched.picks",

@@ -43,7 +43,13 @@ import (
 // handed out (its frame order is fixed), in place of buddy free lists
 // and the metadata of every split max-order block, and drops each
 // task's unused scheduling weight.
-const SnapshotVersion = 4
+//
+// Version 5 stores each controller's refresh policy state as the one
+// refresh.State record the controller owns (rank and bank cursors in
+// place of per-policy fields, no per-bank row counter for the
+// sequential schedule, no counters the controller also keeps, no
+// HasPolicy flag), and its queued requests as mc.Request values.
+const SnapshotVersion = 5
 
 var snapshotMagic = [4]byte{'R', 'S', 'N', 'P'}
 

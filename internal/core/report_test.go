@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"refsched/internal/config"
+	"refsched/internal/metrics"
 )
 
 func TestReportContents(t *testing.T) {
@@ -124,5 +125,40 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	// the measured-interval count from above.
 	if reads < rep.Reads {
 		t.Errorf("cumulative mc reads %d < measured reads %d", reads, rep.Reads)
+	}
+}
+
+// TestPolicyCountersRegistered: the counters only a refresh policy
+// keeps reach the metrics registry under mc[i].refresh.* for that
+// policy alone, and agree with what the controller observes of the
+// same decisions.
+func TestPolicyCountersRegistered(t *testing.T) {
+	run := func(pol config.RefreshPolicy) metrics.Snapshot {
+		sys, err := Build(testConfig(config.Density32Gb, pol), testMix(), Options{FootprintScale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunWindows(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		return sys.MetricsSnapshot()
+	}
+	s := run(config.RefreshAllBank)
+	for _, name := range []string{"mode_switches", "resumes", "forced_issues", "idle_issues"} {
+		if _, ok := s.Counters["mc[0].refresh."+name]; ok {
+			t.Errorf("all-bank registers %s, which only another policy keeps", name)
+		}
+	}
+	if s := run(config.RefreshAdaptive); s.Counter("mc[0].refresh.mode_switches") == 0 {
+		t.Error("adaptive: no mode switch registered")
+	}
+	s = run(config.RefreshElastic)
+	forced, idle := s.Counter("mc[0].refresh.forced_issues"), s.Counter("mc[0].refresh.idle_issues")
+	if cmds := s.Counter("mc[0].refresh_commands"); cmds == 0 || forced+idle != cmds {
+		t.Errorf("elastic: %d forced + %d idle issues, controller issued %d commands", forced, idle, cmds)
+	}
+	s = run(config.RefreshPausing)
+	if resumes := s.Counter("mc[0].refresh.resumes"); resumes == 0 || resumes > s.Counter("mc[0].refresh_pauses") {
+		t.Errorf("pausing: %d resumes of %d pauses", resumes, s.Counter("mc[0].refresh_pauses"))
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"refsched/internal/config"
+	"refsched/internal/refresh"
 	"refsched/internal/sim"
 )
 
@@ -66,22 +68,50 @@ func codecRoundTrip(t *testing.T, st *SystemState) *SystemState {
 // snapshot stack: a run that checkpoints periodically produces the
 // byte-identical report of an uncheckpointed run, and resuming from any
 // checkpoint — including ones taken mid-quantum and mid-refresh — again
-// produces the byte-identical report. Both the refresh-oblivious
-// baseline and the full co-design machine (CFS + refresh-aware
-// scheduling + per-bank-sequenced refresh) are covered.
+// produces the byte-identical report. Every resume goes through the
+// snapshot codec. The refresh-oblivious baseline, the full co-design
+// machine (CFS + refresh-aware scheduling + per-bank-sequenced
+// refresh) and every other refresh policy are covered; a policy case
+// also resumes from the first checkpoint at which its own decision
+// state has moved.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  config.System
+		// moved, when set, reports that the policy state has left its
+		// starting point in a way a resume must carry.
+		moved func(st refresh.State) bool
 	}{
-		{"baseline-allbank-32gb", testConfig(config.Density32Gb, config.RefreshAllBank)},
+		{"baseline-allbank-32gb", testConfig(config.Density32Gb, config.RefreshAllBank), nil},
 		{"codesign-perbankseq", func() config.System {
 			cfg := testConfig(config.Density8Gb, config.RefreshPerBankSeq)
 			cfg.OS.Alloc = config.AllocSoftPartition
 			cfg.OS.Scheduler = config.SchedCFS
 			cfg.OS.RefreshAware = true
 			return cfg
-		}()},
+		}(), nil},
+		{"perbank", testConfig(config.Density32Gb, config.RefreshPerBankRR),
+			func(st refresh.State) bool { return st.NextBank != 0 }},
+		// Part of a window's budget spent: banks owe different counts.
+		{"oooperbank", testConfig(config.Density32Gb, config.RefreshOOOPerBank),
+			func(st refresh.State) bool { return slices.Min(st.Remaining) != slices.Max(st.Remaining) }},
+		{"fgr2x", testConfig(config.Density32Gb, config.RefreshFGR2x),
+			func(st refresh.State) bool { return st.NextRank != 0 }},
+		{"fgr4x", testConfig(config.Density32Gb, config.RefreshFGR4x),
+			func(st refresh.State) bool { return st.NextRank != 0 }},
+		{"adaptive", testConfig(config.Density32Gb, config.RefreshAdaptive),
+			func(st refresh.State) bool { return st.ModeSwitches > 0 && st.NextRank4x != 0 }},
+		{"elastic", testConfig(config.Density32Gb, config.RefreshElastic),
+			func(st refresh.State) bool { return slices.Max(st.Debt) > 0 }},
+		{"pausing", testConfig(config.Density32Gb, config.RefreshPausing),
+			func(st refresh.State) bool { return slices.Max(st.Remainder) > 0 }},
+		{"raidr", testConfig(config.Density32Gb, config.RefreshRAIDR),
+			func(st refresh.State) bool { return st.NextBank != 0 && st.Acc != 0 }},
+		{"perbanksa8", func() config.System {
+			cfg := testConfig(config.Density32Gb, config.RefreshPerBankSA)
+			cfg.Mem.SubarraysPerBank = 8
+			return cfg
+		}(), func(st refresh.State) bool { return st.NextSub != 0 && st.NextBank != 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,8 +144,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 
 			// Classify snapshots: mid-quantum (a core is executing a
-			// task) and mid-refresh (a bank's refresh end lies in the
-			// future).
+			// task) and mid-refresh (the refresh end of a bank, or of
+			// one of its subarrays, lies in the future).
 			midQuantum, midRefresh := -1, -1
 			for i, st := range snaps {
 				cyc := sim.Time(st.Cycle())
@@ -126,7 +156,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				}
 				for _, ch := range st.Chans {
 					for _, b := range ch.Banks {
-						if b.RefUntil > cyc && midRefresh < 0 {
+						if (b.RefUntil > cyc || slices.Max(append(b.SubRefUntil, 0)) > cyc) && midRefresh < 0 {
 							midRefresh = i
 						}
 					}
@@ -137,6 +167,15 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 			if midRefresh < 0 {
 				t.Fatal("no checkpoint caught a bank mid-refresh")
+			}
+			moved := -1
+			for i := 0; tc.moved != nil && i < len(snaps) && moved < 0; i++ {
+				if tc.moved(snaps[i].MCs[0].Refresh) {
+					moved = i
+				}
+			}
+			if tc.moved != nil && moved < 0 {
+				t.Fatalf("no checkpoint caught the policy state moved; last: %+v", snaps[len(snaps)-1].MCs[0].Refresh)
 			}
 
 			resume := func(i int) {
@@ -156,6 +195,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 			resume(midQuantum)
 			resume(midRefresh)
+			if moved >= 0 {
+				resume(moved)
+			}
 			resume(len(snaps) - 1)
 		})
 	}

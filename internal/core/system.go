@@ -121,7 +121,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 	var planner refresh.SlotPlanner
 	for ch := 0; ch < cfg.Mem.Channels; ch++ {
 		channel := dram.NewChannel(ch, cfg.Mem, &s.timing)
-		pol, err := refresh.New(cfg.Refresh.Policy, geo)
+		pol, st, err := refresh.New(cfg.Refresh.Policy, geo)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func Build(cfg config.System, mix workload.Mix, opt Options) (*System, error) {
 			planner = p
 		}
 		s.Chans = append(s.Chans, channel)
-		s.MCs = append(s.MCs, mc.New(s.Eng, channel, cfg.Mem, pol))
+		s.MCs = append(s.MCs, mc.New(s.Eng, channel, cfg.Mem, pol, st))
 	}
 
 	// Cores with private cache stacks.
@@ -231,7 +231,11 @@ func (s *System) registerMetrics() {
 		c := c
 		scope := root.Subf("mc[%d]", i)
 		scope.Struct(&c.Stats)
-		scope.Sub("refresh").Struct(&c.PolicyStats)
+		refScope := scope.Sub("refresh")
+		refScope.Struct(&c.PolicyStats)
+		for _, k := range c.RefreshCounters() {
+			refScope.CounterPtr(k.Name, k.P)
+		}
 		scope.GaugeFunc("read_queue_depth", func() float64 { return float64(c.ReadQueueLen()) })
 		scope.GaugeFunc("write_queue_depth", func() float64 { return float64(c.WriteQueueLen()) })
 		ch := s.Chans[i]

@@ -9,6 +9,22 @@ import (
 	"refsched/internal/runner"
 )
 
+// ModelVersion names the simulated output: Fingerprint, and so every
+// cell key, figure key and chaos placement, and refsim's journal keys
+// carry it as v<ModelVersion>, so a result recorded under one version
+// never answers for another. TestModelVersionPinsOutput records the
+// sha256 of the files that hold the output it names and fails when they
+// change while it does not: bump it with every change to simulated
+// output.
+//
+// v2: Report JSON moved to stable snake_case field names, so v1
+// records (PascalCase keys) must not be answered from. v3: Report
+// gained sched_skips_per_pick; v2 records would answer with the
+// histogram silently empty. v4: the Mode knob landed; an approx cell
+// must never answer an exact one (or vice versa), so the tier is part
+// of the fingerprint.
+const ModelVersion = 4
+
 // Fingerprint identifies the parameter set a cell's result is valid
 // for: every knob that changes a cell's simulated result, and so
 // exactly the knobs a CellSpec carries, whose Key ends with it. Mix
@@ -20,15 +36,8 @@ import (
 // serving daemon's result cache — must additionally key on the mix
 // selection, since it changes which rows a figure renders.)
 func (p Params) Fingerprint() string {
-	// v2: Report JSON moved to stable snake_case field names, so v1
-	// records (PascalCase keys) must not be answered from.
-	// v3: Report gained sched_skips_per_pick; v2 records would answer
-	// with the histogram silently empty.
-	// v4: the Mode knob landed; an approx cell must never answer an
-	// exact one (or vice versa), so the tier is part of the
-	// fingerprint.
-	return fmt.Sprintf("v4 mode=%s scale=%d fp=%g warm=%d meas=%d seed=%d",
-		p.mode(), p.Scale, p.FootprintScale, p.WarmupWindows, p.MeasureWindows, p.Seed)
+	return fmt.Sprintf("v%d mode=%s scale=%d fp=%g warm=%d meas=%d seed=%d",
+		ModelVersion, p.mode(), p.Scale, p.FootprintScale, p.WarmupWindows, p.MeasureWindows, p.Seed)
 }
 
 // ctx returns the sweep's cancellation context.

@@ -24,12 +24,14 @@ const maxBypasses = 8
 
 // Controller is the per-channel memory controller.
 type Controller struct {
-	eng     *sim.Engine
-	ch      *dram.Channel
-	cfg     config.MemConfig
-	policy  refresh.Scheduler
-	pauser  refresh.Pauser // non-nil when the policy supports pausing
-	enabled bool           // refresh enabled
+	eng    *sim.Engine
+	ch     *dram.Channel
+	cfg    config.MemConfig
+	policy refresh.Scheduler // nil: refresh disabled
+	pauser refresh.Pauser    // non-nil when the policy supports pausing
+	// refSt is the policy's decision state; the controller owns it and
+	// checkpoints it.
+	refSt refresh.State
 
 	readQ  []*Request
 	writeQ []*Request
@@ -111,30 +113,33 @@ type Controller struct {
 }
 
 // New builds a controller for channel ch using the given refresh
-// policy, scheduling its events on eng.
-func New(eng *sim.Engine, ch *dram.Channel, cfg config.MemConfig, policy refresh.Scheduler) *Controller {
+// policy and its initial state (both as refresh.New returns them),
+// scheduling its events on eng. A nil policy never refreshes.
+func New(eng *sim.Engine, ch *dram.Channel, cfg config.MemConfig, policy refresh.Scheduler, st refresh.State) *Controller {
 	c := &Controller{
 		eng:           eng,
 		ch:            ch,
 		cfg:           cfg,
 		policy:        policy,
-		enabled:       policy.Name() != "none",
+		refSt:         st,
 		perBankQueued: make([]int, ch.TotalBanks()),
 		gen:           1, // so the zero idle record matches nothing
 	}
 	if p, ok := policy.(refresh.Pauser); ok {
 		c.pauser = p
 	}
-	if c.enabled {
-		c.eng.SchedulePAt(c.eng.Now()+policy.Interval(),
+	if policy != nil {
+		c.eng.SchedulePAt(c.eng.Now()+policy.Interval(&c.refSt),
 			sim.Payload{Kind: sim.KindMCRefreshTick, A: uint64(ch.ID)})
 	}
 	return c
 }
 
-// Policy returns the refresh policy (the OS inspects it for SlotPlanner
-// support).
-func (c *Controller) Policy() refresh.Scheduler { return c.policy }
+// RefreshCounters returns the counters only the refresh policy keeps
+// (metrics registration).
+func (c *Controller) RefreshCounters() []refresh.Counter {
+	return refresh.KeptCounters(c.policy, &c.refSt)
+}
 
 // SetTracer installs a request observer invoked for every accepted
 // demand request (nil disables tracing).
@@ -264,7 +269,7 @@ func (c *Controller) trackOcc() {
 func (c *Controller) refreshTick() {
 	now := c.eng.Now()
 	c.gen++ // Next may change policy state even when it skips
-	t := c.policy.Next(now, c)
+	t := c.policy.Next(now, c, &c.refSt)
 	c.PolicyStats.Observe(t)
 	if t.Skip {
 		c.Stats.RefreshSkipped++
@@ -285,7 +290,7 @@ func (c *Controller) refreshTick() {
 			c.emitRefreshSpans(now, end, t)
 		}
 	}
-	c.eng.SchedulePAt(now+c.policy.Interval(),
+	c.eng.SchedulePAt(now+c.policy.Interval(&c.refSt),
 		sim.Payload{Kind: sim.KindMCRefreshTick, A: uint64(c.ch.ID)})
 }
 
@@ -406,7 +411,7 @@ func (c *Controller) pick(q []*Request, now sim.Time) int {
 	// Anti-starvation: an over-bypassed or over-aged oldest request wins
 	// outright.
 	old := q[0]
-	if old.bypasses >= maxBypasses || uint64(now-old.Arrive) > starvationAge {
+	if old.Bypasses >= maxBypasses || uint64(now-old.Arrive) > starvationAge {
 		if c.promptPlan(old, now) {
 			c.chosen = c.cand
 			return 0
@@ -428,7 +433,7 @@ func (c *Controller) pick(q []*Request, now sim.Time) int {
 		}
 	}
 	if best > 0 {
-		q[0].bypasses++
+		q[0].Bypasses++
 	}
 	return best
 }
@@ -441,10 +446,10 @@ func (c *Controller) promptPlan(r *Request, now sim.Time) bool {
 	if bank.RefreshingRow(r.Coord.Row, now) {
 		// Refresh pausing: abort the in-progress refresh in favour of
 		// this demand request when the policy allows it.
-		if c.pauser != nil && c.pauser.RequestPause(now, r.Coord.Rank) {
+		if c.pauser != nil && c.pauser.RequestPause(&c.refSt, r.Coord.Rank) {
 			remaining := c.ch.AbortRefresh(r.Coord.Rank, -1, now, c.pauser.PausePenalty())
 			if remaining > 0 {
-				c.pauser.Paused(r.Coord.Rank, remaining)
+				c.pauser.Paused(&c.refSt, r.Coord.Rank, remaining)
 				c.Stats.RefreshPauses++
 			}
 			// The pause changed bank state: forget this pick's

@@ -51,11 +51,11 @@ func newRigWith(t *testing.T, pol config.RefreshPolicy, mutate func(*config.MemC
 	ch := dram.NewChannel(0, cfg.Mem, &tm)
 	geo := refresh.Geometry{Ranks: cfg.Mem.Ranks(), BanksPerRank: cfg.Mem.BanksPerRank,
 		Subarrays: cfg.Mem.SubarraysPerBank, Timing: &tm}
-	p, err := refresh.New(pol, geo)
+	p, st, err := refresh.New(pol, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p), tm: tm, cfg: cfg,
+	r := &rig{eng: eng, ch: ch, mc: New(eng, ch, cfg.Mem, p, st), tm: tm, cfg: cfg,
 		onDone: make(map[uint64]func(sim.Time))}
 	eng.SetExec(func(pl sim.Payload) {
 		switch {
@@ -82,6 +82,9 @@ type completion struct {
 	at   sim.Time
 	miss uint64
 }
+
+// interval is the refresh policy's current interval.
+func (r *rig) interval() sim.Time { return sim.Time(r.mc.policy.Interval(&r.mc.refSt)) }
 
 // at schedules fn as an event at absolute time t.
 func (r *rig) at(t sim.Time, fn func()) {
@@ -254,19 +257,19 @@ func TestWritesYieldToReadsOutsideDrain(t *testing.T) {
 func TestRefreshStallAccounting(t *testing.T) {
 	r := newRig(t, config.RefreshAllBank)
 	// Let the first refresh land, then submit a read mid-refresh.
-	interval := r.mc.Policy().Interval()
-	r.eng.RunUntil(sim.Time(interval) + 1)
+	interval := r.interval()
+	r.eng.RunUntil(interval + 1)
 	done := r.read(t, 0, 0, 1) // rank 0 refreshing now
 	// Run is unsuitable here: the refresh ticker reschedules forever.
-	r.eng.RunUntil(sim.Time(interval + r.tm.TRFCab + 100000))
+	r.eng.RunUntil(interval + sim.Time(r.tm.TRFCab+100000))
 	if r.mc.Stats.RefreshStalledReads != 1 {
 		t.Fatalf("refresh-stalled reads = %d", r.mc.Stats.RefreshStalledReads)
 	}
 	if r.mc.Stats.RefreshStallCycles == 0 {
 		t.Fatal("no stall cycles recorded")
 	}
-	refEnd := interval + r.tm.TRFCab
-	if *done < sim.Time(refEnd) {
+	refEnd := interval + sim.Time(r.tm.TRFCab)
+	if *done < refEnd {
 		t.Fatalf("read finished %d before refresh end %d", *done, refEnd)
 	}
 }
@@ -295,11 +298,11 @@ func TestNewRequestReusesIssuedRequests(t *testing.T) {
 	conflict := submit(0, 2)
 	submit(0, 1)
 	r.eng.RunUntil(2000)
-	if conflict.bypasses == 0 {
+	if conflict.Bypasses == 0 {
 		t.Fatal("the row hit did not bypass the conflict")
 	}
 	// A read that arrives while rank 0 refreshes is marked stalled.
-	interval := sim.Time(r.mc.Policy().Interval())
+	interval := r.interval()
 	r.eng.RunUntil(interval + 1)
 	stalled := submit(1, 5)
 	r.eng.RunUntil(interval + sim.Time(r.tm.TRFCab) + 1000)

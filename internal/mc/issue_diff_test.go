@@ -59,8 +59,8 @@ type grantingPauser struct {
 	requests int
 }
 
-func (p *grantingPauser) RequestPause(sim.Time, int) bool { p.requests++; return true }
-func (*grantingPauser) Paused(int, uint64)                {}
+func (p *grantingPauser) RequestPause(*refresh.State, int) bool { p.requests++; return true }
+func (*grantingPauser) Paused(*refresh.State, int, uint64)      {}
 func (p *grantingPauser) PausePenalty() uint64 {
 	if p.requests%2 == 1 {
 		return 2 * promptWindow
@@ -194,21 +194,24 @@ func (r *rig) drive(seed int64) []*Request {
 		}
 	}
 	r.at(1, inject)
-	interval := sim.Time(r.mc.policy.Interval())
-	var aroundTick func()
-	aroundTick = func() {
-		r.evaluate()
-		// Scheduled now, this runs after the tick queued for this cycle;
-		// the next probe is queued ahead of the tick that follows.
-		r.at(r.eng.Now(), r.evaluate)
-		if next := r.eng.Now() + interval; next < stop {
-			r.at(next, aroundTick)
+	if r.mc.policy != nil {
+		interval := r.interval()
+		var aroundTick func()
+		aroundTick = func() {
+			r.evaluate()
+			// Scheduled now, this runs after the tick queued for this
+			// cycle; the next probe is queued ahead of the tick that
+			// follows.
+			r.at(r.eng.Now(), r.evaluate)
+			if next := r.eng.Now() + interval; next < stop {
+				r.at(next, aroundTick)
+			}
 		}
-	}
-	// New queued the first tick already, so the first probe to run
-	// ahead of its tick is the second tick's.
-	if 2*interval < stop {
-		r.at(2*interval, aroundTick)
+		// New queued the first tick already, so the first probe to run
+		// ahead of its tick is the second tick's.
+		if 2*interval < stop {
+			r.at(2*interval, aroundTick)
+		}
 	}
 	r.eng.RunUntil(stop)
 	// The refresh ticker never stops, so run in steps until the backlog

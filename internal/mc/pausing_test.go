@@ -13,18 +13,18 @@ import (
 // controller records the pause.
 func TestPausingAbortsRefreshForDemand(t *testing.T) {
 	r := newRig(t, config.RefreshPausing)
-	interval := r.mc.Policy().Interval()
-	r.eng.RunUntil(sim.Time(interval) + 1) // first refresh in flight on rank 0
+	interval := r.interval()
+	r.eng.RunUntil(interval + 1) // first refresh in flight on rank 0
 
 	done := r.read(t, 0, 0, 1)
-	r.eng.RunUntil(sim.Time(interval + r.tm.TRFCab + 100000))
+	r.eng.RunUntil(interval + sim.Time(r.tm.TRFCab+100000))
 
 	if r.mc.Stats.RefreshPauses == 0 {
 		t.Fatal("refresh never paused")
 	}
 	// Without pausing the read waits out tRFCab (~2848 cycles); with
 	// pausing it pays only ~tRP + the normal access.
-	fullWait := sim.Time(interval + r.tm.TRFCab)
+	fullWait := interval + sim.Time(r.tm.TRFCab)
 	if *done >= fullWait {
 		t.Fatalf("paused read done at %d, no better than unpaused %d", *done, fullWait)
 	}
@@ -37,12 +37,12 @@ func TestPausingAbortsRefreshForDemand(t *testing.T) {
 // rescheduled, so total refresh busy time is preserved (minus overlap).
 func TestPausingRemainderEventuallyRuns(t *testing.T) {
 	r := newRig(t, config.RefreshPausing)
-	interval := r.mc.Policy().Interval()
-	r.eng.RunUntil(sim.Time(interval) + 1)
+	interval := r.interval()
+	r.eng.RunUntil(interval + 1)
 	_ = r.read(t, 0, 0, 1)
 	// Run several intervals with no further traffic: the remainder must
 	// have been issued as a refresh command.
-	r.eng.RunUntil(sim.Time(interval * 6))
+	r.eng.RunUntil(interval * 6)
 	// Commands: initial + remainder resume (+ later scheduled ones).
 	if r.mc.Stats.RefreshCommands < 3 {
 		t.Fatalf("refresh commands = %d, expected initial+resume+next", r.mc.Stats.RefreshCommands)

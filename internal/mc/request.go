@@ -13,7 +13,8 @@ import (
 	"refsched/internal/sim"
 )
 
-// Request is one memory transaction (a 64-byte line read or write).
+// Request is one memory transaction (a 64-byte line read or write). It
+// is plain data, and a checkpoint holds queued requests by value.
 // Once a controller has issued a request it reuses it for a later one
 // (see Controller.NewRequest): nothing may hold a request past its
 // issue. Its completion event carries the Owner words instead.
@@ -38,7 +39,8 @@ type Request struct {
 	// cpu.Core.MissComplete.
 	Owner Owner
 
-	bypasses int // times a younger row-hit overtook this request
+	// Bypasses counts the younger row hits that overtook this request.
+	Bypasses int
 }
 
 // Owner names the issuing core's outstanding miss for a demand read.

@@ -51,7 +51,7 @@ func (c *Controller) rescanPick(q []*Request, now sim.Time) int {
 	// Anti-starvation: an over-bypassed or over-aged oldest request wins
 	// outright.
 	old := q[0]
-	if old.bypasses >= maxBypasses || uint64(now-old.Arrive) > starvationAge {
+	if old.Bypasses >= maxBypasses || uint64(now-old.Arrive) > starvationAge {
 		if c.rescanPromptPlan(old, now) {
 			c.chosen = c.cand
 			return 0
@@ -73,7 +73,7 @@ func (c *Controller) rescanPick(q []*Request, now sim.Time) int {
 		}
 	}
 	if best > 0 {
-		q[0].bypasses++
+		q[0].Bypasses++
 	}
 	return best
 }
@@ -86,10 +86,10 @@ func (c *Controller) rescanPromptPlan(r *Request, now sim.Time) bool {
 	if bank.RefreshingRow(r.Coord.Row, now) {
 		// Refresh pausing: abort the in-progress refresh in favour of
 		// this demand request when the policy allows it.
-		if c.pauser != nil && c.pauser.RequestPause(now, r.Coord.Rank) {
+		if c.pauser != nil && c.pauser.RequestPause(&c.refSt, r.Coord.Rank) {
 			remaining := c.ch.AbortRefresh(r.Coord.Rank, -1, now, c.pauser.PausePenalty())
 			if remaining > 0 {
-				c.pauser.Paused(r.Coord.Rank, remaining)
+				c.pauser.Paused(&c.refSt, r.Coord.Rank, remaining)
 				c.Stats.RefreshPauses++
 			}
 			// Fall through: the bank frees after the pause penalty.

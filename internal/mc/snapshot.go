@@ -1,34 +1,21 @@
 package mc
 
 import (
-	"refsched/internal/dram"
 	"refsched/internal/refresh"
 	"refsched/internal/sim"
 )
 
-// RequestState is the serializable form of one queued or waiting
-// Request. Completion routing lives in Owner (plain words), so a
-// restored request is indistinguishable from the original.
-type RequestState struct {
-	Addr           uint64
-	Coord          dram.Coord
-	Write          bool
-	TaskID         int
-	Arrive         sim.Time
-	RefreshStalled bool
-	Owner          Owner
-	Bypasses       int
-}
-
 // ControllerState is one controller's full mutable state at an
 // event-quiescent point (no event mid-flight; pending events are
-// captured separately by the engine snapshot).
+// captured separately by the engine snapshot). Queued and waiting
+// requests are held by value: completion routing lives in their Owner
+// words, so a restored request is indistinguishable from the original.
 type ControllerState struct {
-	ReadQ   []RequestState
-	WriteQ  []RequestState
+	ReadQ   []Request
+	WriteQ  []Request
 	Waiters struct {
-		Read  []RequestState
-		Write []RequestState
+		Read  []Request
+		Write []Request
 	}
 
 	Draining         bool
@@ -43,32 +30,25 @@ type ControllerState struct {
 
 	Stats       Stats
 	PolicyStats refresh.Stats
-	// Policy carries the refresh policy's decision state when the policy
-	// is stateful (every policy except "none").
-	Policy    refresh.State
-	HasPolicy bool
+	// Refresh is the refresh policy's decision state (the zero State
+	// when refresh is disabled).
+	Refresh refresh.State
 }
 
-func packRequests(reqs []*Request) []RequestState {
-	out := make([]RequestState, len(reqs))
+func values(reqs []*Request) []Request {
+	out := make([]Request, len(reqs))
 	for i, r := range reqs {
-		out[i] = RequestState{
-			Addr: r.Addr, Coord: r.Coord, Write: r.Write, TaskID: r.TaskID,
-			Arrive: r.Arrive, RefreshStalled: r.RefreshStalled, Owner: r.Owner,
-			Bypasses: r.bypasses,
-		}
+		out[i] = *r
 	}
 	return out
 }
 
-func unpackRequests(sts []RequestState) []*Request {
-	out := make([]*Request, len(sts))
-	for i, st := range sts {
-		out[i] = &Request{
-			Addr: st.Addr, Coord: st.Coord, Write: st.Write, TaskID: st.TaskID,
-			Arrive: st.Arrive, RefreshStalled: st.RefreshStalled, Owner: st.Owner,
-			bypasses: st.Bypasses,
-		}
+// pointers copies reqs, so one state can be restored more than once.
+func pointers(reqs []Request) []*Request {
+	out := make([]*Request, len(reqs))
+	for i := range reqs {
+		r := reqs[i]
+		out[i] = &r
 	}
 	return out
 }
@@ -76,8 +56,8 @@ func unpackRequests(sts []RequestState) []*Request {
 // State captures the controller for a checkpoint.
 func (c *Controller) State() ControllerState {
 	st := ControllerState{
-		ReadQ:            packRequests(c.readQ),
-		WriteQ:           packRequests(c.writeQ),
+		ReadQ:            values(c.readQ),
+		WriteQ:           values(c.writeQ),
 		Draining:         c.draining,
 		IssuePending:     c.issuePending,
 		IssueAt:          c.issueAt,
@@ -88,13 +68,10 @@ func (c *Controller) State() ControllerState {
 		UtilLastOcc:      c.utilLastOcc,
 		Stats:            c.Stats,
 		PolicyStats:      c.PolicyStats,
+		Refresh:          c.refSt.Clone(),
 	}
-	st.Waiters.Read = packRequests(c.readWaiters)
-	st.Waiters.Write = packRequests(c.writeWaiters)
-	if s, ok := c.policy.(refresh.Stateful); ok {
-		st.Policy = s.State()
-		st.HasPolicy = true
-	}
+	st.Waiters.Read = values(c.readWaiters)
+	st.Waiters.Write = values(c.writeWaiters)
 	return st
 }
 
@@ -102,10 +79,10 @@ func (c *Controller) State() ControllerState {
 // identically configured controller. perBankQueued is derived state and
 // is recomputed from the restored read queue.
 func (c *Controller) SetState(st ControllerState) {
-	c.readQ = unpackRequests(st.ReadQ)
-	c.writeQ = unpackRequests(st.WriteQ)
-	c.readWaiters = unpackRequests(st.Waiters.Read)
-	c.writeWaiters = unpackRequests(st.Waiters.Write)
+	c.readQ = pointers(st.ReadQ)
+	c.writeQ = pointers(st.WriteQ)
+	c.readWaiters = pointers(st.Waiters.Read)
+	c.writeWaiters = pointers(st.Waiters.Write)
 	for i := range c.perBankQueued {
 		c.perBankQueued[i] = 0
 	}
@@ -122,8 +99,6 @@ func (c *Controller) SetState(st ControllerState) {
 	c.utilLastOcc = st.UtilLastOcc
 	c.Stats = st.Stats
 	c.PolicyStats = st.PolicyStats
+	c.refSt = st.Refresh.Clone()
 	c.gen++ // the idle record describes the state being replaced
-	if s, ok := c.policy.(refresh.Stateful); ok && st.HasPolicy {
-		s.SetState(st.Policy)
-	}
 }

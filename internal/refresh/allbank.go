@@ -17,8 +17,6 @@ import (
 // blocking episodes for more total refresh overhead.
 type FGR struct {
 	g        Geometry
-	mode     int // 1, 2 or 4
-	nextRank int
 	rows     uint64
 	interval uint64
 	dur      uint64
@@ -52,7 +50,6 @@ func NewFGR(g Geometry, mode int) (*FGR, error) {
 	}
 	return &FGR{
 		g:        g,
-		mode:     mode,
 		rows:     tm.RowsPerRefresh(cmds),
 		interval: trefi / uint64(g.Ranks),
 		dur:      uint64(float64(tm.TRFCab) / FGRDurFactor(mode)),
@@ -68,43 +65,34 @@ func mustFGR(g Geometry, mode int) *FGR {
 	return f
 }
 
-// Name implements Scheduler.
-func (f *FGR) Name() string {
-	switch f.mode {
-	case 2:
-		return "fgr2x"
-	case 4:
-		return "fgr4x"
-	default:
-		return "allbank"
-	}
-}
-
 // Interval implements Scheduler.
-func (f *FGR) Interval() uint64 { return f.interval }
+func (f *FGR) Interval(*State) uint64 { return f.interval }
 
 // Next implements Scheduler, rotating ranks.
-func (f *FGR) Next(sim.Time, QueueView) Target {
-	r := f.nextRank
-	f.nextRank = (f.nextRank + 1) % f.g.Ranks
-	return Target{AllBank: true, Rank: r, Rows: f.rows, Dur: f.dur}
+func (f *FGR) Next(_ sim.Time, _ QueueView, st *State) Target { return f.rotate(&st.NextRank) }
+
+// rotate refreshes the rank at *cursor and advances the cursor.
+func (f *FGR) rotate(cursor *int) Target {
+	r := *cursor
+	*cursor = (r + 1) % f.g.Ranks
+	return f.command(r)
+}
+
+// command is one all-bank refresh of rank.
+func (f *FGR) command(rank int) Target {
+	return Target{AllBank: true, Rank: rank, Rows: f.rows, Dur: f.dur}
 }
 
 // Adaptive is Adaptive Refresh (Mukundan et al., ISCA 2013): it monitors
 // channel utilization and switches between DDR4 1x mode (lower total
 // overhead, long blocking) when the channel is busy and 4x mode (short
 // blocking episodes) when the channel is lightly loaded, re-evaluating
-// once per epoch.
+// once per epoch. Each mode keeps its own rank rotation.
 type Adaptive struct {
 	one      *FGR
 	four     *FGR
-	cur      *FGR
 	epoch    uint64 // cycles between mode decisions
 	highUtil float64
-	nextEval sim.Time
-
-	// ModeSwitches counts 1x<->4x transitions (reported in stats).
-	ModeSwitches uint64
 }
 
 // NewAdaptive builds the policy; epoch (cycles) and highUtil default to
@@ -116,40 +104,32 @@ func NewAdaptive(g Geometry, epoch uint64, highUtil float64) *Adaptive {
 	if highUtil == 0 {
 		highUtil = 0.5
 	}
-	a := &Adaptive{
-		one:      mustFGR(g, 1),
-		four:     mustFGR(g, 4),
-		epoch:    epoch,
-		highUtil: highUtil,
-	}
-	a.cur = a.one
-	return a
+	return &Adaptive{one: mustFGR(g, 1), four: mustFGR(g, 4), epoch: epoch, highUtil: highUtil}
 }
 
-// Name implements Scheduler.
-func (*Adaptive) Name() string { return "adaptive" }
-
-// Interval implements Scheduler, delegating to the current mode.
-func (a *Adaptive) Interval() uint64 { return a.cur.Interval() }
-
-// Mode returns the currently selected FGR mode (1 or 4).
-func (a *Adaptive) Mode() int { return a.cur.mode }
+// Interval implements Scheduler: the current mode's interval.
+func (a *Adaptive) Interval(st *State) uint64 {
+	if st.Mode4x {
+		return a.four.interval
+	}
+	return a.one.interval
+}
 
 // Next implements Scheduler. At epoch boundaries it consults the queue
 // utilization: a highly utilized channel prefers 1x (fewer, coarser
 // commands — less total overhead); a lightly utilized one prefers 4x
 // (short episodes that hide in idle gaps).
-func (a *Adaptive) Next(now sim.Time, q QueueView) Target {
-	if now >= a.nextEval {
-		a.nextEval = now + sim.Time(a.epoch)
-		want := a.four
-		if q != nil && q.Utilization() >= a.highUtil {
-			want = a.one
-		}
-		if want != a.cur {
-			a.cur = want
-			a.ModeSwitches++
+func (a *Adaptive) Next(now sim.Time, q QueueView, st *State) Target {
+	if now >= st.NextEval {
+		st.NextEval = now + sim.Time(a.epoch)
+		four := q == nil || q.Utilization() < a.highUtil
+		if four != st.Mode4x {
+			st.Mode4x = four
+			st.ModeSwitches++
 		}
 	}
-	return a.cur.Next(now, q)
+	if st.Mode4x {
+		return a.four.rotate(&st.NextRank4x)
+	}
+	return a.one.rotate(&st.NextRank)
 }

@@ -12,47 +12,23 @@ const maxPostponed = 8
 // reaches the JEDEC postponement limit the refresh is forced. Good for
 // workloads with idle gaps; for memory-intensive workloads the debt
 // saturates and behaviour degenerates to all-bank refresh, which is the
-// published result the paper cites.
+// published result the paper cites. Its commands, and the interval at
+// which it re-evaluates them, are all-bank refresh's in 1x mode.
 type Elastic struct {
-	g        Geometry
-	interval uint64
-	rows     uint64
-	dur      uint64
-
-	// debt is the number of owed refresh commands per rank.
-	debt     []int
-	accrueAt []sim.Time // next obligation accrual time per rank
-
-	// ForcedIssues and IdleIssues split issued commands by cause.
-	ForcedIssues uint64
-	IdleIssues   uint64
+	*FGR
 }
 
 // NewElastic builds the policy.
-func NewElastic(g Geometry) *Elastic {
-	tm := g.Timing
-	cmds := tm.RefreshCmdsPerWindow()
-	e := &Elastic{
-		g:        g,
-		interval: tm.TREFIab / uint64(g.Ranks),
-		rows:     tm.RowsPerRefresh(cmds),
-		dur:      tm.TRFCab,
-		debt:     make([]int, g.Ranks),
-		accrueAt: make([]sim.Time, g.Ranks),
-	}
-	for r := range e.accrueAt {
+func NewElastic(g Geometry) *Elastic { return &Elastic{mustFGR(g, 1)} }
+
+func (e *Elastic) init(st *State) {
+	st.Debt = make([]int, e.g.Ranks)
+	st.AccrueAt = make([]sim.Time, e.g.Ranks)
+	for r := range st.AccrueAt {
 		// Ranks accrue obligations every tREFIab, staggered.
-		e.accrueAt[r] = sim.Time(uint64(r) * e.interval)
+		st.AccrueAt[r] = sim.Time(uint64(r) * e.interval)
 	}
-	return e
 }
-
-// Name implements Scheduler.
-func (*Elastic) Name() string { return "elastic" }
-
-// Interval implements Scheduler: decisions are re-evaluated every
-// staggered sub-interval so postponed commands get retried promptly.
-func (e *Elastic) Interval() uint64 { return e.interval }
 
 // rankIdle reports whether no queued demand request targets the rank.
 func (e *Elastic) rankIdle(rank int, q QueueView) bool {
@@ -68,42 +44,37 @@ func (e *Elastic) rankIdle(rank int, q QueueView) bool {
 }
 
 // Next implements Scheduler.
-func (e *Elastic) Next(now sim.Time, q QueueView) Target {
-	// Accrue obligations that came due.
-	for r := range e.debt {
-		for now >= e.accrueAt[r] {
-			e.accrueAt[r] += sim.Time(e.g.Timing.TREFIab)
-			if e.debt[r] < maxPostponed {
-				e.debt[r]++
-			} else {
-				// Already at the postponement limit: the obligation
-				// cannot be deferred further — it stays due and will
-				// be forced below.
-				e.debt[r]++
-			}
+func (e *Elastic) Next(now sim.Time, q QueueView, st *State) Target {
+	// Accrue obligations that came due. Debt may pass the postponement
+	// limit: an obligation that cannot be deferred further stays due
+	// and is forced below.
+	for r := range st.Debt {
+		for now >= st.AccrueAt[r] {
+			st.AccrueAt[r] += sim.Time(e.g.Timing.TREFIab)
+			st.Debt[r]++
 		}
 	}
 
 	// Forced: any rank at or beyond the limit refreshes immediately.
 	force, forceDebt := -1, maxPostponed
 	idle := -1
-	for r := range e.debt {
-		if e.debt[r] >= forceDebt {
-			force, forceDebt = r, e.debt[r]
+	for r, d := range st.Debt {
+		if d >= forceDebt {
+			force, forceDebt = r, d
 		}
-		if e.debt[r] > 0 && idle < 0 && e.rankIdle(r, q) {
+		if d > 0 && idle < 0 && e.rankIdle(r, q) {
 			idle = r
 		}
 	}
 	switch {
 	case force >= 0:
-		e.debt[force]--
-		e.ForcedIssues++
-		return Target{AllBank: true, Rank: force, Rows: e.rows, Dur: e.dur}
+		st.Debt[force]--
+		st.ForcedIssues++
+		return e.command(force)
 	case idle >= 0:
-		e.debt[idle]--
-		e.IdleIssues++
-		return Target{AllBank: true, Rank: idle, Rows: e.rows, Dur: e.dur}
+		st.Debt[idle]--
+		st.IdleIssues++
+		return e.command(idle)
 	default:
 		return Target{Skip: true}
 	}

@@ -1,6 +1,7 @@
 package refresh
 
 import (
+	"reflect"
 	"testing"
 
 	"refsched/internal/config"
@@ -10,15 +11,16 @@ import (
 func TestElasticDefersUnderLoadForcesAtLimit(t *testing.T) {
 	g := geo(t, 64)
 	e := NewElastic(g)
+	st := stateOf(e)
 	busy := &fakeQueue{perBank: make([]int, g.TotalBanks())}
 	for i := range busy.perBank {
 		busy.perBank[i] = 5 // everything loaded
 	}
-	interval := e.Interval()
+	interval := e.Interval(st)
 	var issued, skipped int
 	// Drive well past the postponement limit: forced issues must appear.
 	for tick := uint64(1); tick <= uint64(maxPostponed+4)*uint64(g.Ranks)*2; tick++ {
-		tgt := e.Next(sim.Time(tick*interval), busy)
+		tgt := e.Next(sim.Time(tick*interval), busy, st)
 		if tgt.Skip {
 			skipped++
 		} else {
@@ -31,11 +33,11 @@ func TestElasticDefersUnderLoadForcesAtLimit(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("elastic never postponed under load")
 	}
-	if e.ForcedIssues == 0 {
-		t.Fatal("elastic never forced at the postponement limit")
+	if st.ForcedIssues == 0 || st.ForcedIssues != uint64(issued) {
+		t.Fatalf("%d forced of %d issued; want every command forced under full load", st.ForcedIssues, issued)
 	}
 	// Debt is bounded near the JEDEC limit.
-	for r, d := range e.debt {
+	for r, d := range st.Debt {
 		if d > maxPostponed+1 {
 			t.Fatalf("rank %d debt %d exceeds limit", r, d)
 		}
@@ -45,18 +47,19 @@ func TestElasticDefersUnderLoadForcesAtLimit(t *testing.T) {
 func TestElasticIssuesImmediatelyWhenIdle(t *testing.T) {
 	g := geo(t, 64)
 	e := NewElastic(g)
+	st := stateOf(e)
 	idle := &fakeQueue{perBank: make([]int, g.TotalBanks())}
-	interval := e.Interval()
+	interval := e.Interval(st)
 	issued := 0
 	for tick := uint64(1); tick <= 8; tick++ {
-		if !e.Next(sim.Time(tick*interval), idle).Skip {
+		if !e.Next(sim.Time(tick*interval), idle, st).Skip {
 			issued++
 		}
 	}
-	if issued == 0 || e.IdleIssues == 0 {
-		t.Fatalf("idle system issued %d refreshes", issued)
+	if issued == 0 || st.IdleIssues != uint64(issued) {
+		t.Fatalf("idle system issued %d refreshes, %d counted idle", issued, st.IdleIssues)
 	}
-	if e.ForcedIssues != 0 {
+	if st.ForcedIssues != 0 {
 		t.Fatal("idle system should never need forcing")
 	}
 }
@@ -66,15 +69,16 @@ func TestElasticIssuesImmediatelyWhenIdle(t *testing.T) {
 func TestElasticConservesObligations(t *testing.T) {
 	g := geo(t, 64)
 	e := NewElastic(g)
+	st := stateOf(e)
 	busy := &fakeQueue{perBank: make([]int, g.TotalBanks())}
 	for i := range busy.perBank {
 		busy.perBank[i] = 5
 	}
-	interval := e.Interval()
+	interval := e.Interval(st)
 	issued := uint64(0)
 	horizon := g.Timing.TREFW
 	for tick := uint64(1); tick*interval <= horizon; tick++ {
-		if !e.Next(sim.Time(tick*interval), busy).Skip {
+		if !e.Next(sim.Time(tick*interval), busy, st).Skip {
 			issued++
 		}
 	}
@@ -87,40 +91,52 @@ func TestElasticConservesObligations(t *testing.T) {
 func TestPausingGrantsWithinBudget(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPausing(g)
+	st := stateOf(p)
 	// Fresh command on rank 0.
-	tgt := p.Next(0, nil)
+	tgt := p.Next(0, nil, st)
 	if !tgt.AllBank {
 		t.Fatal("pausing issues rank-level refreshes")
 	}
 	r := tgt.Rank
 	for i := 0; i < maxPausesPerCmd; i++ {
-		if !p.RequestPause(0, r) {
+		if !p.RequestPause(st, r) {
 			t.Fatalf("pause %d refused within budget", i)
 		}
-		p.Paused(r, 500)
+		p.Paused(st, r, 500)
 	}
-	if p.RequestPause(0, r) {
+	if p.RequestPause(st, r) {
 		t.Fatal("pause granted beyond budget")
 	}
-	if p.Pauses != maxPausesPerCmd {
-		t.Fatalf("pauses = %d", p.Pauses)
+	if st.Remainder[r] != maxPausesPerCmd*500 {
+		t.Fatalf("remainder = %d after %d pauses of 500", st.Remainder[r], maxPausesPerCmd)
+	}
+	// Resuming the remainder keeps the spent budget; the rank's next
+	// new command restores it.
+	if resumed := p.Next(0, nil, st); resumed.Rank != r || resumed.Dur != maxPausesPerCmd*500 || p.RequestPause(st, r) {
+		t.Fatalf("resume %+v left the budget open", resumed)
+	}
+	for p.Next(0, nil, st).Rank != r {
+	}
+	if !p.RequestPause(st, r) {
+		t.Fatal("a new command did not restore the pause budget")
 	}
 }
 
 func TestPausingResumesRemainderFirst(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPausing(g)
-	first := p.Next(0, nil)
-	p.Paused(first.Rank, 777)
-	resumed := p.Next(0, nil)
+	st := stateOf(p)
+	first := p.Next(0, nil, st)
+	p.Paused(st, first.Rank, 777)
+	resumed := p.Next(0, nil, st)
 	if !resumed.AllBank || resumed.Rank != first.Rank || resumed.Dur != 777 {
 		t.Fatalf("resume target = %+v", resumed)
 	}
 	if resumed.Rows != 0 {
 		t.Fatal("resume must not double-count rows")
 	}
-	if p.Resumes != 1 {
-		t.Fatalf("resumes = %d", p.Resumes)
+	if st.Resumes != 1 {
+		t.Fatalf("resumes = %d", st.Resumes)
 	}
 }
 
@@ -140,10 +156,14 @@ func TestRAIDRDecimatesToProfileRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ticks = 100000
+	st := stateOf(r)
+	issued := 0
 	for i := 0; i < ticks; i++ {
-		r.Next(0, nil)
+		if !r.Next(0, nil, st).Skip {
+			issued++
+		}
 	}
-	rate := float64(r.Issued) / ticks
+	rate := float64(issued) / ticks
 	want := bins.RefreshRateFactor()
 	if rate < want-0.01 || rate > want+0.01 {
 		t.Fatalf("issue rate %v, profile demands %v", rate, want)
@@ -161,8 +181,9 @@ func TestRAIDRRotatesBanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := stateOf(r)
 	for want := 0; want < g.TotalBanks(); want++ {
-		tgt := r.Next(0, nil)
+		tgt := r.Next(0, nil, st)
 		if tgt.Skip || tgt.GlobalBank != want {
 			t.Fatalf("target %+v, want bank %d", tgt, want)
 		}
@@ -178,15 +199,12 @@ func TestRetentionBinsFactor(t *testing.T) {
 
 func TestNewBuildsExtensionPolicies(t *testing.T) {
 	g := geo(t, 64)
-	for _, p := range []config.RefreshPolicy{
-		config.RefreshElastic, config.RefreshPausing, config.RefreshRAIDR,
+	for p, want := range map[config.RefreshPolicy]Scheduler{
+		config.RefreshElastic: &Elastic{}, config.RefreshPausing: &Pausing{}, config.RefreshRAIDR: &RAIDR{},
 	} {
-		s, err := New(p, g)
-		if err != nil {
-			t.Fatalf("New(%s): %v", p, err)
-		}
-		if s.Name() != string(p) {
-			t.Fatalf("name %q for policy %q", s.Name(), p)
+		s := mustNew(t, g, p)
+		if reflect.TypeOf(s) != reflect.TypeOf(want) {
+			t.Fatalf("New(%s) built a %T, want %T", p, s, want)
 		}
 	}
 	// Pausing is the only Pauser.
@@ -200,7 +218,7 @@ func TestNewBuildsExtensionPolicies(t *testing.T) {
 
 func mustNew(t *testing.T, g Geometry, p config.RefreshPolicy) Scheduler {
 	t.Helper()
-	s, err := New(p, g)
+	s, _, err := New(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}

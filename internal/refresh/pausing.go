@@ -11,9 +11,9 @@ type Pauser interface {
 	// RequestPause reports whether the in-progress refresh on rank may
 	// be paused now (policies refuse once the per-command pause budget
 	// is spent, so commands cannot fragment unboundedly).
-	RequestPause(now sim.Time, rank int) bool
+	RequestPause(st *State, rank int) bool
 	// Paused records the paused remainder for the given rank.
-	Paused(rank int, remaining uint64)
+	Paused(st *State, rank int, remaining uint64)
 	// PausePenalty is the re-precharge cost charged to the bank when a
 	// refresh is aborted, in cycles.
 	PausePenalty() uint64
@@ -26,73 +26,48 @@ const maxPausesPerCmd = 4
 // Pausing is all-bank refresh with refresh pausing: a refresh in
 // progress yields to demand requests, and the remainder is reissued
 // when the rank goes idle — or immediately once the pause budget or the
-// postponement debt runs out.
+// postponement debt runs out. New commands are all-bank refresh's in
+// 1x mode.
 type Pausing struct {
-	g        Geometry
-	interval uint64
-	rows     uint64
-	dur      uint64
-
-	nextRank  int
-	remainder []uint64 // paused residue per rank, cycles
-	pauses    []int    // pauses used for the current command per rank
-
-	// Pauses counts granted pause events; Resumes counts remainder
-	// reissues.
-	Pauses  uint64
-	Resumes uint64
+	*FGR
 }
 
 // NewPausing builds the policy.
-func NewPausing(g Geometry) *Pausing {
-	tm := g.Timing
-	cmds := tm.RefreshCmdsPerWindow()
-	return &Pausing{
-		g:         g,
-		interval:  tm.TREFIab / uint64(g.Ranks),
-		rows:      tm.RowsPerRefresh(cmds),
-		dur:       tm.TRFCab,
-		remainder: make([]uint64, g.Ranks),
-		pauses:    make([]int, g.Ranks),
-	}
+func NewPausing(g Geometry) *Pausing { return &Pausing{mustFGR(g, 1)} }
+
+func (p *Pausing) init(st *State) {
+	st.Remainder = make([]uint64, p.g.Ranks)
+	st.PausesSpent = make([]int, p.g.Ranks)
 }
-
-// Name implements Scheduler.
-func (*Pausing) Name() string { return "pausing" }
-
-// Interval implements Scheduler.
-func (p *Pausing) Interval() uint64 { return p.interval }
 
 // Next implements Scheduler. Remainders take priority over new
 // commands; new commands rotate ranks as in plain all-bank refresh.
-func (p *Pausing) Next(now sim.Time, q QueueView) Target {
-	// Reissue the largest paused remainder first.
-	for r, rem := range p.remainder {
+func (p *Pausing) Next(now sim.Time, q QueueView, st *State) Target {
+	// Reissue the first paused remainder.
+	for r, rem := range st.Remainder {
 		if rem == 0 {
 			continue
 		}
-		p.remainder[r] = 0
-		p.Resumes++
+		st.Remainder[r] = 0
+		st.Resumes++
 		// Rows were credited when the original command issued.
 		return Target{AllBank: true, Rank: r, Rows: 0, Dur: rem}
 	}
-	r := p.nextRank
-	p.nextRank = (p.nextRank + 1) % p.g.Ranks
-	p.pauses[r] = 0
-	return Target{AllBank: true, Rank: r, Rows: p.rows, Dur: p.dur}
+	t := p.FGR.Next(now, q, st)
+	st.PausesSpent[t.Rank] = 0
+	return t
 }
 
 // RequestPause implements Pauser: grant while the rank's per-command
 // pause budget lasts.
-func (p *Pausing) RequestPause(_ sim.Time, rank int) bool {
-	return p.pauses[rank] < maxPausesPerCmd
+func (p *Pausing) RequestPause(st *State, rank int) bool {
+	return st.PausesSpent[rank] < maxPausesPerCmd
 }
 
 // Paused implements Pauser.
-func (p *Pausing) Paused(rank int, remaining uint64) {
-	p.pauses[rank]++
-	p.remainder[rank] += remaining
-	p.Pauses++
+func (p *Pausing) Paused(st *State, rank int, remaining uint64) {
+	st.PausesSpent[rank]++
+	st.Remainder[rank] += remaining
 }
 
 // PausePenalty implements Pauser: a precharge before the demand access.

@@ -26,7 +26,6 @@ func perBankParams(g Geometry) (interval uint64, cmdsPerBank uint64, rows uint64
 // uniformly over the whole window.
 type PerBankRR struct {
 	g        Geometry
-	next     int
 	interval uint64
 	rows     uint64
 }
@@ -38,16 +37,13 @@ func NewPerBankRR(g Geometry) *PerBankRR {
 	return p
 }
 
-// Name implements Scheduler.
-func (*PerBankRR) Name() string { return "perbank" }
-
 // Interval implements Scheduler.
-func (p *PerBankRR) Interval() uint64 { return p.interval }
+func (p *PerBankRR) Interval(*State) uint64 { return p.interval }
 
 // Next implements Scheduler, rotating over all banks.
-func (p *PerBankRR) Next(sim.Time, QueueView) Target {
-	b := p.next
-	p.next = (p.next + 1) % p.g.TotalBanks()
+func (p *PerBankRR) Next(_ sim.Time, _ QueueView, st *State) Target {
+	b := st.NextBank
+	st.NextBank = (b + 1) % p.g.TotalBanks()
 	return Target{GlobalBank: b, Rows: p.rows, Dur: p.g.Timing.TRFCpb}
 }
 
@@ -64,32 +60,18 @@ type PerBankSeq struct {
 	g        Geometry
 	interval uint64
 	rows     uint64
-
-	// Algorithm 1 state.
-	nextRefreshBank  int
-	nextRefreshRank  int
-	numRowsRefreshed []uint64
-	rowsPerBank      uint64
-	slot             uint64 // tREFW / totalBanks
+	slot     uint64 // tREFW / totalBanks
 }
 
 // NewPerBankSeq builds the policy.
 func NewPerBankSeq(g Geometry) *PerBankSeq {
-	p := &PerBankSeq{
-		g:                g,
-		numRowsRefreshed: make([]uint64, g.TotalBanks()),
-		rowsPerBank:      g.Timing.RowsPerBank,
-	}
+	p := &PerBankSeq{g: g, slot: g.Timing.TREFW / uint64(g.TotalBanks())}
 	p.interval, _, p.rows = perBankParams(g)
-	p.slot = g.Timing.TREFW / uint64(g.TotalBanks())
 	return p
 }
 
-// Name implements Scheduler.
-func (*PerBankSeq) Name() string { return "perbankseq" }
-
 // Interval implements Scheduler.
-func (p *PerBankSeq) Interval() uint64 { return p.interval }
+func (p *PerBankSeq) Interval(*State) uint64 { return p.interval }
 
 // Next implements Scheduler. The target bank is the one whose slot
 // contains the current time, which keeps the walk phase-locked to the
@@ -99,33 +81,38 @@ func (p *PerBankSeq) Interval() uint64 { return p.interval }
 // which transcribes the paper's pseudo-code and is property-tested to
 // produce the same bank order); under integer time scaling, slot
 // targeting avoids accumulating one residual interval of drift per
-// window.
-func (p *PerBankSeq) Next(now sim.Time, _ QueueView) Target {
-	idx := p.BankAtTime(now)
-	p.numRowsRefreshed[idx] += p.rows
-	if p.numRowsRefreshed[idx] >= p.rowsPerBank {
-		p.numRowsRefreshed[idx] = 0
-	}
-	return Target{GlobalBank: idx, Rows: p.rows, Dur: p.g.Timing.TRFCpb}
+// window. The slot arithmetic is the whole decision, so the schedule
+// keeps no state.
+func (p *PerBankSeq) Next(now sim.Time, _ QueueView, _ *State) Target {
+	return Target{GlobalBank: p.BankAtTime(now), Rows: p.rows, Dur: p.g.Timing.TRFCpb}
+}
+
+// Alg1 is Algorithm 1's walk state, in the paper's variable names.
+type Alg1 struct {
+	NextRefreshBank  int
+	NextRefreshRank  int
+	NumRowsRefreshed []uint64 // per global bank
 }
 
 // AdvanceAlg1 is a verbatim transcription of the paper's Algorithm 1:
-// it returns the bank index to refresh this interval and advances the
-// (nextRefreshBank, nextRefreshRank, numRowsRefreshed) state, staying on
-// one bank until all of its rows are refreshed.
-func (p *PerBankSeq) AdvanceAlg1() int {
-	refreshBankIdx := p.nextRefreshRank*p.g.BanksPerRank + p.nextRefreshBank
-	p.numRowsRefreshed[refreshBankIdx] += p.rows
-	if p.numRowsRefreshed[refreshBankIdx] < p.rowsPerBank {
+// it returns the bank index to refresh this interval and advances w,
+// staying on one bank until all of its rows are refreshed.
+func (p *PerBankSeq) AdvanceAlg1(w *Alg1) int {
+	if w.NumRowsRefreshed == nil {
+		w.NumRowsRefreshed = make([]uint64, p.g.TotalBanks())
+	}
+	refreshBankIdx := w.NextRefreshRank*p.g.BanksPerRank + w.NextRefreshBank
+	w.NumRowsRefreshed[refreshBankIdx] += p.rows
+	if w.NumRowsRefreshed[refreshBankIdx] < p.g.Timing.RowsPerBank {
 		// Keep refreshing this bank next interval.
 		return refreshBankIdx
 	}
 	// Done refreshing the entire bank: advance to the next bank.
-	p.numRowsRefreshed[refreshBankIdx] = 0
-	p.nextRefreshBank++
-	if p.nextRefreshBank >= p.g.BanksPerRank {
-		p.nextRefreshBank = 0
-		p.nextRefreshRank = (p.nextRefreshRank + 1) % p.g.Ranks
+	w.NumRowsRefreshed[refreshBankIdx] = 0
+	w.NextRefreshBank++
+	if w.NextRefreshBank >= p.g.BanksPerRank {
+		w.NextRefreshBank = 0
+		w.NextRefreshRank = (w.NextRefreshRank + 1) % p.g.Ranks
 	}
 	return refreshBankIdx
 }
@@ -153,54 +140,48 @@ type OOOPerBank struct {
 	interval    uint64
 	rows        uint64
 	cmdsPerBank uint64
-
-	remaining []uint64 // commands still owed to each bank this window
-	windowEnd sim.Time
-	forceNext int
 }
 
 // NewOOOPerBank builds the policy.
 func NewOOOPerBank(g Geometry) *OOOPerBank {
 	p := &OOOPerBank{g: g}
 	p.interval, p.cmdsPerBank, p.rows = perBankParams(g)
-	p.remaining = make([]uint64, g.TotalBanks())
 	return p
 }
 
-// Name implements Scheduler.
-func (*OOOPerBank) Name() string { return "oooperbank" }
+func (p *OOOPerBank) init(st *State) { st.Remaining = make([]uint64, p.g.TotalBanks()) }
 
 // Interval implements Scheduler.
-func (p *OOOPerBank) Interval() uint64 { return p.interval }
+func (p *OOOPerBank) Interval(*State) uint64 { return p.interval }
 
 // Next implements Scheduler.
-func (p *OOOPerBank) Next(now sim.Time, q QueueView) Target {
-	if now >= p.windowEnd {
+func (p *OOOPerBank) Next(now sim.Time, q QueueView, st *State) Target {
+	if now >= st.WindowEnd {
 		// New retention window: every bank owes its full command budget.
-		for i := range p.remaining {
-			p.remaining[i] = p.cmdsPerBank
+		for i := range st.Remaining {
+			st.Remaining[i] = p.cmdsPerBank
 		}
-		p.windowEnd = now + sim.Time(p.g.Timing.TREFW)
+		st.WindowEnd = now + sim.Time(p.g.Timing.TREFW)
 	}
 
 	var totalRemaining uint64
-	for _, r := range p.remaining {
+	for _, r := range st.Remaining {
 		totalRemaining += r
 	}
 	if totalRemaining == 0 {
 		return Target{Skip: true}
 	}
-	ticksLeft := uint64(p.windowEnd-now) / p.interval
+	ticksLeft := uint64(st.WindowEnd-now) / p.interval
 
 	pick := -1
 	if ticksLeft <= totalRemaining {
 		// No slack: force lagging banks round-robin so every bank
 		// completes inside the window.
 		for i := 0; i < p.g.TotalBanks(); i++ {
-			b := (p.forceNext + i) % p.g.TotalBanks()
-			if p.remaining[b] > 0 {
+			b := (st.NextBank + i) % p.g.TotalBanks()
+			if st.Remaining[b] > 0 {
 				pick = b
-				p.forceNext = (b + 1) % p.g.TotalBanks()
+				st.NextBank = (b + 1) % p.g.TotalBanks()
 				break
 			}
 		}
@@ -209,7 +190,7 @@ func (p *OOOPerBank) Next(now sim.Time, q QueueView) Target {
 		// demand requests (ties to the lowest index).
 		best := int(^uint(0) >> 1)
 		for b := 0; b < p.g.TotalBanks(); b++ {
-			if p.remaining[b] == 0 {
+			if st.Remaining[b] == 0 {
 				continue
 			}
 			n := 0
@@ -225,6 +206,6 @@ func (p *OOOPerBank) Next(now sim.Time, q QueueView) Target {
 	if pick < 0 {
 		return Target{Skip: true}
 	}
-	p.remaining[pick]--
+	st.Remaining[pick]--
 	return Target{GlobalBank: pick, Rows: p.rows, Dur: p.g.Timing.TRFCpb}
 }

@@ -55,22 +55,13 @@ func (b RetentionBins) Validate() error {
 // the technique's weakness — retention times drift with temperature and
 // time — so the profile here is an optimistic input).
 //
-// Mechanically it behaves like round-robin per-bank refresh whose
-// command stream is decimated to the profile's required rate using a
-// deterministic accumulator.
+// Mechanically it is round-robin per-bank refresh whose command stream
+// is decimated to the profile's required rate using a deterministic
+// accumulator.
 type RAIDR struct {
-	g        Geometry
-	interval uint64
-	rows     uint64
-	bins     RetentionBins
-	factor   float64
-
-	next int
-	acc  float64
-
-	// Issued and Skipped count decimation decisions.
-	Issued  uint64
-	Skipped uint64
+	*PerBankRR
+	bins   RetentionBins
+	factor float64
 }
 
 // NewRAIDR builds the policy with the given (synthetic) profile; zero
@@ -83,28 +74,16 @@ func NewRAIDR(g Geometry, bins RetentionBins) (*RAIDR, error) {
 	if err := bins.Validate(); err != nil {
 		return nil, err
 	}
-	r := &RAIDR{g: g, bins: bins, factor: bins.RefreshRateFactor()}
-	r.interval, _, r.rows = perBankParams(g)
-	return r, nil
+	return &RAIDR{PerBankRR: NewPerBankRR(g), bins: bins, factor: bins.RefreshRateFactor()}, nil
 }
-
-// Name implements Scheduler.
-func (*RAIDR) Name() string { return "raidr" }
-
-// Interval implements Scheduler.
-func (r *RAIDR) Interval() uint64 { return r.interval }
 
 // Next implements Scheduler: issue commands at factor × the baseline
 // per-bank rate, rotating banks.
-func (r *RAIDR) Next(sim.Time, QueueView) Target {
-	r.acc += r.factor
-	if r.acc < 1 {
-		r.Skipped++
+func (r *RAIDR) Next(now sim.Time, q QueueView, st *State) Target {
+	st.Acc += r.factor
+	if st.Acc < 1 {
 		return Target{Skip: true}
 	}
-	r.acc--
-	r.Issued++
-	b := r.next
-	r.next = (r.next + 1) % r.g.TotalBanks()
-	return Target{GlobalBank: b, Rows: r.rows, Dur: r.g.Timing.TRFCpb}
+	st.Acc--
+	return r.PerBankRR.Next(now, q, st)
 }

@@ -43,7 +43,7 @@ func TestNewRAIDRRejectsInvalidBins(t *testing.T) {
 
 func TestNewConstructsRAIDRWithDefaultProfile(t *testing.T) {
 	g := geo(t, 64)
-	s, err := New("raidr", g)
+	s, _, err := New("raidr", g)
 	if err != nil {
 		t.Fatal(err)
 	}

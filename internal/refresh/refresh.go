@@ -1,7 +1,6 @@
 // Package refresh implements the DRAM refresh scheduling policies the
 // paper evaluates:
 //
-//   - NoRefresh        — ideal upper bound, refresh disabled
 //   - all-bank         — rank-level auto-refresh (DDR3 / DDR4 FGR 1x)
 //   - PerBankRR        — LPDDR3 round-robin per-bank refresh
 //   - PerBankSeq       — the paper's proposed schedule (Algorithm 1)
@@ -10,9 +9,18 @@
 //   - Adaptive         — Adaptive Refresh (Mukundan et al.): dynamic
 //     1x/4x switching on observed channel utilization
 //
-// A policy is a decision engine: the memory controller calls Next once
-// per refresh interval and executes the returned command on the DRAM
-// channel. Policies never mutate DRAM state themselves, which keeps them
+// and the related work the extensions compare against: Elastic
+// Refresh, Refresh Pausing, RAIDR and per-bank subarray-level refresh.
+// The refresh-free bound that normalizes Figures 3 and 4 is no policy
+// at all: New returns a nil Scheduler for config.RefreshNone, and the
+// memory controller then never ticks.
+//
+// A policy is configuration plus a decision function. Everything its
+// decisions change lives in one State record, which New returns
+// initialised and the memory controller owns: the controller calls Next
+// with it once per refresh interval, executes the returned command on
+// the DRAM channel, and checkpoints the record with its own state.
+// Policies never mutate DRAM state themselves, which keeps them
 // independently unit-testable.
 package refresh
 
@@ -44,7 +52,7 @@ type Target struct {
 }
 
 // QueueView gives policies read-only visibility into controller queue
-// state (used by OOOPerBank and Adaptive Refresh).
+// state (used by OOOPerBank, Elastic and Adaptive Refresh).
 type QueueView interface {
 	// OutstandingToBank returns queued demand requests headed to the
 	// given global bank.
@@ -54,15 +62,16 @@ type QueueView interface {
 	Utilization() float64
 }
 
-// Scheduler is a refresh policy for one channel.
+// Scheduler is a refresh policy for one channel. It holds only
+// configuration; st is the channel's decision state.
 type Scheduler interface {
-	// Name returns the policy's short identifier.
-	Name() string
 	// Interval returns the time until the next refresh decision. It is
-	// re-consulted after every tick, so adaptive policies may vary it.
-	Interval() uint64
-	// Next returns the refresh command for the current interval.
-	Next(now sim.Time, q QueueView) Target
+	// re-consulted after every tick, so Adaptive varies it with its
+	// mode in st.
+	Interval(st *State) uint64
+	// Next returns the refresh command for the current interval and
+	// advances st.
+	Next(now sim.Time, q QueueView, st *State) Target
 }
 
 // SlotPlanner is implemented by schedules whose bank refresh slots are
@@ -86,50 +95,44 @@ type Geometry struct {
 // TotalBanks returns banks per channel.
 func (g Geometry) TotalBanks() int { return g.Ranks * g.BanksPerRank }
 
-// New constructs the configured policy for one channel.
-func New(p config.RefreshPolicy, g Geometry) (Scheduler, error) {
+// New constructs the configured policy for one channel and the decision
+// state it starts from. config.RefreshNone yields a nil Scheduler.
+func New(p config.RefreshPolicy, g Geometry) (Scheduler, State, error) {
+	var s Scheduler
+	var err error
 	switch p {
 	case config.RefreshNone:
-		return &NoRefresh{}, nil
+		return nil, State{}, nil
 	case config.RefreshAllBank:
-		return NewFGR(g, 1)
+		s, err = NewFGR(g, 1)
 	case config.RefreshPerBankRR:
-		return NewPerBankRR(g), nil
+		s = NewPerBankRR(g)
 	case config.RefreshPerBankSeq:
-		return NewPerBankSeq(g), nil
+		s = NewPerBankSeq(g)
 	case config.RefreshOOOPerBank:
-		return NewOOOPerBank(g), nil
+		s = NewOOOPerBank(g)
 	case config.RefreshFGR2x:
-		return NewFGR(g, 2)
+		s, err = NewFGR(g, 2)
 	case config.RefreshFGR4x:
-		return NewFGR(g, 4)
+		s, err = NewFGR(g, 4)
 	case config.RefreshAdaptive:
-		return NewAdaptive(g, 0, 0), nil
+		s = NewAdaptive(g, 0, 0)
 	case config.RefreshElastic:
-		return NewElastic(g), nil
+		s = NewElastic(g)
 	case config.RefreshPausing:
-		return NewPausing(g), nil
+		s = NewPausing(g)
 	case config.RefreshRAIDR:
-		return NewRAIDR(g, DefaultRetentionBins())
+		s, err = NewRAIDR(g, DefaultRetentionBins())
 	case config.RefreshPerBankSA:
 		if g.Subarrays <= 1 {
-			return nil, fmt.Errorf("refresh: perbanksa requires SubarraysPerBank > 1")
+			return nil, State{}, fmt.Errorf("refresh: perbanksa requires SubarraysPerBank > 1")
 		}
-		return NewPerBankSA(g, g.Subarrays), nil
+		s = NewPerBankSA(g, g.Subarrays)
 	default:
-		return nil, fmt.Errorf("refresh: unknown policy %q", p)
+		return nil, State{}, fmt.Errorf("refresh: unknown policy %q", p)
 	}
+	if err != nil {
+		return nil, State{}, err
+	}
+	return s, initialState(s), nil
 }
-
-// NoRefresh never refreshes; it models the ideal refresh-free bound used
-// to normalize Figures 3 and 4.
-type NoRefresh struct{}
-
-// Name implements Scheduler.
-func (*NoRefresh) Name() string { return "none" }
-
-// Interval implements Scheduler with an effectively-infinite period.
-func (*NoRefresh) Interval() uint64 { return 1 << 40 }
-
-// Next implements Scheduler; it always skips.
-func (*NoRefresh) Next(sim.Time, QueueView) Target { return Target{Skip: true} }

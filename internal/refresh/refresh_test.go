@@ -1,6 +1,7 @@
 package refresh
 
 import (
+	"reflect"
 	"testing"
 
 	"refsched/internal/config"
@@ -24,30 +25,38 @@ type fakeQueue struct {
 func (q *fakeQueue) OutstandingToBank(g int) int { return q.perBank[g] }
 func (q *fakeQueue) Utilization() float64        { return q.util }
 
+// stateOf returns the initial state of s, as New would return it.
+func stateOf(s Scheduler) *State {
+	st := initialState(s)
+	return &st
+}
+
 func TestNewBuildsEveryPolicy(t *testing.T) {
 	g := geo(t, 64)
 	for _, p := range []config.RefreshPolicy{
-		config.RefreshNone, config.RefreshAllBank, config.RefreshPerBankRR,
+		config.RefreshAllBank, config.RefreshPerBankRR,
 		config.RefreshPerBankSeq, config.RefreshOOOPerBank,
 		config.RefreshFGR2x, config.RefreshFGR4x, config.RefreshAdaptive,
 	} {
-		s, err := New(p, g)
+		s, st, err := New(p, g)
 		if err != nil {
 			t.Fatalf("New(%s): %v", p, err)
 		}
-		if s.Interval() == 0 {
+		if s.Interval(&st) == 0 {
 			t.Errorf("%s: zero interval", p)
 		}
 	}
-	if _, err := New("bogus", g); err == nil {
+	if _, _, err := New("bogus", g); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
+// TestNoRefreshAlwaysSkips: the refresh-free bound is no policy at all,
+// so a controller built for it schedules no refresh decision.
 func TestNoRefreshAlwaysSkips(t *testing.T) {
-	var n NoRefresh
-	if tgt := n.Next(0, nil); !tgt.Skip {
-		t.Fatal("NoRefresh issued a command")
+	s, st, err := New(config.RefreshNone, geo(t, 64))
+	if err != nil || s != nil || !reflect.DeepEqual(st, State{}) {
+		t.Fatalf("New(none) = %v, %+v, %v; want no policy and the zero state", s, st, err)
 	}
 }
 
@@ -57,12 +66,13 @@ func TestAllBankRotatesRanksAndCoversRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Interval() != g.Timing.TREFIab/uint64(g.Ranks) {
-		t.Fatalf("interval = %d", a.Interval())
+	st := stateOf(a)
+	if a.Interval(st) != g.Timing.TREFIab/uint64(g.Ranks) {
+		t.Fatalf("interval = %d", a.Interval(st))
 	}
-	t0 := a.Next(0, nil)
-	t1 := a.Next(0, nil)
-	t2 := a.Next(0, nil)
+	t0 := a.Next(0, nil, st)
+	t1 := a.Next(0, nil, st)
+	t2 := a.Next(0, nil, st)
 	if !t0.AllBank || t0.Rank != 0 || t1.Rank != 1 || t2.Rank != 0 {
 		t.Fatalf("rank rotation: %d %d %d", t0.Rank, t1.Rank, t2.Rank)
 	}
@@ -79,9 +89,10 @@ func TestAllBankRotatesRanksAndCoversRows(t *testing.T) {
 func TestPerBankRRVisitsAllBanksUniformly(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPerBankRR(g)
+	st := stateOf(p)
 	counts := make([]int, g.TotalBanks())
 	for i := 0; i < 3*g.TotalBanks(); i++ {
-		tgt := p.Next(0, nil)
+		tgt := p.Next(0, nil, st)
 		if tgt.AllBank || tgt.Skip {
 			t.Fatal("per-bank policy issued non-per-bank command")
 		}
@@ -92,7 +103,7 @@ func TestPerBankRRVisitsAllBanksUniformly(t *testing.T) {
 			t.Fatalf("bank %d visited %d times, want 3", b, c)
 		}
 	}
-	if tgt := p.Next(0, nil); tgt.Dur != g.Timing.TRFCpb {
+	if tgt := p.Next(0, nil, st); tgt.Dur != g.Timing.TRFCpb {
 		t.Fatalf("dur = %d, want tRFCpb", tgt.Dur)
 	}
 }
@@ -102,13 +113,14 @@ func TestPerBankRRVisitsAllBanksUniformly(t *testing.T) {
 func TestPerBankSeqSlotConfinement(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPerBankSeq(g)
+	st := stateOf(p)
 	slot := p.SlotCycles()
-	interval := p.Interval()
+	interval := p.Interval(st)
 	total := uint64(g.TotalBanks())
 
 	for tick := uint64(0); tick*interval < 2*g.Timing.TREFW; tick++ {
 		now := sim.Time(tick * interval)
-		tgt := p.Next(now, nil)
+		tgt := p.Next(now, nil, st)
 		wantBank := int(uint64(now) / slot % total)
 		if tgt.GlobalBank != wantBank {
 			t.Fatalf("at %d: refreshing bank %d, slot owner %d", now, tgt.GlobalBank, wantBank)
@@ -121,18 +133,19 @@ func TestPerBankSeqSlotConfinement(t *testing.T) {
 func TestPerBankSeqAlg1Order(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPerBankSeq(g)
-	cmdsPerBank := g.Timing.TREFW / (p.Interval() * uint64(g.TotalBanks()))
+	cmdsPerBank := g.Timing.TREFW / (p.Interval(nil) * uint64(g.TotalBanks()))
 
+	var w Alg1
 	for bank := 0; bank < g.TotalBanks(); bank++ {
 		for c := uint64(0); c < cmdsPerBank; c++ {
-			got := p.AdvanceAlg1()
+			got := p.AdvanceAlg1(&w)
 			if got != bank {
 				t.Fatalf("command %d of bank %d targeted bank %d", c, bank, got)
 			}
 		}
 	}
 	// Wraps back to bank 0.
-	if got := p.AdvanceAlg1(); got != 0 {
+	if got := p.AdvanceAlg1(&w); got != 0 {
 		t.Fatalf("after full sweep, next bank = %d, want 0", got)
 	}
 }
@@ -142,10 +155,11 @@ func TestPerBankSeqAlg1Order(t *testing.T) {
 func TestPerBankSeqCoverage(t *testing.T) {
 	g := geo(t, 64)
 	p := NewPerBankSeq(g)
-	interval := p.Interval()
+	st := stateOf(p)
+	interval := p.Interval(st)
 	rows := make([]uint64, g.TotalBanks())
 	for tick := uint64(0); tick*interval < g.Timing.TREFW; tick++ {
-		tgt := p.Next(sim.Time(tick*interval), nil)
+		tgt := p.Next(sim.Time(tick*interval), nil, st)
 		rows[tgt.GlobalBank] += tgt.Rows
 	}
 	for b, r := range rows {
@@ -163,7 +177,7 @@ func TestOOOPerBankPrefersIdleBanks(t *testing.T) {
 		q.perBank[i] = 10
 	}
 	q.perBank[5] = 0 // bank 5 is idle
-	tgt := p.Next(0, q)
+	tgt := p.Next(0, q, stateOf(p))
 	if tgt.GlobalBank != 5 {
 		t.Fatalf("OOO picked bank %d, want idle bank 5", tgt.GlobalBank)
 	}
@@ -179,10 +193,11 @@ func TestOOOPerBankCompletesWindow(t *testing.T) {
 	for i := range q.perBank {
 		q.perBank[i] = i // bank 0 always least loaded
 	}
+	st := stateOf(p)
 	counts := make([]uint64, g.TotalBanks())
-	interval := p.Interval()
+	interval := p.Interval(st)
 	for tick := uint64(0); tick*interval < g.Timing.TREFW; tick++ {
-		tgt := p.Next(sim.Time(tick*interval), q)
+		tgt := p.Next(sim.Time(tick*interval), q, st)
 		if !tgt.Skip {
 			counts[tgt.GlobalBank]++
 		}
@@ -200,19 +215,20 @@ func TestFGRScaling(t *testing.T) {
 	f1 := mustFGR(g, 1)
 	f2 := mustFGR(g, 2)
 	f4 := mustFGR(g, 4)
-	if f2.Interval() != f1.Interval()/2 || f4.Interval() != f1.Interval()/4 {
+	if f2.interval != f1.interval/2 || f4.interval != f1.interval/4 {
 		t.Fatal("FGR intervals do not halve/quarter")
 	}
-	d1 := f1.Next(0, nil).Dur
-	d2 := f2.Next(0, nil).Dur
-	d4 := f4.Next(0, nil).Dur
+	var st State
+	d1 := f1.Next(0, nil, &st).Dur
+	d2 := f2.Next(0, nil, &st).Dur
+	d4 := f4.Next(0, nil, &st).Dur
 	if d2 != uint64(float64(d1)/1.35) || d4 != uint64(float64(d1)/1.63) {
 		t.Fatalf("FGR durations: 1x=%d 2x=%d 4x=%d", d1, d2, d4)
 	}
 	// Total refresh-busy time per window grows with mode: that is why
 	// 2x/4x fare worse.
 	busy := func(f *FGR) uint64 {
-		cmds := g.Timing.TREFW / (f.Interval() * uint64(g.Ranks))
+		cmds := g.Timing.TREFW / (f.interval * uint64(g.Ranks))
 		return cmds * f.dur
 	}
 	if !(busy(f1) < busy(f2) && busy(f2) < busy(f4)) {
@@ -242,27 +258,28 @@ func TestFGRInvalidModes(t *testing.T) {
 func TestAdaptiveSwitchesOnUtilization(t *testing.T) {
 	g := geo(t, 64)
 	a := NewAdaptive(g, 1000, 0.5)
+	st := stateOf(a)
 	q := &fakeQueue{perBank: make([]int, g.TotalBanks())}
 
 	// Low utilization -> 4x mode.
 	q.util = 0.1
-	a.Next(0, q)
-	if a.Mode() != 4 {
-		t.Fatalf("mode = %dx at low utilization, want 4x", a.Mode())
+	a.Next(0, q, st)
+	if !st.Mode4x || a.Interval(st) != a.four.interval {
+		t.Fatalf("mode 4x = %v, interval %d at low utilization; want 4x", st.Mode4x, a.Interval(st))
 	}
 	// High utilization at the next epoch -> 1x mode.
 	q.util = 0.9
-	a.Next(2000, q)
-	if a.Mode() != 1 {
-		t.Fatalf("mode = %dx at high utilization, want 1x", a.Mode())
+	a.Next(2000, q, st)
+	if st.Mode4x || a.Interval(st) != a.one.interval {
+		t.Fatalf("mode 4x = %v, interval %d at high utilization; want 1x", st.Mode4x, a.Interval(st))
 	}
-	if a.ModeSwitches == 0 {
-		t.Fatal("mode switch not counted")
+	if st.ModeSwitches != 2 {
+		t.Fatalf("%d mode switches counted, want 2", st.ModeSwitches)
 	}
 	// Within the same epoch, no re-evaluation.
 	q.util = 0.0
-	a.Next(2001, q)
-	if a.Mode() != 1 {
+	a.Next(2001, q, st)
+	if st.Mode4x {
 		t.Fatal("mode changed mid-epoch")
 	}
 }

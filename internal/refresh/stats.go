@@ -4,8 +4,8 @@ package refresh
 // memory controller, classified by the shape of the returned Target.
 // The controller observes every Next result into its Stats instance, so
 // the counters are uniform across all policies (including adaptive ones
-// that switch shapes mid-run) without each policy carrying its own
-// bookkeeping. Registered on the metrics registry under
+// that switch shapes mid-run); a policy counts only what the Target
+// cannot show (KeptCounters). Registered on the metrics registry under
 // mc[i].refresh.*.
 type Stats struct {
 	// Decisions counts Next calls (one per refresh interval).

@@ -18,8 +18,6 @@ type PerBankSA struct {
 	interval uint64
 	rows     uint64
 	dur      uint64
-	nextBank int
-	nextSub  int
 }
 
 // NewPerBankSA builds the policy for banks with subs subarrays.
@@ -46,25 +44,22 @@ func NewPerBankSA(g Geometry, subs int) *PerBankSA {
 	return p
 }
 
-// Name implements Scheduler.
-func (*PerBankSA) Name() string { return "perbanksa" }
-
 // Interval implements Scheduler.
-func (p *PerBankSA) Interval() uint64 { return p.interval }
+func (p *PerBankSA) Interval(*State) uint64 { return p.interval }
 
 // Next implements Scheduler.
-func (p *PerBankSA) Next(sim.Time, QueueView) Target {
+func (p *PerBankSA) Next(_ sim.Time, _ QueueView, st *State) Target {
 	t := Target{
-		GlobalBank:    p.nextBank,
-		Subarray:      p.nextSub,
+		GlobalBank:    st.NextBank,
+		Subarray:      st.NextSub,
 		SubarrayLevel: true,
 		Rows:          p.rows,
 		Dur:           p.dur,
 	}
-	p.nextBank++
-	if p.nextBank >= p.g.TotalBanks() {
-		p.nextBank = 0
-		p.nextSub = (p.nextSub + 1) % p.subs
+	st.NextBank++
+	if st.NextBank >= p.g.TotalBanks() {
+		st.NextBank = 0
+		st.NextSub = (st.NextSub + 1) % p.subs
 	}
 	return t
 }
